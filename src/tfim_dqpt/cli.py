@@ -354,14 +354,8 @@ def _job_compare(job):
     cfg_mean = otoc.EchoConfig(spec, echo_ts, n_phi=len(phis), aggregation="mean")
     fid_mom = otoc.fidelity_otoc(cfg_prod)
     mag_mom = otoc.magnetization_otoc(cfg_mean)
-    fid_gap = np.empty((len(phis), len(echo_ts)))
-    mag_gap = np.empty_like(fid_gap)
-    for i, phi in enumerate(phis):
-        for j, t in enumerate(echo_ts):
-            fid_ed, mag_ed = chain.echo_chain(n_oracle, g_f, t, phi, bc=bc)
-            fid_gap[i, j] = abs(fid_ed - fid_mom[i, j])
-            mag_gap[i, j] = abs(mag_ed - mag_mom[i, j])
-    return rate_gap, fid_gap, mag_gap
+    fid_ed, mag_ed = chain.echo_scan_chain(n_oracle, g_f, echo_ts, phis, bc=bc)
+    return rate_gap, np.abs(fid_ed - fid_mom), np.abs(mag_ed - mag_mom)
 
 
 # ---------------------------------------------------------------------------

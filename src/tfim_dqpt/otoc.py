@@ -186,6 +186,14 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
     return np.mean(mags, axis=0).T
 
 
+def require_resolvable(n_phi: int, m_max: int) -> None:
+    """AliasingError unless n_phi angles resolve the orders |m| <= m_max."""
+    if n_phi < 2 * m_max + 1:
+        raise AliasingError(
+            f"N_phi = {n_phi} cannot resolve m_max = {m_max}; "
+            f"need N_phi >= {2 * m_max + 1}")
+
+
 def mqc_spectrum(signal, m_max: int) -> MqcSpectrum:
     """Discrete Fourier components of a real phi-scan signal.
 
@@ -195,10 +203,7 @@ def mqc_spectrum(signal, m_max: int) -> MqcSpectrum:
     """
     signal = np.asarray(signal, dtype=float)
     n_phi = signal.size
-    if n_phi < 2 * m_max + 1:
-        raise AliasingError(
-            f"N_phi = {n_phi} cannot resolve m_max = {m_max}; "
-            f"need N_phi >= {2 * m_max + 1}")
+    require_resolvable(n_phi, m_max)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     orders = np.arange(-m_max, m_max + 1)
     kernel = np.exp(-1.0j * np.outer(orders, phis))

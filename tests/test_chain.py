@@ -4,16 +4,26 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.special import jv
 
 from tfim_dqpt import chain, otoc, quench, su2
 from tfim_dqpt.errors import (
+    AliasingError,
     ConfigurationError,
     NumericalFailureError,
     ResourceGuardError,
 )
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
+
+fields = st.floats(0.05, 2.0)
+times = st.floats(0.0, 5.0)
+angles = st.floats(0.0, 2.0 * np.pi)
+# N <= DENSE_LIMIT (eigenbasis) and beyond it (Chebyshev)
+dense_sizes = st.sampled_from([4, 6, 8, 10])
+chebyshev_sizes = st.sampled_from([11, 12])
 
 
 def random_register(rng, n):
@@ -28,6 +38,22 @@ class TestChainOperator:
             op = chain.ChainOperator(5, g, bc=bc)
             vec = random_register(rng, 5)
             assert np.max(np.abs(op.apply(vec) - op.dense() @ vec)) < 1e-12
+
+    @given(st.sampled_from(["periodic", "open", "shuffled"]), fields,
+           st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+    def test_block_apply_matches_dense_columns(self, kind, g, width, seed):
+        rng = np.random.default_rng(seed)
+        bonds = None
+        if kind == "shuffled":
+            bonds = [tuple(pair) for pair in
+                     rng.permutation(chain.default_bonds(5, "periodic"))]
+        op = chain.ChainOperator(5, g, bc="open" if kind == "open" else "periodic",
+                                 coupling=0.5, bonds=bonds)
+        block = rng.normal(size=(32, width)) + 1j * rng.normal(size=(32, width))
+        expected = np.stack([op.dense() @ col for col in block.T], axis=1)
+        assert np.max(np.abs(op.apply(block) - expected)) < 1e-12
+        assert np.max(np.abs(op.apply(block.real) - op.dense() @ block.real)) < 1e-12
+        assert np.max(np.abs(op.apply(block[:, 0]) - expected[:, 0])) < 1e-12
 
     def test_hermiticity(self):
         rng = np.random.default_rng(6)
@@ -128,6 +154,18 @@ class TestEvolveChain:
             chain.evolve_chain(vec, op, 3.0, method="chebyshev", max_terms=3)
         assert err.value.residual is not None and err.value.residual > 0
 
+    def test_coefficient_range_does_not_move_cutoff(self):
+        # the cutoff from jv over the orders the tail needs equals the
+        # cutoff from jv over all max_terms + 50 orders
+        taus = np.concatenate([np.linspace(-500.0, 500.0, 201),
+                               [0.0, 1e-3, -0.4, 2.7, -17.3, 90.1]])
+        for tau in taus:
+            weights = 2.0 * np.abs(jv(np.arange(10050), tau))
+            weights[0] *= 0.5
+            tails = np.cumsum(weights[::-1])[::-1]
+            full = int(np.flatnonzero(tails <= 1e-12)[0])
+            assert chain._chebyshev_coefficients(tau).size - 1 == full, tau
+
     def test_argument_guards(self):
         op = chain.ChainOperator(4, 1.0)
         with pytest.raises(ConfigurationError):
@@ -199,6 +237,31 @@ class TestRateFunctionEd:
         assert isinstance(out, float)
 
 
+class TestChebyshevMoments:
+    @given(dense_sizes, fields, st.lists(times, min_size=1, max_size=4))
+    @settings(max_examples=25)
+    def test_moment_amplitude_matches_eigenbasis(self, n, g, ts):
+        op = chain.ChainOperator(n, g, coupling=0.5)
+        psi = chain.even_cat_state(n)
+        energies, vectors = op.eigensystem()
+        weights = np.abs(vectors.T @ psi) ** 2
+        exact = np.exp(-1.0j * np.outer(ts, energies)) @ weights
+        got = chain._chebyshev_amplitudes(op, psi, ts)
+        assert np.max(np.abs(got - exact)) < 1e-12
+
+    @given(chebyshev_sizes, fields, st.lists(times, min_size=1, max_size=3),
+           st.booleans())
+    @settings(max_examples=6)
+    def test_moment_amplitude_matches_literal_chebyshev(self, n, g, ts, cat):
+        op = chain.ChainOperator(n, g, coupling=0.5)
+        psi = chain.even_cat_state(n) if cat else \
+            random_register(np.random.default_rng(n), n)
+        literal = [np.vdot(psi, chain.evolve_chain(psi, op, t, method="chebyshev"))
+                   for t in ts]
+        got = chain._chebyshev_amplitudes(op, psi, ts)
+        assert np.max(np.abs(got - literal)) < 1e-12
+
+
 class TestEchoChain:
     def test_trivial_angle(self):
         fid, mag = chain.echo_chain(6, 1.2, 1.7, 0.0)
@@ -226,7 +289,55 @@ class TestEchoChain:
             assert abs(mag - np.mean(mags)) < 1e-8
 
 
+class TestEchoScanChain:
+    @staticmethod
+    def check_against_literal(n, g, ts, phis, bc="periodic"):
+        fid, mag = chain.echo_scan_chain(n, g, ts, phis, bc=bc)
+        assert fid.shape == mag.shape == (len(phis), len(ts))
+        for i, phi in enumerate(phis):
+            for j, t in enumerate(ts):
+                fid_lit, mag_lit = chain.echo_chain(n, g, t, phi, bc=bc)
+                assert abs(fid[i, j] - fid_lit) < 1e-12
+                assert abs(mag[i, j] - mag_lit) < 1e-12
+
+    @given(dense_sizes, fields, st.lists(times, min_size=1, max_size=3),
+           st.lists(angles, min_size=1, max_size=3))
+    @settings(max_examples=25)
+    def test_matches_echo_chain_dense(self, n, g, ts, phis):
+        self.check_against_literal(n, g, ts, phis)
+
+    @given(fields, st.lists(times, min_size=1, max_size=2),
+           st.lists(angles, min_size=1, max_size=3))
+    @settings(max_examples=5)
+    def test_matches_echo_chain_chebyshev(self, g, ts, phis):
+        self.check_against_literal(12, g, ts, phis)
+
+    def test_open_chain_matches_echo_chain(self):
+        self.check_against_literal(6, 1.2, [0.7, 2.9], [0.4, 3.3], bc="open")
+        self.check_against_literal(11, 0.6, [1.9], [2.2], bc="open")
+
+    def test_nonfinite_inputs_rejected(self):
+        with pytest.raises(ConfigurationError):
+            chain.echo_scan_chain(4, 1.2, [np.nan], [0.0])
+        with pytest.raises(ConfigurationError):
+            chain.echo_scan_chain(4, 1.2, [1.0], [np.inf])
+
+
 class TestMqcSpectrumEd:
+    def test_matches_literal_fidelity_scan(self):
+        phis = 2.0 * np.pi * np.arange(13) / 13
+        signal = [chain.echo_chain(6, 1.2, 1.9, p)[0] for p in phis]
+        spec = chain.mqc_spectrum_ed(6, 1.2, 1.9, n_phi=13)
+        literal = otoc.mqc_spectrum(signal, 6)
+        assert np.max(np.abs(spec.components - literal.components)) < 1e-12
+
+    def test_aliasing_refused_before_evolution(self, monkeypatch):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("evolved before the aliasing check")
+        monkeypatch.setattr(chain, "_evolve_block", no_evolution)
+        with pytest.raises(AliasingError):
+            chain.mqc_spectrum_ed(6, 1.2, 1.9, m_max=6, n_phi=12)
+
     def test_sum_rule(self):
         spec = chain.mqc_spectrum_ed(6, 1.2, 1.9)
         assert np.sum(spec.components) == pytest.approx(1.0, abs=1e-9)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,3 +244,17 @@ def write_config(tmp_path, text: str) -> str:
     path = tmp_path / "config.ini"
     path.write_text(text)
     return str(path)
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # the sparse Hamiltonian is built on demand; importing it up front
+    # would add its import time to every CLI run
+    import tfim_dqpt
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tfim_dqpt.__file__)))
+    code = ("import sys, tfim_dqpt.cli; "
+            "print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
