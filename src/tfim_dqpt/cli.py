@@ -25,7 +25,6 @@ import argparse
 import copy
 import csv
 import hashlib
-import io
 import json
 import multiprocessing
 import os
@@ -216,24 +215,27 @@ def validate_config(resolved: dict) -> None:
 # ---------------------------------------------------------------------------
 # deterministic artifact writing
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value) + 0.0)   # + 0.0 canonicalizes negative zero
-    return str(value)
+# rows per formatted chunk: bounds the Python strings alive at once
+CHUNK_ROWS = 16384
 
 
-def _jsonable(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value) + 0.0
-    return value
+def _cells(column, fmt: str) -> list:
+    """One column (or a slice of it) as JSON values or CSV text.
+
+    numpy float, integer and bool arrays are converted once per column;
+    a list column holds strings (or already canonical floats) kept as
+    they are.
+    """
+    if isinstance(column, list):
+        return column if fmt == "json" else list(map(str, column))
+    if column.dtype == bool:
+        values = column.tolist()
+        return values if fmt == "json" else ["1" if v else "0" for v in values]
+    if np.issubdtype(column.dtype, np.integer):
+        values = column.tolist()
+        return values if fmt == "json" else list(map(str, values))
+    values = (column + 0.0).tolist()   # + 0.0 canonicalizes negative zero
+    return values if fmt == "json" else list(map(repr, values))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -243,21 +245,34 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_table(outdir: str, stem: str, columns: list[str], rows, fmt: str) -> str:
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-        name = f"{stem}.csv"
-        _atomic_write(os.path.join(outdir, name), buffer.getvalue())
-    else:
-        name = f"{stem}.json"
-        payload = {"columns": columns,
-                   "rows": [[_jsonable(cell) for cell in row] for row in rows]}
-        _atomic_write(os.path.join(outdir, name),
-                      json.dumps(payload, sort_keys=True) + "\n")
+def _write_table(outdir: str, stem: str, columns: list[str], data,
+                 fmt: str) -> str:
+    """Write equal-length columns as ``stem.csv`` or ``stem.json``.
+
+    Floats print in shortest round-trip form; the JSON layout is
+    ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
+    sorted keys would write it.  Rows are formatted and written in chunks
+    into a temp file that is renamed into place at the end.
+    """
+    name = f"{stem}.{fmt}"
+    path = os.path.join(outdir, name)
+    n_rows = len(data[0])
+    with open(f"{path}.tmp", "w", encoding="utf-8", newline="") as handle:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+        else:
+            handle.write(f'{{"columns": {json.dumps(columns)}, "rows": [')
+        for start in range(0, n_rows, CHUNK_ROWS):
+            chunk = [_cells(col[start:start + CHUNK_ROWS], fmt) for col in data]
+            if fmt == "csv":
+                writer.writerows(zip(*chunk))
+            else:
+                text = json.dumps(list(zip(*chunk)))[1:-1]
+                handle.write(f", {text}" if start else text)
+        if fmt == "json":
+            handle.write("]}\n")
+    os.replace(f"{path}.tmp", path)
     return name
 
 
@@ -366,11 +381,10 @@ def cmd_rate_function(resolved: dict) -> None:
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
     jobs = [(q["g_i"], g_f, q["n"], q["grid"], ts) for g_f in q["g_f"]]
     series = _fan_out(_job_rate, jobs, s["threads"])
-    rows = [(g_f, t, f)
-            for g_f, fs in zip(q["g_f"], series)
-            for t, f in zip(ts, fs)]
+    data = [np.repeat(q["g_f"], ts.size), np.tile(ts, len(series)),
+            np.concatenate(series)]
     names = [_write_table(out["out"], "rate_function",
-                          ["g_f", "t", "f"], rows, out["format"])]
+                          ["g_f", "t", "f"], data, out["format"])]
     analytic = []
     for g_f in q["g_f"]:
         try:
@@ -390,14 +404,14 @@ def cmd_heatmap(resolved: dict) -> None:
     jobs = [(q["g_i"], g_f, q["n"], q["grid"], q["tau_points"])
             for g_f in q["g_f"]]
     maps = _fan_out(_job_heatmap, jobs, s["threads"])
-    rows = [(g_f, k, tau, p)
-            for g_f, (ks, taus, probs) in zip(q["g_f"], maps)
-            for i, k in enumerate(ks)
-            for j, tau in enumerate(taus)
-            for p in (probs[i, j],)]
+    ks, taus, _ = maps[0]
+    data = [np.repeat(q["g_f"], ks.size * taus.size),
+            np.tile(np.repeat(ks, taus.size), len(maps)),
+            np.tile(taus, len(maps) * ks.size),
+            np.concatenate([probs.ravel() for _, _, probs in maps])]
     names = [_write_table(out["out"], "return_prob",
                           ["g_f", "k", "t_over_t0", "probability"],
-                          rows, out["format"])]
+                          data, out["format"])]
     _write_manifest(out["out"], "heatmap", resolved, names)
 
 
@@ -410,24 +424,34 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
             for g_f in q["g_f"]]
     results = _fan_out(_job_otoc, jobs, s["threads"])
     phis = 2.0 * np.pi * np.arange(e["n_phi"]) / e["n_phi"]
+    n_fields, cells = len(results), phis.size * ts.size
     names = []
     if not spectra_only:
-        surface_rows = [(g_f, phi, t, fid[i, j], mag[i, j])
-                        for g_f, (fid, mag, _, _) in zip(q["g_f"], results)
-                        for i, phi in enumerate(phis)
-                        for j, t in enumerate(ts)]
+        data = [np.repeat(q["g_f"], cells),
+                np.tile(np.repeat(phis, ts.size), n_fields),
+                np.tile(ts, n_fields * phis.size),
+                np.concatenate([fid.ravel() for fid, _, _, _ in results]),
+                np.concatenate([mag.ravel() for _, mag, _, _ in results])]
         names.append(_write_table(out["out"], "otoc_surface",
                                   ["g_f", "phi", "t", "fidelity", "magnetization"],
-                                  surface_rows, out["format"]))
+                                  data, out["format"]))
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
-    spectra_rows = [(g_f, observable, t, m, comp.real, comp.imag, abs(comp))
-                    for g_f, (_, _, spectra, _) in zip(q["g_f"], results)
-                    for observable in ("fidelity", "magnetization")
-                    for t, comps in zip(ts, spectra[observable])
-                    for m, comp in zip(orders, comps)]
+    observables = ("fidelity", "magnetization")
+    # row order: field, observable, t, m; one (n_t, 2 m_max + 1) block each
+    comps = np.concatenate([np.asarray(spectra[observable]).ravel()
+                            for _, _, spectra, _ in results
+                            for observable in observables])
+    block = ts.size * orders.size
+    data = [np.repeat(q["g_f"], len(observables) * block),
+            [obs for obs in observables for _ in range(block)] * n_fields,
+            np.tile(np.repeat(ts, orders.size), n_fields * len(observables)),
+            np.tile(orders, n_fields * len(observables) * ts.size),
+            comps.real, comps.imag,
+            # Python's abs(), not np.abs: they differ in the last bit
+            np.array([abs(c) for c in comps.tolist()])]
     names.append(_write_table(out["out"], "spectra",
                               ["g_f", "observable", "t", "m", "re", "im", "abs"],
-                              spectra_rows, out["format"]))
+                              data, out["format"]))
     if not spectra_only:
         payload = {
             "detector": {
@@ -458,28 +482,34 @@ def cmd_oracle_compare(resolved: dict) -> None:
     jobs = [(q["g_i"], g_f, n, grid, o["bc"], ts, phis, echo_ts)
             for g_f in q["g_f"]]
     results = _fan_out(_job_compare, jobs, s["threads"])
-    rows = []
-    worst = (0.0, None)
-    for g_f, (rate_gap, fid_gap, mag_gap) in zip(q["g_f"], results):
-        for t, gap in zip(ts, rate_gap):
-            rows.append((g_f, "rate_function", "", t, gap))
-            if gap > worst[0]:
-                worst = (gap, ("rate_function", g_f, t))
-        for name, gaps in (("fidelity", fid_gap), ("magnetization", mag_gap)):
-            for i, phi in enumerate(phis):
-                for j, t in enumerate(echo_ts):
-                    rows.append((g_f, name, phi, t, gaps[i, j]))
-                    if gaps[i, j] > worst[0]:
-                        worst = (gaps[i, j], (name, g_f, t))
+    # per field: the rate rows (no phi), then fidelity and magnetization
+    # over (phi, t)
+    cells = phis.size * echo_ts.size
+    per_field = ts.size + 2 * cells
+    quantities = (["rate_function"] * ts.size + ["fidelity"] * cells
+                  + ["magnetization"] * cells)
+    phi_cells = (phis + 0.0).tolist()
+    phi_column = ([""] * ts.size
+                  + 2 * [phi for phi in phi_cells for _ in echo_ts])
+    t_column = np.concatenate([ts, np.tile(echo_ts, 2 * phis.size)])
+    difference = np.concatenate([np.concatenate([rate, fid.ravel(), mag.ravel()])
+                                 for rate, fid, mag in results])
+    data = [np.repeat(q["g_f"], per_field), quantities * len(results),
+            phi_column * len(results), np.tile(t_column, len(results)),
+            difference]
     names = [_write_table(out["out"], "compare",
                           ["g_f", "quantity", "phi", "t", "difference"],
-                          rows, out["format"])]
+                          data, out["format"])]
     _write_manifest(out["out"], "oracle-compare", resolved, names)
-    if worst[0] > s["tolerance"]:
-        quantity, g_f, t = worst[1]
+    # the first largest difference; NaN rows never count as the worst
+    ranked = np.where(np.isnan(difference), -np.inf, difference)
+    worst = int(np.argmax(ranked))
+    if ranked[worst] > s["tolerance"]:
+        field, row = divmod(worst, per_field)
         raise ToleranceFailure(
-            f"worst difference {worst[0]:.3e} > tolerance {s['tolerance']:.3e} "
-            f"({quantity}, g_f={g_f}, t={t:.6f}, grid={grid})")
+            f"worst difference {difference[worst]:.3e} > tolerance "
+            f"{s['tolerance']:.3e} ({quantities[row]}, g_f={q['g_f'][field]}, "
+            f"t={t_column[row]:.6f}, grid={grid})")
 
 
 def cmd_pulse_schedule(resolved: dict) -> None:
@@ -487,15 +517,19 @@ def cmd_pulse_schedule(resolved: dict) -> None:
     jobs = [(q["g_i"], g_f, q["n"], q["grid"], s["pulse_constant"], s["n_t"])
             for g_f in q["g_f"]]
     results = _fan_out(_job_pulse, jobs, s["threads"])
-    rows = [(g_f, entry.k, entry.axis_angle, entry.rabi_rate, idx, duration,
-             entry.idle)
-            for g_f, (entries, _) in zip(q["g_f"], results)
-            for entry in entries
-            for idx, duration in enumerate(entry.durations)]
+    entries = [entry for entries, _ in results for entry in entries]
+    per_entry = s["n_t"]
+    data = [np.repeat(q["g_f"], len(results[0][0]) * per_entry),
+            np.repeat([entry.k for entry in entries], per_entry),
+            np.repeat([entry.axis_angle for entry in entries], per_entry),
+            np.repeat([entry.rabi_rate for entry in entries], per_entry),
+            np.tile(np.arange(per_entry), len(entries)),
+            np.concatenate([entry.durations for entry in entries]),
+            np.repeat([entry.idle for entry in entries], per_entry)]
     names = [_write_table(out["out"], "schedule",
                           ["g_f", "k", "axis_angle", "rabi_rate",
                            "duration_index", "duration", "idle"],
-                          rows, out["format"])]
+                          data, out["format"])]
     payload = {
         "per_g_f": [{"g_f": g_f, "max_deviation": deviation}
                     for g_f, (_, deviation) in zip(q["g_f"], results)],
