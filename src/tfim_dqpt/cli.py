@@ -181,7 +181,8 @@ def validate_config(resolved: dict) -> None:
              "quench.n", f"must be an integer >= 2, got {q['n']}")
     _require(q["grid"] in ("paper", "abc"), "quench.grid",
              "must be 'paper' or 'abc'")
-    _require(q["t_max"] > 0, "quench.t_max", "must be positive")
+    _require(np.isfinite(q["t_max"]) and q["t_max"] > 0, "quench.t_max",
+             "must be finite and positive")
     _require(isinstance(q["t_points"], int) and q["t_points"] >= 2,
              "quench.t_points", "must be an integer >= 2")
     _require(isinstance(q["tau_points"], int) and q["tau_points"] >= 2,
@@ -324,21 +325,18 @@ def _job_otoc(job):
     (g_i, g_f, n, grid, ts, n_phi, aggregation, m_max,
      dw_tau_points, dw_window, dw_threshold) = job
     spec = quench.QuenchSpec(g_i, g_f, n, grid)
-    fid_cfg = otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation=aggregation)
-    mag_cfg = otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation="mean")
-    fidelity = otoc.fidelity_otoc(fid_cfg)
-    magnetization = otoc.magnetization_otoc(mag_cfg)
-    spectra = {
-        "fidelity": [s.components for s in
-                     otoc.spectrum_dynamics(fid_cfg, "fidelity", m_max)],
-        "magnetization": [s.components for s in
-                          otoc.spectrum_dynamics(mag_cfg, "magnetization", m_max)],
-    }
+    # one echo evaluation per surface; the spectra come from the surfaces
+    fidelity = otoc.fidelity_otoc(
+        otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation=aggregation))
+    magnetization = otoc.magnetization_otoc(
+        otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation="mean"))
+    spectra = {"fidelity": otoc.mqc_components(fidelity, m_max),
+               "magnetization": otoc.mqc_components(magnetization, m_max)}
     taus = np.linspace(0.0, 1.0, dw_tau_points)
-    dw_cfg = otoc.EchoConfig(spec, taus, n_phi=n_phi, aggregation="mean",
-                             time_mode="normalized")
-    a1 = np.real(otoc.coherence_series(
-        otoc.spectrum_dynamics(dw_cfg, "magnetization", 1), 1))
+    normalized = otoc.magnetization_otoc(
+        otoc.EchoConfig(spec, taus, n_phi=n_phi, aggregation="mean",
+                        time_mode="normalized"))
+    a1 = np.real(otoc.mqc_components(normalized, 1)[2])   # order m = 1
     verdict = otoc.double_well_detector(taus, a1, 0.5, dw_window,
                                         eps_dw=dw_threshold)
     return fidelity, magnetization, spectra, verdict
@@ -437,8 +435,8 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
                                   data, out["format"]))
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
     observables = ("fidelity", "magnetization")
-    # row order: field, observable, t, m; one (n_t, 2 m_max + 1) block each
-    comps = np.concatenate([np.asarray(spectra[observable]).ravel()
+    # row order: field, observable, t, m; one (2 m_max + 1, n_t) block each
+    comps = np.concatenate([spectra[observable].T.ravel()
                             for _, _, spectra, _ in results
                             for observable in observables])
     block = ts.size * orders.size

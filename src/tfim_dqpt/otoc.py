@@ -8,6 +8,20 @@ is a real Fourier series whose components are the multiple-quantum
 coherence intensities I_m (fidelity) or amplitudes A_m (magnetization);
 a single mode only supports orders m = 0, +-1.
 
+Both signals are closed forms.  In the frame where the mode starts in |x>,
+let n(t) be x rotated by 2|d_f| t about dhat_f; its x component is
+n_x = 2 P_k(t) - 1, with P_k = |G_k|^2 the return probability of
+``quench``.  Per mode the echo fidelity is
+
+    F_k(phi, t) = cos^2(phi/2) + sin^2(phi/2) n_x^2
+
+and the x magnetization <S_x> = <sigma_x>/2 of the echoed state is
+
+    M_k(phi, t) = (cos phi + 2 sin^2(phi/2) n_x^2) / 2,
+
+so the whole (k, t, phi) scan reduces to the (n_k, n_t) matrix of n_x^2.
+``echo_state`` keeps the literal three-factor sequence as the test oracle.
+
 Time grids come in two interpretations.  ``absolute`` evolves every mode
 to the same time t.  ``normalized`` reads grid values as tau = t/t0 with
 t0 = pi/|d_f(k)| per mode, mirroring the drive schedule that sweeps each
@@ -27,8 +41,8 @@ from .errors import (
     InvalidArgumentError,
     WindowRangeError,
 )
-from .quench import QuenchSpec, build_ensemble
-from . import su2
+from . import quench, su2
+from .quench import QuenchSpec
 from .su2 import X_PLUS, evolution_unitary, rotation_x
 
 __all__ = [
@@ -38,6 +52,7 @@ __all__ = [
     "fidelity_otoc",
     "magnetization_otoc",
     "mqc_spectrum",
+    "mqc_components",
     "spectrum_dynamics",
     "coherence_series",
     "otoc_general",
@@ -116,59 +131,38 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     return backward @ (rotation_x(phi) @ (forward @ np.asarray(psi0, dtype=complex)))
 
 
-def _evolution_batch(d_vecs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Propagators exp(-i d_k . sigma t_kj) of shape (n_k, n_t, 2, 2)."""
-    mags = np.linalg.norm(d_vecs, axis=1)
-    safe = np.where(mags > 0.0, mags, 1.0)
-    dhat = d_vecs / safe[:, None]          # zero rows stay zero; sin kills them
-    sig = (dhat[:, 0, None, None] * su2.SIGMA_X
-           + dhat[:, 1, None, None] * su2.SIGMA_Y
-           + dhat[:, 2, None, None] * su2.SIGMA_Z)
-    phase = mags[:, None] * times
-    cos_p = np.cos(phase)[..., None, None]
-    sin_p = np.sin(phase)[..., None, None]
-    return cos_p * su2.IDENTITY_2 - 1.0j * sin_p * sig[:, None]
+def _squared_nx(config: EchoConfig) -> np.ndarray:
+    """n_x^2 = (2 P_k - 1)^2 per mode over (k, time grid), in place."""
+    nx = quench._probabilities(config.spec, config.time_grid,
+                               normalized=config.time_mode == "normalized")
+    nx *= 2.0
+    nx -= 1.0
+    nx *= nx
+    return nx
 
 
-def _mode_times(config: EchoConfig, d_final: np.ndarray) -> np.ndarray:
-    """Absolute evolution time per (mode, grid point); (n_k, n_t)."""
-    ts = config.time_grid
-    if config.time_mode == "absolute":
-        return np.broadcast_to(ts, (d_final.shape[0], ts.size)).copy()
-    mags = np.linalg.norm(d_final, axis=1)
-    # gapless modes have no period; they sit idle (t = 0, trivial echo)
-    periods = np.where(mags > 0.0, np.pi / np.where(mags > 0.0, mags, 1.0), 0.0)
-    return periods[:, None] * ts
-
-
-def _echo_scan(config: EchoConfig):
-    """Per-mode echoed states on the full (k, t, phi) grid."""
-    ens = build_ensemble(config.spec)
-    times = _mode_times(config, ens.d_final)
-    u_fwd = _evolution_batch(ens.d_final, times)
-    u_bwd = _evolution_batch(-ens.d_final, times)
-    rot = np.stack([rotation_x(p) for p in config.phi_values])
-    fwd = np.einsum("ktab,kb->kta", u_fwd, ens.psi0)
-    rotated = np.einsum("pab,ktb->ktpa", rot, fwd)
-    out = np.einsum("ktab,ktpb->ktpa", u_bwd, rotated)
-    return ens, out
+def _half_angle_weights(config: EchoConfig):
+    """cos^2(phi/2) and sin^2(phi/2) as (n_phi, 1) columns."""
+    half = config.phi_values[:, None] / 2.0
+    return np.cos(half) ** 2, np.sin(half) ** 2
 
 
 def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     """Echo fidelity matrix over (phi, t), aggregated over modes.
 
-    Per mode |<psi0|echo>|^2; ``product`` multiplies modes in ascending k
-    (the many-body Loschmidt echo), ``mean`` averages them.  The phi = 0
-    column is identically 1: unitary reversal is exact in simulation.
+    Per mode |<psi0|echo>|^2 = cos^2(phi/2) + sin^2(phi/2) n_x^2;
+    ``product`` multiplies modes in ascending k (the many-body Loschmidt
+    echo), ``mean`` averages them.  The phi = 0 column is identically 1:
+    unitary reversal is exact in simulation.
     """
-    ens, states = _echo_scan(config)
-    amps = np.einsum("ka,ktpa->ktp", ens.psi0.conj(), states)
-    fids = np.abs(amps) ** 2
-    if config.aggregation == "product":
-        agg = np.prod(fids, axis=0)
-    else:
-        agg = np.mean(fids, axis=0)
-    return agg.T  # (phi, t)
+    nx2 = _squared_nx(config)
+    cos2, sin2 = _half_angle_weights(config)
+    if config.aggregation == "mean":
+        return cos2 + sin2 * nx2.mean(axis=0)
+    fids = np.ones((config.n_phi, nx2.shape[1]))
+    for row in nx2:
+        fids *= cos2 + sin2 * row
+    return fids
 
 
 def magnetization_otoc(config: EchoConfig) -> np.ndarray:
@@ -181,9 +175,10 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
         raise ConfigurationError(
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
-    _, states = _echo_scan(config)
-    mags = np.real(np.conj(states[..., 0]) * states[..., 1])  # <sigma_x>/2
-    return np.mean(mags, axis=0).T
+    nx2 = _squared_nx(config)
+    _, sin2 = _half_angle_weights(config)
+    return 0.5 * (np.cos(config.phi_values)[:, None]
+                  + 2.0 * sin2 * nx2.mean(axis=0))
 
 
 def require_resolvable(n_phi: int, m_max: int) -> None:
@@ -194,20 +189,28 @@ def require_resolvable(n_phi: int, m_max: int) -> None:
             f"need N_phi >= {2 * m_max + 1}")
 
 
-def mqc_spectrum(signal, m_max: int) -> MqcSpectrum:
-    """Discrete Fourier components of a real phi-scan signal.
+def mqc_components(scan, m_max: int) -> np.ndarray:
+    """Discrete Fourier components of a real phi scan, column by column.
 
-    component(m) = (1/N_phi) sum_j signal(phi_j) exp(-i m phi_j) on the
-    uniform grid phi_j = 2 pi j / N_phi.  Resolving |m| <= m_max without
-    aliasing requires N_phi >= 2 m_max + 1.
+    component(m) = (1/N_phi) sum_j scan(phi_j) exp(-i m phi_j) on the
+    uniform grid phi_j = 2 pi j / N_phi, for a (N_phi,) signal or every
+    column of a (N_phi, n_t) matrix; row m + m_max of the result holds
+    order m.  Resolving |m| <= m_max without aliasing requires
+    N_phi >= 2 m_max + 1.
     """
-    signal = np.asarray(signal, dtype=float)
-    n_phi = signal.size
+    scan = np.asarray(scan, dtype=float)
+    n_phi = scan.shape[0]
     require_resolvable(n_phi, m_max)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     orders = np.arange(-m_max, m_max + 1)
     kernel = np.exp(-1.0j * np.outer(orders, phis))
-    return MqcSpectrum(m_max=int(m_max), components=kernel @ signal / n_phi)
+    return kernel @ scan / n_phi
+
+
+def mqc_spectrum(signal, m_max: int) -> MqcSpectrum:
+    """MQC spectrum of one real phi-scan signal (see ``mqc_components``)."""
+    return MqcSpectrum(m_max=int(m_max),
+                       components=mqc_components(np.ravel(signal), m_max))
 
 
 def spectrum_dynamics(config: EchoConfig, observable: str,
@@ -216,11 +219,13 @@ def spectrum_dynamics(config: EchoConfig, observable: str,
     if observable not in OBSERVABLES:
         raise ConfigurationError(
             f"observable must be one of {OBSERVABLES}, got {observable!r}")
+    require_resolvable(config.n_phi, m_max)
     if observable == "fidelity":
         matrix = fidelity_otoc(config)
     else:
         matrix = magnetization_otoc(config)
-    return [mqc_spectrum(matrix[:, j], m_max) for j in range(matrix.shape[1])]
+    return [MqcSpectrum(m_max=int(m_max), components=column)
+            for column in mqc_components(matrix, m_max).T]
 
 
 def coherence_series(spectra: list[MqcSpectrum], m: int) -> np.ndarray:

@@ -19,6 +19,14 @@ Sign convention ``ferro_ground``: the mode Hamiltonian carries the overall
 minus sign, H_mode = -d . sigma, so the g = 0 ground state is |x>.  All
 observables computed here are insensitive to that sign (covered by tests).
 
+The vectorized paths treat the grid as arrays: ``_mode_geometry`` returns
+|d_f| and dhat_i . dhat_f for every k at once, and ``_probabilities``
+turns them into the (n_k, n_t) matrix of |G_k|^2 that ``mode_probabilities``,
+``rate_function``, ``return_probability_map`` and the echo observables of
+``otoc`` share.  It works in place and holds at most two (n_k, n_t) float
+arrays; requests whose mode working set exceeds ``MODE_BUDGET_BYTES`` are
+refused with ``ResourceGuardError`` before anything is allocated.
+
 Two momentum grids are supported.  ``paper`` takes k = 0, 2pi/N, ..., 2pi
 (N+1 points, both endpoints included, each weighted once in the 1/N
 average).  ``abc`` takes the anti-periodic momenta k = (2n+1) pi/N, which
@@ -36,6 +44,7 @@ from .errors import (
     ConfigurationError,
     GaplessModeError,
     NoDqptError,
+    ResourceGuardError,
     UndefinedExpressionError,
 )
 from . import su2
@@ -60,11 +69,17 @@ __all__ = [
     "build_ensemble",
     "default_time_grid",
     "AMPLITUDE_FLOOR",
+    "MODE_BUDGET_BYTES",
 ]
 
 # |G|^2 is floored here before the log; finite grids essentially never hit
 # an exact Fisher zero, but the rate function must stay finite if they do.
 AMPLITUDE_FLOOR = 1e-300
+
+# Largest mode working set the vectorized paths may allocate: two float64
+# (n_k, n_t) arrays plus GEOMETRY_ROWS n_k-long arrays for the geometry.
+MODE_BUDGET_BYTES = 2 ** 30
+GEOMETRY_ROWS = 12
 
 GRID_MODES = ("paper", "abc")
 SIGN_CONVENTIONS = ("ferro_ground",)
@@ -92,6 +107,11 @@ class QuenchSpec:
             raise ConfigurationError(
                 f"sign_convention must be one of {SIGN_CONVENTIONS}")
         object.__setattr__(self, "n", int(self.n))
+
+    @property
+    def n_modes(self) -> int:
+        """Size of the momentum grid, known without building it."""
+        return self.n + 1 if self.grid_mode == "paper" else self.n
 
     def momentum_grid(self) -> np.ndarray:
         if self.grid_mode == "paper":
@@ -166,17 +186,55 @@ def rotated_bloch(u: np.ndarray, d) -> np.ndarray:
     ])
 
 
-def _mode_geometry(spec: QuenchSpec, k: float):
-    """(|d_f|, dhat_i . dhat_f) for one mode; raises on gapless initial."""
-    d_i = bloch_vector(spec.g_i, k)
-    d_f = bloch_vector(spec.g_f, k)
-    n_i = float(np.sqrt(d_i @ d_i))
-    n_f = float(np.sqrt(d_f @ d_f))
-    if n_i == 0.0:
+def _require_mode_budget(n_k: int, n_t: int) -> None:
+    """ResourceGuardError unless n_k modes x n_t times fit MODE_BUDGET_BYTES."""
+    need = 8 * n_k * (2 * n_t + GEOMETRY_ROWS)
+    if need > MODE_BUDGET_BYTES:
+        raise ResourceGuardError(
+            f"{n_k} modes x {n_t} times need about {need / 2 ** 20:.0f} MiB, "
+            f"over the {MODE_BUDGET_BYTES / 2 ** 20:.0f} MiB mode budget")
+
+
+def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
+    """Arrays (|d_f|, dhat_i . dhat_f) over the grid ks.
+
+    Raises GaplessModeError at the first gapless initial mode.  Gapless
+    final modes get overlap 1: they do not evolve.
+    """
+    cos_k, sin_k = np.cos(ks), np.sin(ks)
+    x_i, y_i = 1.0 - g_i * cos_k, g_i * sin_k
+    x_f, y_f = 1.0 - g_f * cos_k, g_f * sin_k
+    n_i = np.sqrt(x_i * x_i + y_i * y_i)
+    n_f = np.sqrt(x_f * x_f + y_f * y_f)
+    gapless = n_i == 0.0
+    if gapless.any():
         raise GaplessModeError(
-            f"initial mode at k={k} is gapless; the quench ground state is undefined")
-    overlap = float(d_i @ d_f) / (n_i * n_f) if n_f > 0.0 else 1.0
+            f"initial mode at k={ks[np.argmax(gapless)]} is gapless; "
+            "the quench ground state is undefined")
+    overlap = np.ones_like(n_f)
+    np.divide(x_i * x_f + y_i * y_f, n_i * n_f, out=overlap, where=n_f > 0.0)
     return n_f, overlap
+
+
+def _probabilities(spec: QuenchSpec, grid: np.ndarray,
+                   normalized: bool = False) -> np.ndarray:
+    """|G_k|^2 = cos^2(phase) + (dhat_i . dhat_f)^2 sin^2(phase), (n_k, n_t).
+
+    The phase is |d_f| t for times t, or with ``normalized`` pi tau for
+    tau = t/t0, t0 = pi/|d_f(k)|; gapless final modes keep phase 0 and
+    probability exactly 1.  Holds two (n_k, n_t) arrays at most.
+    """
+    _require_mode_budget(spec.n_modes, grid.size)
+    n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
+    rate = np.where(n_f > 0.0, np.pi, 0.0) if normalized else n_f
+    phase = np.multiply.outer(rate, grid)
+    probs = np.cos(phase)
+    probs *= probs
+    np.sin(phase, out=phase)
+    phase *= overlap[:, None]
+    phase *= phase
+    probs += phase
+    return probs
 
 
 def loschmidt_mode(spec: QuenchSpec, k: float, t):
@@ -184,7 +242,8 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 
     Gapless final modes (|d_f| = 0) do not evolve, so G_k = 1 there.
     """
-    n_f, overlap = _mode_geometry(spec, k)
+    n_f, overlap = (float(a[0]) for a in
+                    _mode_geometry(spec.g_i, spec.g_f, np.array([float(k)])))
     t = np.asarray(t, dtype=float)
     if n_f == 0.0:
         return np.ones_like(t, dtype=complex) if t.ndim else complex(1.0)
@@ -194,16 +253,9 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 
 def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """(k grid, |G_k(t)|^2 matrix of shape (n_k, n_t)) for the spec's grid."""
-    ks = spec.momentum_grid()
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    probs = np.empty((ks.size, ts.size))
-    for i, k in enumerate(ks):
-        n_f, overlap = _mode_geometry(spec, k)
-        if n_f == 0.0:
-            probs[i] = 1.0
-        else:
-            probs[i] = np.cos(n_f * ts) ** 2 + (overlap * np.sin(n_f * ts)) ** 2
-    return ks, probs
+    probs = _probabilities(spec, ts)
+    return spec.momentum_grid(), probs
 
 
 def rate_function(spec: QuenchSpec, t):
@@ -213,8 +265,10 @@ def rate_function(spec: QuenchSpec, t):
     mode, still divided by N) in ascending-k order.  Scalar or array t.
     """
     ts = np.asarray(t, dtype=float)
-    _, probs = mode_probabilities(spec, ts)
-    f = -np.sum(np.log(np.maximum(probs, AMPLITUDE_FLOOR)), axis=0) / spec.n
+    logs = _probabilities(spec, np.atleast_1d(ts))
+    np.maximum(logs, AMPLITUDE_FLOOR, out=logs)
+    np.log(logs, out=logs)
+    f = -np.sum(logs, axis=0) / spec.n
     return f if ts.ndim else float(f[0])
 
 
@@ -258,18 +312,9 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     """
     if n_t < 2:
         raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
-    ks = spec.momentum_grid()
     taus = np.linspace(0.0, 2.0, n_t)
-    probs = np.empty((ks.size, n_t))
-    for i, k in enumerate(ks):
-        n_f, overlap = _mode_geometry(spec, k)
-        if n_f == 0.0:
-            probs[i] = 1.0
-        else:
-            # at t = tau * pi/|d_f| the mode phase is pi*tau for every k
-            probs[i] = np.cos(np.pi * taus) ** 2 \
-                + (overlap * np.sin(np.pi * taus)) ** 2
-    return ks, taus, probs
+    probs = _probabilities(spec, taus, normalized=True)
+    return spec.momentum_grid(), taus, probs
 
 
 def pulse_schedule(spec: QuenchSpec, c: float = 1.0,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tfim_dqpt import cli
 from tfim_dqpt.cli import main
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
@@ -258,3 +260,111 @@ def test_cli_import_does_not_load_scipy_sparse():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def reference_fmt(value) -> str:
+    """The per-cell CSV formatter the columnar writer replaced."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value) + 0.0)
+    return str(value)
+
+
+def reference_jsonable(value):
+    """The per-cell JSON conversion the columnar writer replaced."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) + 0.0
+    return value
+
+
+def reference_table(columns, rows, fmt: str) -> bytes:
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([reference_fmt(cell) for cell in row])
+        return buffer.getvalue().encode()
+    payload = {"columns": columns,
+               "rows": [[reference_jsonable(cell) for cell in row]
+                        for row in rows]}
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+class TestColumnarWriter:
+    FLOATS = np.array([-0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3,
+                       0.1 + 0.2, -1.0 / 3.0, 2.0 ** 60, 1e16, 123456789.12345678,
+                       np.pi, -np.e, 0.5, np.inf, -np.inf, np.nan, 7.0])
+
+    def table(self):
+        n = self.FLOATS.size
+        rng = np.random.default_rng(4)
+        ints = rng.integers(-10 ** 12, 10 ** 12, size=n)
+        bools = rng.random(n) < 0.5
+        strings = [["", "fidelity", "a,b", 'q"t'][i % 4] for i in range(n)]
+        mixed = ["" if i % 3 == 0 else v
+                 for i, v in enumerate((self.FLOATS + 0.0).tolist())]
+        data = [self.FLOATS, ints, bools, strings, mixed, -self.FLOATS]
+        rows = list(zip(self.FLOATS, ints, bools, strings, mixed, -self.FLOATS))
+        return ["x", "n", "flag", "label", "phi", "neg"], data, rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [3, cli.CHUNK_ROWS])
+    def test_bytes_equal_per_cell_reference(self, tmp_path, monkeypatch,
+                                            fmt, chunk):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        columns, data, rows = self.table()
+        name = cli._write_table(str(tmp_path), "table", columns, data, fmt)
+        assert name == f"table.{fmt}"
+        assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
+        assert not (tmp_path / f"{name}.tmp").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, tmp_path, fmt):
+        name = cli._write_table(str(tmp_path), "empty", ["a", "b"],
+                                [np.zeros(0), []], fmt)
+        assert (tmp_path / name).read_bytes() == reference_table(["a", "b"], [], fmt)
+
+    def test_otoc_csv_equals_json_rows(self, tmp_path):
+        cfg = write_config(tmp_path, "[quench]\nt_points = 7\n")
+        base = ["otoc", "--n", "6", "--gf", "0.7,1.3", "--nphi", "9",
+                "--config", cfg]
+        assert main([*base, "--out", str(tmp_path / "c")]) == 0
+        assert main([*base, "--out", str(tmp_path / "j"),
+                     "--format", "json"]) == 0
+        for stem in ("otoc_surface", "spectra"):
+            header, csv_rows = read_csv(tmp_path / "c" / f"{stem}.csv")
+            payload = read_json(tmp_path / "j" / f"{stem}.json")
+            assert payload["columns"] == header
+            assert len(payload["rows"]) == len(csv_rows) > 0
+            for csv_row, json_row in zip(csv_rows, payload["rows"]):
+                assert [type(cell)(text) for text, cell
+                        in zip(csv_row, json_row)] == json_row
+        for _, _, _, _, re_, im_, abs_ in read_json(
+                tmp_path / "j" / "spectra.json")["rows"]:
+            assert abs_ == abs(complex(re_, im_))
+
+
+class TestResourceAndRangeGuards:
+    @pytest.mark.parametrize("command", ["rate-function", "otoc",
+                                         "oracle-compare"])
+    def test_infinite_t_max_is_refused(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "[quench]\nt_max = inf\n")
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--config", cfg]) == 2
+        assert "quench.t_max" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_oversized_mode_grid_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["rate-function", "--out", str(out),
+                     "--n", str(10 ** 8)]) == 2
+        assert "mode budget" in capsys.readouterr().err
+        assert not any(out.iterdir())

@@ -10,7 +10,9 @@ from tfim_dqpt import otoc, quench, su2
 from tfim_dqpt.errors import (
     AliasingError,
     ConfigurationError,
+    GaplessModeError,
     InvalidArgumentError,
+    ResourceGuardError,
     WindowRangeError,
 )
 
@@ -323,3 +325,104 @@ class TestEchoConfigValidation:
             echo_config(1.2, [np.inf])
         with pytest.raises(ConfigurationError):
             echo_config(1.2, [])
+
+
+def literal_echo(config):
+    """Per-mode echo_state cells on the frame-transformed ensemble.
+
+    Returns fidelities and magnetizations of shape (n_k, n_t, n_phi); in
+    normalized time mode k evolves for tau * pi/|d_f(k)|, gapless final
+    modes sit idle.
+    """
+    ens = quench.build_ensemble(config.spec)
+    n_f = np.linalg.norm(ens.d_final, axis=1)
+    grid, phis = config.time_grid, config.phi_values
+    shape = (n_f.size, grid.size, phis.size)
+    fids, mags = np.empty(shape), np.empty(shape)
+    for k in range(n_f.size):
+        for j, x in enumerate(grid):
+            if config.time_mode == "absolute":
+                t = x
+            else:
+                t = x * np.pi / n_f[k] if n_f[k] > 0.0 else 0.0
+            for p, phi in enumerate(phis):
+                psi = otoc.echo_state(ens.d_final[k], t, phi, ens.psi0[k])
+                fids[k, j, p] = abs(np.vdot(ens.psi0[k], psi)) ** 2
+                mags[k, j, p] = np.real(np.conj(psi[0]) * psi[1])
+    return fids, mags
+
+
+class TestClosedFormEcho:
+    """The closed forms in n_x = 2 P_k - 1 against the literal echo_state."""
+
+    @given(st.sampled_from([-1.5, -1.0, -0.4, 0.3, 0.5, 0.9, 1.1, 2.0]),
+           st.floats(-2.5, 2.5, allow_nan=False) | st.just(1.0),
+           st.integers(2, 9), st.sampled_from(["paper", "abc"]),
+           st.sampled_from(["absolute", "normalized"]),
+           st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1,
+                    max_size=4),
+           st.integers(3, 7))
+    def test_matches_literal_echo_state(self, g_i, g_f, n, grid, time_mode,
+                                        times, n_phi):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        mean = otoc.EchoConfig(spec, times, n_phi=n_phi, time_mode=time_mode)
+        product = otoc.EchoConfig(spec, times, n_phi=n_phi,
+                                  aggregation="product", time_mode=time_mode)
+        fids, mags = literal_echo(mean)
+        assert np.max(np.abs(otoc.fidelity_otoc(mean)
+                             - fids.mean(axis=0).T)) <= 1e-12
+        assert np.max(np.abs(otoc.fidelity_otoc(product)
+                             - np.prod(fids, axis=0).T)) <= 1e-12
+        assert np.max(np.abs(otoc.magnetization_otoc(mean)
+                             - mags.mean(axis=0).T)) <= 1e-12
+
+    @pytest.mark.parametrize("time_mode", ["absolute", "normalized"])
+    def test_gapless_final_mode_on_paper_grid(self, time_mode):
+        # g_f = 1 closes the final gap at k = 0, which the paper grid holds
+        spec = quench.QuenchSpec(0.4, 1.0, 12, "paper")
+        assert np.linalg.norm(quench.bloch_vector(1.0, 0.0)) == 0.0
+        times = np.linspace(0.0, 3.0, 7)
+        for aggregation in ("mean", "product"):
+            cfg = otoc.EchoConfig(spec, times, n_phi=9,
+                                  aggregation=aggregation, time_mode=time_mode)
+            fids, _ = literal_echo(cfg)
+            reduce = np.mean if aggregation == "mean" else np.prod
+            assert np.max(np.abs(otoc.fidelity_otoc(cfg)
+                                 - reduce(fids, axis=0).T)) <= 1e-12
+
+    @pytest.mark.parametrize("time_mode", ["absolute", "normalized"])
+    def test_gapless_initial_mode_raises(self, time_mode):
+        # g_i = 1 closes the initial gap at k = 0
+        cfg = otoc.EchoConfig(quench.QuenchSpec(1.0, 1.2, 30, "paper"),
+                              [0.5, 1.0], time_mode=time_mode)
+        with pytest.raises(GaplessModeError):
+            otoc.fidelity_otoc(cfg)
+        with pytest.raises(GaplessModeError):
+            otoc.magnetization_otoc(cfg)
+
+    def test_mode_working_set_is_guarded(self):
+        cfg = otoc.EchoConfig(quench.QuenchSpec(0.0, 1.2, 10 ** 8),
+                              np.linspace(0.0, 1.0, 500))
+        with pytest.raises(ResourceGuardError):
+            otoc.fidelity_otoc(cfg)
+        with pytest.raises(ResourceGuardError):
+            otoc.magnetization_otoc(cfg)
+
+
+class TestMqcComponents:
+    def test_columns_match_mqc_spectrum(self):
+        rng = np.random.default_rng(3)
+        scan = rng.normal(size=(16, 5))
+        comps = otoc.mqc_components(scan, 3)
+        assert comps.shape == (7, 5)
+        for j in range(5):
+            assert np.max(np.abs(comps[:, j]
+                                 - otoc.mqc_spectrum(scan[:, j], 3).components)) \
+                < 1e-15
+
+    def test_spectrum_dynamics_refuses_aliasing_before_the_scan(self):
+        cfg = otoc.EchoConfig(quench.QuenchSpec(0.0, 1.2, 10 ** 8), [1.0],
+                              n_phi=5)
+        # the scan itself would be refused by the memory guard
+        with pytest.raises(AliasingError):
+            otoc.spectrum_dynamics(cfg, "fidelity", 3)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -11,6 +13,7 @@ from tfim_dqpt.errors import (
     ConfigurationError,
     GaplessModeError,
     NoDqptError,
+    ResourceGuardError,
     UndefinedExpressionError,
 )
 
@@ -384,3 +387,58 @@ class TestDefaultTimeGrid:
     def test_smooth_quench_grid(self):
         grid = quench.default_time_grid(0.0, 0.8)
         assert grid[-1] == 10.0 and grid.size == 300
+
+
+class TestVectorizedModes:
+    @given(fields, fields, st.integers(2, 40), st.sampled_from(["paper", "abc"]),
+           st.lists(times, min_size=1, max_size=6))
+    def test_mode_probabilities_match_loschmidt_mode(self, g_i, g_f, n, grid, ts):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        try:
+            ks, probs = quench.mode_probabilities(spec, ts)
+        except GaplessModeError:
+            with pytest.raises(GaplessModeError):
+                for k in spec.momentum_grid():
+                    quench.loschmidt_mode(spec, k, ts)
+            return
+        assert probs.shape == (ks.size, len(ts))
+        for k, row in zip(ks, probs):
+            expected = np.abs(quench.loschmidt_mode(spec, k, ts)) ** 2
+            assert np.max(np.abs(row - expected)) <= 1e-12
+
+    def test_gapless_final_rows_are_exactly_one(self):
+        spec = quench.QuenchSpec(0.3, 1.0, 8)
+        ks, _, heat = quench.return_probability_map(spec, 51)
+        _, probs = quench.mode_probabilities(spec, np.linspace(0.0, 9.0, 40))
+        assert np.all(heat[ks == 0.0] == 1.0)
+        assert np.all(probs[ks == 0.0] == 1.0)
+
+    def test_gapless_initial_mode_raises(self):
+        spec = quench.QuenchSpec(1.0, 0.5, 8)
+        for call in (lambda: quench.mode_probabilities(spec, [1.0]),
+                     lambda: quench.rate_function(spec, [1.0]),
+                     lambda: quench.return_probability_map(spec, 5)):
+            with pytest.raises(GaplessModeError):
+                call()
+
+    def test_oversized_request_is_refused_before_allocating(self):
+        # 10^8 modes x 500 times would need about 800 GB of float64 arrays
+        spec = quench.QuenchSpec(0.0, 1.2, 10 ** 8)
+        ts = np.linspace(0.0, 5.0, 500)
+        tracemalloc.start()
+        try:
+            for call in (lambda: quench.rate_function(spec, ts),
+                         lambda: quench.mode_probabilities(spec, ts),
+                         lambda: quench.return_probability_map(spec, 500)):
+                with pytest.raises(ResourceGuardError):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_budget_admits_large_figure_grids(self):
+        # 20001 modes x 500 times: the continuum-limit rate function
+        spec = quench.QuenchSpec(0.0, 1.5, 20000)
+        assert quench.rate_function(spec, np.linspace(0.0, 5.0, 500)).shape \
+            == (500,)
