@@ -486,9 +486,8 @@ def cmd_oracle_compare(resolved: dict) -> None:
     per_field = ts.size + 2 * cells
     quantities = (["rate_function"] * ts.size + ["fidelity"] * cells
                   + ["magnetization"] * cells)
-    phi_cells = (phis + 0.0).tolist()
     phi_column = ([""] * ts.size
-                  + 2 * [phi for phi in phi_cells for _ in echo_ts])
+                  + 2 * [phi for phi in (phis + 0.0).tolist() for _ in echo_ts])
     t_column = np.concatenate([ts, np.tile(echo_ts, 2 * phis.size)])
     difference = np.concatenate([np.concatenate([rate, fid.ravel(), mag.ravel()])
                                  for rate, fid, mag in results])

@@ -186,15 +186,6 @@ def rotated_bloch(u: np.ndarray, d) -> np.ndarray:
     ])
 
 
-def _require_mode_budget(n_k: int, n_t: int) -> None:
-    """ResourceGuardError unless n_k modes x n_t times fit MODE_BUDGET_BYTES."""
-    need = 8 * n_k * (2 * n_t + GEOMETRY_ROWS)
-    if need > MODE_BUDGET_BYTES:
-        raise ResourceGuardError(
-            f"{n_k} modes x {n_t} times need about {need / 2 ** 20:.0f} MiB, "
-            f"over the {MODE_BUDGET_BYTES / 2 ** 20:.0f} MiB mode budget")
-
-
 def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
     """Arrays (|d_f|, dhat_i . dhat_f) over the grid ks.
 
@@ -222,9 +213,15 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
 
     The phase is |d_f| t for times t, or with ``normalized`` pi tau for
     tau = t/t0, t0 = pi/|d_f(k)|; gapless final modes keep phase 0 and
-    probability exactly 1.  Holds two (n_k, n_t) arrays at most.
+    probability exactly 1.  Holds two (n_k, n_t) arrays at most, and
+    refuses a larger working set than MODE_BUDGET_BYTES before allocating.
     """
-    _require_mode_budget(spec.n_modes, grid.size)
+    need = 8 * spec.n_modes * (2 * grid.size + GEOMETRY_ROWS)
+    if need > MODE_BUDGET_BYTES:
+        raise ResourceGuardError(
+            f"{spec.n_modes} modes x {grid.size} times need about "
+            f"{need / 2 ** 20:.0f} MiB, over the "
+            f"{MODE_BUDGET_BYTES / 2 ** 20:.0f} MiB mode budget")
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
     rate = np.where(n_f > 0.0, np.pi, 0.0) if normalized else n_f
     phase = np.multiply.outer(rate, grid)
@@ -242,9 +239,9 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 
     Gapless final modes (|d_f| = 0) do not evolve, so G_k = 1 there.
     """
-    n_f, overlap = (float(a[0]) for a in
-                    _mode_geometry(spec.g_i, spec.g_f, np.array([float(k)])))
-    t = np.asarray(t, dtype=float)
+    n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, np.array([float(k)]))
+    n_f, overlap = float(n_f[0]), float(overlap[0])
+    t =np.asarray(t, dtype=float)
     if n_f == 0.0:
         return np.ones_like(t, dtype=complex) if t.ndim else complex(1.0)
     g = np.cos(n_f * t) + 1.0j * overlap * np.sin(n_f * t)
