@@ -13,7 +13,13 @@ Every run writes ``manifest.json`` holding the fully resolved configuration
 (defaults included), the artifact version, and a sha256 checksum per output
 file.  Identical configurations produce byte-identical files: floats are
 printed in shortest round-trip form and the wall-clock duration goes to
-stderr, never into an artifact.  Files appear atomically (temp + rename).
+stderr, never into an artifact.  Files appear atomically (temp + rename);
+a failed write removes its temp file.
+
+Tables are written column by column: each distinct value of a column is
+turned into text once, and rows and lines are joined with ``str.join``.
+CSV and JSON share that one text path; CSV fields follow csv's
+QUOTE_MINIMAL rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 numerical failure.
@@ -22,8 +28,8 @@ Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
-import csv
 import hashlib
 import json
 import multiprocessing
@@ -220,66 +226,108 @@ def validate_config(resolved: dict) -> None:
 CHUNK_ROWS = 16384
 
 
-def _cells(column, fmt: str) -> list:
-    """One column (or a slice of it) as JSON values or CSV text.
+def _quote(text: str) -> str:
+    """One CSV field under csv's QUOTE_MINIMAL rule.
 
-    numpy float, integer and bool arrays are converted once per column;
-    a list column holds strings (or already canonical floats) kept as
-    they are.
+    The field is wrapped in quotes, with every quote doubled, when it holds
+    a comma, a quote, a newline or a carriage return.  A bare carriage
+    return would read back as a line end, so it is quoted even where csv
+    with a newline terminator leaves it bare.
     """
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(column, fmt: str) -> list[str]:
+    """One column (or a slice of it) as CSV or JSON cell text.
+
+    Each distinct value is turned into text once and the texts are indexed
+    back: numpy columns through ``np.unique``, list columns (strings, or
+    canonical floats without -0.0) through a dict.  Floats print in
+    shortest round-trip form with -0.0 made 0.0 (``NaN``/``Infinity`` in
+    JSON, as ``json.dumps`` writes them); bools print as 1/0 in CSV.
+    """
+    as_json = fmt == "json"
     if isinstance(column, list):
-        return column if fmt == "json" else list(map(str, column))
+        text = json.dumps if as_json else lambda value: _quote(str(value))
+        texts = {value: text(value) for value in set(column)}
+        return [texts[value] for value in column]
     if column.dtype == bool:
-        values = column.tolist()
-        return values if fmt == "json" else ["1" if v else "0" for v in values]
-    if np.issubdtype(column.dtype, np.integer):
-        values = column.tolist()
-        return values if fmt == "json" else list(map(str, values))
-    values = (column + 0.0).tolist()   # + 0.0 canonicalizes negative zero
-    return values if fmt == "json" else list(map(repr, values))
+        words = ("false", "true") if as_json else ("0", "1")
+        levels, codes = np.unique(column, return_inverse=True)
+        texts = [words[value] for value in levels.tolist()]
+    elif np.issubdtype(column.dtype, np.integer):
+        levels, codes = np.unique(column, return_inverse=True)
+        texts = list(map(str, levels.tolist()))
+    else:
+        # + 0.0 canonicalizes negative zero; np.unique joins every NaN
+        levels, codes = np.unique(column + 0.0, return_inverse=True)
+        texts = list(map(repr, levels.tolist()))
+        if as_json and not np.isfinite(levels).all():
+            names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+            texts = [names.get(text, text) for text in texts]
+    return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _table_text(columns: list[str], data, fmt: str):
+    """The text of a table, yielded one chunk of CHUNK_ROWS rows at a time.
+
+    Cells come from ``_cells``; rows and lines are joined with
+    ``str.join``.  csv would write a row of one empty field as ``""``;
+    every table here has at least two columns, so no row is one field.
+    """
+    if fmt == "csv":
+        yield ",".join(map(_quote, columns)) + "\n"
+    else:
+        yield f'{{"columns": {json.dumps(columns)}, "rows": ['
+    for start in range(0, len(data[0]), CHUNK_ROWS):
+        chunk = [_cells(col[start:start + CHUNK_ROWS], fmt) for col in data]
+        if fmt == "csv":
+            yield "\n".join(map(",".join, zip(*chunk))) + "\n"
+        else:
+            rows = "], [".join(map(", ".join, zip(*chunk)))
+            yield f"{', ' if start else ''}[{rows}]"
+    if fmt == "json":
+        yield "]}\n"
+
+
+def _atomic_write(path: str, pieces) -> None:
+    """Write an iterable of text pieces to ``path`` through a temp file.
+
+    The temp file is renamed into place when every piece is written; on
+    any failure it is removed, so no partial file is left behind.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(pieces)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _write_table(outdir: str, stem: str, columns: list[str], data,
                  fmt: str) -> str:
     """Write equal-length columns as ``stem.csv`` or ``stem.json``.
 
-    Floats print in shortest round-trip form; the JSON layout is
+    Each distinct value of a column chunk is formatted once (``_cells``)
+    and rows are joined in C with ``str.join``; CSV fields follow csv's
+    QUOTE_MINIMAL rule.  The JSON layout is
     ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
     sorted keys would write it.  Rows are formatted and written in chunks
     into a temp file that is renamed into place at the end.
     """
     name = f"{stem}.{fmt}"
-    path = os.path.join(outdir, name)
-    n_rows = len(data[0])
-    with open(f"{path}.tmp", "w", encoding="utf-8", newline="") as handle:
-        if fmt == "csv":
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-        else:
-            handle.write(f'{{"columns": {json.dumps(columns)}, "rows": [')
-        for start in range(0, n_rows, CHUNK_ROWS):
-            chunk = [_cells(col[start:start + CHUNK_ROWS], fmt) for col in data]
-            if fmt == "csv":
-                writer.writerows(zip(*chunk))
-            else:
-                text = json.dumps(list(zip(*chunk)))[1:-1]
-                handle.write(f", {text}" if start else text)
-        if fmt == "json":
-            handle.write("]}\n")
-    os.replace(f"{path}.tmp", path)
+    _atomic_write(os.path.join(outdir, name), _table_text(columns, data, fmt))
     return name
 
 
 def _write_json(outdir: str, name: str, payload) -> str:
     _atomic_write(os.path.join(outdir, name),
-                  json.dumps(payload, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     return name
 
 
@@ -296,7 +344,7 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
         "checksums": checksums,
     }
     _atomic_write(os.path.join(outdir, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def _fan_out(fn, jobs, threads: int):

@@ -132,7 +132,17 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
 
 
 def _squared_nx(config: EchoConfig) -> np.ndarray:
-    """n_x^2 = (2 P_k - 1)^2 per mode over (k, time grid), in place."""
+    """n_x^2 = (2 P_k - 1)^2 per mode over (k, time grid), in place.
+
+    Both observables start here, so the echo's working set is checked here
+    against the mode budget before anything is allocated: this (n_k, n_t)
+    matrix plus up to three (n_phi, n_t) arrays (the product's running
+    product and the two temporaries of each factor).
+    """
+    n_t = config.time_grid.size
+    quench._require_budget(
+        8 * n_t * (config.spec.n_modes + 3 * config.n_phi),
+        f"{config.n_phi} angles x {n_t} times over {config.spec.n_modes} modes")
     nx = quench._probabilities(config.spec, config.time_grid,
                                normalized=config.time_mode == "normalized")
     nx *= 2.0

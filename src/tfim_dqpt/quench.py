@@ -157,6 +157,18 @@ def bloch_vector(g: float, k: float) -> np.ndarray:
     return np.array([1.0 - g * np.cos(k), g * np.sin(k), 0.0])
 
 
+def _gap_squared(g, k):
+    """|d(g, k)|^2 = (1 - g)^2 + 4 g sin^2(k/2), scalar or array in k.
+
+    Free of the cancellation in (1 - g cos k)^2 + (g sin k)^2.  At g = -1
+    the gap closes at k = pi, which no float equals, so sin k is about
+    1e-16 on the grid point next to it; sin(k/2) rounds to 1 there and this
+    form gives exactly 0.  At g = +1 it is exactly 0 at k = 0.
+    """
+    half = np.sin(k / 2.0)
+    return (1.0 - g) ** 2 + 4.0 * g * half * half
+
+
 def frame_transform(g_i: float, k: float) -> np.ndarray:
     """Unitary mapping the initial mode frame onto the sigma_x frame.
 
@@ -165,10 +177,9 @@ def frame_transform(g_i: float, k: float) -> np.ndarray:
     U (dhat_i . sigma) U^dagger = sigma_x exactly and sends the mode ground
     state of -d_i . sigma to |x>.  For g_i = 0 this is the identity.
     """
-    d_i = bloch_vector(g_i, k)
-    mag = float(np.sqrt(d_i @ d_i))
-    if mag == 0.0:
+    if _gap_squared(g_i, k) == 0.0:
         raise GaplessModeError(f"initial mode at k={k} is gapless (|d_i| = 0)")
+    d_i = bloch_vector(g_i, k)
     v_plus = ground_state(-d_i)   # +|d_i| eigenvector of d_i . sigma
     v_minus = ground_state(d_i)
     s_mat = np.column_stack([v_plus, v_minus])
@@ -189,15 +200,16 @@ def rotated_bloch(u: np.ndarray, d) -> np.ndarray:
 def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
     """Arrays (|d_f|, dhat_i . dhat_f) over the grid ks.
 
-    Raises GaplessModeError at the first gapless initial mode.  Gapless
-    final modes get overlap 1: they do not evolve.
+    Raises GaplessModeError at the first gapless initial mode (tested with
+    ``_gap_squared``).  Gapless final modes get overlap 1: they do not
+    evolve.
     """
     cos_k, sin_k = np.cos(ks), np.sin(ks)
     x_i, y_i = 1.0 - g_i * cos_k, g_i * sin_k
     x_f, y_f = 1.0 - g_f * cos_k, g_f * sin_k
     n_i = np.sqrt(x_i * x_i + y_i * y_i)
     n_f = np.sqrt(x_f * x_f + y_f * y_f)
-    gapless = n_i == 0.0
+    gapless = _gap_squared(g_i, ks) == 0.0
     if gapless.any():
         raise GaplessModeError(
             f"initial mode at k={ks[np.argmax(gapless)]} is gapless; "
@@ -205,6 +217,14 @@ def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
     overlap = np.ones_like(n_f)
     np.divide(x_i * x_f + y_i * y_f, n_i * n_f, out=overlap, where=n_f > 0.0)
     return n_f, overlap
+
+
+def _require_budget(need: int, what: str) -> None:
+    """ResourceGuardError when ``need`` bytes exceed MODE_BUDGET_BYTES."""
+    if need > MODE_BUDGET_BYTES:
+        raise ResourceGuardError(
+            f"{what} need about {need / 2 ** 20:.0f} MiB, over the "
+            f"{MODE_BUDGET_BYTES / 2 ** 20:.0f} MiB mode budget")
 
 
 def _probabilities(spec: QuenchSpec, grid: np.ndarray,
@@ -216,12 +236,8 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
     probability exactly 1.  Holds two (n_k, n_t) arrays at most, and
     refuses a larger working set than MODE_BUDGET_BYTES before allocating.
     """
-    need = 8 * spec.n_modes * (2 * grid.size + GEOMETRY_ROWS)
-    if need > MODE_BUDGET_BYTES:
-        raise ResourceGuardError(
-            f"{spec.n_modes} modes x {grid.size} times need about "
-            f"{need / 2 ** 20:.0f} MiB, over the "
-            f"{MODE_BUDGET_BYTES / 2 ** 20:.0f} MiB mode budget")
+    _require_budget(8 * spec.n_modes * (2 * grid.size + GEOMETRY_ROWS),
+                    f"{spec.n_modes} modes x {grid.size} times")
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
     rate = np.where(n_f > 0.0, np.pi, 0.0) if normalized else n_f
     phase = np.multiply.outer(rate, grid)
@@ -367,11 +383,8 @@ def build_ensemble(spec: QuenchSpec) -> ModeEnsemble:
     d_final = np.empty((ks.size, 3))
     psi0 = np.empty((ks.size, 2), dtype=complex)
     for i, k in enumerate(ks):
+        u = frame_transform(spec.g_i, k)   # raises at a gapless initial mode
         d_i = bloch_vector(spec.g_i, k)
-        if float(d_i @ d_i) == 0.0:
-            raise GaplessModeError(
-                f"initial mode at k={k} is gapless; cannot build ensemble")
-        u = frame_transform(spec.g_i, k)
         d_init[i] = rotated_bloch(u, d_i)
         d_final[i] = rotated_bloch(u, bloch_vector(spec.g_f, k))
         psi0[i] = u @ ground_state(-d_i)

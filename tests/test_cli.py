@@ -10,12 +10,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from tfim_dqpt import cli
+from tfim_dqpt import cli, quench
 from tfim_dqpt.cli import main
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
@@ -298,6 +301,17 @@ def reference_table(columns, rows, fmt: str) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
+COLUMN_POOLS = {
+    "float64": [-0.0, 0.0, 5e-324, 0.1 + 0.2, -1.0 / 3.0, 1e16, np.inf,
+                -np.inf, np.nan, 2.0],
+    "int64": [2 ** 53 + 1, -2 ** 62, 0, -7],
+    "bool": [True, False],
+    "strings": ["", "fidelity", "a,b", 'q"t', '""', "line\nbreak"],
+    "mixed": ["", 0.0, 0.7853981633974483, np.nan, 1e-300],
+}
+COLUMN_KINDS = sorted(COLUMN_POOLS)
+
+
 class TestColumnarWriter:
     FLOATS = np.array([-0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3,
                        0.1 + 0.2, -1.0 / 3.0, 2.0 ** 60, 1e16, 123456789.12345678,
@@ -326,6 +340,80 @@ class TestColumnarWriter:
         assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
         assert not (tmp_path / f"{name}.tmp").exists()
 
+    def repeated_table(self):
+        """Long columns of heavily repeated values, as the sweeps write."""
+        n = self.FLOATS.size
+        strings = ["", "fidelity", "a,b", 'q"t', '""']
+        mixed = [""] + (self.FLOATS + 0.0).tolist()
+        data = [np.repeat(self.FLOATS, 23),
+                np.tile(np.array([2 ** 53 + 1, -2 ** 62, 0, 7, 2 ** 63 - 1]),
+                        n * 23 // 5 + 1)[:n * 23],
+                np.tile(np.repeat([True, False, False], 4), n * 23)[:n * 23],
+                [strings[i // 5 % len(strings)] for i in range(n * 23)],
+                [mixed[i % len(mixed)] for i in range(n * 23)],
+                np.tile(-self.FLOATS, 23)]
+        rows = list(zip(*data))
+        return ["x", "n", "flag", "label", "phi", "neg"], data, rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [3, 7, cli.CHUNK_ROWS])
+    def test_repeated_values_equal_per_cell_reference(self, tmp_path,
+                                                       monkeypatch, fmt, chunk):
+        # chunk edges fall inside runs of one value
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        columns, data, rows = self.repeated_table()
+        name = cli._write_table(str(tmp_path), "table", columns, data, fmt)
+        assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
+
+    @given(st.integers(0, 40), st.lists(st.sampled_from(COLUMN_KINDS),
+                                        min_size=2, max_size=5),
+           st.sampled_from([1, 2, 5, 16384]), st.sampled_from(["csv", "json"]),
+           st.data())
+    def test_drawn_columns_equal_per_cell_reference(self, n_rows, kinds, chunk,
+                                                    fmt, data):
+        columns, table = [], []
+        for i, kind in enumerate(kinds):
+            pool = COLUMN_POOLS[kind]
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                       min_size=n_rows, max_size=n_rows))
+            values = [pool[j] for j in picks]
+            columns.append(f"c{i}" if i % 2 else f"c,{i}")
+            table.append(values if kind in ("strings", "mixed")
+                         else np.array(values, dtype=kind))
+        with tempfile.TemporaryDirectory() as outdir, \
+                mock.patch.object(cli, "CHUNK_ROWS", chunk):
+            name = cli._write_table(outdir, "t", columns, table, fmt)
+            with open(os.path.join(outdir, name), "rb") as handle:
+                written = handle.read()
+        assert written == reference_table(columns, list(zip(*table)), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, fmt):
+        calls = []
+
+        def failing(column, fmt):
+            calls.append(1)
+            if len(calls) > 2:         # the second chunk of two columns
+                raise MemoryError("simulated")
+            return cells(column, fmt)
+
+        cells = cli._cells
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(cli, "_cells", failing)
+        with pytest.raises(MemoryError):
+            cli._write_table(str(tmp_path), "t", ["a", "b"],
+                             [np.arange(10.0), np.arange(10)], fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_atomic_write_leaves_no_file(self, tmp_path):
+        def pieces():
+            yield "partial"
+            raise OSError("simulated")
+
+        with pytest.raises(OSError):
+            cli._atomic_write(str(tmp_path / "x.json"), pieces())
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, tmp_path, fmt):
         name = cli._write_table(str(tmp_path), "empty", ["a", "b"],
@@ -333,22 +421,36 @@ class TestColumnarWriter:
         assert (tmp_path / name).read_bytes() == reference_table(["a", "b"], [], fmt)
 
     def test_otoc_csv_equals_json_rows(self, tmp_path):
-        cfg = write_config(tmp_path, "[quench]\nt_points = 7\n")
-        base = ["otoc", "--n", "6", "--gf", "0.7,1.3", "--nphi", "9",
-                "--config", cfg]
-        assert main([*base, "--out", str(tmp_path / "c")]) == 0
-        assert main([*base, "--out", str(tmp_path / "j"),
-                     "--format", "json"]) == 0
-        for stem in ("otoc_surface", "spectra"):
-            header, csv_rows = read_csv(tmp_path / "c" / f"{stem}.csv")
-            payload = read_json(tmp_path / "j" / f"{stem}.json")
-            assert payload["columns"] == header
-            assert len(payload["rows"]) == len(csv_rows) > 0
-            for csv_row, json_row in zip(csv_rows, payload["rows"]):
-                assert [type(cell)(text) for text, cell
-                        in zip(csv_row, json_row)] == json_row
+        # every subcommand's tables, CSV text against the parsed JSON cells
+        cfg = write_config(tmp_path, "[quench]\nt_points = 7\n"
+                                     "tau_points = 5\n")
+        commands = {"otoc": ("otoc_surface", "spectra"),
+                    "spectra": ("spectra",),
+                    "rate-function": ("rate_function",),
+                    "heatmap": ("return_prob",),
+                    "oracle-compare": ("compare",),
+                    "pulse-schedule": ("schedule",)}
+        for command, stems in commands.items():
+            base = [command, "--n", "6", "--gf", "0.7,1.0,1.3", "--nphi", "9",
+                    "--nt", "4", "--config", cfg]
+            csv_out, json_out = tmp_path / command / "c", tmp_path / command / "j"
+            assert main([*base, "--out", str(csv_out)]) == 0
+            assert main([*base, "--out", str(json_out), "--format", "json"]) == 0
+            for stem in stems:
+                header, csv_rows = read_csv(csv_out / f"{stem}.csv")
+                payload = read_json(json_out / f"{stem}.json")
+                assert payload["columns"] == header
+                assert len(payload["rows"]) == len(csv_rows) > 0
+                for csv_row, json_row in zip(csv_rows, payload["rows"]):
+                    assert csv_row == [reference_fmt(cell) for cell in json_row]
+        phis = {type(row[2]) for row in read_json(
+            tmp_path / "oracle-compare" / "j" / "compare.json")["rows"]}
+        assert phis == {float, str}             # "" on the rate rows
+        flags = {row[-1] for row in read_json(
+            tmp_path / "pulse-schedule" / "j" / "schedule.json")["rows"]}
+        assert flags == {True, False}
         for _, _, _, _, re_, im_, abs_ in read_json(
-                tmp_path / "j" / "spectra.json")["rows"]:
+                tmp_path / "otoc" / "j" / "spectra.json")["rows"]:
             assert abs_ == abs(complex(re_, im_))
 
 
@@ -366,5 +468,15 @@ class TestResourceAndRangeGuards:
         out = tmp_path / "out"
         assert main(["rate-function", "--out", str(out),
                      "--n", str(10 ** 8)]) == 2
+        assert "mode budget" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_oversized_echo_scan_is_refused(self, tmp_path, capsys,
+                                            monkeypatch):
+        # 31 modes x 500 times fit a 300 kB budget; 4096 angles do not
+        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 300_000)
+        out = tmp_path / "out"
+        assert main(["otoc", "--out", str(out), "--gf", "1.2",
+                     "--nphi", "4096"]) == 2
         assert "mode budget" in capsys.readouterr().err
         assert not any(out.iterdir())

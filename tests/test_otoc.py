@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -368,6 +370,14 @@ class TestClosedFormEcho:
         mean = otoc.EchoConfig(spec, times, n_phi=n_phi, time_mode=time_mode)
         product = otoc.EchoConfig(spec, times, n_phi=n_phi,
                                   aggregation="product", time_mode=time_mode)
+        try:
+            otoc.fidelity_otoc(mean)
+        except GaplessModeError:
+            # g_i = -1 closes the initial gap at k = pi, held by even-N
+            # paper grids and odd-N abc grids
+            with pytest.raises(GaplessModeError):
+                quench.build_ensemble(spec)
+            return
         fids, mags = literal_echo(mean)
         assert np.max(np.abs(otoc.fidelity_otoc(mean)
                              - fids.mean(axis=0).T)) <= 1e-12
@@ -399,6 +409,52 @@ class TestClosedFormEcho:
             otoc.fidelity_otoc(cfg)
         with pytest.raises(GaplessModeError):
             otoc.magnetization_otoc(cfg)
+
+    @pytest.mark.parametrize("time_mode", ["absolute", "normalized"])
+    @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
+                                         (31, "abc")])
+    def test_gapless_initial_mode_at_zone_edge_raises(self, time_mode, n,
+                                                      grid):
+        # g_i = -1 closes the initial gap at k = pi
+        spec = quench.QuenchSpec(-1.0, 1.2, n, grid)
+        for aggregation in ("mean", "product"):
+            cfg = otoc.EchoConfig(spec, [0.5, 1.0], aggregation=aggregation,
+                                  time_mode=time_mode)
+            with pytest.raises(GaplessModeError):
+                otoc.fidelity_otoc(cfg)
+        with pytest.raises(GaplessModeError):
+            otoc.magnetization_otoc(otoc.EchoConfig(spec, [0.5, 1.0],
+                                                    time_mode=time_mode))
+
+    @pytest.mark.parametrize("aggregation", ["mean", "product"])
+    def test_initial_field_next_to_minus_one_is_gapped(self, aggregation):
+        spec = quench.QuenchSpec(np.nextafter(-1.0, 0.0), 1.2, 30, "paper")
+        for time_mode in ("absolute", "normalized"):
+            cfg = otoc.EchoConfig(spec, [0.5, 1.0], n_phi=5,
+                                  aggregation=aggregation, time_mode=time_mode)
+            assert np.all(np.isfinite(otoc.fidelity_otoc(cfg)))
+
+    def test_scan_working_set_is_guarded(self, monkeypatch):
+        # the modes fit a 300 kB budget, but 4096 angles x 500 times of
+        # (n_phi, n_t) surfaces need about 47 MiB
+        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 300_000)
+        spec = quench.QuenchSpec(0.0, 1.2, 30)
+        ts = np.linspace(0.0, 5.0, 500)
+        assert otoc.fidelity_otoc(otoc.EchoConfig(spec, ts, n_phi=8)).shape \
+            == (8, 500)
+        tracemalloc.start()
+        try:
+            for aggregation in ("mean", "product"):
+                cfg = otoc.EchoConfig(spec, ts, n_phi=4096,
+                                      aggregation=aggregation)
+                with pytest.raises(ResourceGuardError):
+                    otoc.fidelity_otoc(cfg)
+            with pytest.raises(ResourceGuardError):
+                otoc.magnetization_otoc(otoc.EchoConfig(spec, ts, n_phi=4096))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_mode_working_set_is_guarded(self):
         cfg = otoc.EchoConfig(quench.QuenchSpec(0.0, 1.2, 10 ** 8),

@@ -88,6 +88,9 @@ class TestFrameTransform:
     def test_gapless_raises(self):
         with pytest.raises(GaplessModeError):
             quench.frame_transform(1.0, 0.0)
+        # the paper grid's k = pi at N = 30 is 3.1415926535897927
+        with pytest.raises(GaplessModeError):
+            quench.frame_transform(-1.0, 2.0 * np.pi * 15 / 30)
 
 
 class TestLoschmidtMode:
@@ -420,6 +423,27 @@ class TestVectorizedModes:
                      lambda: quench.return_probability_map(spec, 5)):
             with pytest.raises(GaplessModeError):
                 call()
+
+    @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
+                                         (31, "abc")])
+    def test_gapless_initial_mode_at_zone_edge_raises(self, n, grid):
+        # g_i = -1 closes the initial gap at k = pi, which the paper grid
+        # holds for even N and the abc grid for odd N (up to rounding of k)
+        spec = quench.QuenchSpec(-1.0, 0.5, n, grid)
+        for call in (lambda: quench.mode_probabilities(spec, [1.0]),
+                     lambda: quench.rate_function(spec, [0.0, 1.0]),
+                     lambda: quench.return_probability_map(spec, 5),
+                     lambda: quench.build_ensemble(spec)):
+            with pytest.raises(GaplessModeError):
+                call()
+
+    @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
+                                         (31, "abc")])
+    def test_initial_field_next_to_minus_one_is_gapped(self, n, grid):
+        spec = quench.QuenchSpec(np.nextafter(-1.0, 0.0), 0.5, n, grid)
+        assert np.all(np.isfinite(quench.rate_function(spec, [0.0, 1.0])))
+        assert np.all(np.isfinite(quench.return_probability_map(spec, 5)[2]))
+        assert np.all(np.isfinite(quench.build_ensemble(spec).d_final))
 
     def test_oversized_request_is_refused_before_allocating(self):
         # 10^8 modes x 500 times would need about 800 GB of float64 arrays
