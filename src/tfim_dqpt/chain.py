@@ -9,12 +9,26 @@ acting on dense state vectors (N <= 14) through a real sparse (CSR) form
 that each operator builds once, on its first ``apply``; a block of states
 (dim, b) costs about one sparse product.  Dense eigendecomposition drives
 the evolution for N <= 10; beyond that a Chebyshev expansion with
-certified truncation error takes over.
+certified truncation error takes over.  Its weights J_m(tau) come from
+Miller's backward Bessel recurrence (``_bessel_j``), so importing this
+module loads no scipy; scipy.sparse is imported only when a CSR form is
+first built.
 
-``evolve_chain``, ``echo_chain`` and ``register_rotation_x`` are the
-literal paths: one evolution per time and per leg.  The sweeps share work
-instead, and are tested against them:
+``ChainOperator`` (default basis), ``evolve_chain``, ``echo_chain``,
+``register_rotation_x`` and ``bond_correlator`` are the literal paths:
+the full 2^N register, one evolution per time and per leg.  They stay
+that simple because the tests check the fast paths against them.  The
+sweeps (``rate_function_ed``, ``echo_scan_chain``, ``mqc_spectrum_ed``)
+share work instead:
 
+* H(g) and the register rotation commute with prod_i sigma^z, and the
+  even cat state has even popcount, so every forward, rotated and
+  backward state of the oracle lies in the 2^(N-1) even-popcount z
+  states.  The sweeps evolve on that sector (``ChainOperator`` with
+  ``even``: its CSR, and for N <= 10 its dense matrix and eigh, are
+  built there alone) and embed into the register (``full[states] = v``)
+  only for the Walsh-Hadamard transform to the x basis, restricting
+  back with ``v = full[states]``;
 * the vectors T_m(H/s) psi do not depend on t, so one Chebyshev recursion
   serves every time of a scan (``rate_function_ed`` keeps only the moments
   <psi|T_m|psi>; ``echo_scan_chain`` keeps the forward states);
@@ -55,7 +69,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import (
     ConfigurationError,
@@ -106,11 +119,15 @@ class ChainOperator:
     """H(g) = -J (sum_bonds xx + g sum_i z) on N spins.
 
     ``bonds`` may be given explicitly (any order; used by the
-    translation-invariance tests); entries are site index pairs.
+    translation-invariance tests); entries are site index pairs.  The
+    operator acts on the z basis states ``states``: all 2^N of them, or
+    with ``even`` the 2^(N-1) of even popcount, a sector H keeps because
+    it commutes with prod_i sigma^z.  Vectors, ``dense`` and
+    ``eigensystem`` are indexed like ``states``.
     """
 
     def __init__(self, n: int, g: float, bc: str = "periodic",
-                 coupling: float = 1.0, bonds=None):
+                 coupling: float = 1.0, bonds=None, even: bool = False):
         if int(n) != n or not (2 <= n <= MAX_SPINS):
             raise ResourceGuardError(
                 f"n must be an integer in [2, {MAX_SPINS}], got {n}")
@@ -128,16 +145,23 @@ class ChainOperator:
         for i, j in self.bonds:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ConfigurationError(f"bond ({i},{j}) outside 0..{self.n - 1}")
-        dim = 2 ** self.n
-        states = np.arange(dim)
-        self._flip_targets = [states ^ ((1 << i) | (1 << j)) for i, j in self.bonds]
-        self._sz_sum = (self.n - 2 * _popcount(states, self.n)).astype(float)
+        states = np.arange(2 ** self.n)
+        counts = _popcount(states, self.n)
+        if even:
+            states = states[counts % 2 == 0]
+        # a bond flip keeps the popcount parity, so it stays among states
+        position = np.zeros(2 ** self.n, dtype=states.dtype)
+        position[states] = np.arange(states.size)
+        self.states = states
+        self._flip_targets = [position[states ^ ((1 << i) | (1 << j))]
+                              for i, j in self.bonds]
+        self._sz_sum = (self.n - 2 * counts[states]).astype(float)
         self._eig = None
         self._sparse = None
 
     @property
     def dim(self) -> int:
-        return 2 ** self.n
+        return self.states.size
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec for one state (dim,) or a block of states (dim, b)."""
@@ -208,6 +232,45 @@ def even_cat_state(n: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
+def _bessel_j(size: int, tau: float) -> np.ndarray:
+    """J_m(tau) for m = 0..size-1 by Miller's backward recurrence.
+
+    J_{m-1} = (2m/x) J_m - J_{m+1} runs downward from an order well past
+    both size and x = |tau|, where J_m is the recurrence's minimal
+    solution, so the arbitrary start fades out; values are scaled down
+    whenever they grow past 1e250, and the sequence is normalized with
+    J_0 + 2 sum_k J_2k = 1.  Below x = 1e-8 the series' leading term
+    (x/2)^m / m! is exact to rounding (the first correction is under
+    x^2/4 < 2.5e-17) and replaces the recurrence, whose 2m/x would
+    overflow near x = 0.  J_m(-x) = (-1)^m J_m(x).
+    """
+    x = abs(float(tau))
+    if x < 1e-8:
+        out = np.zeros(size)
+        term = 1.0
+        for m in range(size):
+            if term == 0.0:
+                break
+            out[m] = term
+            term *= 0.5 * x / (m + 1)
+    else:
+        start = int(max(size, x) + 20.0 * max(x, 1.0) ** (1 / 3)) + 30
+        values = np.empty(start + 1)
+        above, current = 0.0, 1.0
+        for m in range(start, 0, -1):
+            values[m] = current
+            above, current = current, (2.0 * m / x) * current - above
+            if abs(current) > 1e250:
+                values[m:] *= 1e-250
+                above *= 1e-250
+                current *= 1e-250
+        values[0] = current
+        out = values[:size] / (values[0] + 2.0 * values[2::2].sum())
+    if tau < 0.0:
+        out[1::2] *= -1.0
+    return out
+
+
 def _chebyshev_coefficients(tau: float, tol: float = 1e-12,
                             max_terms: int = 10000) -> np.ndarray:
     """J_m(tau) for m = 0..cutoff, the certified Chebyshev cutoff.
@@ -216,14 +279,20 @@ def _chebyshev_coefficients(tau: float, tol: float = 1e-12,
     x in [-1, 1].  The cutoff is the earliest order whose tail of dropped
     coefficient magnitudes, summed over orders below max_terms + 50, is
     at most tol.  Orders past |tau| decay faster than geometrically, so
-    jv is evaluated only until the last computed weight is far below
-    the ulp of tol (2^-60 tol), which leaves every tail sum that is
-    compared against tol, and so the cutoff, as over the full range.
+    the weights (``_bessel_j``) are computed only until the last one is
+    far below the ulp of tol (2^-60 tol), which leaves every tail sum
+    that is compared against tol, and so the cutoff, as over the full
+    range.  Past |tau| = max_terms + 50 the weights peak beyond every
+    order computed, so the expansion is refused at once.
     """
     limit = max_terms + 50
+    if abs(tau) > limit:
+        raise NumericalFailureError(
+            f"Chebyshev expansion cannot converge within {max_terms} terms "
+            f"(|tau| = {abs(tau):.3g} is past the {limit} orders computed)")
     size = min(limit, int(abs(tau) + 18.0 * max(abs(tau), 1.0) ** (1 / 3)) + 16)
     while True:
-        coeffs = jv(np.arange(size), tau)
+        coeffs = _bessel_j(size, tau)
         weights = 2.0 * np.abs(coeffs)
         weights[0] *= 0.5
         if size == limit or (size > abs(tau) + 1
@@ -417,8 +486,16 @@ def _require_quench_fields(g_i: float) -> None:
 
 
 @lru_cache(maxsize=32)
-def _oracle_operator(n: int, g: float, bc: str) -> ChainOperator:
-    return ChainOperator(n, g, bc=bc, coupling=ORACLE_COUPLING)
+def _oracle_operator(n: int, g: float, bc: str,
+                     even: bool = True) -> ChainOperator:
+    return ChainOperator(n, g, bc=bc, coupling=ORACLE_COUPLING, even=even)
+
+
+def _embed(op: ChainOperator, block: np.ndarray) -> np.ndarray:
+    """Register vectors (2^N, ...) of the op.states vectors ``block``."""
+    full = np.zeros((2 ** op.n,) + block.shape[1:], dtype=complex)
+    full[op.states] = block
+    return full
 
 
 def rate_function_ed(n: int, g_i: float, g_f: float, t,
@@ -431,7 +508,7 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t,
     """
     _require_quench_fields(g_i)
     op = _oracle_operator(int(n), float(g_f), bc)
-    psi = even_cat_state(n)
+    psi = even_cat_state(n)[op.states]
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if op.n <= DENSE_LIMIT:
         energies, vectors = op.eigensystem()
@@ -456,7 +533,7 @@ def echo_chain(n: int, g_f: float, t: float, phi: float,
     the product- and mean-aggregated momentum-module observables on the
     abc grid (see the module docstring for why the raw overlap is squared).
     """
-    op = _oracle_operator(int(n), float(g_f), bc)
+    op = _oracle_operator(int(n), float(g_f), bc, even=False)
     psi = even_cat_state(n)
     forward = evolve_chain(psi, op, t)
     rotated = register_rotation_x(forward, phi, op.n, op.bonds)
@@ -480,9 +557,9 @@ def _fidelity_scan(tilde: np.ndarray, lam: np.ndarray,
 
 
 def _forward_x_states(op: ChainOperator, ts: np.ndarray) -> np.ndarray:
-    """FWHT(exp(-iHt) psi_e) for every t as the columns of (dim, n_t)."""
-    psi = even_cat_state(op.n)
-    return _fwht(_evolve_block(op, psi[:, None], ts)[:, 0, :])
+    """FWHT(exp(-iHt) psi_e) for every t as the columns of (2^N, n_t)."""
+    psi = even_cat_state(op.n)[op.states]
+    return _fwht(_embed(op, _evolve_block(op, psi[:, None], ts)[:, 0, :]))
 
 
 def echo_scan_chain(n: int, g_f: float, ts, phis,
@@ -506,8 +583,8 @@ def echo_scan_chain(n: int, g_f: float, ts, phis,
     rotations = np.exp(-0.25j * np.outer(lam, phis))
     mag = np.empty_like(fid)
     for j, t in enumerate(ts):
-        rotated = _fwht(rotations * tilde[:, j, None])
-        final = _fwht(_evolve_block(op, rotated, [-t])[:, :, 0])
+        rotated = _fwht(rotations * tilde[:, j, None])[op.states]
+        final = _fwht(_embed(op, _evolve_block(op, rotated, [-t])[:, :, 0]))
         mag[:, j] = (0.5 / op.n) * (lam @ np.abs(final) ** 2)
     return fid, mag
 

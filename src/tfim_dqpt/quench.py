@@ -200,9 +200,10 @@ def rotated_bloch(u: np.ndarray, d) -> np.ndarray:
 def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
     """Arrays (|d_f|, dhat_i . dhat_f) over the grid ks.
 
-    Raises GaplessModeError at the first gapless initial mode (tested with
-    ``_gap_squared``).  Gapless final modes get overlap 1: they do not
-    evolve.
+    Raises GaplessModeError at the first gapless initial mode.  Gapless
+    final modes get |d_f| exactly 0 and overlap 1: they do not evolve.
+    Both tests use ``_gap_squared``, which is exactly 0 on the grid point
+    next to k = pi at g = -1 where this |d| is not.
     """
     cos_k, sin_k = np.cos(ks), np.sin(ks)
     x_i, y_i = 1.0 - g_i * cos_k, g_i * sin_k
@@ -214,6 +215,7 @@ def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
         raise GaplessModeError(
             f"initial mode at k={ks[np.argmax(gapless)]} is gapless; "
             "the quench ground state is undefined")
+    n_f[_gap_squared(g_f, ks) == 0.0] = 0.0
     overlap = np.ones_like(n_f)
     np.divide(x_i * x_f + y_i * y_f, n_i * n_f, out=overlap, where=n_f > 0.0)
     return n_f, overlap
@@ -346,14 +348,13 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
         raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
     entries = []
     for k in spec.momentum_grid():
-        d_f = bloch_vector(spec.g_f, k)
-        mag = float(np.sqrt(d_f @ d_f))
-        if mag == 0.0:
+        if _gap_squared(spec.g_f, k) == 0.0:
             entries.append(PulseScheduleEntry(
                 k=float(k), axis_angle=0.0, rabi_rate=0.0,
                 durations=np.zeros(n_t), idle=True))
             continue
-        omega = c * mag
+        d_f = bloch_vector(spec.g_f, k)
+        omega = c * float(np.sqrt(d_f @ d_f))
         entries.append(PulseScheduleEntry(
             k=float(k),
             axis_angle=float(np.arctan2(d_f[1], d_f[0])),

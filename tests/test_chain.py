@@ -55,6 +55,34 @@ class TestChainOperator:
         assert np.max(np.abs(op.apply(block.real) - op.dense() @ block.real)) < 1e-12
         assert np.max(np.abs(op.apply(block[:, 0]) - expected[:, 0])) < 1e-12
 
+    @given(st.sampled_from(["periodic", "open", "shuffled"]), fields,
+           st.integers(2, 7), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+    def test_even_sector_is_restriction_of_register(self, kind, g, n, width,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        bonds = None
+        if kind == "shuffled":
+            bonds = [tuple(pair) for pair in
+                     rng.permutation(chain.default_bonds(n, "periodic"))]
+        bc = "open" if kind == "open" else "periodic"
+        full = chain.ChainOperator(n, g, bc=bc, coupling=0.5, bonds=bonds)
+        even = chain.ChainOperator(n, g, bc=bc, coupling=0.5, bonds=bonds,
+                                   even=True)
+        parity = np.array([bin(s).count("1") % 2 for s in range(2 ** n)])
+        rows = np.flatnonzero(parity == 0)
+        assert np.array_equal(even.states, rows) and even.dim == rows.size
+        h = full.dense()
+        assert np.array_equal(even.dense(), h[np.ix_(rows, rows)])
+        assert not np.any(h[np.ix_(np.flatnonzero(parity), rows)])
+        block = (rng.normal(size=(rows.size, width))
+                 + 1j * rng.normal(size=(rows.size, width)))
+        embedded = np.zeros((2 ** n, width), dtype=complex)
+        embedded[rows] = block
+        assert np.max(np.abs(even.apply(block) - full.apply(embedded)[rows])) \
+            < 1e-12
+        assert np.max(np.abs(even.apply(block[:, 0]) - h[rows] @ embedded[:, 0])) \
+            < 1e-12
+
     def test_hermiticity(self):
         rng = np.random.default_rng(6)
         op = chain.ChainOperator(6, 1.5)
@@ -166,6 +194,46 @@ class TestEvolveChain:
             full = int(np.flatnonzero(tails <= 1e-12)[0])
             assert chain._chebyshev_coefficients(tau).size - 1 == full, tau
 
+    @given(st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 6.3e-279,
+                            9999.5, -9990.0])
+           | st.floats(-1e-6, 1e-6) | st.floats(-1e4, 1e4),
+           st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_bessel_recurrence_matches_jv(self, tau, short):
+        # scipy's jv is the oracle for the recurrence; the cutoff and the
+        # failure past max_terms must come out as from jv
+        reference = jv(np.arange(10050), tau)
+        # jv itself is off by up to 1.1e-13 near |tau| = 1e4 (measured
+        # against a 50-digit recurrence), by less than 1e-13 below 5000
+        tol = 1e-13 * max(1.0, abs(tau) / 5000.0)
+        got = chain._bessel_j(10050, tau)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - reference)) <= tol
+        # fewer orders than |tau|: the recurrence must still start past it
+        assert np.max(np.abs(chain._bessel_j(short, tau) - reference[:short])) \
+            <= tol
+        weights = 2.0 * np.abs(reference)
+        weights[0] *= 0.5
+        below = np.flatnonzero(np.cumsum(weights[::-1])[::-1] <= 1e-12)
+        if below.size and below[0] <= 10000:
+            coeffs = chain._chebyshev_coefficients(tau)
+            assert coeffs.size - 1 == below[0]
+            assert np.max(np.abs(coeffs - reference[:coeffs.size])) <= tol
+        else:
+            with pytest.raises(NumericalFailureError):
+                chain._chebyshev_coefficients(tau)
+
+    def test_argument_past_computed_orders_is_refused(self):
+        # the weights peak near order |tau|; from max_terms + 50 on no
+        # computed order can hold the tail
+        with pytest.raises(NumericalFailureError):
+            chain._chebyshev_coefficients(10051.0)
+        with pytest.raises(NumericalFailureError):
+            chain._chebyshev_coefficients(-1e33)
+        op = chain.ChainOperator(11, 1.2, coupling=0.5)
+        with pytest.raises(NumericalFailureError):
+            chain.evolve_chain(chain.initial_chain_state(11), op, 1e33)
+
     def test_argument_guards(self):
         op = chain.ChainOperator(4, 1.0)
         with pytest.raises(ConfigurationError):
@@ -235,6 +303,19 @@ class TestRateFunctionEd:
     def test_scalar_in_scalar_out(self):
         out = chain.rate_function_ed(4, 0.0, 1.2, 1.3)
         assert isinstance(out, float)
+
+    @given(st.sampled_from([4, 7, 10, 11, 12]), fields,
+           st.lists(times, min_size=1, max_size=3),
+           st.sampled_from(["periodic", "open"]))
+    @settings(max_examples=12, deadline=None)
+    def test_even_sector_matches_full_register(self, n, g, ts, bc):
+        # the sector sweep against the literal full-register evolution
+        op = chain.ChainOperator(n, g, bc=bc, coupling=0.5)
+        psi = chain.even_cat_state(n)
+        literal = [abs(np.vdot(psi, chain.evolve_chain(psi, op, t))) ** 2
+                   for t in ts]
+        probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts, bc=bc))
+        assert np.max(np.abs(probs - literal)) < 1e-12
 
 
 class TestChebyshevMoments:

@@ -251,18 +251,55 @@ def write_config(tmp_path, text: str) -> str:
     return str(path)
 
 
-def test_cli_import_does_not_load_scipy_sparse():
-    # the sparse Hamiltonian is built on demand; importing it up front
-    # would add its import time to every CLI run
+def run_python(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this src."""
     import tfim_dqpt
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(tfim_dqpt.__file__)))
-    code = ("import sys, tfim_dqpt.cli; "
-            "print('scipy.sparse' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # chain computes its Bessel weights itself and builds the sparse
+    # Hamiltonian on demand; importing scipy up front would add its import
+    # time to every CLI run
+    for module in ("tfim_dqpt", "tfim_dqpt.cli"):
+        assert run_python(f"import sys, {module}; print({LOADED_SCIPY})") \
+            == "[]", module
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # only the register oracle beyond DENSE_LIMIT needs scipy.sparse
+    commands = ["rate-function", "heatmap", "otoc", "spectra",
+                "pulse-schedule", "oracle-compare"]
+    code = (f"import sys; from tfim_dqpt.cli import main\n"
+            f"for i, command in enumerate({commands!r}):\n"
+            f"    code = main([command, '--threads', '1', '--out', "
+            f"{str(tmp_path)!r} + '/' + str(i)])\n"
+            f"    print(command, code, {LOADED_SCIPY})\n")
+    lines = run_python(code).splitlines()
+    assert lines == [f"{command} 0 []" for command in commands]
+
+
+def test_large_oracle_imports_sparse_before_the_pool(tmp_path):
+    config = write_config(tmp_path, "[oracle]\nn_oracle = 11\n"
+                                    "[quench]\nt_max = 1.0\n")
+    code = ("import sys; from tfim_dqpt import cli\n"
+            "fan_out = cli._fan_out\n"
+            "def probe(fn, jobs, threads):\n"
+            "    print('scipy.sparse' in sys.modules)\n"
+            "    return fan_out(fn, jobs, threads)\n"
+            "cli._fan_out = probe\n"
+            f"print(cli.main(['oracle-compare', '--gf', '1.2', '--threads', "
+            f"'1', '--config', {config!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]))\n")
+    assert run_python(code).splitlines() == ["True", "0"]
 
 
 def reference_fmt(value) -> str:

@@ -338,6 +338,8 @@ def literal_echo(config):
     """
     ens = quench.build_ensemble(config.spec)
     n_f = np.linalg.norm(ens.d_final, axis=1)
+    # at g_f = -1 the mode next to k = pi has |d_f| about 1e-16, not 0
+    n_f[quench._gap_squared(config.spec.g_f, ens.k) == 0.0] = 0.0
     grid, phis = config.time_grid, config.phi_values
     shape = (n_f.size, grid.size, phis.size)
     fids, mags = np.empty(shape), np.empty(shape)
@@ -358,7 +360,7 @@ class TestClosedFormEcho:
     """The closed forms in n_x = 2 P_k - 1 against the literal echo_state."""
 
     @given(st.sampled_from([-1.5, -1.0, -0.4, 0.3, 0.5, 0.9, 1.1, 2.0]),
-           st.floats(-2.5, 2.5, allow_nan=False) | st.just(1.0),
+           st.floats(-2.5, 2.5, allow_nan=False) | st.sampled_from([1.0, -1.0]),
            st.integers(2, 9), st.sampled_from(["paper", "abc"]),
            st.sampled_from(["absolute", "normalized"]),
            st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1,
@@ -399,6 +401,25 @@ class TestClosedFormEcho:
             reduce = np.mean if aggregation == "mean" else np.prod
             assert np.max(np.abs(otoc.fidelity_otoc(cfg)
                                  - reduce(fids, axis=0).T)) <= 1e-12
+
+    @pytest.mark.parametrize("time_mode", ["absolute", "normalized"])
+    @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
+                                         (31, "abc")])
+    def test_gapless_final_mode_at_zone_edge_is_idle(self, time_mode, n,
+                                                     grid):
+        # g_f = -1 closes the final gap at k = pi: that mode's echo is the
+        # bare rotation of |x>, fidelity 1 at every time
+        spec = quench.QuenchSpec(0.0, -1.0, n, grid)
+        times = np.linspace(0.0, 1.9, 5)
+        product = otoc.EchoConfig(spec, times, n_phi=7, aggregation="product",
+                                  time_mode=time_mode)
+        fids, _ = literal_echo(product)
+        assert np.all(np.abs(fids[n // 2] - 1.0) <= 1e-15)
+        assert np.max(np.abs(otoc.fidelity_otoc(product)
+                             - np.prod(fids, axis=0).T)) <= 1e-12
+        mean = otoc.EchoConfig(spec, times, n_phi=7, time_mode=time_mode)
+        assert np.max(np.abs(otoc.fidelity_otoc(mean)
+                             - fids.mean(axis=0).T)) <= 1e-12
 
     @pytest.mark.parametrize("time_mode", ["absolute", "normalized"])
     def test_gapless_initial_mode_raises(self, time_mode):

@@ -445,6 +445,35 @@ class TestVectorizedModes:
         assert np.all(np.isfinite(quench.return_probability_map(spec, 5)[2]))
         assert np.all(np.isfinite(quench.build_ensemble(spec).d_final))
 
+    @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
+                                         (31, "abc")])
+    def test_gapless_final_mode_at_zone_edge_is_idle(self, n, grid):
+        # g_f = -1 closes the final gap at k = pi, the grid point n // 2
+        # (up to rounding of k); that mode must not evolve anywhere
+        spec = quench.QuenchSpec(0.0, -1.0, n, grid)
+        edge = n // 2
+        ks = spec.momentum_grid()
+        n_f, overlap = quench._mode_geometry(0.0, -1.0, ks)
+        assert n_f[edge] == 0.0 and overlap[edge] == 1.0
+        assert np.all(np.delete(n_f, edge) > 0.0)
+        _, probs = quench.mode_probabilities(spec, np.linspace(0.0, 9.0, 40))
+        _, _, heat = quench.return_probability_map(spec, 51)
+        assert np.all(probs[edge] == 1.0) and np.all(heat[edge] == 1.0)
+        assert quench.loschmidt_mode(spec, ks[edge], 3.3) == 1.0 + 0.0j
+        entries = quench.pulse_schedule(spec)
+        assert [entry.idle for entry in entries] == list(ks == ks[edge])
+        assert entries[edge].rabi_rate == 0.0
+        assert np.array_equal(quench.replay_unitary(entries[edge], 0.7),
+                              np.eye(2))
+
+    @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
+                                         (31, "abc")])
+    def test_final_field_next_to_minus_one_is_gapped(self, n, grid):
+        spec = quench.QuenchSpec(0.0, np.nextafter(-1.0, 0.0), n, grid)
+        n_f, _ = quench._mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
+        assert np.all(n_f > 0.0)
+        assert not any(entry.idle for entry in quench.pulse_schedule(spec))
+
     def test_oversized_request_is_refused_before_allocating(self):
         # 10^8 modes x 500 times would need about 800 GB of float64 arrays
         spec = quench.QuenchSpec(0.0, 1.2, 10 ** 8)
