@@ -27,16 +27,13 @@ from .su2 import (
     rotation_x,
 )
 from .quench import (
-    ModeEnsemble,
     PulseScheduleEntry,
     QuenchSpec,
     bloch_vector,
-    build_ensemble,
     critical_momentum,
     critical_times,
     default_time_grid,
     dqpt_predicate,
-    frame_transform,
     loschmidt_mode,
     pulse_schedule,
     rate_function,
@@ -62,7 +59,6 @@ from .chain import (
     echo_scan_chain,
     even_cat_state,
     evolve_chain,
-    initial_chain_state,
     mqc_spectrum_ed,
     rate_function_ed,
 )
@@ -76,7 +72,6 @@ __all__ = [
     "EchoConfig",
     "GaplessModeError",
     "InvalidArgumentError",
-    "ModeEnsemble",
     "MqcSpectrum",
     "NoDqptError",
     "NumericalFailureError",
@@ -88,7 +83,6 @@ __all__ = [
     "UndefinedExpressionError",
     "WindowRangeError",
     "bloch_vector",
-    "build_ensemble",
     "coherence_series",
     "critical_momentum",
     "critical_times",
@@ -104,9 +98,7 @@ __all__ = [
     "expect_sx",
     "fidelity",
     "fidelity_otoc",
-    "frame_transform",
     "ground_state",
-    "initial_chain_state",
     "loschmidt_mode",
     "magnetization_otoc",
     "mqc_components",

@@ -70,6 +70,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import su2
 from .errors import (
     ConfigurationError,
     NumericalFailureError,
@@ -83,7 +84,6 @@ __all__ = [
     "ORACLE_COUPLING",
     "MAX_SPINS",
     "DENSE_LIMIT",
-    "initial_chain_state",
     "even_cat_state",
     "evolve_chain",
     "register_rotation_x",
@@ -209,15 +209,6 @@ class ChainOperator:
         if self._eig is None:
             self._eig = np.linalg.eigh(self.dense())
         return self._eig
-
-
-def initial_chain_state(n: int) -> np.ndarray:
-    """|+>^N: every amplitude 2^{-N/2}."""
-    if int(n) != n or not (1 <= n <= MAX_SPINS):
-        raise ResourceGuardError(
-            f"n must be an integer in [1, {MAX_SPINS}], got {n}")
-    dim = 2 ** int(n)
-    return np.full(dim, dim ** -0.5, dtype=complex)
 
 
 def even_cat_state(n: int) -> np.ndarray:
@@ -504,12 +495,13 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t,
 
     psi_e is the even-parity cat state and J = ORACLE_COUPLING, so this
     equals the momentum-module rate_function on the abc grid (see the
-    module docstring for the factor 2/N).  Scalar or array t.
+    module docstring for the factor 2/N).  Scalar or array t; non-finite
+    times raise InvalidArgumentError.
     """
     _require_quench_fields(g_i)
+    ts = np.atleast_1d(su2._require_finite("t", t))
     op = _oracle_operator(int(n), float(g_f), bc)
     psi = even_cat_state(n)[op.states]
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
     if op.n <= DENSE_LIMIT:
         energies, vectors = op.eigensystem()
         weights = np.abs(vectors.conj().T @ psi) ** 2

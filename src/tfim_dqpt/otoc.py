@@ -1,26 +1,28 @@
 """Time-reversal echo protocol and multiple-quantum coherence analysis.
 
 The sequence per momentum mode: evolve forward under the quench
-Hamiltonian, rotate about x by phi, evolve under the sign-inverted
-Hamiltonian for the same duration, then read out fidelity against the
-initial state or the x magnetization.  The phi dependence of either signal
-is a real Fourier series whose components are the multiple-quantum
-coherence intensities I_m (fidelity) or amplitudes A_m (magnetization);
-a single mode only supports orders m = 0, +-1.
+Hamiltonian, rotate by phi about the initial mode axis dhat_i, evolve
+under the sign-inverted Hamiltonian for the same duration, then read out
+fidelity against the initial state or the magnetization along dhat_i.  The
+phi dependence of either signal is a real Fourier series whose components
+are the multiple-quantum coherence intensities I_m (fidelity) or
+amplitudes A_m (magnetization); a single mode only supports m = 0, +-1.
 
-Both signals are closed forms.  In the frame where the mode starts in |x>,
-let n(t) be x rotated by 2|d_f| t about dhat_f; its x component is
-n_x = 2 P_k(t) - 1, with P_k = |G_k|^2 the return probability of
-``quench``.  Per mode the echo fidelity is
+Both signals are closed forms.  A mode starts in the ground state of
+-d_i . sigma, with Bloch vector dhat_i.  Let n be the component along
+dhat_i of dhat_i rotated by 2|d_f| t about dhat_f: n = 2 P_k(t) - 1, with
+P_k = |G_k|^2 the return probability of ``quench``.  Per mode the echo
+fidelity is
 
-    F_k(phi, t) = cos^2(phi/2) + sin^2(phi/2) n_x^2
+    F_k(phi, t) = cos^2(phi/2) + sin^2(phi/2) n^2
 
-and the x magnetization <S_x> = <sigma_x>/2 of the echoed state is
+and the magnetization <dhat_i . sigma>/2 of the echoed state is
 
-    M_k(phi, t) = (cos phi + 2 sin^2(phi/2) n_x^2) / 2,
+    M_k(phi, t) = (cos phi + 2 sin^2(phi/2) n^2) / 2,
 
-so the whole (k, t, phi) scan reduces to the (n_k, n_t) matrix of n_x^2.
-``echo_state`` keeps the literal three-factor sequence as the test oracle.
+so the whole (k, t, phi) scan reduces to the (n_k, n_t) matrix of n^2.
+At g_i = 0, dhat_i = x and every mode starts in |x>: ``echo_state``
+keeps the literal three-factor sequence for that case as the test oracle.
 
 Time grids come in two interpretations.  ``absolute`` evolves every mode
 to the same time t.  ``normalized`` reads grid values as tau = t/t0 with
@@ -131,8 +133,8 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     return backward @ (rotation_x(phi) @ (forward @ np.asarray(psi0, dtype=complex)))
 
 
-def _squared_nx(config: EchoConfig) -> np.ndarray:
-    """n_x^2 = (2 P_k - 1)^2 per mode over (k, time grid), in place.
+def _squared_n(config: EchoConfig) -> np.ndarray:
+    """n^2 = (2 P_k - 1)^2 per mode over (k, time grid), in place.
 
     Both observables start here, so the echo's working set is checked here
     against the mode budget before anything is allocated: this (n_k, n_t)
@@ -143,12 +145,12 @@ def _squared_nx(config: EchoConfig) -> np.ndarray:
     quench._require_budget(
         8 * n_t * (config.spec.n_modes + 3 * config.n_phi),
         f"{config.n_phi} angles x {n_t} times over {config.spec.n_modes} modes")
-    nx = quench._probabilities(config.spec, config.time_grid,
-                               normalized=config.time_mode == "normalized")
-    nx *= 2.0
-    nx -= 1.0
-    nx *= nx
-    return nx
+    n = quench._probabilities(config.spec, config.time_grid,
+                              normalized=config.time_mode == "normalized")
+    n *= 2.0
+    n -= 1.0
+    n *= n
+    return n
 
 
 def _half_angle_weights(config: EchoConfig):
@@ -160,23 +162,23 @@ def _half_angle_weights(config: EchoConfig):
 def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     """Echo fidelity matrix over (phi, t), aggregated over modes.
 
-    Per mode |<psi0|echo>|^2 = cos^2(phi/2) + sin^2(phi/2) n_x^2;
+    Per mode |<psi0|echo>|^2 = cos^2(phi/2) + sin^2(phi/2) n^2 (n along dhat_i);
     ``product`` multiplies modes in ascending k (the many-body Loschmidt
     echo), ``mean`` averages them.  The phi = 0 column is identically 1:
     unitary reversal is exact in simulation.
     """
-    nx2 = _squared_nx(config)
+    n2 = _squared_n(config)
     cos2, sin2 = _half_angle_weights(config)
     if config.aggregation == "mean":
-        return cos2 + sin2 * nx2.mean(axis=0)
-    fids = np.ones((config.n_phi, nx2.shape[1]))
-    for row in nx2:
+        return cos2 + sin2 * n2.mean(axis=0)
+    fids = np.ones((config.n_phi, n2.shape[1]))
+    for row in n2:
         fids *= cos2 + sin2 * row
     return fids
 
 
 def magnetization_otoc(config: EchoConfig) -> np.ndarray:
-    """Mean per-mode <S_x> of the echoed states over (phi, t).
+    """Mean per-mode <dhat_i . sigma>/2 of the echoed states over (phi, t).
 
     Magnetization is intensive, so ``mean`` is the only admissible
     aggregation; a product request is rejected.
@@ -185,14 +187,18 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
         raise ConfigurationError(
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
-    nx2 = _squared_nx(config)
+    n2 = _squared_n(config)
     _, sin2 = _half_angle_weights(config)
     return 0.5 * (np.cos(config.phi_values)[:, None]
-                  + 2.0 * sin2 * nx2.mean(axis=0))
+                  + 2.0 * sin2 * n2.mean(axis=0))
 
 
 def require_resolvable(n_phi: int, m_max: int) -> None:
     """AliasingError unless n_phi angles resolve the orders |m| <= m_max."""
+    if not (float(n_phi).is_integer() and float(m_max).is_integer()
+            and m_max >= 0):
+        raise InvalidArgumentError(f"N_phi = {n_phi} and m_max = {m_max} "
+                                   "must be integers, m_max >= 0")
     if n_phi < 2 * m_max + 1:
         raise AliasingError(
             f"N_phi = {n_phi} cannot resolve m_max = {m_max}; "

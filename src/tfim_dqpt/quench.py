@@ -15,9 +15,9 @@ whose zeros (Fisher zeros) occur only when the initial and final fields lie
 on opposite sides of |g| = 1; the first zero fixes the critical time of the
 dynamical quantum phase transition (DQPT).
 
-Sign convention ``ferro_ground``: the mode Hamiltonian carries the overall
-minus sign, H_mode = -d . sigma, so the g = 0 ground state is |x>.  All
-observables computed here are insensitive to that sign (covered by tests).
+Sign convention: the mode Hamiltonian carries the overall minus sign,
+H_mode = -d . sigma, so the g = 0 ground state is |x>.  All observables
+computed here are insensitive to that sign (covered by tests).
 
 The vectorized paths treat the grid as arrays: ``_mode_geometry`` returns
 |d_f| and dhat_i . dhat_f for every k at once, and ``_probabilities``
@@ -48,15 +48,11 @@ from .errors import (
     UndefinedExpressionError,
 )
 from . import su2
-from .su2 import ground_state, pauli_dot
 
 __all__ = [
     "QuenchSpec",
-    "ModeEnsemble",
     "PulseScheduleEntry",
     "bloch_vector",
-    "frame_transform",
-    "rotated_bloch",
     "loschmidt_mode",
     "mode_probabilities",
     "rate_function",
@@ -66,7 +62,6 @@ __all__ = [
     "return_probability_map",
     "pulse_schedule",
     "replay_unitary",
-    "build_ensemble",
     "default_time_grid",
     "AMPLITUDE_FLOOR",
     "MODE_BUDGET_BYTES",
@@ -82,7 +77,6 @@ MODE_BUDGET_BYTES = 2 ** 30
 GEOMETRY_ROWS = 12
 
 GRID_MODES = ("paper", "abc")
-SIGN_CONVENTIONS = ("ferro_ground",)
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,6 @@ class QuenchSpec:
     g_f: float
     n: int
     grid_mode: str = "paper"
-    sign_convention: str = "ferro_ground"
 
     def __post_init__(self):
         if not (np.isfinite(self.g_i) and np.isfinite(self.g_f)):
@@ -103,9 +96,6 @@ class QuenchSpec:
         if self.grid_mode not in GRID_MODES:
             raise ConfigurationError(
                 f"grid_mode must be one of {GRID_MODES}, got {self.grid_mode!r}")
-        if self.sign_convention not in SIGN_CONVENTIONS:
-            raise ConfigurationError(
-                f"sign_convention must be one of {SIGN_CONVENTIONS}")
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -117,20 +107,6 @@ class QuenchSpec:
         if self.grid_mode == "paper":
             return 2.0 * np.pi * np.arange(self.n + 1) / self.n
         return (2.0 * np.arange(self.n) + 1.0) * np.pi / self.n
-
-
-@dataclass(frozen=True)
-class ModeEnsemble:
-    """Frame-transformed modes, ordered by increasing k.
-
-    ``d_final`` is the quench Bloch vector rotated into the frame where the
-    initial mode Hamiltonian is -|d_i| sigma_x, so every ``psi0`` is |x>.
-    """
-
-    k: np.ndarray
-    d_init: np.ndarray
-    d_final: np.ndarray
-    psi0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -167,34 +143,6 @@ def _gap_squared(g, k):
     """
     half = np.sin(k / 2.0)
     return (1.0 - g) ** 2 + 4.0 * g * half * half
-
-
-def frame_transform(g_i: float, k: float) -> np.ndarray:
-    """Unitary mapping the initial mode frame onto the sigma_x frame.
-
-    With S = [v_+, v_-] the eigenvectors of dhat_i . sigma and P the
-    corresponding sigma_x eigenvector matrix, U = P S^dagger satisfies
-    U (dhat_i . sigma) U^dagger = sigma_x exactly and sends the mode ground
-    state of -d_i . sigma to |x>.  For g_i = 0 this is the identity.
-    """
-    if _gap_squared(g_i, k) == 0.0:
-        raise GaplessModeError(f"initial mode at k={k} is gapless (|d_i| = 0)")
-    d_i = bloch_vector(g_i, k)
-    v_plus = ground_state(-d_i)   # +|d_i| eigenvector of d_i . sigma
-    v_minus = ground_state(d_i)
-    s_mat = np.column_stack([v_plus, v_minus])
-    p_mat = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    return p_mat @ s_mat.conj().T
-
-
-def rotated_bloch(u: np.ndarray, d) -> np.ndarray:
-    """Bloch vector of U (d . sigma) U^dagger."""
-    m = u @ pauli_dot(d) @ u.conj().T
-    return np.array([
-        0.5 * np.real(np.trace(m @ su2.SIGMA_X)),
-        0.5 * np.real(np.trace(m @ su2.SIGMA_Y)),
-        0.5 * np.real(np.trace(m @ su2.SIGMA_Z)),
-    ])
 
 
 def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
@@ -237,7 +185,9 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
     tau = t/t0, t0 = pi/|d_f(k)|; gapless final modes keep phase 0 and
     probability exactly 1.  Holds two (n_k, n_t) arrays at most, and
     refuses a larger working set than MODE_BUDGET_BYTES before allocating.
+    Non-finite times raise InvalidArgumentError.
     """
+    su2._require_finite("t", grid)
     _require_budget(8 * spec.n_modes * (2 * grid.size + GEOMETRY_ROWS),
                     f"{spec.n_modes} modes x {grid.size} times")
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
@@ -256,10 +206,11 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
     """Per-mode Loschmidt amplitude G_k(t); scalar or array in t.
 
     Gapless final modes (|d_f| = 0) do not evolve, so G_k = 1 there.
+    Non-finite times raise InvalidArgumentError.
     """
+    t = su2._require_finite("t", t)
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, np.array([float(k)]))
     n_f, overlap = float(n_f[0]), float(overlap[0])
-    t =np.asarray(t, dtype=float)
     if n_f == 0.0:
         return np.ones_like(t, dtype=complex) if t.ndim else complex(1.0)
     g = np.cos(n_f * t) + 1.0j * overlap * np.sin(n_f * t)
@@ -375,21 +326,6 @@ def replay_unitary(entry: PulseScheduleEntry, duration: float) -> np.ndarray:
     theta = entry.rabi_rate * float(duration)
     axis = np.array([np.cos(entry.axis_angle), np.sin(entry.axis_angle), 0.0])
     return su2.evolution_unitary(axis, 0.5 * theta)
-
-
-def build_ensemble(spec: QuenchSpec) -> ModeEnsemble:
-    """Frame-transformed mode list: psi0 = |x> and rotated d_f per k."""
-    ks = spec.momentum_grid()
-    d_init = np.empty((ks.size, 3))
-    d_final = np.empty((ks.size, 3))
-    psi0 = np.empty((ks.size, 2), dtype=complex)
-    for i, k in enumerate(ks):
-        u = frame_transform(spec.g_i, k)   # raises at a gapless initial mode
-        d_i = bloch_vector(spec.g_i, k)
-        d_init[i] = rotated_bloch(u, d_i)
-        d_final[i] = rotated_bloch(u, bloch_vector(spec.g_f, k))
-        psi0[i] = u @ ground_state(-d_i)
-    return ModeEnsemble(k=ks, d_init=d_init, d_final=d_final, psi0=psi0)
 
 
 def default_time_grid(g_i: float, g_f: float, n_points: int = 300) -> np.ndarray:

@@ -12,6 +12,7 @@ from tfim_dqpt import chain, otoc, quench, su2
 from tfim_dqpt.errors import (
     AliasingError,
     ConfigurationError,
+    InvalidArgumentError,
     NumericalFailureError,
     ResourceGuardError,
 )
@@ -29,6 +30,11 @@ chebyshev_sizes = st.sampled_from([11, 12])
 def random_register(rng, n):
     vec = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return vec / np.linalg.norm(vec)
+
+
+def plus_state(n):
+    """|+>^N: every amplitude 2^{-N/2}."""
+    return np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
 
 
 class TestChainOperator:
@@ -117,11 +123,6 @@ class TestChainOperator:
 
 
 class TestStates:
-    def test_uniform_superposition(self):
-        assert np.allclose(chain.initial_chain_state(1), [2 ** -0.5] * 2)
-        assert np.allclose(chain.initial_chain_state(2), [0.5] * 4)
-        assert np.linalg.norm(chain.initial_chain_state(8)) == pytest.approx(1.0)
-
     def test_cat_state_support(self):
         psi = chain.even_cat_state(2)
         assert np.allclose(psi, [2 ** -0.5, 0, 0, 2 ** -0.5])
@@ -137,7 +138,7 @@ class TestStates:
 
     def test_size_guard(self):
         with pytest.raises(ResourceGuardError):
-            chain.initial_chain_state(15)
+            chain.even_cat_state(15)
         with pytest.raises(ResourceGuardError):
             chain.even_cat_state(0)
 
@@ -153,7 +154,7 @@ class TestEvolveChain:
 
     def test_eigenstate_phase(self):
         # H(g=0) |+>^N = -N J |+>^N on the ring
-        psi = chain.initial_chain_state(8)
+        psi = plus_state(8)
         op = chain.ChainOperator(8, 0.0, coupling=1.0)
         out = chain.evolve_chain(psi, op, 0.9)
         assert np.max(np.abs(out - np.exp(1.0j * 8 * 0.9) * psi)) < 1e-12
@@ -176,7 +177,7 @@ class TestEvolveChain:
         assert np.max(np.abs(back - vec)) < 1e-9
 
     def test_truncation_failure_reports_residual(self):
-        vec = chain.initial_chain_state(11)
+        vec = plus_state(11)
         op = chain.ChainOperator(11, 1.2, coupling=0.5)
         with pytest.raises(NumericalFailureError) as err:
             chain.evolve_chain(vec, op, 3.0, method="chebyshev", max_terms=3)
@@ -232,7 +233,7 @@ class TestEvolveChain:
             chain._chebyshev_coefficients(-1e33)
         op = chain.ChainOperator(11, 1.2, coupling=0.5)
         with pytest.raises(NumericalFailureError):
-            chain.evolve_chain(chain.initial_chain_state(11), op, 1e33)
+            chain.evolve_chain(plus_state(11), op, 1e33)
 
     def test_argument_guards(self):
         op = chain.ChainOperator(4, 1.0)
@@ -268,7 +269,7 @@ class TestRegisterRotation:
 
     def test_bond_correlator_values(self):
         bonds = chain.default_bonds(6, "periodic")
-        plus = chain.initial_chain_state(6)
+        plus = plus_state(6)
         assert chain.bond_correlator(plus, 6, bonds) == pytest.approx(0.5, abs=1e-12)
         z0 = np.zeros(64, dtype=complex)
         z0[0] = 1.0
@@ -303,6 +304,14 @@ class TestRateFunctionEd:
     def test_scalar_in_scalar_out(self):
         out = chain.rate_function_ed(4, 0.0, 1.2, 1.3)
         assert isinstance(out, float)
+
+    # N = 8 reads the eigenbasis, N = 11 the Chebyshev moments
+    @pytest.mark.parametrize("n", [8, 11])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_is_refused(self, n, bad):
+        for t in (bad, [0.0, bad]):
+            with pytest.raises(InvalidArgumentError):
+                chain.rate_function_ed(n, 0.0, 1.2, t)
 
     @given(st.sampled_from([4, 7, 10, 11, 12]), fields,
            st.lists(times, min_size=1, max_size=3),
@@ -418,6 +427,10 @@ class TestMqcSpectrumEd:
         monkeypatch.setattr(chain, "_evolve_block", no_evolution)
         with pytest.raises(AliasingError):
             chain.mqc_spectrum_ed(6, 1.2, 1.9, m_max=6, n_phi=12)
+
+    def test_non_integer_angle_count_is_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            chain.mqc_spectrum_ed(6, 1.2, 1.0, n_phi=13.5)
 
     def test_sum_rule(self):
         spec = chain.mqc_spectrum_ed(6, 1.2, 1.9)

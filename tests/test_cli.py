@@ -501,6 +501,21 @@ class TestResourceAndRangeGuards:
         assert "quench.t_max" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("argv, config, field", [
+        (["--gi", "nan"], "", "quench.g_i"),
+        (["--n", "1"], "", "quench.n"),
+        (["--nphi", "2"], "", "echo.n_phi"),
+        ([], "[echo]\naggregation = median\n", "echo.aggregation"),
+        ([], "[quench]\ngrid = foo\n", "quench.grid"),
+    ])
+    def test_invalid_model_value_is_refused(self, tmp_path, capsys, argv,
+                                            config, field):
+        out = tmp_path / "out"
+        assert main(["otoc", "--out", str(out), *argv,
+                     "--config", write_config(tmp_path, config)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_mode_grid_is_refused(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["rate-function", "--out", str(out),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tfim_dqpt import otoc, quench, su2
 from tfim_dqpt.errors import (
@@ -35,6 +35,13 @@ class TestEchoState:
     def test_zero_time_is_bare_rotation(self):
         psi = otoc.echo_state(quench.bloch_vector(1.2, 0.9), 0.0, 1.1)
         assert np.max(np.abs(psi - np.exp(-1.1j / 2) * su2.X_PLUS)) < 1e-12
+
+    def test_zero_field_modes_are_x_states(self):
+        # at g_i = 0 every mode's lab-frame initial state is echo_state's |x>
+        for grid in ("paper", "abc"):
+            for k in quench.QuenchSpec(0.0, 1.2, 4, grid).momentum_grid():
+                psi0 = su2.ground_state(-quench.bloch_vector(0.0, k))
+                assert np.max(np.abs(psi0 - su2.X_PLUS)) < 1e-12
 
     def test_three_factor_oracle(self):
         rng = np.random.default_rng(7)
@@ -330,35 +337,50 @@ class TestEchoConfigValidation:
 
 
 def literal_echo(config):
-    """Per-mode echo_state cells on the frame-transformed ensemble.
+    """Per-mode echo cells in the lab frame, composed from su2 primitives.
 
-    Returns fidelities and magnetizations of shape (n_k, n_t, n_phi); in
-    normalized time mode k evolves for tau * pi/|d_f(k)|, gapless final
-    modes sit idle.
+    Each mode starts in psi0 = ground_state(-d_i), evolves under -d_f.sigma,
+    is rotated by phi about dhat_i and evolves back; the magnetization is
+    <psi|dhat_i.sigma|psi>/2.  Returns fidelities and magnetizations of
+    shape (n_k, n_t, n_phi); in normalized time mode k evolves for
+    tau * pi/|d_f(k)|, gapless final modes sit idle.
     """
-    ens = quench.build_ensemble(config.spec)
-    n_f = np.linalg.norm(ens.d_final, axis=1)
-    # at g_f = -1 the mode next to k = pi has |d_f| about 1e-16, not 0
-    n_f[quench._gap_squared(config.spec.g_f, ens.k) == 0.0] = 0.0
-    grid, phis = config.time_grid, config.phi_values
-    shape = (n_f.size, grid.size, phis.size)
+    spec, grid, phis = config.spec, config.time_grid, config.phi_values
+    ks = spec.momentum_grid()
+    shape = (ks.size, grid.size, phis.size)
     fids, mags = np.empty(shape), np.empty(shape)
-    for k in range(n_f.size):
+    for a, k in enumerate(ks):
+        d_i = quench.bloch_vector(spec.g_i, k)
+        axis = d_i / np.linalg.norm(d_i)
+        d_f = quench.bloch_vector(spec.g_f, k)
+        # at g_f = -1 the mode next to k = pi has |d_f| about 1e-16, not 0
+        if quench._gap_squared(spec.g_f, k) == 0.0:
+            d_f = np.zeros(3)
+        n_f = np.linalg.norm(d_f)
+        psi0 = su2.ground_state(-d_i)
         for j, x in enumerate(grid):
             if config.time_mode == "absolute":
                 t = x
             else:
-                t = x * np.pi / n_f[k] if n_f[k] > 0.0 else 0.0
+                t = x * np.pi / n_f if n_f > 0.0 else 0.0
+            forward = su2.evolution_unitary(-d_f, t) @ psi0
+            backward = su2.evolution_unitary(d_f, t)
             for p, phi in enumerate(phis):
-                psi = otoc.echo_state(ens.d_final[k], t, phi, ens.psi0[k])
-                fids[k, j, p] = abs(np.vdot(ens.psi0[k], psi)) ** 2
-                mags[k, j, p] = np.real(np.conj(psi[0]) * psi[1])
+                psi = backward @ (su2.evolution_unitary(axis, phi / 2) @ forward)
+                fids[a, j, p] = abs(np.vdot(psi0, psi)) ** 2
+                mags[a, j, p] = np.vdot(psi, su2.pauli_dot(axis) @ psi).real / 2
     return fids, mags
 
 
 class TestClosedFormEcho:
-    """The closed forms in n_x = 2 P_k - 1 against the literal echo_state."""
+    """The closed forms in n = 2 P_k - 1 against the lab-frame literal echo."""
 
+    # gapless initial (g_i = -1, even-N paper grid), gapless final modes at
+    # k = 0 (g_f = 1, paper) and k = pi (g_f = -1, odd-N abc)
+    @example(-1.0, 0.5, 8, "paper", "absolute", [1.0], 5)
+    @example(0.5, 1.0, 6, "paper", "normalized", [0.3, 1.7], 4)
+    @example(-0.4, -1.0, 7, "abc", "absolute", [0.5, 3.0], 6)
+    @example(1.1, -1.0, 8, "paper", "normalized", [0.25, 2.0], 3)
     @given(st.sampled_from([-1.5, -1.0, -0.4, 0.3, 0.5, 0.9, 1.1, 2.0]),
            st.floats(-2.5, 2.5, allow_nan=False) | st.sampled_from([1.0, -1.0]),
            st.integers(2, 9), st.sampled_from(["paper", "abc"]),
@@ -377,8 +399,11 @@ class TestClosedFormEcho:
         except GaplessModeError:
             # g_i = -1 closes the initial gap at k = pi, held by even-N
             # paper grids and odd-N abc grids
+            assert np.any(quench._gap_squared(g_i, spec.momentum_grid()) == 0.0)
             with pytest.raises(GaplessModeError):
-                quench.build_ensemble(spec)
+                otoc.fidelity_otoc(product)
+            with pytest.raises(GaplessModeError):
+                otoc.magnetization_otoc(mean)
             return
         fids, mags = literal_echo(mean)
         assert np.max(np.abs(otoc.fidelity_otoc(mean)
@@ -496,6 +521,12 @@ class TestMqcComponents:
             assert np.max(np.abs(comps[:, j]
                                  - otoc.mqc_spectrum(scan[:, j], 3).components)) \
                 < 1e-15
+
+    def test_non_integer_or_negative_orders_are_refused(self):
+        with pytest.raises(InvalidArgumentError):
+            otoc.mqc_components(np.ones(7), -1)
+        with pytest.raises(InvalidArgumentError):
+            otoc.mqc_spectrum(np.ones(9), 3.5)
 
     def test_spectrum_dynamics_refuses_aliasing_before_the_scan(self):
         cfg = otoc.EchoConfig(quench.QuenchSpec(0.0, 1.2, 10 ** 8), [1.0],

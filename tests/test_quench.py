@@ -12,6 +12,7 @@ from tfim_dqpt import quench, su2
 from tfim_dqpt.errors import (
     ConfigurationError,
     GaplessModeError,
+    InvalidArgumentError,
     NoDqptError,
     ResourceGuardError,
     UndefinedExpressionError,
@@ -68,31 +69,6 @@ class TestBlochVector:
         assert d @ d == pytest.approx(1 + g * g - 2 * g * np.cos(k), abs=1e-12)
 
 
-class TestFrameTransform:
-    def test_identity_for_zero_field(self):
-        for k in (0.0, 1.0, np.pi, 5.0):
-            u = quench.frame_transform(0.0, k)
-            assert np.max(np.abs(u - np.eye(2))) < 1e-12
-
-    def test_identity_when_axis_already_x(self):
-        u = quench.frame_transform(0.5, np.pi)   # d_i = (1.5, 0, 0)
-        assert phase_distance(u, np.eye(2)) < 1e-12
-
-    def test_diagonalizes_initial_mode(self):
-        d_i = quench.bloch_vector(0.5, np.pi / 2)
-        u = quench.frame_transform(0.5, np.pi / 2)
-        h0 = su2.pauli_dot(d_i)
-        transformed = u @ h0 @ u.conj().T
-        assert np.max(np.abs(transformed - np.linalg.norm(d_i) * su2.SIGMA_X)) < 1e-12
-
-    def test_gapless_raises(self):
-        with pytest.raises(GaplessModeError):
-            quench.frame_transform(1.0, 0.0)
-        # the paper grid's k = pi at N = 30 is 3.1415926535897927
-        with pytest.raises(GaplessModeError):
-            quench.frame_transform(-1.0, 2.0 * np.pi * 15 / 30)
-
-
 class TestLoschmidtMode:
     def test_no_quench_is_unimodular(self):
         spec = quench.QuenchSpec(0.0, 0.0, 8)
@@ -130,18 +106,17 @@ class TestLoschmidtMode:
 
     @given(fields, fields, angles, times)
     def test_closed_form_equals_state_evolution(self, g_i, g_f, k, t):
-        """G_k is the echoed matrix element of the rotated-frame propagator.
+        """G_k is the return amplitude of the lab-frame mode state.
 
-        The mode Hamiltonian is -d.sigma (ferro_ground), whose propagator
-        is evolution_unitary(-d, t).
+        The mode starts in the ground state of -d_i.sigma and evolves
+        under -d_f.sigma, whose propagator is evolution_unitary(-d_f, t).
         """
         spec = quench.QuenchSpec(g_i, g_f, 8)
         d_i = quench.bloch_vector(g_i, k)
         assume(d_i @ d_i > 1e-6)
-        u = quench.frame_transform(g_i, k)
-        d_rot = quench.rotated_bloch(u, quench.bloch_vector(g_f, k))
-        psi0 = u @ su2.ground_state(-d_i)
-        amp = np.vdot(psi0, su2.evolution_unitary(-d_rot, t) @ psi0)
+        psi0 = su2.ground_state(-d_i)
+        u = su2.evolution_unitary(-quench.bloch_vector(g_f, k), t)
+        amp = np.vdot(psi0, u @ psi0)
         assert abs(amp - quench.loschmidt_mode(spec, k, t)) < 1e-12
 
     @given(fields, fields, angles, times)
@@ -197,20 +172,20 @@ class TestRateFunction:
         first_peak = ts[interior[is_max][0]]
         assert abs(first_peak - T_C_12) <= ts[1] - ts[0]
 
-    def test_sign_convention_invariance(self):
+    def test_hamiltonian_sign_invariance(self):
         """H -> -H leaves every |G_k| unchanged."""
         spec = quench.QuenchSpec(0.3, 1.4, 10)
         rng = np.random.default_rng(11)
         for _ in range(30):
             k = rng.uniform(0, 2 * np.pi)
             t = rng.uniform(0, 6)
-            d_i = quench.bloch_vector(spec.g_i, k)
-            u = quench.frame_transform(spec.g_i, k)
-            d_rot = quench.rotated_bloch(u, quench.bloch_vector(spec.g_f, k))
-            psi0 = u @ su2.ground_state(-d_i)
-            amp_minus = np.vdot(psi0, su2.evolution_unitary(-d_rot, t) @ psi0)
-            amp_plus = np.vdot(psi0, su2.evolution_unitary(d_rot, t) @ psi0)
+            psi0 = su2.ground_state(-quench.bloch_vector(spec.g_i, k))
+            d_f = quench.bloch_vector(spec.g_f, k)
+            amp_minus = np.vdot(psi0, su2.evolution_unitary(-d_f, t) @ psi0)
+            amp_plus = np.vdot(psi0, su2.evolution_unitary(d_f, t) @ psi0)
             assert abs(abs(amp_minus) - abs(amp_plus)) < 1e-12
+            assert abs(abs(amp_plus)
+                       - abs(quench.loschmidt_mode(spec, k, t))) < 1e-12
 
 
 class TestCriticalAnalytics:
@@ -355,31 +330,6 @@ class TestPulseSchedule:
             quench.pulse_schedule(spec, n_t=1)
 
 
-class TestBuildEnsemble:
-    def test_zero_field_modes_are_x_states(self):
-        ens = quench.build_ensemble(quench.QuenchSpec(0.0, 1.2, 4, "paper"))
-        assert ens.k.size == 5
-        assert np.allclose(ens.psi0, su2.X_PLUS, atol=1e-12)
-        assert np.allclose(ens.d_final,
-                           [quench.bloch_vector(1.2, k) for k in ens.k], atol=1e-12)
-
-    def test_ground_energy_in_rotated_frame(self):
-        ens = quench.build_ensemble(quench.QuenchSpec(0.5, 1.2, 8, "paper"))
-        for i, k in enumerate(ens.k):
-            mag = np.linalg.norm(quench.bloch_vector(0.5, k))
-            energy = np.real(np.vdot(ens.psi0[i],
-                                     su2.pauli_dot(-ens.d_init[i]) @ ens.psi0[i]))
-            assert energy == pytest.approx(-mag, abs=1e-12)
-
-    def test_abc_grid_values(self):
-        ens = quench.build_ensemble(quench.QuenchSpec(0.0, 1.2, 8, "abc"))
-        assert np.allclose(ens.k, (2 * np.arange(8) + 1) * np.pi / 8)
-
-    def test_gapless_initial_mode_raises(self):
-        with pytest.raises(GaplessModeError):
-            quench.build_ensemble(quench.QuenchSpec(1.0, 0.5, 8, "paper"))
-
-
 class TestDefaultTimeGrid:
     def test_dqpt_grid_covers_three_critical_times(self):
         grid = quench.default_time_grid(0.0, 1.2)
@@ -430,10 +380,12 @@ class TestVectorizedModes:
         # g_i = -1 closes the initial gap at k = pi, which the paper grid
         # holds for even N and the abc grid for odd N (up to rounding of k)
         spec = quench.QuenchSpec(-1.0, 0.5, n, grid)
+        edge = spec.momentum_grid()[n // 2]
+        assert quench._gap_squared(-1.0, edge) == 0.0
         for call in (lambda: quench.mode_probabilities(spec, [1.0]),
                      lambda: quench.rate_function(spec, [0.0, 1.0]),
                      lambda: quench.return_probability_map(spec, 5),
-                     lambda: quench.build_ensemble(spec)):
+                     lambda: quench.loschmidt_mode(spec, edge, 1.0)):
             with pytest.raises(GaplessModeError):
                 call()
 
@@ -443,7 +395,8 @@ class TestVectorizedModes:
         spec = quench.QuenchSpec(np.nextafter(-1.0, 0.0), 0.5, n, grid)
         assert np.all(np.isfinite(quench.rate_function(spec, [0.0, 1.0])))
         assert np.all(np.isfinite(quench.return_probability_map(spec, 5)[2]))
-        assert np.all(np.isfinite(quench.build_ensemble(spec).d_final))
+        edge = spec.momentum_grid()[n // 2]
+        assert np.isfinite(quench.loschmidt_mode(spec, edge, 1.0))
 
     @pytest.mark.parametrize("n, grid", [(8, "paper"), (30, "paper"),
                                          (31, "abc")])
@@ -473,6 +426,17 @@ class TestVectorizedModes:
         n_f, _ = quench._mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
         assert np.all(n_f > 0.0)
         assert not any(entry.idle for entry in quench.pulse_schedule(spec))
+
+    @pytest.mark.parametrize("n", [8, 11])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_times_are_refused(self, n, bad):
+        spec = quench.QuenchSpec(0.0, 1.2, n)
+        for call in (lambda t: quench.rate_function(spec, t),
+                     lambda t: quench.mode_probabilities(spec, t),
+                     lambda t: quench.loschmidt_mode(spec, 0.3, t)):
+            for t in (bad, [0.0, bad]):
+                with pytest.raises(InvalidArgumentError):
+                    call(t)
 
     def test_oversized_request_is_refused_before_allocating(self):
         # 10^8 modes x 500 times would need about 800 GB of float64 arrays
