@@ -14,29 +14,34 @@ Miller's backward Bessel recurrence (``_bessel_j``), so importing this
 module loads no scipy; scipy.sparse is imported only when a CSR form is
 first built.
 
-``ChainOperator`` (default basis), ``evolve_chain``, ``echo_chain``,
+``ChainOperator``, ``evolve_chain``, ``echo_chain``,
 ``register_rotation_x`` and ``bond_correlator`` are the literal paths:
-the full 2^N register, one evolution per time and per leg.  They stay
-that simple because the tests check the fast paths against them.  The
-sweeps (``rate_function_ed``, ``echo_scan_chain``, ``mqc_spectrum_ed``)
-share work instead:
+the full 2^N register in the z basis, one evolution per time and per
+leg.  They stay that simple because the tests check the fast paths
+against them.  The sweeps (``rate_function_ed``, ``echo_scan_chain``,
+``mqc_spectrum_ed``) share work instead:
 
-* H(g) and the register rotation commute with prod_i sigma^z, and the
-  even cat state has even popcount, so every forward, rotated and
-  backward state of the oracle lies in the 2^(N-1) even-popcount z
-  states.  The sweeps evolve on that sector (``ChainOperator`` with
-  ``even``: its CSR, and for N <= 10 its dense matrix and eigh, are
-  built there alone) and embed into the register (``full[states] = v``)
-  only for the Walsh-Hadamard transform to the x basis, restricting
-  back with ``v = full[states]``;
-* the vectors T_m(H/s) psi do not depend on t, so one Chebyshev recursion
-  serves every time of a scan (``rate_function_ed`` keeps only the moments
-  <psi|T_m|psi>; ``echo_scan_chain`` keeps the forward states);
-* the echo rotation is diagonal in the x product basis and the backward
-  leg is exactly U^dagger, so the echo fidelity is
-  |sum_x |FWHT(psi_t)|^2(x) e^{-i phi lambda(x)/4}|^4 and needs no
-  backward leg; the magnetization evolves all rotated states of one time
-  back as a single block.
+* they run in the x product basis, where the bond term is the diagonal
+  lambda(x) = sum_bonds s_i s_j (s_i = +-1 the x spins) and g sum_i
+  sigma^z flips single spins.  H, the echo rotation and both readouts
+  commute with the global flip and, on the ring, with translations, so
+  from the cat state (the flip orbit of |+...+>) every state stays in
+  the span of the orbit states |a> = |O_a|^(-1/2) sum_{x in O_a} |x>
+  (``_SymmetricSector``: 180 states at N = 12 and 596 at N = 14 on the
+  ring, 2^(N-1) for open chains).  There H has the diagonal
+  -J lambda_a, and a spin flip taking the representative of O_a into
+  O_b adds -J g sqrt(|O_a|/|O_b|) to <b|H|a> (Sandvik, arXiv:1101.3281,
+  sec. 4.1);
+* below 2^DENSE_LIMIT orbit states the sweeps use the dense
+  eigensystem; beyond (open chains from N = 11), one Chebyshev recursion
+  on the sector's CSR form serves every time of a scan, since the
+  vectors T_m(H/s) psi do not depend on t (``rate_function_ed`` keeps
+  only the moments <psi|T_m|psi>);
+* the echo rotation is diagonal and the backward leg is exactly
+  U^dagger, so with c = U psi the echo fidelity is
+  |sum_a |c_a|^2 e^{-i phi lambda_a/4}|^4, with no backward leg; the
+  magnetization (0.5/N) sum_a lambda_a |c_a|^2 evolves all rotated
+  states of one time back as a single block.
 
 Correspondence conventions (the energy/parity bridge to the momentum
 module, all covered by tests):
@@ -116,19 +121,15 @@ def default_bonds(n: int, bc: str) -> tuple[tuple[int, int], ...]:
 
 
 class ChainOperator:
-    """H(g) = -J (sum_bonds xx + g sum_i z) on N spins.
+    """H(g) = -J (sum_bonds xx + g sum_i z) on the 2^N z basis states.
 
     ``bonds`` may be given explicitly (any order; used by the
-    translation-invariance tests); entries are site index pairs.  The
-    operator acts on the z basis states ``states``: all 2^N of them, or
-    with ``even`` the 2^(N-1) of even popcount, a sector H keeps because
-    it commutes with prod_i sigma^z.  Vectors, ``dense`` and
-    ``eigensystem`` are indexed like ``states``.
+    translation-invariance tests); entries are site index pairs.
     """
 
     def __init__(self, n: int, g: float, bc: str = "periodic",
-                 coupling: float = 1.0, bonds=None, even: bool = False):
-        if int(n) != n or not (2 <= n <= MAX_SPINS):
+                 coupling: float = 1.0, bonds=None):
+        if not (2 <= n <= MAX_SPINS and float(n).is_integer()):
             raise ResourceGuardError(
                 f"n must be an integer in [2, {MAX_SPINS}], got {n}")
         if bc not in BOUNDARY_CONDITIONS:
@@ -145,23 +146,20 @@ class ChainOperator:
         for i, j in self.bonds:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise ConfigurationError(f"bond ({i},{j}) outside 0..{self.n - 1}")
-        states = np.arange(2 ** self.n)
-        counts = _popcount(states, self.n)
-        if even:
-            states = states[counts % 2 == 0]
-        # a bond flip keeps the popcount parity, so it stays among states
-        position = np.zeros(2 ** self.n, dtype=states.dtype)
-        position[states] = np.arange(states.size)
-        self.states = states
-        self._flip_targets = [position[states ^ ((1 << i) | (1 << j))]
-                              for i, j in self.bonds]
-        self._sz_sum = (self.n - 2 * counts[states]).astype(float)
+        self.dim, self._entries = self._build()
         self._eig = None
         self._sparse = None
 
-    @property
-    def dim(self) -> int:
-        return self.states.size
+    def _build(self):
+        """The dimension and the (values, (rows, cols)) entries of H."""
+        states = np.arange(2 ** self.n)
+        rows = np.concatenate([states] + [states ^ ((1 << i) | (1 << j))
+                                          for i, j in self.bonds])
+        cols = np.tile(states, len(self.bonds) + 1)
+        values = np.concatenate([
+            (-self.coupling * self.g) * (self.n - 2.0 * _popcount(states, self.n)),
+            np.full(len(self.bonds) * states.size, -self.coupling)])
+        return states.size, (values, (rows, cols))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """H @ vec for one state (dim,) or a block of states (dim, b)."""
@@ -179,14 +177,7 @@ class ChainOperator:
             # imported here so that importing the package does not load it
             from scipy.sparse import csr_array
 
-            dim = self.dim
-            states = np.arange(dim)
-            rows = np.concatenate([states, *self._flip_targets])
-            cols = np.tile(states, len(self._flip_targets) + 1)
-            data = np.concatenate([
-                (-self.coupling * self.g) * self._sz_sum,
-                np.full(len(self._flip_targets) * dim, -self.coupling)])
-            self._sparse = csr_array((data, (rows, cols)), shape=(dim, dim))
+            self._sparse = csr_array(self._entries, shape=(self.dim, self.dim))
         return self._sparse
 
     def norm_bound(self) -> float:
@@ -194,14 +185,13 @@ class ChainOperator:
         return self.coupling * (len(self.bonds) + abs(self.g) * self.n)
 
     def dense(self) -> np.ndarray:
-        if self.n > DENSE_LIMIT:
+        if self.dim > 2 ** DENSE_LIMIT:
             raise ResourceGuardError(
-                f"dense matrix limited to n <= {DENSE_LIMIT}, got {self.n}")
-        dim = self.dim
-        h = np.zeros((dim, dim))
-        h[np.arange(dim), np.arange(dim)] = -self.coupling * self.g * self._sz_sum
-        for flipped in self._flip_targets:
-            h[flipped, np.arange(dim)] -= self.coupling
+                f"dense matrix limited to {2 ** DENSE_LIMIT} states, "
+                f"got {self.dim}")
+        h = np.zeros((self.dim, self.dim))
+        values, index = self._entries
+        np.add.at(h, index, values)
         return h
 
     def eigensystem(self):
@@ -211,9 +201,39 @@ class ChainOperator:
         return self._eig
 
 
+class _SymmetricSector(ChainOperator):
+    """H(g) on the x-basis orbit states of the flip and ring translations.
+
+    Translations count on the periodic ``default_bonds`` ring only, the
+    global flip always.  ``orbit`` maps each x to its orbit, ordered by smallest member;
+    ``sizes`` and ``lam`` (the bond eigenvalue) are per orbit.  Orbit 0
+    is that of |0...0>, so e_0 is the even cat state.
+    """
+
+    def _build(self):
+        n = self.n
+        states = np.arange(2 ** n)
+        mask = states[-1]
+        canonical = np.minimum(states, states ^ mask)
+        if self.bc == "periodic":
+            for shift in range(1, n):
+                turned = ((states << shift) | (states >> (n - shift))) & mask
+                canonical = np.minimum(canonical, np.minimum(turned, turned ^ mask))
+        reps, self.orbit, self.sizes = np.unique(
+            canonical, return_inverse=True, return_counts=True)
+        self.lam = _xx_spectrum(n, self.bonds)[reps]
+        # flipping spin i of representative a lands in orbit flips[a * n + i]
+        flips = self.orbit[reps[:, None] ^ (1 << np.arange(n))].ravel()
+        diagonal = np.arange(reps.size)
+        cols = np.repeat(diagonal, n)
+        ratio = self.sizes[cols] / self.sizes[flips]
+        values = -self.coupling * np.concatenate([self.lam, self.g * np.sqrt(ratio)])
+        return reps.size, (values, (np.r_[diagonal, flips], np.r_[diagonal, cols]))
+
+
 def even_cat_state(n: int) -> np.ndarray:
     """(|+>^N + |->^N)/sqrt(2): the even fermion-parity quench state."""
-    if int(n) != n or not (1 <= n <= MAX_SPINS):
+    if not (1 <= n <= MAX_SPINS and float(n).is_integer()):
         raise ResourceGuardError(
             f"n must be an integer in [1, {MAX_SPINS}], got {n}")
     n = int(n)
@@ -360,23 +380,29 @@ def _chebyshev_vectors(op: ChainOperator, vec: np.ndarray, scale: float,
 def _evolve_block(op: ChainOperator, block: np.ndarray, ts) -> np.ndarray:
     """exp(-iHt) block for every t in ts, shape (dim, b, n_t).
 
-    Dense through the cached eigenbasis for N <= DENSE_LIMIT; beyond,
-    one Chebyshev recursion of the (dim, b) block serves every t, each t
-    summed to its own certified cutoff.
+    Dense through the cached eigenbasis below 2^DENSE_LIMIT states;
+    beyond, one Chebyshev recursion of the (dim, b) block serves every t,
+    each t summed to its own certified cutoff.
     """
     ts = np.asarray(ts, dtype=float)
-    if op.n <= DENSE_LIMIT:
+    if op.dim < 2 ** DENSE_LIMIT:
         energies, vectors = op.eigensystem()
         phases = np.exp(-1.0j * np.outer(energies, ts))
         amps = (vectors.conj().T @ block)[:, :, None] * phases[:, None, :]
         return np.tensordot(vectors, amps, axes=1)
     scale = op.norm_bound() or 1.0
     table = _series_table(scale * ts)
-    out = np.zeros(block.shape + (ts.size,), dtype=complex)
-    for vec, row in zip(_chebyshev_vectors(op, block, scale, len(table) - 1),
-                        table):
-        out += vec[:, :, None] * row
-    return out
+    vectors = _chebyshev_vectors(op, block, scale, len(table) - 1)
+    # the T_m blocks of 16 orders at a time fill the rows of one matrix,
+    # summed against their table rows in a single product
+    stack = np.empty((min(len(table), 16), block.size), dtype=complex)
+    out = np.zeros((ts.size, block.size), dtype=complex)
+    for start in range(0, len(table), len(stack)):
+        rows = table[start:start + len(stack)]
+        for k in range(len(rows)):
+            stack[k] = next(vectors).ravel()
+        out += rows.T @ stack[:len(rows)]
+    return out.T.reshape(block.shape + (ts.size,))
 
 
 def _chebyshev_amplitudes(op: ChainOperator, psi: np.ndarray, ts) -> np.ndarray:
@@ -478,15 +504,9 @@ def _require_quench_fields(g_i: float) -> None:
 
 @lru_cache(maxsize=32)
 def _oracle_operator(n: int, g: float, bc: str,
-                     even: bool = True) -> ChainOperator:
-    return ChainOperator(n, g, bc=bc, coupling=ORACLE_COUPLING, even=even)
-
-
-def _embed(op: ChainOperator, block: np.ndarray) -> np.ndarray:
-    """Register vectors (2^N, ...) of the op.states vectors ``block``."""
-    full = np.zeros((2 ** op.n,) + block.shape[1:], dtype=complex)
-    full[op.states] = block
-    return full
+                     sector: bool = True) -> ChainOperator:
+    kind = _SymmetricSector if sector else ChainOperator
+    return kind(n, g, bc=bc, coupling=ORACLE_COUPLING)
 
 
 def rate_function_ed(n: int, g_i: float, g_f: float, t,
@@ -501,13 +521,11 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t,
     _require_quench_fields(g_i)
     ts = np.atleast_1d(su2._require_finite("t", t))
     op = _oracle_operator(int(n), float(g_f), bc)
-    psi = even_cat_state(n)[op.states]
-    if op.n <= DENSE_LIMIT:
+    if op.dim < 2 ** DENSE_LIMIT:
         energies, vectors = op.eigensystem()
-        weights = np.abs(vectors.conj().T @ psi) ** 2
-        amps = np.exp(-1.0j * np.outer(ts, energies)) @ weights
+        amps = np.exp(-1.0j * np.outer(ts, energies)) @ np.abs(vectors[0]) ** 2
     else:
-        amps = _chebyshev_amplitudes(op, psi, ts)
+        amps = _chebyshev_amplitudes(op, np.eye(op.dim, 1)[:, 0], ts)
     probs = np.abs(amps) ** 2
     if np.any(probs < AMPLITUDE_FLOOR):
         warnings.warn("Loschmidt probability hit the 1e-300 floor", RuntimeWarning)
@@ -525,7 +543,7 @@ def echo_chain(n: int, g_f: float, t: float, phi: float,
     the product- and mean-aggregated momentum-module observables on the
     abc grid (see the module docstring for why the raw overlap is squared).
     """
-    op = _oracle_operator(int(n), float(g_f), bc, even=False)
+    op = _oracle_operator(int(n), float(g_f), bc, sector=False)
     psi = even_cat_state(n)
     forward = evolve_chain(psi, op, t)
     rotated = register_rotation_x(forward, phi, op.n, op.bonds)
@@ -535,49 +553,29 @@ def echo_chain(n: int, g_f: float, t: float, phi: float,
     return fid, mag
 
 
-def _fidelity_scan(tilde: np.ndarray, lam: np.ndarray,
-                   phis: np.ndarray) -> np.ndarray:
-    """|sum_x |tilde(x)|^2 e^{-i phi lam(x)/4}|^4 on the (phi, t) grid.
-
-    ``tilde`` holds the forward states in the x basis as columns; the x
-    weights are first summed per distinct bond eigenvalue.
-    """
-    levels, index = np.unique(lam, return_inverse=True)
-    weights = np.zeros((levels.size, tilde.shape[1]))
-    np.add.at(weights, index, np.abs(tilde) ** 2)
-    return np.abs(np.exp(-0.25j * np.outer(phis, levels)) @ weights) ** 4
-
-
-def _forward_x_states(op: ChainOperator, ts: np.ndarray) -> np.ndarray:
-    """FWHT(exp(-iHt) psi_e) for every t as the columns of (2^N, n_t)."""
-    psi = even_cat_state(op.n)[op.states]
-    return _fwht(_embed(op, _evolve_block(op, psi[:, None], ts)[:, 0, :]))
-
-
 def echo_scan_chain(n: int, g_f: float, ts, phis,
                     bc: str = "periodic") -> tuple[np.ndarray, np.ndarray]:
     """echo_chain on a whole (phi, t) grid: (fidelity, magnetization).
 
     Both are (n_phi, n_t) arrays equal to the readouts of echo_chain.
     The forward states of every t come from one evolution; the fidelity
-    is read in the x basis without a backward leg, and the magnetization
-    evolves the n_phi rotated states of each t back as one block (see
-    the module docstring).
+    is read in the orbit basis without a backward leg, and the
+    magnetization evolves the n_phi rotated states of each t back as one
+    block (see the module docstring).
     """
     op = _oracle_operator(int(n), float(g_f), bc)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(phis))):
         raise ConfigurationError("ts and phis must be finite")
-    lam = _xx_spectrum(op.n, op.bonds)
-    tilde = _forward_x_states(op, ts)
-    fid = _fidelity_scan(tilde, lam, phis)
-    rotations = np.exp(-0.25j * np.outer(lam, phis))
+    # the cat state e_0 is the first column of the identity
+    forward = _evolve_block(op, np.eye(op.dim, 1), ts)[:, 0, :]
+    rotations = np.exp(-0.25j * np.outer(op.lam, phis))
+    fid = np.abs(rotations.T @ np.abs(forward) ** 2) ** 4
     mag = np.empty_like(fid)
     for j, t in enumerate(ts):
-        rotated = _fwht(rotations * tilde[:, j, None])[op.states]
-        final = _fwht(_embed(op, _evolve_block(op, rotated, [-t])[:, :, 0]))
-        mag[:, j] = (0.5 / op.n) * (lam @ np.abs(final) ** 2)
+        final = _evolve_block(op, rotations * forward[:, j, None], [-t])[:, :, 0]
+        mag[:, j] = (0.5 / op.n) * (op.lam @ np.abs(final) ** 2)
     return fid, mag
 
 
@@ -599,6 +597,6 @@ def mqc_spectrum_ed(n: int, g_f: float, t: float, bc: str = "periodic",
         raise ConfigurationError(f"t must be finite, got {t}")
     op = _oracle_operator(n, float(g_f), bc)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    tilde = _forward_x_states(op, np.array([t], dtype=float))
-    signal = _fidelity_scan(tilde, _xx_spectrum(n, op.bonds), phis)[:, 0]
+    weights = np.abs(_evolve_block(op, np.eye(op.dim, 1), [float(t)])[:, 0, 0]) ** 2
+    signal = np.abs(np.exp(-0.25j * np.outer(phis, op.lam)) @ weights) ** 4
     return mqc_spectrum(signal, m_max)

@@ -524,11 +524,6 @@ def cmd_oracle_compare(resolved: dict) -> None:
     echo_ts = np.linspace(0.0, q["t_max"], 10)
     jobs = [(q["g_i"], g_f, n, grid, o["bc"], ts, phis, echo_ts)
             for g_f in q["g_f"]]
-    if n > chain.DENSE_LIMIT:
-        # only the Chebyshev path builds the sparse matrix; imported once
-        # here, the forked pool workers inherit it instead of each paying
-        # for the import
-        import scipy.sparse  # noqa: F401
     results = _fan_out(_job_compare, jobs, s["threads"])
     # per field: the rate rows (no phi), then fidelity and magnetization
     # over (phi, t)

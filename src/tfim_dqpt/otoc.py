@@ -92,7 +92,7 @@ class EchoConfig:
         if self.time_mode not in TIME_MODES:
             raise ConfigurationError(
                 f"time_mode must be one of {TIME_MODES}, got {self.time_mode!r}")
-        if int(self.n_phi) != self.n_phi or self.n_phi < 3:
+        if not (self.n_phi >= 3 and float(self.n_phi).is_integer()):
             raise ConfigurationError(f"n_phi must be an integer >= 3, got {self.n_phi}")
         grid = np.atleast_1d(np.asarray(self.time_grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)):

@@ -91,7 +91,7 @@ class QuenchSpec:
     def __post_init__(self):
         if not (np.isfinite(self.g_i) and np.isfinite(self.g_f)):
             raise ConfigurationError("g_i and g_f must be finite")
-        if int(self.n) != self.n or self.n < 2:
+        if not (self.n >= 2 and float(self.n).is_integer()):
             raise ConfigurationError(f"n must be an integer >= 2, got {self.n}")
         if self.grid_mode not in GRID_MODES:
             raise ConfigurationError(

@@ -22,8 +22,10 @@ T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
 fields = st.floats(0.05, 2.0)
 times = st.floats(0.0, 5.0)
 angles = st.floats(0.0, 2.0 * np.pi)
-# N <= DENSE_LIMIT (eigenbasis) and beyond it (Chebyshev)
-dense_sizes = st.sampled_from([4, 6, 8, 10])
+boundaries = st.sampled_from(["periodic", "open"])
+# the literal register at N <= DENSE_LIMIT (eigenbasis) and beyond it
+# (Chebyshev); odd N have orbits of mixed size in the periodic sector
+dense_sizes = st.integers(3, 10)
 chebyshev_sizes = st.sampled_from([11, 12])
 
 
@@ -61,33 +63,38 @@ class TestChainOperator:
         assert np.max(np.abs(op.apply(block.real) - op.dense() @ block.real)) < 1e-12
         assert np.max(np.abs(op.apply(block[:, 0]) - expected[:, 0])) < 1e-12
 
-    @given(st.sampled_from(["periodic", "open", "shuffled"]), fields,
-           st.integers(2, 7), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
-    def test_even_sector_is_restriction_of_register(self, kind, g, n, width,
+    @given(st.integers(2, 10), boundaries, fields, st.integers(1, 3),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_even_sector_is_restriction_of_register(self, n, bc, g, width,
                                                     seed):
+        # P takes the x-basis orbit states to the z basis of the register:
+        # P^dagger H P is the sector matrix, and H P = P (P^dagger H P)
+        # says that H keeps the sector
+        sector = chain._SymmetricSector(n, g, bc=bc, coupling=0.5)
+        h = chain.ChainOperator(n, g, bc=bc, coupling=0.5).dense()
+        members = sector.orbit[:, None] == np.arange(sector.dim)
+        p = chain._fwht(members / np.sqrt(sector.sizes)).real
+        assert np.max(np.abs(p.T @ p - np.eye(sector.dim))) < 1e-12
+        # the sweeps start from e_0
+        assert np.max(np.abs(p[:, 0] - chain.even_cat_state(n))) < 1e-15
+        restricted = p.T @ h @ p
+        assert np.max(np.abs(restricted - sector.dense())) < 1e-12
+        assert np.max(np.abs(h @ p - p @ restricted)) < 1e-12
         rng = np.random.default_rng(seed)
-        bonds = None
-        if kind == "shuffled":
-            bonds = [tuple(pair) for pair in
-                     rng.permutation(chain.default_bonds(n, "periodic"))]
-        bc = "open" if kind == "open" else "periodic"
-        full = chain.ChainOperator(n, g, bc=bc, coupling=0.5, bonds=bonds)
-        even = chain.ChainOperator(n, g, bc=bc, coupling=0.5, bonds=bonds,
-                                   even=True)
-        parity = np.array([bin(s).count("1") % 2 for s in range(2 ** n)])
-        rows = np.flatnonzero(parity == 0)
-        assert np.array_equal(even.states, rows) and even.dim == rows.size
-        h = full.dense()
-        assert np.array_equal(even.dense(), h[np.ix_(rows, rows)])
-        assert not np.any(h[np.ix_(np.flatnonzero(parity), rows)])
-        block = (rng.normal(size=(rows.size, width))
-                 + 1j * rng.normal(size=(rows.size, width)))
-        embedded = np.zeros((2 ** n, width), dtype=complex)
-        embedded[rows] = block
-        assert np.max(np.abs(even.apply(block) - full.apply(embedded)[rows])) \
+        block = (rng.normal(size=(sector.dim, width))
+                 + 1j * rng.normal(size=(sector.dim, width)))
+        assert np.max(np.abs(sector.apply(block) - restricted @ block)) < 1e-12
+        assert np.max(np.abs(sector.apply(block[:, 0]) - restricted @ block[:, 0])) \
             < 1e-12
-        assert np.max(np.abs(even.apply(block[:, 0]) - h[rows] @ embedded[:, 0])) \
-            < 1e-12
+
+    @pytest.mark.parametrize("n, bc, dim", [(12, "periodic", 180),
+                                            (14, "periodic", 596),
+                                            (11, "open", 1024)])
+    def test_sector_dimensions(self, n, bc, dim):
+        # orbits under translations x flip on the ring, under the flip
+        # alone on open chains: every ring stays below the dense limit
+        assert chain._SymmetricSector(n, 1.0, bc=bc).dim == dim
 
     def test_hermiticity(self):
         rng = np.random.default_rng(6)
@@ -108,6 +115,11 @@ class TestChainOperator:
             chain.ChainOperator(1, 1.0)
         with pytest.raises(ResourceGuardError):
             chain.ChainOperator(11, 1.0).dense()
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 4.5])
+    def test_non_integer_size_is_refused(self, n):
+        with pytest.raises(ResourceGuardError):
+            chain.ChainOperator(n, 1.0)
 
     def test_argument_guards(self):
         with pytest.raises(ConfigurationError):
@@ -141,6 +153,11 @@ class TestStates:
             chain.even_cat_state(15)
         with pytest.raises(ResourceGuardError):
             chain.even_cat_state(0)
+
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 4.5])
+    def test_non_integer_size_is_refused(self, n):
+        with pytest.raises(ResourceGuardError):
+            chain.even_cat_state(n)
 
 
 class TestEvolveChain:
@@ -313,10 +330,9 @@ class TestRateFunctionEd:
             with pytest.raises(InvalidArgumentError):
                 chain.rate_function_ed(n, 0.0, 1.2, t)
 
-    @given(st.sampled_from([4, 7, 10, 11, 12]), fields,
-           st.lists(times, min_size=1, max_size=3),
-           st.sampled_from(["periodic", "open"]))
-    @settings(max_examples=12, deadline=None)
+    @given(dense_sizes | chebyshev_sizes, fields,
+           st.lists(times, min_size=1, max_size=3), boundaries)
+    @settings(max_examples=16, deadline=None)
     def test_even_sector_matches_full_register(self, n, g, ts, bc):
         # the sector sweep against the literal full-register evolution
         op = chain.ChainOperator(n, g, bc=bc, coupling=0.5)
@@ -391,16 +407,17 @@ class TestEchoScanChain:
                 assert abs(mag[i, j] - mag_lit) < 1e-12
 
     @given(dense_sizes, fields, st.lists(times, min_size=1, max_size=3),
-           st.lists(angles, min_size=1, max_size=3))
+           st.lists(angles, min_size=1, max_size=3), boundaries)
     @settings(max_examples=25)
-    def test_matches_echo_chain_dense(self, n, g, ts, phis):
-        self.check_against_literal(n, g, ts, phis)
+    def test_matches_echo_chain_dense(self, n, g, ts, phis, bc):
+        self.check_against_literal(n, g, ts, phis, bc)
 
-    @given(fields, st.lists(times, min_size=1, max_size=2),
-           st.lists(angles, min_size=1, max_size=3))
-    @settings(max_examples=5)
-    def test_matches_echo_chain_chebyshev(self, g, ts, phis):
-        self.check_against_literal(12, g, ts, phis)
+    # open chains from N = 11 run the sector's Chebyshev path too
+    @given(chebyshev_sizes, fields, st.lists(times, min_size=1, max_size=2),
+           st.lists(angles, min_size=1, max_size=3), boundaries)
+    @settings(max_examples=6, deadline=None)
+    def test_matches_echo_chain_chebyshev(self, n, g, ts, phis, bc):
+        self.check_against_literal(n, g, ts, phis, bc)
 
     def test_open_chain_matches_echo_chain(self):
         self.check_against_literal(6, 1.2, [0.7, 2.9], [0.4, 3.3], bc="open")
@@ -422,11 +439,17 @@ class TestMqcSpectrumEd:
         assert np.max(np.abs(spec.components - literal.components)) < 1e-12
 
     def test_aliasing_refused_before_evolution(self, monkeypatch):
+        class Evolved(Exception):
+            pass
+
         def no_evolution(*args, **kwargs):
-            raise AssertionError("evolved before the aliasing check")
+            raise Evolved
         monkeypatch.setattr(chain, "_evolve_block", no_evolution)
         with pytest.raises(AliasingError):
             chain.mqc_spectrum_ed(6, 1.2, 1.9, m_max=6, n_phi=12)
+        # one more angle resolves the orders: the patched function evolves
+        with pytest.raises(Evolved):
+            chain.mqc_spectrum_ed(6, 1.2, 1.9, m_max=6, n_phi=13)
 
     def test_non_integer_angle_count_is_refused(self):
         with pytest.raises(InvalidArgumentError):

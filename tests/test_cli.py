@@ -275,7 +275,7 @@ def test_cli_import_does_not_load_scipy_sparse():
 
 
 def test_commands_load_no_scipy(tmp_path):
-    # only the register oracle beyond DENSE_LIMIT needs scipy.sparse
+    # only the open-chain register oracle beyond DENSE_LIMIT needs scipy.sparse
     commands = ["rate-function", "heatmap", "otoc", "spectra",
                 "pulse-schedule", "oracle-compare"]
     code = (f"import sys; from tfim_dqpt.cli import main\n"
@@ -287,19 +287,25 @@ def test_commands_load_no_scipy(tmp_path):
     assert lines == [f"{command} 0 []" for command in commands]
 
 
-def test_large_oracle_imports_sparse_before_the_pool(tmp_path):
-    config = write_config(tmp_path, "[oracle]\nn_oracle = 11\n"
-                                    "[quench]\nt_max = 1.0\n")
-    code = ("import sys; from tfim_dqpt import cli\n"
-            "fan_out = cli._fan_out\n"
-            "def probe(fn, jobs, threads):\n"
-            "    print('scipy.sparse' in sys.modules)\n"
-            "    return fan_out(fn, jobs, threads)\n"
-            "cli._fan_out = probe\n"
-            f"print(cli.main(['oracle-compare', '--gf', '1.2', '--threads', "
-            f"'1', '--config', {config!r}, '--out', "
-            f"{str(tmp_path / 'out')!r}]))\n")
-    assert run_python(code).splitlines() == ["True", "0"]
+@pytest.mark.parametrize("n_oracle, bc", [(12, "periodic"), (14, "periodic"),
+                                         (11, "open")])
+def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
+    # every periodic sector is small enough for the dense eigensystem; the
+    # open chain past DENSE_LIMIT runs Chebyshev on a sparse matrix (its
+    # rows are the documented mismatch, so the tolerance is loose)
+    config = write_config(tmp_path, f"[oracle]\nn_oracle = {n_oracle}\n"
+                                    f"bc = {bc}\n[quench]\nt_max = 1.0\n")
+    code = ("import sys; from tfim_dqpt.cli import main\n"
+            f"code = main(['oracle-compare', '--gf', '1.2', '--threads', '1', "
+            f"'--tolerance', '1', '--config', {config!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            f"print(code, {LOADED_SCIPY})\n")
+    code, loaded = run_python(code).split(" ", 1)
+    assert code == "0"
+    if bc == "periodic":
+        assert loaded == "[]"
+    else:
+        assert "'scipy.sparse'" in loaded
 
 
 def reference_fmt(value) -> str:

@@ -329,6 +329,11 @@ class TestEchoConfigValidation:
         with pytest.raises(ConfigurationError):
             echo_config(1.2, [1.0], n_phi=2)
 
+    @pytest.mark.parametrize("n_phi", [np.nan, np.inf, 8.5])
+    def test_non_integer_n_phi_is_refused(self, n_phi):
+        with pytest.raises(ConfigurationError):
+            echo_config(1.2, [1.0], n_phi=n_phi)
+
     def test_bad_time_grid(self):
         with pytest.raises(ConfigurationError):
             echo_config(1.2, [np.inf])

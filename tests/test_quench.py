@@ -47,6 +47,11 @@ class TestQuenchSpec:
         with pytest.raises(ConfigurationError):
             quench.QuenchSpec(0.0, 1.2, 8, grid_mode="bogus")
 
+    @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 8.5])
+    def test_non_integer_size_is_refused(self, n):
+        with pytest.raises(ConfigurationError):
+            quench.QuenchSpec(0.0, 1.2, n)
+
 
 class TestBlochVector:
     def test_gap_closes_at_critical_field(self):
