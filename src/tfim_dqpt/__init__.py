@@ -63,7 +63,7 @@ from .chain import (
     rate_function_ed,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AliasingError",

@@ -129,7 +129,7 @@ class ChainOperator:
 
     def __init__(self, n: int, g: float, bc: str = "periodic",
                  coupling: float = 1.0, bonds=None):
-        if not (2 <= n <= MAX_SPINS and float(n).is_integer()):
+        if not (2 <= n <= MAX_SPINS and su2._is_integral(n)):
             raise ResourceGuardError(
                 f"n must be an integer in [2, {MAX_SPINS}], got {n}")
         if bc not in BOUNDARY_CONDITIONS:
@@ -233,7 +233,7 @@ class _SymmetricSector(ChainOperator):
 
 def even_cat_state(n: int) -> np.ndarray:
     """(|+>^N + |->^N)/sqrt(2): the even fermion-parity quench state."""
-    if not (1 <= n <= MAX_SPINS and float(n).is_integer()):
+    if not (1 <= n <= MAX_SPINS and su2._is_integral(n)):
         raise ResourceGuardError(
             f"n must be an integer in [1, {MAX_SPINS}], got {n}")
     n = int(n)

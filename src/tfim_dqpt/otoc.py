@@ -92,7 +92,7 @@ class EchoConfig:
         if self.time_mode not in TIME_MODES:
             raise ConfigurationError(
                 f"time_mode must be one of {TIME_MODES}, got {self.time_mode!r}")
-        if not (self.n_phi >= 3 and float(self.n_phi).is_integer()):
+        if not (self.n_phi >= 3 and su2._is_integral(self.n_phi)):
             raise ConfigurationError(f"n_phi must be an integer >= 3, got {self.n_phi}")
         grid = np.atleast_1d(np.asarray(self.time_grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)):
@@ -133,24 +133,30 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     return backward @ (rotation_x(phi) @ (forward @ np.asarray(psi0, dtype=complex)))
 
 
-def _squared_n(config: EchoConfig) -> np.ndarray:
-    """n^2 = (2 P_k - 1)^2 per mode over (k, time grid), in place.
+def _squared_n(config: EchoConfig) -> tuple[np.ndarray, np.ndarray]:
+    """n^2 = (2 P_k - 1)^2 over (distinct modes, t), in place; multiplicities.
 
     Both observables start here, so the echo's working set is checked here
-    against the mode budget before anything is allocated: this (n_k, n_t)
-    matrix plus up to three (n_phi, n_t) arrays (the product's running
-    product and the two temporaries of each factor).
+    against the mode budget before anything is allocated: this matrix plus
+    up to three (n_phi, n_t) arrays (the product's running product and the
+    two temporaries of each factor).
     """
     n_t = config.time_grid.size
     quench._require_budget(
-        8 * n_t * (config.spec.n_modes + 3 * config.n_phi),
+        8 * n_t * ((config.spec.n_modes + 1) // 2 + 3 * config.n_phi),
         f"{config.n_phi} angles x {n_t} times over {config.spec.n_modes} modes")
-    n = quench._probabilities(config.spec, config.time_grid,
-                              normalized=config.time_mode == "normalized")
+    n, weights = quench._probabilities(
+        config.spec, config.time_grid, config.time_mode == "normalized")
     n *= 2.0
     n -= 1.0
     n *= n
-    return n
+    return n, weights
+
+
+def _mode_mean(n2: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Grid mean of n^2 from the distinct rows, which it scales in place."""
+    n2 *= weights[:, None]
+    return n2.sum(axis=0) / weights.sum()
 
 
 def _half_angle_weights(config: EchoConfig):
@@ -163,17 +169,17 @@ def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     """Echo fidelity matrix over (phi, t), aggregated over modes.
 
     Per mode |<psi0|echo>|^2 = cos^2(phi/2) + sin^2(phi/2) n^2 (n along dhat_i);
-    ``product`` multiplies modes in ascending k (the many-body Loschmidt
-    echo), ``mean`` averages them.  The phi = 0 column is identically 1:
-    unitary reversal is exact in simulation.
+    ``product`` multiplies modes (the many-body Loschmidt echo), a distinct
+    mode's factor raised to its multiplicity; ``mean`` averages them.  The
+    phi = 0 column is identically 1: unitary reversal is exact in simulation.
     """
-    n2 = _squared_n(config)
+    n2, weights = _squared_n(config)
     cos2, sin2 = _half_angle_weights(config)
     if config.aggregation == "mean":
-        return cos2 + sin2 * n2.mean(axis=0)
+        return cos2 + sin2 * _mode_mean(n2, weights)
     fids = np.ones((config.n_phi, n2.shape[1]))
-    for row in n2:
-        fids *= cos2 + sin2 * row
+    for row, weight in zip(n2, weights):
+        fids *= (cos2 + sin2 * row) ** weight
     return fids
 
 
@@ -187,15 +193,14 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
         raise ConfigurationError(
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
-    n2 = _squared_n(config)
+    mean = _mode_mean(*_squared_n(config))
     _, sin2 = _half_angle_weights(config)
-    return 0.5 * (np.cos(config.phi_values)[:, None]
-                  + 2.0 * sin2 * n2.mean(axis=0))
+    return 0.5 * (np.cos(config.phi_values)[:, None] + 2.0 * sin2 * mean)
 
 
 def require_resolvable(n_phi: int, m_max: int) -> None:
     """AliasingError unless n_phi angles resolve the orders |m| <= m_max."""
-    if not (float(n_phi).is_integer() and float(m_max).is_integer()
+    if not (su2._is_integral(n_phi) and su2._is_integral(m_max)
             and m_max >= 0):
         raise InvalidArgumentError(f"N_phi = {n_phi} and m_max = {m_max} "
                                    "must be integers, m_max >= 0")

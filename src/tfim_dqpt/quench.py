@@ -20,12 +20,13 @@ H_mode = -d . sigma, so the g = 0 ground state is |x>.  All observables
 computed here are insensitive to that sign (covered by tests).
 
 The vectorized paths treat the grid as arrays: ``_mode_geometry`` returns
-|d_f| and dhat_i . dhat_f for every k at once, and ``_probabilities``
-turns them into the (n_k, n_t) matrix of |G_k|^2 that ``mode_probabilities``,
-``rate_function``, ``return_probability_map`` and the echo observables of
-``otoc`` share.  It works in place and holds at most two (n_k, n_t) float
-arrays; requests whose mode working set exceeds ``MODE_BUDGET_BYTES`` are
-refused with ``ResourceGuardError`` before anything is allocated.
+|d_f| and dhat_i . dhat_f for every k at once.  Modes k and 2pi - k share
+both (the +-k pairing), so ``_probabilities`` computes the (n_k', n_t)
+matrix of |G_k|^2 on the n_k' ~ N/2 distinct modes k in [0, pi] only;
+``rate_function`` and ``otoc`` weight its rows by multiplicity, and
+``mode_probabilities`` and ``return_probability_map`` copy them onto the
+grid.  In place, it holds two such arrays plus that copy, and refuses a
+working set over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError`` first.
 
 Two momentum grids are supported.  ``paper`` takes k = 0, 2pi/N, ..., 2pi
 (N+1 points, both endpoints included, each weighted once in the 1/N
@@ -72,7 +73,8 @@ __all__ = [
 AMPLITUDE_FLOOR = 1e-300
 
 # Largest mode working set the vectorized paths may allocate: two float64
-# (n_k, n_t) arrays plus GEOMETRY_ROWS n_k-long arrays for the geometry.
+# (n_k', n_t) arrays and GEOMETRY_ROWS n_k'-long ones over the n_k' distinct
+# modes, plus the (n_k, n_t) copy onto the grid where one is returned.
 MODE_BUDGET_BYTES = 2 ** 30
 GEOMETRY_ROWS = 12
 
@@ -91,7 +93,7 @@ class QuenchSpec:
     def __post_init__(self):
         if not (np.isfinite(self.g_i) and np.isfinite(self.g_f)):
             raise ConfigurationError("g_i and g_f must be finite")
-        if not (self.n >= 2 and float(self.n).is_integer()):
+        if not (self.n >= 2 and su2._is_integral(self.n)):
             raise ConfigurationError(f"n must be an integer >= 2, got {self.n}")
         if self.grid_mode not in GRID_MODES:
             raise ConfigurationError(
@@ -104,9 +106,17 @@ class QuenchSpec:
         return self.n + 1 if self.grid_mode == "paper" else self.n
 
     def momentum_grid(self) -> np.ndarray:
+        return self._momenta(np.arange(self.n_modes))
+
+    def _momenta(self, j: np.ndarray) -> np.ndarray:
         if self.grid_mode == "paper":
-            return 2.0 * np.pi * np.arange(self.n + 1) / self.n
-        return (2.0 * np.arange(self.n) + 1.0) * np.pi / self.n
+            return 2.0 * np.pi * j / self.n
+        return (2.0 * j + 1.0) * np.pi / self.n
+
+    def _distinct_index(self) -> np.ndarray:
+        """Distinct mode of each grid point: k and 2pi - k are one mode."""
+        j = np.arange(self.n_modes)
+        return np.minimum(j, self.n_modes - 1 - j)
 
 
 @dataclass(frozen=True)
@@ -139,9 +149,9 @@ def _gap_squared(g, k):
     Free of the cancellation in (1 - g cos k)^2 + (g sin k)^2.  At g = -1
     the gap closes at k = pi, which no float equals, so sin k is about
     1e-16 on the grid point next to it; sin(k/2) rounds to 1 there and this
-    form gives exactly 0.  At g = +1 it is exactly 0 at k = 0.
+    form gives exactly 0.  At g = +1 it is exactly 0 at k = 0 and 2pi.
     """
-    half = np.sin(k / 2.0)
+    half = np.sin(np.minimum(k, 2.0 * np.pi - k) / 2.0)
     return (1.0 - g) ** 2 + 4.0 * g * half * half
 
 
@@ -173,24 +183,28 @@ def _require_budget(need: int, what: str) -> None:
     """ResourceGuardError when ``need`` bytes exceed MODE_BUDGET_BYTES."""
     if need > MODE_BUDGET_BYTES:
         raise ResourceGuardError(
-            f"{what} need about {need / 2 ** 20:.0f} MiB, over the "
-            f"{MODE_BUDGET_BYTES / 2 ** 20:.0f} MiB mode budget")
+            f"{what} need about {need >> 20} MiB, over the "
+            f"{MODE_BUDGET_BYTES >> 20} MiB mode budget")
 
 
-def _probabilities(spec: QuenchSpec, grid: np.ndarray,
-                   normalized: bool = False) -> np.ndarray:
-    """|G_k|^2 = cos^2(phase) + (dhat_i . dhat_f)^2 sin^2(phase), (n_k, n_t).
+def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
+                   whole_grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(|G_k|^2 over (distinct modes, n_t), each mode's multiplicity).
 
-    The phase is |d_f| t for times t, or with ``normalized`` pi tau for
-    tau = t/t0, t0 = pi/|d_f(k)|; gapless final modes keep phase 0 and
-    probability exactly 1.  Holds two (n_k, n_t) arrays at most, and
-    refuses a larger working set than MODE_BUDGET_BYTES before allocating.
-    Non-finite times raise InvalidArgumentError.
+    |G_k|^2 = cos^2(phase) + (dhat_i . dhat_f)^2 sin^2(phase), the phase
+    |d_f| t for times t, or with ``normalized`` pi tau for tau = t/t0,
+    t0 = pi/|d_f(k)|; gapless final modes keep phase 0 and probability
+    exactly 1.  ``whole_grid`` copies the rows onto the grid, weight 1 each.
+    Refuses a working set over MODE_BUDGET_BYTES before allocating;
+    non-finite times raise InvalidArgumentError.
     """
     su2._require_finite("t", grid)
-    _require_budget(8 * spec.n_modes * (2 * grid.size + GEOMETRY_ROWS),
+    count = (spec.n_modes + 1) // 2
+    copy = spec.n_modes * grid.size if whole_grid else 0
+    _require_budget(8 * (count * (2 * grid.size + GEOMETRY_ROWS) + copy),
                     f"{spec.n_modes} modes x {grid.size} times")
-    n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, spec.momentum_grid())
+    ks = spec._momenta(np.arange(count))
+    n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
     rate = np.where(n_f > 0.0, np.pi, 0.0) if normalized else n_f
     phase = np.multiply.outer(rate, grid)
     probs = np.cos(phase)
@@ -199,7 +213,10 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
     phase *= overlap[:, None]
     phase *= phase
     probs += phase
-    return probs
+    index = spec._distinct_index()
+    if whole_grid:
+        return probs[index], np.ones(spec.n_modes)
+    return probs, np.bincount(index).astype(float)
 
 
 def loschmidt_mode(spec: QuenchSpec, k: float, t):
@@ -211,8 +228,6 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
     t = su2._require_finite("t", t)
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, np.array([float(k)]))
     n_f, overlap = float(n_f[0]), float(overlap[0])
-    if n_f == 0.0:
-        return np.ones_like(t, dtype=complex) if t.ndim else complex(1.0)
     g = np.cos(n_f * t) + 1.0j * overlap * np.sin(n_f * t)
     return g if t.ndim else complex(g)
 
@@ -220,7 +235,7 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """(k grid, |G_k(t)|^2 matrix of shape (n_k, n_t)) for the spec's grid."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    probs = _probabilities(spec, ts)
+    probs = _probabilities(spec, ts, whole_grid=True)[0]
     return spec.momentum_grid(), probs
 
 
@@ -228,12 +243,13 @@ def rate_function(spec: QuenchSpec, t):
     """Loschmidt rate function f(t) = -(1/N) sum_k log |G_k(t)|^2.
 
     The sum runs over the spec's momentum grid (N+1 terms in "paper" grid
-    mode, still divided by N) in ascending-k order.  Scalar or array t.
+    mode, still divided by N), weighting each distinct mode.  Scalar or array t.
     """
     ts = np.asarray(t, dtype=float)
-    logs = _probabilities(spec, np.atleast_1d(ts))
+    logs, weights = _probabilities(spec, np.atleast_1d(ts))
     np.maximum(logs, AMPLITUDE_FLOOR, out=logs)
     np.log(logs, out=logs)
+    logs *= weights[:, None]        # not weights @ logs: BLAS-independent sum
     f = -np.sum(logs, axis=0) / spec.n
     return f if ts.ndim else float(f[0])
 
@@ -279,7 +295,7 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     if n_t < 2:
         raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
     taus = np.linspace(0.0, 2.0, n_t)
-    probs = _probabilities(spec, taus, normalized=True)
+    probs = _probabilities(spec, taus, normalized=True, whole_grid=True)[0]
     return spec.momentum_grid(), taus, probs
 
 
@@ -297,9 +313,13 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
         raise ConfigurationError(f"pulse constant must be > 0, got {c}")
     if n_t < 2:
         raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
+    _require_budget(8 * spec.n_modes * (n_t + GEOMETRY_ROWS),
+                    f"{spec.n_modes} schedule entries x {n_t} durations")
+    # judged per distinct mode: the paper grid's k = 2pi idles with k = 0
+    idle = _gap_squared(spec.g_f, spec._momenta(spec._distinct_index())) == 0.0
     entries = []
-    for k in spec.momentum_grid():
-        if _gap_squared(spec.g_f, k) == 0.0:
+    for k, gapless in zip(spec.momentum_grid(), idle):
+        if gapless:
             entries.append(PulseScheduleEntry(
                 k=float(k), axis_angle=0.0, rabi_rate=0.0,
                 durations=np.zeros(n_t), idle=True))

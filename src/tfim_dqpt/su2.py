@@ -47,6 +47,11 @@ def _require_finite(name, value):
     return arr
 
 
+def _is_integral(value) -> bool:
+    """True for Python or numpy integers, however large, and integral floats."""
+    return isinstance(value, (int, np.integer)) or float(value).is_integer()
+
+
 def pauli_dot(d) -> np.ndarray:
     """Return d . sigma as a 2x2 complex matrix."""
     d = np.asarray(d, dtype=float)

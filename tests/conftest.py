@@ -47,3 +47,15 @@ def expm_oracle(matrix: np.ndarray, t: float) -> np.ndarray:
     """Brute-force exp(-i M t) of a Hermitian matrix via eigendecomposition."""
     vals, vecs = np.linalg.eigh(matrix)
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+
+
+def mode_momenta(spec) -> np.ndarray:
+    """The spec's grid momenta with the paper grid's k = 2pi end set to 0.
+
+    Both are one mode, but 2pi N/N can miss 2pi by an ulp (N = 30), which
+    leaves |d_f| near 1e-15 at g_f = 1 where the mode k = 0 has exactly 0.
+    """
+    ks = spec.momentum_grid()
+    if spec.grid_mode == "paper":
+        ks[-1] = 0.0
+    return ks

@@ -121,6 +121,12 @@ class TestChainOperator:
         with pytest.raises(ResourceGuardError):
             chain.ChainOperator(n, 1.0)
 
+    @pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, np.int64(15)],
+                             ids=["1e400", "-1e400", "int64-15"])
+    def test_out_of_range_integer_size_is_refused(self, n):
+        with pytest.raises(ResourceGuardError):
+            chain.ChainOperator(n, 1.0)
+
     def test_argument_guards(self):
         with pytest.raises(ConfigurationError):
             chain.ChainOperator(4, 1.0, bc="twisted")
@@ -156,6 +162,12 @@ class TestStates:
 
     @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 4.5])
     def test_non_integer_size_is_refused(self, n):
+        with pytest.raises(ResourceGuardError):
+            chain.even_cat_state(n)
+
+    @pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, np.int64(15)],
+                             ids=["1e400", "-1e400", "int64-15"])
+    def test_out_of_range_integer_size_is_refused(self, n):
         with pytest.raises(ResourceGuardError):
             chain.even_cat_state(n)
 

@@ -167,8 +167,11 @@ class TestPulseSchedule:
         for row in rows:
             per_mode.setdefault((row[0], row[1]), []).append(row)
         assert all(len(v) == 100 for v in per_mode.values())  # default n_T
+        # g_f = 1 closes the gap at k = 0 and at k = 2 pi, the same mode
         idle = [r for r in rows if r[6] == "1"]
-        assert idle and all(r[0] == "1.0" and float(r[1]) == 0.0 for r in idle)
+        assert all(r[0] == "1.0" for r in idle)
+        assert sorted({float(r[1]) for r in idle}) == [0.0, 2.0 * np.pi]
+        assert len(idle) == 2 * 100
         check = read_json(out / "replay_check.json")
         assert check["max_deviation"] < 1e-12
 
@@ -526,6 +529,24 @@ class TestResourceAndRangeGuards:
         out = tmp_path / "out"
         assert main(["rate-function", "--out", str(out),
                      "--n", str(10 ** 8)]) == 2
+        assert "mode budget" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("rate-function", "--n", 10 ** 400),
+        ("heatmap", "--n", 10 ** 400),
+        ("pulse-schedule", "--n", 10 ** 400),
+        ("pulse-schedule", "--n", 10 ** 8),
+        ("otoc", "--nphi", 10 ** 400),
+    ], ids=["rate-n-1e400", "heatmap-n-1e400", "pulse-n-1e400", "pulse-n-1e8",
+            "otoc-nphi-1e400"])
+    def test_huge_size_is_refused(self, tmp_path, capsys, command, flag,
+                                  value):
+        # 10**400 overflows a float; 10**8 schedule entries would need
+        # about 80 GB: both are refused by the mode budget, exit 2
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--gf", "1.2",
+                     flag, str(value)]) == 2
         assert "mode budget" in capsys.readouterr().err
         assert not any(out.iterdir())
 

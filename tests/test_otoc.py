@@ -18,7 +18,7 @@ from tfim_dqpt.errors import (
     WindowRangeError,
 )
 
-from conftest import expm_oracle, random_state, random_su2
+from conftest import expm_oracle, mode_momenta, random_state, random_su2
 
 
 def echo_config(g_f, times, **kw):
@@ -334,6 +334,18 @@ class TestEchoConfigValidation:
         with pytest.raises(ConfigurationError):
             echo_config(1.2, [1.0], n_phi=n_phi)
 
+    def test_huge_integer_n_phi_reaches_the_guard(self):
+        # 10**400 angles: no float holds the count; the scan is refused
+        cfg = echo_config(1.2, [1.0], n_phi=10 ** 400)
+        assert cfg.n_phi == 10 ** 400
+        otoc.require_resolvable(cfg.n_phi, 3)
+        for aggregation in ("mean", "product"):
+            with pytest.raises(ResourceGuardError):
+                otoc.fidelity_otoc(echo_config(1.2, [1.0], n_phi=10 ** 400,
+                                               aggregation=aggregation))
+        with pytest.raises(ResourceGuardError):
+            otoc.magnetization_otoc(cfg)
+
     def test_bad_time_grid(self):
         with pytest.raises(ConfigurationError):
             echo_config(1.2, [np.inf])
@@ -347,11 +359,12 @@ def literal_echo(config):
     Each mode starts in psi0 = ground_state(-d_i), evolves under -d_f.sigma,
     is rotated by phi about dhat_i and evolves back; the magnetization is
     <psi|dhat_i.sigma|psi>/2.  Returns fidelities and magnetizations of
-    shape (n_k, n_t, n_phi); in normalized time mode k evolves for
-    tau * pi/|d_f(k)|, gapless final modes sit idle.
+    shape (n_k, n_t, n_phi) over the whole grid (``mode_momenta``); in
+    normalized time mode k evolves for tau * pi/|d_f(k)|, gapless final
+    modes sit idle.
     """
     spec, grid, phis = config.spec, config.time_grid, config.phi_values
-    ks = spec.momentum_grid()
+    ks = mode_momenta(spec)
     shape = (ks.size, grid.size, phis.size)
     fids, mags = np.empty(shape), np.empty(shape)
     for a, k in enumerate(ks):
@@ -381,14 +394,17 @@ class TestClosedFormEcho:
     """The closed forms in n = 2 P_k - 1 against the lab-frame literal echo."""
 
     # gapless initial (g_i = -1, even-N paper grid), gapless final modes at
-    # k = 0 (g_f = 1, paper) and k = pi (g_f = -1, odd-N abc)
+    # k = 0 and 2pi (g_f = 1, paper; 2pi N/N misses 2pi at N = 30) and
+    # k = pi (g_f = -1, odd-N abc)
     @example(-1.0, 0.5, 8, "paper", "absolute", [1.0], 5)
     @example(0.5, 1.0, 6, "paper", "normalized", [0.3, 1.7], 4)
+    @example(0.3, 1.0, 30, "paper", "normalized", [0.5, 1.0], 5)
     @example(-0.4, -1.0, 7, "abc", "absolute", [0.5, 3.0], 6)
     @example(1.1, -1.0, 8, "paper", "normalized", [0.25, 2.0], 3)
-    @given(st.sampled_from([-1.5, -1.0, -0.4, 0.3, 0.5, 0.9, 1.1, 2.0]),
+    @given(st.floats(-2.5, 2.5, allow_nan=False)
+           | st.sampled_from([-1.5, -1.0, -0.4, 0.3, 0.5, 0.9, 1.1, 2.0]),
            st.floats(-2.5, 2.5, allow_nan=False) | st.sampled_from([1.0, -1.0]),
-           st.integers(2, 9), st.sampled_from(["paper", "abc"]),
+           st.integers(2, 41), st.sampled_from(["paper", "abc"]),
            st.sampled_from(["absolute", "normalized"]),
            st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1,
                     max_size=4),

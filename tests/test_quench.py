@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from tfim_dqpt import quench, su2
 from tfim_dqpt.errors import (
@@ -18,7 +18,7 @@ from tfim_dqpt.errors import (
     UndefinedExpressionError,
 )
 
-from conftest import phase_distance
+from conftest import mode_momenta, phase_distance
 
 K_STAR_12 = float(np.arccos(5.0 / 6.0))      # 0.58569...
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))       # 2.36806...
@@ -26,6 +26,31 @@ T_C_12 = np.pi / (2.0 * np.sqrt(0.44))       # 2.36806...
 fields = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 angles = st.floats(0.0, 2.0 * np.pi, allow_nan=False, allow_infinity=False)
 times = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+# the critical fields close a gap on the grid: g = 1 at k = 0 and 2pi,
+# g = -1 at k = pi
+critical_fields = fields | st.sampled_from([1.0, -1.0])
+grid_sizes = st.integers(2, 41)
+grid_modes = st.sampled_from(["paper", "abc"])
+
+
+def literal_rate(spec, ts):
+    """-(1/N) sum of log |G_k|^2 over every grid point, from loschmidt_mode."""
+    logs = [np.log(np.maximum(np.abs(quench.loschmidt_mode(spec, k, ts)) ** 2,
+                              quench.AMPLITUDE_FLOOR))
+            for k in spec.momentum_grid()]
+    return -np.sum(logs, axis=0) / spec.n
+
+
+def literal_heatmap(spec, taus):
+    """|G_k(tau pi/|d_f(k)|)|^2 row by row; gapless final modes stay at 1."""
+    rows = []
+    for k in mode_momenta(spec):
+        if quench._gap_squared(spec.g_f, k) == 0.0:
+            rows.append(np.ones_like(taus))
+            continue
+        t0 = np.pi / np.linalg.norm(quench.bloch_vector(spec.g_f, k))
+        rows.append(np.abs(quench.loschmidt_mode(spec, k, taus * t0)) ** 2)
+    return np.array(rows)
 
 
 class TestQuenchSpec:
@@ -348,9 +373,13 @@ class TestDefaultTimeGrid:
 
 
 class TestVectorizedModes:
-    @given(fields, fields, st.integers(2, 40), st.sampled_from(["paper", "abc"]),
+    # the paper grid's k = 2pi end misses 2pi at N = 30 and idles at g_f = 1
+    @example(0.3, 1.0, 30, "paper", [1.0, 4.0])
+    @given(critical_fields, critical_fields, grid_sizes, grid_modes,
            st.lists(times, min_size=1, max_size=6))
     def test_mode_probabilities_match_loschmidt_mode(self, g_i, g_f, n, grid, ts):
+        # the rows come from the distinct modes; compare every grid point,
+        # and the heatmap's normalized rows too
         spec = quench.QuenchSpec(g_i, g_f, n, grid)
         try:
             ks, probs = quench.mode_probabilities(spec, ts)
@@ -359,10 +388,14 @@ class TestVectorizedModes:
                 for k in spec.momentum_grid():
                     quench.loschmidt_mode(spec, k, ts)
             return
+        assert np.array_equal(ks, spec.momentum_grid())
         assert probs.shape == (ks.size, len(ts))
         for k, row in zip(ks, probs):
             expected = np.abs(quench.loschmidt_mode(spec, k, ts)) ** 2
             assert np.max(np.abs(row - expected)) <= 1e-12
+        ks, taus, heat = quench.return_probability_map(spec, 41)
+        assert np.array_equal(ks, spec.momentum_grid())
+        assert np.max(np.abs(heat - literal_heatmap(spec, taus))) <= 1e-12
 
     def test_gapless_final_rows_are_exactly_one(self):
         spec = quench.QuenchSpec(0.3, 1.0, 8)
@@ -464,3 +497,91 @@ class TestVectorizedModes:
         spec = quench.QuenchSpec(0.0, 1.5, 20000)
         assert quench.rate_function(spec, np.linspace(0.0, 5.0, 500)).shape \
             == (500,)
+
+
+class TestModePairing:
+    """The distinct-mode paths against literal whole-grid evaluations."""
+
+    @pytest.mark.parametrize("grid", ["paper", "abc"])
+    def test_multiplicities_cover_the_grid(self, grid):
+        for n in range(2, 42):
+            spec = quench.QuenchSpec(0.3, 1.2, n, grid)
+            probs, weights = quench._probabilities(spec, np.array([0.0, 1.0]))
+            assert weights.sum() == spec.n_modes
+            assert probs.shape == (weights.size, 2)
+            assert weights.size == (n // 2 + 1 if grid == "paper"
+                                    else (n + 1) // 2)
+            # one unpaired mode, k = pi, exactly when the grid size is odd
+            assert np.count_nonzero(weights == 1.0) == spec.n_modes % 2
+            assert np.all((weights == 1.0) | (weights == 2.0))
+            ks = spec.momentum_grid()
+            index = spec._distinct_index()
+            assert np.bincount(index).tolist() == weights.tolist()
+            assert np.max(np.abs(np.minimum(ks, 2.0 * np.pi - ks)
+                                 - ks[index])) <= 1e-14
+
+    @given(critical_fields, critical_fields, grid_sizes, grid_modes,
+           st.lists(times, min_size=1, max_size=5))
+    def test_rate_function_matches_literal_mode_sum(self, g_i, g_f, n, grid,
+                                                    ts):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        try:
+            rate = quench.rate_function(spec, ts)
+        except GaplessModeError:
+            with pytest.raises(GaplessModeError):
+                literal_rate(spec, ts)
+            return
+        assert np.max(np.abs(rate - literal_rate(spec, ts))) <= 1e-12
+
+    @given(critical_fields, critical_fields, grid_sizes, grid_modes)
+    def test_rate_function_is_exactly_zero_at_time_zero(self, g_i, g_f, n,
+                                                        grid):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        assume(not np.any(quench._gap_squared(g_i, spec.momentum_grid())
+                          == 0.0))
+        assert quench.rate_function(spec, 0.0) == 0.0
+        assert quench.rate_function(spec, [0.0, 1.0])[0] == 0.0
+
+    @pytest.mark.parametrize("n", [8, 30, 31])
+    def test_gapless_final_mode_at_both_ends_is_idle(self, n):
+        # g_f = 1 closes the final gap at k = 0; the paper grid's k = 2pi
+        # end is the same mode, even where 2pi N/N misses 2pi (N = 30)
+        spec = quench.QuenchSpec(0.3, 1.0, n, "paper")
+        assert quench._gap_squared(1.0, 2.0 * np.pi) == 0.0
+        assert quench.loschmidt_mode(spec, 2.0 * np.pi, 3.3) == 1.0 + 0.0j
+        ends = [0, n]
+        _, probs = quench.mode_probabilities(spec, np.linspace(0.0, 9.0, 40))
+        _, _, heat = quench.return_probability_map(spec, 51)
+        assert np.all(probs[ends] == 1.0) and np.all(heat[ends] == 1.0)
+        assert np.all(np.delete(heat, ends, axis=0).min(axis=1) < 1.0)
+        entries = quench.pulse_schedule(spec)
+        assert [i for i, entry in enumerate(entries) if entry.idle] == ends
+        for entry in (entries[0], entries[-1]):
+            assert entry.rabi_rate == 0.0 and entry.axis_angle == 0.0
+            assert np.all(entry.durations == 0.0)
+        assert entries[-1].k == spec.momentum_grid()[-1]
+        assert np.all(np.isfinite(quench.rate_function(spec, [0.0, 2.0])))
+
+    def test_oversized_schedule_is_refused_before_allocating(self):
+        # 10^8 entries of 100 durations would need about 80 GB
+        spec = quench.QuenchSpec(0.0, 1.2, 10 ** 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match="mode budget"):
+                quench.pulse_schedule(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_huge_integer_size_reaches_the_guard(self):
+        # 10**400 is an integer no float holds; it must not be converted
+        spec = quench.QuenchSpec(0.0, 1.2, 10 ** 400)
+        assert spec.n == 10 ** 400
+        for call in (lambda: quench.rate_function(spec, [1.0]),
+                     lambda: quench.mode_probabilities(spec, [1.0]),
+                     lambda: quench.return_probability_map(spec, 5),
+                     lambda: quench.pulse_schedule(spec)):
+            with pytest.raises(ResourceGuardError):
+                call()
+        assert quench.QuenchSpec(0.0, 1.2, np.int64(8)).n == 8
