@@ -25,7 +25,7 @@ both (the +-k pairing), so ``_probabilities`` computes the (n_k', n_t)
 matrix of |G_k|^2 on the n_k' ~ N/2 distinct modes k in [0, pi] only;
 ``rate_function`` and ``otoc`` weight its rows by multiplicity, and
 ``mode_probabilities`` and ``return_probability_map`` copy them onto the
-grid.  In place, it holds two such arrays plus that copy, and refuses a
+grid.  In place, it holds one such array plus that copy, and refuses a
 working set over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError`` first.
 
 Two momentum grids are supported.  ``paper`` takes k = 0, 2pi/N, ..., 2pi
@@ -72,11 +72,12 @@ __all__ = [
 # an exact Fisher zero, but the rate function must stay finite if they do.
 AMPLITUDE_FLOOR = 1e-300
 
-# Largest mode working set the vectorized paths may allocate: two float64
-# (n_k', n_t) arrays and GEOMETRY_ROWS n_k'-long ones over the n_k' distinct
+# Largest mode working set the vectorized paths may allocate: one float64
+# (n_k', n_t) array and GEOMETRY_ROWS n_k'-long ones over the n_k' distinct
 # modes, plus the (n_k, n_t) copy onto the grid where one is returned.
 MODE_BUDGET_BYTES = 2 ** 30
 GEOMETRY_ROWS = 12
+_ENTRY_BYTES = 640  # object overhead per schedule entry (417 B on CPython 3.11)
 
 GRID_MODES = ("paper", "abc")
 
@@ -191,28 +192,27 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
                    whole_grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(|G_k|^2 over (distinct modes, n_t), each mode's multiplicity).
 
-    |G_k|^2 = cos^2(phase) + (dhat_i . dhat_f)^2 sin^2(phase), the phase
-    |d_f| t for times t, or with ``normalized`` pi tau for tau = t/t0,
-    t0 = pi/|d_f(k)|; gapless final modes keep phase 0 and probability
-    exactly 1.  ``whole_grid`` copies the rows onto the grid, weight 1 each.
-    Refuses a working set over MODE_BUDGET_BYTES before allocating;
-    non-finite times raise InvalidArgumentError.
+    |G_k|^2 = c^2 + (1 - c^2) cos^2(phase), c = dhat_i . dhat_f: one cosine
+    per cell, two nonnegative terms, exactly 1 at phase 0 and where c = 1
+    (gapless final modes).  The phase is |d_f| t, or pi tau for normalized
+    times tau = t/t0 (t0 = pi/|d_f|).  ``whole_grid`` copies the rows onto
+    the grid, weight 1 each.  Refuses a working set over MODE_BUDGET_BYTES
+    before allocating; non-finite times raise InvalidArgumentError.
     """
     su2._require_finite("t", grid)
     count = (spec.n_modes + 1) // 2
     copy = spec.n_modes * grid.size if whole_grid else 0
-    _require_budget(8 * (count * (2 * grid.size + GEOMETRY_ROWS) + copy),
+    _require_budget(8 * (count * (grid.size + GEOMETRY_ROWS) + copy),
                     f"{spec.n_modes} modes x {grid.size} times")
     ks = spec._momenta(np.arange(count))
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
-    rate = np.where(n_f > 0.0, np.pi, 0.0) if normalized else n_f
-    phase = np.multiply.outer(rate, grid)
-    probs = np.cos(phase)
+    rate = np.full_like(n_f, np.pi) if normalized else n_f
+    probs = np.multiply.outer(rate, grid)
+    np.cos(probs, out=probs)
     probs *= probs
-    np.sin(phase, out=phase)
-    phase *= overlap[:, None]
-    phase *= phase
-    probs += phase
+    c2 = overlap * overlap
+    probs *= (1.0 - c2)[:, None]
+    probs += c2[:, None]
     index = spec._distinct_index()
     if whole_grid:
         return probs[index], np.ones(spec.n_modes)
@@ -313,7 +313,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
         raise ConfigurationError(f"pulse constant must be > 0, got {c}")
     if n_t < 2:
         raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
-    _require_budget(8 * spec.n_modes * (n_t + GEOMETRY_ROWS),
+    _require_budget(spec.n_modes * (8 * (n_t + GEOMETRY_ROWS) + _ENTRY_BYTES),
                     f"{spec.n_modes} schedule entries x {n_t} durations")
     # judged per distinct mode: the paper grid's k = 2pi idles with k = 0
     idle = _gap_squared(spec.g_f, spec._momenta(spec._distinct_index())) == 0.0

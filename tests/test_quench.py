@@ -553,7 +553,14 @@ class TestModePairing:
         _, probs = quench.mode_probabilities(spec, np.linspace(0.0, 9.0, 40))
         _, _, heat = quench.return_probability_map(spec, 51)
         assert np.all(probs[ends] == 1.0) and np.all(heat[ends] == 1.0)
-        assert np.all(np.delete(heat, ends, axis=0).min(axis=1) < 1.0)
+        # d_i is parallel to d_f only at k = 0 and pi (0.7 sin k is their
+        # cross product), so the k = pi row of an even N never leaves 1
+        overlap = quench._mode_geometry(0.3, 1.0, spec.momentum_grid())[1]
+        rows = np.delete(np.arange(n + 1), ends)
+        parallel = rows[overlap[rows] == 1.0]
+        assert list(parallel) == ([n // 2] if n % 2 == 0 else [])
+        assert np.all(heat[parallel] == 1.0)
+        assert np.all(heat[rows[overlap[rows] < 1.0]].min(axis=1) < 1.0)
         entries = quench.pulse_schedule(spec)
         assert [i for i, entry in enumerate(entries) if entry.idle] == ends
         for entry in (entries[0], entries[-1]):
@@ -574,6 +581,29 @@ class TestModePairing:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("g_f, n_t", [(1.2, 2), (1.2, 100), (1.0, 2)])
+    def test_schedule_holds_no_more_than_its_guard_counts(self, monkeypatch,
+                                                          g_f, n_t):
+        # every entry's object overhead is counted, not only its durations;
+        # g_f = 1 adds the idle entries at both ends
+        counted = []
+        guard = quench._require_budget
+
+        def recording(need, what):
+            counted.append(need)
+            guard(need, what)
+
+        monkeypatch.setattr(quench, "_require_budget", recording)
+        spec = quench.QuenchSpec(0.0, g_f, 2000)
+        tracemalloc.start()
+        try:
+            entries = quench.pulse_schedule(spec, n_t=n_t)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == spec.n_modes and len(counted) == 1
+        assert held <= peak <= counted[0]
+
     def test_huge_integer_size_reaches_the_guard(self):
         # 10**400 is an integer no float holds; it must not be converted
         spec = quench.QuenchSpec(0.0, 1.2, 10 ** 400)
@@ -585,3 +615,49 @@ class TestModePairing:
             with pytest.raises(ResourceGuardError):
                 call()
         assert quench.QuenchSpec(0.0, 1.2, np.int64(8)).n == 8
+
+
+class TestProbabilityKernel:
+    """|G_k|^2 = c^2 + (1 - c^2) cos^2(phase): exact where it must be."""
+
+    @given(critical_fields, critical_fields, grid_sizes, grid_modes)
+    def test_exactly_one_at_time_zero(self, g_i, g_f, n, grid):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        assume(not np.any(quench._gap_squared(g_i, spec.momentum_grid())
+                          == 0.0))
+        assert np.all(quench.mode_probabilities(spec, [0.0])[1] == 1.0)
+        assert np.all(quench.return_probability_map(spec, 3)[2][:, 0] == 1.0)
+
+    # g_i = 1 on the abc grid solves to g_f = -1, where k* is undefined
+    @example(1.0, 8, "abc", 1, 0, 0.0)
+    @given(fields, grid_sizes, grid_modes, st.integers(0, 41),
+           st.integers(0, 3), st.floats(-1e-9, 1e-9))
+    def test_relative_accuracy_at_a_fisher_zero(self, g_i, n, grid, j, m, dt):
+        # put k* on grid point j: cos k* (g_i + g_f) = 1 + g_i g_f; j is a
+        # distinct mode, as rows past pi copy k, not 2pi - k to the last bit
+        ks = quench.QuenchSpec(g_i, g_i, n, grid).momentum_grid()
+        j %= (ks.size + 1) // 2
+        cos_k = np.cos(ks[j])
+        assume(abs(cos_k - g_i) > 1e-3 and abs(cos_k) < 1.0 - 1e-6)
+        g_f = (1.0 - g_i * cos_k) / (cos_k - g_i)
+        assume(abs(g_f) < 1e3 and g_i + g_f != 0.0)
+        assume(quench.critical_momentum(g_i, g_f) is not None)
+        t = quench.critical_times(g_i, g_f)[m] + dt
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        assume(not np.any(quench._gap_squared(g_i, ks) == 0.0))
+        prob = quench.mode_probabilities(spec, [t])[1][j, 0]
+        expected = abs(quench.loschmidt_mode(spec, ks[j], t)) ** 2
+        assert expected < 1e-10
+        assert abs(prob - expected) <= 1e-12 * expected
+
+    def test_rate_function_holds_one_mode_array(self):
+        spec = quench.QuenchSpec(0.3, 1.2, 20000)
+        ts = np.linspace(0.0, 5.0, 500)
+        one = 8 * ts.size * ((spec.n_modes + 1) // 2)
+        tracemalloc.start()
+        try:
+            quench.rate_function(spec, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * one
