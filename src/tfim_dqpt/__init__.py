@@ -27,7 +27,6 @@ from .su2 import (
     rotation_x,
 )
 from .quench import (
-    PulseScheduleEntry,
     QuenchSpec,
     bloch_vector,
     critical_momentum,
@@ -63,7 +62,7 @@ from .chain import (
     rate_function_ed,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AliasingError",
@@ -75,7 +74,6 @@ __all__ = [
     "MqcSpectrum",
     "NoDqptError",
     "NumericalFailureError",
-    "PulseScheduleEntry",
     "QuenchSpec",
     "ResourceGuardError",
     "SimulatorError",

@@ -16,10 +16,8 @@ printed in shortest round-trip form and the wall-clock duration goes to
 stderr, never into an artifact.  Files appear atomically (temp + rename);
 a failed write removes its temp file.
 
-Tables are written column by column: each distinct value of a column is
-turned into text once, and rows and lines are joined with ``str.join``.
-CSV and JSON share that one text path; CSV fields follow csv's
-QUOTE_MINIMAL rule.
+Tables are written column by column, each distinct value of a column
+turned into text once; CSV (csv's QUOTE_MINIMAL rule) and JSON share it.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 numerical failure.
@@ -39,7 +37,7 @@ import time
 
 import numpy as np
 
-from . import __version__, chain, otoc, quench, su2
+from . import __version__, chain, otoc, quench
 from .errors import (
     ConfigurationError,
     NoDqptError,
@@ -205,7 +203,8 @@ def validate_config(resolved: dict) -> None:
              "sweep.threads", "must be an integer >= 1")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
     _require(s["dw_threshold"] > 0, "sweep.dw_threshold", "must be positive")
-    _require(s["pulse_constant"] > 0, "sweep.pulse_constant", "must be positive")
+    _require(np.isfinite(s["pulse_constant"]) and s["pulse_constant"] > 0,
+             "sweep.pulse_constant", "must be finite and positive")
     _require(isinstance(s["n_t"], int) and s["n_t"] >= 2,
              "sweep.n_t", "must be an integer >= 2")
     _require(isinstance(o["n_oracle"], int) and 2 <= o["n_oracle"] <= chain.MAX_SPINS,
@@ -310,12 +309,8 @@ def _write_table(outdir: str, stem: str, columns: list[str], data,
                  fmt: str) -> str:
     """Write equal-length columns as ``stem.csv`` or ``stem.json``.
 
-    Each distinct value of a column chunk is formatted once (``_cells``)
-    and rows are joined in C with ``str.join``; CSV fields follow csv's
-    QUOTE_MINIMAL rule.  The JSON layout is
-    ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
-    sorted keys would write it.  Rows are formatted and written in chunks
-    into a temp file that is renamed into place at the end.
+    The JSON layout is ``{"columns": [...], "rows": [[...], ...]}``, as
+    ``json.dumps`` with sorted keys would write it.
     """
     name = f"{stem}.{fmt}"
     _atomic_write(os.path.join(outdir, name), _table_text(columns, data, fmt))
@@ -334,14 +329,9 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
     for name in names:
         with open(os.path.join(outdir, name), "rb") as handle:
             checksums[name] = hashlib.sha256(handle.read()).hexdigest()
-    manifest = {
-        "artifact_version": __version__,
-        "command": command,
-        "config": resolved,
-        "checksums": checksums,
-    }
-    _atomic_write(os.path.join(outdir, "manifest.json"),
-                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    _write_json(outdir, "manifest.json",
+                {"artifact_version": __version__, "command": command,
+                 "config": resolved, "checksums": checksums})
 
 
 def _fan_out(fn, jobs, threads: int):
@@ -388,18 +378,33 @@ def _job_otoc(job):
 
 
 def _job_pulse(job):
+    """One field's schedule and its largest |replay - target| entry.
+
+    Both are cos(a) I - i sin(a) (u_x sigma_x + u_y sigma_y).  The replay
+    reads a = rabi_rate T / 2 and u = exp(i axis_angle) off the schedule;
+    the target is d_f(k)'s propagator at j / (n_t - 1) of its period:
+    a = pi j / (n_t - 1) and u = (d_x + i d_y) / |d_f|, the identity if idle.
+    """
     g_i, g_f, n, grid, constant, n_t = job
-    spec = quench.QuenchSpec(g_i, g_f, n, grid)
-    entries = quench.pulse_schedule(spec, c=constant, n_t=n_t)
-    deviation = 0.0
-    for entry in entries:
-        d_f = quench.bloch_vector(g_f, entry.k)
-        for duration in entry.durations:
-            replay = quench.replay_unitary(entry, duration)
-            target = np.eye(2) if entry.idle else \
-                su2.evolution_unitary(d_f, constant * duration / 2.0)
-            deviation = max(deviation, float(np.max(np.abs(replay - target))))
-    return entries, deviation
+    sched = quench.pulse_schedule(quench.QuenchSpec(g_i, g_f, n, grid),
+                                  c=constant, n_t=n_t)
+    # three (n_k, n_t) arrays, plus numpy's iteration buffers for the 2-D ops
+    quench._require_budget(8 * len(sched) * (4 * n_t + quench.GEOMETRY_ROWS),
+                           f"replay check of {sched.durations.size} pulses")
+    d_x, d_y = 1.0 - g_f * np.cos(sched.k), g_f * np.sin(sched.k)
+    norm = np.where(sched.idle, np.inf, np.hypot(d_x, d_y))  # u = 0 if idle
+    turn = np.linspace(0.0, np.pi, n_t)
+    replay = sched.durations * (0.5 * sched.rabi_rate)[:, None]
+    target = np.cos(np.multiply.outer(~sched.idle, turn))
+    np.subtract(np.cos(replay), target, out=target)
+    worst = np.abs(target, out=target).max()            # |cos a - cos a'|
+    np.sin(replay, out=replay)
+    np.multiply(replay, np.cos(sched.axis_angle)[:, None], out=target)
+    target -= np.multiply.outer(d_x / norm, np.sin(turn))
+    replay *= np.sin(sched.axis_angle)[:, None]
+    replay -= np.multiply.outer(d_y / norm, np.sin(turn))
+    off = np.hypot(target, replay, out=target).max()    # |sin a u - sin a' u'|
+    return sched, float(np.maximum(worst, off))
 
 
 def _job_compare(job):
@@ -559,25 +564,19 @@ def cmd_pulse_schedule(resolved: dict) -> None:
     jobs = [(q["g_i"], g_f, q["n"], q["grid"], s["pulse_constant"], s["n_t"])
             for g_f in q["g_f"]]
     results = _fan_out(_job_pulse, jobs, s["threads"])
-    entries = [entry for entries, _ in results for entry in entries]
-    per_entry = s["n_t"]
-    data = [np.repeat(q["g_f"], len(results[0][0]) * per_entry),
-            np.repeat([entry.k for entry in entries], per_entry),
-            np.repeat([entry.axis_angle for entry in entries], per_entry),
-            np.repeat([entry.rabi_rate for entry in entries], per_entry),
-            np.tile(np.arange(per_entry), len(entries)),
-            np.concatenate([entry.durations for entry in entries]),
-            np.repeat([entry.idle for entry in entries], per_entry)]
+    sched, n_t = np.concatenate([sched for sched, _ in results]), s["n_t"]
+    data = [np.repeat(q["g_f"], len(sched) // len(results) * n_t),
+            *(np.repeat(sched[name], n_t) for name in sched.dtype.names[:3]),
+            np.tile(np.arange(n_t), len(sched)), sched["durations"].ravel(),
+            np.repeat(sched["idle"], n_t)]
     names = [_write_table(out["out"], "schedule",
-                          ["g_f", "k", "axis_angle", "rabi_rate",
-                           "duration_index", "duration", "idle"],
-                          data, out["format"])]
-    payload = {
+                          ["g_f", *sched.dtype.names[:3], "duration_index",
+                           "duration", "idle"], data, out["format"])]
+    deviations = [deviation for _, deviation in results]
+    names.append(_write_json(out["out"], "replay_check.json", {
         "per_g_f": [{"g_f": g_f, "max_deviation": deviation}
-                    for g_f, (_, deviation) in zip(q["g_f"], results)],
-        "max_deviation": max(dev for _, dev in results),
-    }
-    names.append(_write_json(out["out"], "replay_check.json", payload))
+                    for g_f, deviation in zip(q["g_f"], deviations)],
+        "max_deviation": max(deviations)}))
     _write_manifest(out["out"], "pulse-schedule", resolved, names)
 
 

@@ -28,6 +28,11 @@ matrix of |G_k|^2 on the n_k' ~ N/2 distinct modes k in [0, pi] only;
 grid.  In place, it holds one such array plus that copy, and refuses a
 working set over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError`` first.
 
+``pulse_schedule`` writes the drive of every grid mode as one record array
+(fields ``k``, ``axis_angle``, ``rabi_rate``, ``durations`` (n_t,) and
+``idle``), built from the same Bloch-vector arrays and counted against the
+same budget; ``replay_unitary`` replays one record as a literal rotation.
+
 Two momentum grids are supported.  ``paper`` takes k = 0, 2pi/N, ..., 2pi
 (N+1 points, both endpoints included, each weighted once in the 1/N
 average).  ``abc`` takes the anti-periodic momenta k = (2n+1) pi/N, which
@@ -52,7 +57,6 @@ from . import su2
 
 __all__ = [
     "QuenchSpec",
-    "PulseScheduleEntry",
     "bloch_vector",
     "loschmidt_mode",
     "mode_probabilities",
@@ -77,7 +81,6 @@ AMPLITUDE_FLOOR = 1e-300
 # modes, plus the (n_k, n_t) copy onto the grid where one is returned.
 MODE_BUDGET_BYTES = 2 ** 30
 GEOMETRY_ROWS = 12
-_ENTRY_BYTES = 640  # object overhead per schedule entry (417 B on CPython 3.11)
 
 GRID_MODES = ("paper", "abc")
 
@@ -118,25 +121,6 @@ class QuenchSpec:
         """Distinct mode of each grid point: k and 2pi - k are one mode."""
         j = np.arange(self.n_modes)
         return np.minimum(j, self.n_modes - 1 - j)
-
-
-@dataclass(frozen=True)
-class PulseScheduleEntry:
-    """Experimental drive for one momentum mode.
-
-    The rotation axis lies in the xy plane at ``axis_angle`` from x, the
-    Rabi rate is ``rabi_rate`` = C |d_f(k)|, and ``durations`` sweep one
-    full period [0, 2 pi / rabi_rate].  Replaying duration T as a Bloch
-    rotation by angle rabi_rate * T reproduces the mode propagator at
-    simulation time rabi_rate * T / (2 |d_f|) = C T / 2: the schedule keeps
-    the normalized precession speed identical for every mode.
-    """
-
-    k: float
-    axis_angle: float
-    rabi_rate: float
-    durations: np.ndarray
-    idle: bool = False
 
 
 def bloch_vector(g: float, k: float) -> np.ndarray:
@@ -292,54 +276,68 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     t0 = pi/|d_f(k)|, matching how the mode sweeps are displayed; gapless
     final modes give a row of ones.  Returns (k grid, tau grid, matrix).
     """
-    if n_t < 2:
-        raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
-    taus = np.linspace(0.0, 2.0, n_t)
+    if not (su2._is_integral(n_t) and n_t >= 2):
+        raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
+    taus = np.linspace(0.0, 2.0, int(n_t))
     probs = _probabilities(spec, taus, normalized=True, whole_grid=True)[0]
     return spec.momentum_grid(), taus, probs
 
 
 def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
-                   n_t: int = 100) -> list[PulseScheduleEntry]:
-    """Experimental drive schedule: one rotation entry per grid momentum.
+                   n_t: int = 100) -> np.recarray:
+    """Experimental drive schedule: one record per grid momentum.
 
-    The axis angle is taken as atan2(d_y, d_x), which equals the quoted
-    arcsin(g_f sin k / |d_f|) whenever d_x >= 0 and, unlike the arcsin,
-    stays on the correct half-plane when 1 - g_f cos k < 0 (g_f > 1 near
-    k = 0); the replay identity below then holds for every mode.
-    Durations are n_t uniform samples of one full period [0, 2 pi/Omega].
+    ``axis_angle`` = atan2(d_y, d_x) places the rotation axis in the xy
+    plane; it equals the quoted arcsin(g_f sin k / |d_f|) whenever d_x >= 0
+    and, unlike the arcsin, keeps the half-plane when 1 - g_f cos k < 0
+    (g_f > 1 near k = 0).  ``rabi_rate`` = c |d_f(k)|, and ``durations``
+    sample one period [0, 2 pi / rabi_rate] n_t times, as np.linspace does:
+    replaying T as a rotation by rabi_rate T gives the mode propagator at
+    c T / 2, the same normalized precession speed for every mode.  Gapless
+    final modes are ``idle``, with zero axis, rate and durations.  Refuses a
+    constant for which a rate or its period is not a finite float.
     """
     if not (c > 0.0 and np.isfinite(c)):
-        raise ConfigurationError(f"pulse constant must be > 0, got {c}")
-    if n_t < 2:
-        raise ConfigurationError(f"n_t must be >= 2, got {n_t}")
-    _require_budget(spec.n_modes * (8 * (n_t + GEOMETRY_ROWS) + _ENTRY_BYTES),
-                    f"{spec.n_modes} schedule entries x {n_t} durations")
+        raise ConfigurationError(
+            f"pulse constant must be finite and > 0, got {c}")
+    if not (su2._is_integral(n_t) and n_t >= 2):
+        raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
+    n_t = int(n_t)
+    _require_budget(8 * spec.n_modes * (n_t + GEOMETRY_ROWS),
+                    f"{spec.n_modes} schedule rows x {n_t} durations")
     # judged per distinct mode: the paper grid's k = 2pi idles with k = 0
     idle = _gap_squared(spec.g_f, spec._momenta(spec._distinct_index())) == 0.0
-    entries = []
-    for k, gapless in zip(spec.momentum_grid(), idle):
-        if gapless:
-            entries.append(PulseScheduleEntry(
-                k=float(k), axis_angle=0.0, rabi_rate=0.0,
-                durations=np.zeros(n_t), idle=True))
-            continue
-        d_f = bloch_vector(spec.g_f, k)
-        omega = c * float(np.sqrt(d_f @ d_f))
-        entries.append(PulseScheduleEntry(
-            k=float(k),
-            axis_angle=float(np.arctan2(d_f[1], d_f[0])),
-            rabi_rate=omega,
-            durations=np.linspace(0.0, 2.0 * np.pi / omega, n_t),
-        ))
-    return entries
+    sched = np.recarray(spec.n_modes, dtype=[
+        ("k", float), ("axis_angle", float), ("rabi_rate", float),
+        ("durations", float, (n_t,)), ("idle", bool)])
+    ks = spec.momentum_grid()
+    sched.k, sched.idle = ks, idle
+    x, y = 1.0 - spec.g_f * np.cos(ks), spec.g_f * np.sin(ks)
+    sched.axis_angle = np.where(idle, 0.0, np.arctan2(y, x))
+    with np.errstate(over="ignore", divide="ignore"):
+        sched.rabi_rate = np.where(idle, 0.0, c * np.sqrt(x * x + y * y))
+        period = np.divide(2.0 * np.pi, sched.rabi_rate, where=~idle,
+                           out=np.zeros_like(ks))
+    if not (np.isfinite(sched.rabi_rate).all() and np.isfinite(period).all()):
+        raise ConfigurationError(
+            f"pulse constant {c} puts a Rabi rate or its period 2 pi/rate "
+            "out of the float range")
+    # np.linspace(0, period, n_t) on every row: j * (period / (n_t - 1)) and
+    # the period last, one strided column at a time (a 2-D product would
+    # allocate numpy's iteration buffers on top of the schedule)
+    step = period / (n_t - 1)
+    for j in range(n_t - 1):
+        np.multiply(step, j, out=sched.durations[:, j])
+    sched.durations[:, -1] = period
+    return sched
 
 
-def replay_unitary(entry: PulseScheduleEntry, duration: float) -> np.ndarray:
-    """Bloch rotation by angle Omega*T about the entry's in-plane axis.
+def replay_unitary(entry, duration: float) -> np.ndarray:
+    """Bloch rotation by angle Omega*T about one schedule record's axis.
 
     Equals evolution_unitary(d_f(k), Omega*T / (2 |d_f|)) up to global
-    phase; idle entries replay as the identity.
+    phase; idle records replay as the identity.  The literal per-record
+    oracle of the closed-form replay check.
     """
     if entry.idle:
         return np.eye(2, dtype=complex)

@@ -11,14 +11,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from tfim_dqpt import cli, quench
+from tfim_dqpt import cli, quench, su2
 from tfim_dqpt.cli import main
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
@@ -181,6 +183,132 @@ class TestPulseSchedule:
                      "--n", "4", "--nt", "7"]) == 0
         _, rows = read_csv(out / "schedule.csv")
         assert len(rows) == 5 * 7  # paper grid has n+1 modes
+
+
+# the critical fields close a final gap on the grid: idle rows at k = 0, 2pi
+# (g_f = 1) and k = pi (g_f = -1)
+critical_fields = (st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+                   | st.sampled_from([1.0, -1.0]))
+CORRUPTIONS = ("arcsin_axis", "rabi_rate", "duration")
+
+
+def closed_form_deviation(sched, g_f):
+    """The replay check of ``cli._job_pulse``, run on the given schedule."""
+    with mock.patch.object(quench, "pulse_schedule", return_value=sched):
+        job = (0.0, g_f, 2, "paper", 1.0, sched.durations.shape[1])
+        return cli._job_pulse(job)[1]
+
+
+def literal_deviation(sched, g_f):
+    """Largest |replay_unitary - evolution_unitary| entry, pulse by pulse.
+
+    The target of pulse j is the propagator of d_f(k) at j / (n_t - 1) of
+    the mode's period pi / |d_f|; idle rows replay and target the identity.
+    """
+    n_t = sched.durations.shape[1]
+    worst = 0.0
+    for entry in sched:
+        d_f = quench.bloch_vector(g_f, entry.k)
+        for j, duration in enumerate(entry.durations):
+            target = np.eye(2) if entry.idle else su2.evolution_unitary(
+                d_f, np.pi * j / ((n_t - 1) * np.linalg.norm(d_f)))
+            replay = quench.replay_unitary(entry, duration)
+            worst = max(worst, float(np.max(np.abs(replay - target))))
+    return worst
+
+
+class TestReplayCheck:
+    """The closed-form replay check against the literal per-pulse one."""
+
+    @example(1.2, 8, "paper", 1.0, 5, 0, "arcsin_axis")
+    @example(-1.5, 9, "abc", 0.3, 7, 0, "arcsin_axis")
+    @given(critical_fields, st.integers(2, 30), st.sampled_from(["paper", "abc"]),
+           st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), st.integers(2, 12),
+           st.integers(0, 10 ** 6), st.sampled_from(CORRUPTIONS))
+    def test_corrupted_column_is_caught_as_the_literal_check_sees_it(
+            self, g_f, n, grid, c, n_t, pick, corruption):
+        sched = quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, n, grid),
+                                      c=c, n_t=n_t)
+        assert closed_form_deviation(sched, g_f) <= 1e-12
+        assert literal_deviation(sched, g_f) <= 1e-12
+        bad, live = sched.copy(), np.flatnonzero(~sched.idle)
+        visible = True
+        if corruption == "arcsin_axis":
+            # the quoted arcsin(d_y / |d_f|): wrong where d_x < 0, that is
+            # |g_f| > 1 near k = 0 (g_f > 1) or k = pi (g_f < -1)
+            d_x = 1.0 - g_f * np.cos(sched.k[live])
+            d_y = g_f * np.sin(sched.k[live])
+            bad.axis_angle[live] = np.arcsin(
+                np.clip(d_y / np.hypot(d_x, d_y), -1.0, 1.0))
+            # an axis error shows through sin a, a = pi j / (n_t - 1): a
+            # schedule of n_t = 2 turns by 0 and pi only, on any axis
+            moved = np.abs(np.exp(1j * bad.axis_angle)
+                           - np.exp(1j * sched.axis_angle)).max()
+            visible = moved * np.sin(np.linspace(0.0, np.pi, n_t)).max() > 1e-6
+        elif corruption == "rabi_rate":
+            bad.rabi_rate *= 1.0 + 1e-6
+        else:
+            row = live[pick % live.size]
+            bad.durations[row, pick % n_t] += 1e-6 * sched.durations[row, -1]
+        closed = closed_form_deviation(bad, g_f)
+        assert abs(closed - literal_deviation(bad, g_f)) <= 1e-12
+        if visible:
+            assert closed > 1e-7
+
+    @pytest.mark.parametrize("g_f, n_t", [(1.2, 2), (1.2, 100), (1.0, 2)])
+    def test_check_holds_no_more_than_its_guard_counts(self, monkeypatch,
+                                                       g_f, n_t):
+        # the three (n_k, n_t) arrays and numpy's iteration buffers
+        sched = quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, 2000),
+                                      n_t=n_t)
+        counted = []
+        guard = quench._require_budget
+
+        def recording(need, what):
+            counted.append(need)
+            guard(need, what)
+
+        monkeypatch.setattr(quench, "_require_budget", recording)
+        monkeypatch.setattr(quench, "pulse_schedule", lambda *_, **__: sched)
+        tracemalloc.start()
+        try:
+            _, deviation = cli._job_pulse((0.0, g_f, 2000, "paper", 1.0, n_t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert deviation <= 1e-13 and len(counted) == 1
+        assert peak <= counted[0]
+
+    def test_cli_path_replays_no_single_pulse(self, tmp_path):
+        with mock.patch.object(su2, "evolution_unitary",
+                               side_effect=AssertionError), \
+                mock.patch.object(quench, "replay_unitary",
+                                  side_effect=AssertionError):
+            assert main(["pulse-schedule", "--out", str(tmp_path / "p"),
+                         "--gf", "1.0,1.2", "--threads", "1"]) == 0
+        assert read_json(tmp_path / "p" / "replay_check.json")[
+            "max_deviation"] <= 1e-13
+
+    @pytest.mark.parametrize("constant", ["1e-320", "1e308"])
+    @pytest.mark.parametrize("g_f", ["1.0", "1.2"])
+    def test_pulse_constant_out_of_float_range_is_refused(
+            self, tmp_path, capsys, constant, g_f):
+        # 2 pi / Omega overflows at 1e-320, Omega itself at 1e308
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["pulse-schedule", "--out", str(out), "--gf", g_f,
+                         "--pulse-constant", constant]) == 2
+        assert f"pulse constant {float(constant)}" in capsys.readouterr().err
+        assert not list(out.glob("schedule.*"))
+
+    def test_infinite_pulse_constant_is_refused_up_front(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        assert main(["pulse-schedule", "--out", str(out),
+                     "--pulse-constant", "inf"]) == 2
+        assert "sweep.pulse_constant" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFormatsAndConfig:

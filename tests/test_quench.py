@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -314,9 +317,10 @@ class TestPulseSchedule:
         # schedule grids never contain k* exactly; check the axis formula there
         angle = np.arctan2(d_f[1], d_f[0])
         assert angle == pytest.approx(np.pi / 2, abs=1e-12)
-        entry = quench.PulseScheduleEntry(
+        entry = SimpleNamespace(
             k=K_STAR_12, axis_angle=angle, rabi_rate=np.linalg.norm(d_f),
-            durations=np.linspace(0, 2 * np.pi / np.linalg.norm(d_f), 100))
+            durations=np.linspace(0, 2 * np.pi / np.linalg.norm(d_f), 100),
+            idle=False)
         u = quench.replay_unitary(entry, 1.3)
         target = su2.evolution_unitary(d_f, entry.rabi_rate * 1.3 /
                                        (2 * np.linalg.norm(d_f)))
@@ -358,6 +362,39 @@ class TestPulseSchedule:
             quench.pulse_schedule(spec, c=0.0)
         with pytest.raises(ConfigurationError):
             quench.pulse_schedule(spec, n_t=1)
+
+    @pytest.mark.parametrize("c", [1e-320, 1e308])
+    @pytest.mark.parametrize("g_f", [1.0, 1.2])
+    def test_constant_out_of_float_range_is_refused(self, c, g_f):
+        # 2 pi / Omega overflows at 1e-320, Omega itself at 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=re.escape(f"pulse constant {c} ")):
+                quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, 8), c=c)
+
+    def test_schedule_is_one_record_array(self):
+        spec = quench.QuenchSpec(0.0, 1.0, 8)
+        sched = quench.pulse_schedule(spec, c=2.0, n_t=7.0)
+        assert isinstance(sched, np.recarray)
+        assert sched.dtype.names == ("k", "axis_angle", "rabi_rate",
+                                     "durations", "idle")
+        assert sched.durations.shape == (spec.n_modes, 7)
+        assert np.array_equal(sched.k, spec.momentum_grid())
+        assert sched.idle.tolist() == [True] + [False] * 7 + [True]
+        # each row is np.linspace over one period, to the last bit
+        for entry in sched[~sched.idle]:
+            assert np.array_equal(entry.durations, np.linspace(
+                0.0, 2.0 * np.pi / entry.rabi_rate, 7))
+        assert np.all(sched.durations[sched.idle] == 0.0)
+
+
+@pytest.mark.parametrize("size", [2.5, float("nan"), float("inf")])
+def test_non_integral_sizes_are_refused(size):
+    spec = quench.QuenchSpec(0.0, 1.2, 8)
+    for call in (lambda: quench.pulse_schedule(spec, n_t=size),
+                 lambda: quench.return_probability_map(spec, size)):
+        with pytest.raises(ConfigurationError, match="n_t must be an integer"):
+            call()
 
 
 class TestDefaultTimeGrid:
