@@ -16,8 +16,10 @@ printed in shortest round-trip form and the wall-clock duration goes to
 stderr, never into an artifact.  Files appear atomically (temp + rename);
 a failed write removes its temp file.
 
-Tables are written column by column, each distinct value of a column
-turned into text once; CSV (csv's QUOTE_MINIMAL rule) and JSON share it.
+Tables are written column by column: each distinct value of a column is
+turned into text once, and rows and lines are joined with ``str.join``.
+CSV and JSON share that one text path; CSV fields follow csv's
+QUOTE_MINIMAL rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 numerical failure.
@@ -309,8 +311,12 @@ def _write_table(outdir: str, stem: str, columns: list[str], data,
                  fmt: str) -> str:
     """Write equal-length columns as ``stem.csv`` or ``stem.json``.
 
-    The JSON layout is ``{"columns": [...], "rows": [[...], ...]}``, as
-    ``json.dumps`` with sorted keys would write it.
+    Each distinct value of a column chunk is formatted once (``_cells``)
+    and rows are joined in C with ``str.join``; CSV fields follow csv's
+    QUOTE_MINIMAL rule.  The JSON layout is
+    ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
+    sorted keys would write it.  Rows are formatted and written in chunks
+    into a temp file that is renamed into place at the end.
     """
     name = f"{stem}.{fmt}"
     _atomic_write(os.path.join(outdir, name), _table_text(columns, data, fmt))
@@ -329,9 +335,14 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
     for name in names:
         with open(os.path.join(outdir, name), "rb") as handle:
             checksums[name] = hashlib.sha256(handle.read()).hexdigest()
-    _write_json(outdir, "manifest.json",
-                {"artifact_version": __version__, "command": command,
-                 "config": resolved, "checksums": checksums})
+    manifest = {
+        "artifact_version": __version__,
+        "command": command,
+        "config": resolved,
+        "checksums": checksums,
+    }
+    _atomic_write(os.path.join(outdir, "manifest.json"),
+                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def _fan_out(fn, jobs, threads: int):
@@ -378,33 +389,39 @@ def _job_otoc(job):
 
 
 def _job_pulse(job):
-    """One field's schedule and its largest |replay - target| entry.
+    """One field's schedule and its largest deviation from d_f(k).
 
-    Both are cos(a) I - i sin(a) (u_x sigma_x + u_y sigma_y).  The replay
-    reads a = rabi_rate T / 2 and u = exp(i axis_angle) off the schedule;
-    the target is d_f(k)'s propagator at j / (n_t - 1) of its period:
-    a = pi j / (n_t - 1) and u = (d_x + i d_y) / |d_f|, the identity if idle.
+    Replay and target are cos(a) I - i sin(a) (u . sigma).  The replay reads
+    a = rabi_rate T / 2 and u = exp(i axis_angle) off the schedule; the
+    target is d_f(k)'s propagator at C T / 2 (the identity if idle), and
+    its angle must also be pi j / (n_t - 1) at duration j: one period.
     """
     g_i, g_f, n, grid, constant, n_t = job
     sched = quench.pulse_schedule(quench.QuenchSpec(g_i, g_f, n, grid),
                                   c=constant, n_t=n_t)
-    # three (n_k, n_t) arrays, plus numpy's iteration buffers for the 2-D ops
-    quench._require_budget(8 * len(sched) * (4 * n_t + quench.GEOMETRY_ROWS),
+    # four (n_k, n_t) arrays, and numpy's iteration buffers (3 operands)
+    quench._require_budget(8 * (len(sched) * (4 * n_t + quench.GEOMETRY_ROWS)
+                                + 3 * np.getbufsize()),
                            f"replay check of {sched.durations.size} pulses")
+    live = ~sched.idle
     d_x, d_y = 1.0 - g_f * np.cos(sched.k), g_f * np.sin(sched.k)
-    norm = np.where(sched.idle, np.inf, np.hypot(d_x, d_y))  # u = 0 if idle
-    turn = np.linspace(0.0, np.pi, n_t)
-    replay = sched.durations * (0.5 * sched.rabi_rate)[:, None]
-    target = np.cos(np.multiply.outer(~sched.idle, turn))
-    np.subtract(np.cos(replay), target, out=target)
-    worst = np.abs(target, out=target).max()            # |cos a - cos a'|
-    np.sin(replay, out=replay)
-    np.multiply(replay, np.cos(sched.axis_angle)[:, None], out=target)
-    target -= np.multiply.outer(d_x / norm, np.sin(turn))
-    replay *= np.sin(sched.axis_angle)[:, None]
-    replay -= np.multiply.outer(d_y / norm, np.sin(turn))
-    off = np.hypot(target, replay, out=target).max()    # |sin a u - sin a' u'|
-    return sched, float(np.maximum(worst, off))
+    norm = np.hypot(d_x, d_y) * live                     # |d_f|, 0 if idle
+    u_x, u_y = (np.divide(d, norm, out=np.zeros_like(d), where=live)[:, None]
+                for d in (d_x, d_y))
+    a = sched.durations * (0.5 * sched.rabi_rate)[:, None]   # replay angle
+    b = sched.durations * (0.5 * constant * norm)[:, None]   # target angle
+    w = np.multiply.outer(live, np.linspace(0.0, np.pi, n_t))
+    drift = np.abs(np.subtract(w, b, out=w), out=w).max()  # |pi j/(n_t-1) - a'|
+    x = np.cos(b)
+    diag = np.abs(np.subtract(np.cos(a, out=w), x, out=w), out=w).max()
+    np.sin(a, out=a)
+    np.sin(b, out=b)
+    np.subtract(np.multiply(a, np.cos(sched.axis_angle)[:, None], out=w),
+                np.multiply(b, u_x, out=x), out=w)
+    a *= np.sin(sched.axis_angle)[:, None]
+    a -= np.multiply(b, u_y, out=b)
+    off = np.hypot(w, a, out=w).max()                    # |sin a u - sin a' u'|
+    return sched, float(max(drift, diag, off))
 
 
 def _job_compare(job):

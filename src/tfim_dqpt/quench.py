@@ -303,13 +303,15 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
     if not (su2._is_integral(n_t) and n_t >= 2):
         raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
     n_t = int(n_t)
-    _require_budget(8 * spec.n_modes * (n_t + GEOMETRY_ROWS),
+    # the rows, and numpy's iteration buffers (3 operands) for the 2-D fill
+    _require_budget(8 * (spec.n_modes * (n_t + GEOMETRY_ROWS)
+                         + 3 * np.getbufsize()),
                     f"{spec.n_modes} schedule rows x {n_t} durations")
     # judged per distinct mode: the paper grid's k = 2pi idles with k = 0
     idle = _gap_squared(spec.g_f, spec._momenta(spec._distinct_index())) == 0.0
-    sched = np.recarray(spec.n_modes, dtype=[
+    sched = np.recarray(spec.n_modes, dtype=np.dtype([
         ("k", float), ("axis_angle", float), ("rabi_rate", float),
-        ("durations", float, (n_t,)), ("idle", bool)])
+        ("durations", float, (n_t,)), ("idle", bool)], align=True))
     ks = spec.momentum_grid()
     sched.k, sched.idle = ks, idle
     x, y = 1.0 - spec.g_f * np.cos(ks), spec.g_f * np.sin(ks)
@@ -322,12 +324,10 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
         raise ConfigurationError(
             f"pulse constant {c} puts a Rabi rate or its period 2 pi/rate "
             "out of the float range")
-    # np.linspace(0, period, n_t) on every row: j * (period / (n_t - 1)) and
-    # the period last, one strided column at a time (a 2-D product would
-    # allocate numpy's iteration buffers on top of the schedule)
-    step = period / (n_t - 1)
-    for j in range(n_t - 1):
-        np.multiply(step, j, out=sched.durations[:, j])
+    # np.linspace(0, period, n_t) on every row: j * (period / (n_t - 1)),
+    # the period last
+    np.multiply.outer(period / (n_t - 1), np.arange(n_t, dtype=float),
+                      out=sched.durations)
     sched.durations[:, -1] = period
     return sched
 

@@ -192,29 +192,43 @@ critical_fields = (st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 CORRUPTIONS = ("arcsin_axis", "rabi_rate", "duration")
 
 
-def closed_form_deviation(sched, g_f):
+def closed_form_deviation(sched, g_f, c):
     """The replay check of ``cli._job_pulse``, run on the given schedule."""
     with mock.patch.object(quench, "pulse_schedule", return_value=sched):
-        job = (0.0, g_f, 2, "paper", 1.0, sched.durations.shape[1])
+        job = (0.0, g_f, 2, "paper", c, sched.durations.shape[1])
         return cli._job_pulse(job)[1]
 
 
-def literal_deviation(sched, g_f):
+def literal_deviation(sched, g_f, c):
     """Largest |replay_unitary - evolution_unitary| entry, pulse by pulse.
 
-    The target of pulse j is the propagator of d_f(k) at j / (n_t - 1) of
-    the mode's period pi / |d_f|; idle rows replay and target the identity.
+    The target of duration T is the propagator of d_f(k) at c T / 2, whose
+    angle c |d_f| T / 2 must also be pi j / (n_t - 1) at index j (the angle
+    difference counts too); idle rows replay and target the identity.
     """
     n_t = sched.durations.shape[1]
     worst = 0.0
     for entry in sched:
         d_f = quench.bloch_vector(g_f, entry.k)
         for j, duration in enumerate(entry.durations):
-            target = np.eye(2) if entry.idle else su2.evolution_unitary(
-                d_f, np.pi * j / ((n_t - 1) * np.linalg.norm(d_f)))
             replay = quench.replay_unitary(entry, duration)
-            worst = max(worst, float(np.max(np.abs(replay - target))))
+            if entry.idle:
+                target, drift = np.eye(2), 0.0
+            else:
+                target = su2.evolution_unitary(d_f, c * duration / 2.0)
+                drift = abs(c * np.linalg.norm(d_f) * duration / 2.0
+                            - np.pi * j / (n_t - 1))
+            worst = max(worst, drift, float(np.max(np.abs(replay - target))))
     return worst
+
+
+def retimed(sched, rate):
+    """``sched`` driven at ``rate``, its durations following: period 2 pi/rate."""
+    bad = sched.copy()
+    bad.durations *= np.divide(sched.rabi_rate, rate, out=np.zeros_like(rate),
+                               where=~sched.idle)[:, None]
+    bad.rabi_rate = rate
+    return bad
 
 
 class TestReplayCheck:
@@ -229,8 +243,8 @@ class TestReplayCheck:
             self, g_f, n, grid, c, n_t, pick, corruption):
         sched = quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, n, grid),
                                       c=c, n_t=n_t)
-        assert closed_form_deviation(sched, g_f) <= 1e-12
-        assert literal_deviation(sched, g_f) <= 1e-12
+        assert closed_form_deviation(sched, g_f, c) <= 1e-12
+        assert literal_deviation(sched, g_f, c) <= 1e-12
         bad, live = sched.copy(), np.flatnonzero(~sched.idle)
         visible = True
         if corruption == "arcsin_axis":
@@ -250,15 +264,29 @@ class TestReplayCheck:
         else:
             row = live[pick % live.size]
             bad.durations[row, pick % n_t] += 1e-6 * sched.durations[row, -1]
-        closed = closed_form_deviation(bad, g_f)
-        assert abs(closed - literal_deviation(bad, g_f)) <= 1e-12
+        closed = closed_form_deviation(bad, g_f, c)
+        assert abs(closed - literal_deviation(bad, g_f, c)) <= 1e-12
         if visible:
             assert closed > 1e-7
+
+    @pytest.mark.parametrize("mistake", ["constant dropped", "sqrt dropped"])
+    @pytest.mark.parametrize("g_f", [0.5, 1.2])
+    def test_schedule_at_a_wrong_rate_is_caught(self, g_f, mistake):
+        # the durations follow the wrong rate, so only the constant shows it
+        c = 2.5
+        sched = quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, 8), c=c)
+        rate = sched.rabi_rate / c
+        if mistake == "sqrt dropped":
+            rate = c * rate ** 2
+        bad = retimed(sched, rate)
+        assert closed_form_deviation(bad, g_f, c) > 1e-2
+        assert literal_deviation(bad, g_f, c) == pytest.approx(
+            closed_form_deviation(bad, g_f, c), abs=1e-12)
 
     @pytest.mark.parametrize("g_f, n_t", [(1.2, 2), (1.2, 100), (1.0, 2)])
     def test_check_holds_no_more_than_its_guard_counts(self, monkeypatch,
                                                        g_f, n_t):
-        # the three (n_k, n_t) arrays and numpy's iteration buffers
+        # the four (n_k, n_t) arrays and numpy's iteration buffers
         sched = quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, 2000),
                                       n_t=n_t)
         counted = []
