@@ -11,10 +11,15 @@ pulse-schedule  schedule.csv + replay_check.json
 
 Every run writes ``manifest.json`` holding the fully resolved configuration
 (defaults included), the artifact version, and a sha256 checksum per output
-file.  Identical configurations produce byte-identical files: floats are
-printed in shortest round-trip form and the wall-clock duration goes to
-stderr, never into an artifact.  Files appear atomically (temp + rename);
-a failed write removes its temp file.
+file.  Identical configurations produce byte-identical files on any host:
+floats are printed in shortest round-trip form and the wall-clock duration
+goes to stderr, never into an artifact.  Files appear atomically (temp +
+rename); a failed write removes its temp file.
+
+The final fields run in this process unless the planned work (fields x grid
+size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
+pool of one worker per usable CPU, at most one per field.  No option picks
+the path, and the artifacts do not depend on it.
 
 Tables are written column by column: each distinct value of a column is
 turned into text once, and rows and lines are joined with ``str.join``.
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -69,7 +75,6 @@ DEFAULTS = {
         "dw_window": 0.4,
     },
     "sweep": {
-        "threads": os.cpu_count() or 1,
         "tolerance": 1e-6,
         "dw_threshold": otoc.DW_THRESHOLD,
         "pulse_constant": 1.0,
@@ -93,7 +98,6 @@ FLAG_MAP = {
     "grid": ("quench", "grid"),
     "nphi": ("echo", "n_phi"),
     "aggregation": ("echo", "aggregation"),
-    "threads": ("sweep", "threads"),
     "tolerance": ("sweep", "tolerance"),
     "dw_threshold": ("sweep", "dw_threshold"),
     "pulse_constant": ("sweep", "pulse_constant"),
@@ -201,8 +205,6 @@ def validate_config(resolved: dict) -> None:
     _require(isinstance(e["dw_tau_points"], int) and e["dw_tau_points"] >= 3,
              "echo.dw_tau_points", "must be an integer >= 3")
     _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
-    _require(isinstance(s["threads"], int) and s["threads"] >= 1,
-             "sweep.threads", "must be an integer >= 1")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
     _require(s["dw_threshold"] > 0, "sweep.dw_threshold", "must be positive")
     _require(np.isfinite(s["pulse_constant"]) and s["pulse_constant"] > 0,
@@ -335,60 +337,60 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
     for name in names:
         with open(os.path.join(outdir, name), "rb") as handle:
             checksums[name] = hashlib.sha256(handle.read()).hexdigest()
-    manifest = {
+    _write_json(outdir, "manifest.json", {
         "artifact_version": __version__,
         "command": command,
         "config": resolved,
         "checksums": checksums,
-    }
-    _atomic_write(os.path.join(outdir, "manifest.json"),
-                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    })
 
 
-def _fan_out(fn, jobs, threads: int):
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with multiprocessing.Pool(processes=min(threads, len(jobs))) as pool:
-        return pool.map(fn, jobs)
+# planned cells (fields x grid size x time samples per field) from which a
+# process pool pays for its start-up; the measured crossover is in CHANGES.md
+POOL_MIN_CELLS = 2 ** 23
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
+    """``fn`` of each final field's QuenchSpec on ``n`` sites, pooled from
+    POOL_MIN_CELLS fields x ``grid_size`` (default: modes) x ``samples``."""
+    specs = [quench.QuenchSpec(q["g_i"], g_f, n, q["grid"]) for g_f in q["g_f"]]
+    cells = len(specs) * (grid_size or specs[0].n_modes) * samples
+    workers = min(_usable_cpus(), len(specs))
+    if workers <= 1 or cells < POOL_MIN_CELLS:
+        return [fn(spec) for spec in specs]
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(fn, specs)
 
 
 # ---------------------------------------------------------------------------
-# per-field worker jobs (module level so a process pool can pickle them)
+# per-field jobs (module level so a process pool can pickle them)
 
-def _job_rate(job):
-    g_i, g_f, n, grid, ts = job
-    spec = quench.QuenchSpec(g_i, g_f, n, grid)
-    return np.asarray(quench.rate_function(spec, ts))
-
-
-def _job_heatmap(job):
-    g_i, g_f, n, grid, tau_points = job
-    spec = quench.QuenchSpec(g_i, g_f, n, grid)
-    return quench.return_probability_map(spec, tau_points)
-
-
-def _job_otoc(job):
-    (g_i, g_f, n, grid, ts, n_phi, aggregation, m_max,
-     dw_tau_points, dw_window, dw_threshold) = job
-    spec = quench.QuenchSpec(g_i, g_f, n, grid)
+def _job_otoc(spec, ts, e: dict, eps_dw: float):
     # one echo evaluation per surface; the spectra come from the surfaces
     fidelity = otoc.fidelity_otoc(
-        otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation=aggregation))
+        otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation=e["aggregation"]))
     magnetization = otoc.magnetization_otoc(
-        otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation="mean"))
-    spectra = {"fidelity": otoc.mqc_components(fidelity, m_max),
-               "magnetization": otoc.mqc_components(magnetization, m_max)}
-    taus = np.linspace(0.0, 1.0, dw_tau_points)
+        otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation="mean"))
+    spectra = {"fidelity": otoc.mqc_components(fidelity, e["m_max"]),
+               "magnetization": otoc.mqc_components(magnetization, e["m_max"])}
+    taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
     normalized = otoc.magnetization_otoc(
-        otoc.EchoConfig(spec, taus, n_phi=n_phi, aggregation="mean",
+        otoc.EchoConfig(spec, taus, n_phi=e["n_phi"], aggregation="mean",
                         time_mode="normalized"))
     a1 = np.real(otoc.mqc_components(normalized, 1)[2])   # order m = 1
-    verdict = otoc.double_well_detector(taus, a1, 0.5, dw_window,
-                                        eps_dw=dw_threshold)
+    verdict = otoc.double_well_detector(taus, a1, 0.5, e["dw_window"],
+                                        eps_dw=eps_dw)
     return fidelity, magnetization, spectra, verdict
 
 
-def _job_pulse(job):
+def _job_pulse(spec, constant: float, n_t: int):
     """One field's schedule and its largest deviation from d_f(k).
 
     Replay and target are cos(a) I - i sin(a) (u . sigma).  The replay reads
@@ -396,9 +398,7 @@ def _job_pulse(job):
     target is d_f(k)'s propagator at C T / 2 (the identity if idle), and
     its angle must also be pi j / (n_t - 1) at duration j: one period.
     """
-    g_i, g_f, n, grid, constant, n_t = job
-    sched = quench.pulse_schedule(quench.QuenchSpec(g_i, g_f, n, grid),
-                                  c=constant, n_t=n_t)
+    sched, g_f = quench.pulse_schedule(spec, c=constant, n_t=n_t), spec.g_f
     # four (n_k, n_t) arrays, and numpy's iteration buffers (3 operands)
     quench._require_budget(8 * (len(sched) * (4 * n_t + quench.GEOMETRY_ROWS)
                                 + 3 * np.getbufsize()),
@@ -424,17 +424,14 @@ def _job_pulse(job):
     return sched, float(max(drift, diag, off))
 
 
-def _job_compare(job):
-    g_i, g_f, n_oracle, grid, bc, ts, phis, echo_ts = job
-    spec = quench.QuenchSpec(g_i, g_f, n_oracle, grid)
-    rate_gap = np.abs(np.asarray(quench.rate_function(spec, ts))
-                      - chain.rate_function_ed(n_oracle, g_i, g_f, ts, bc=bc))
-    cfg_prod = otoc.EchoConfig(spec, echo_ts, n_phi=len(phis),
-                               aggregation="product")
-    cfg_mean = otoc.EchoConfig(spec, echo_ts, n_phi=len(phis), aggregation="mean")
-    fid_mom = otoc.fidelity_otoc(cfg_prod)
-    mag_mom = otoc.magnetization_otoc(cfg_mean)
-    fid_ed, mag_ed = chain.echo_scan_chain(n_oracle, g_f, echo_ts, phis, bc=bc)
+def _job_compare(spec, bc: str, ts, phis, echo_ts):
+    rate_gap = np.abs(quench.rate_function(spec, ts) - chain.rate_function_ed(
+        spec.n, spec.g_i, spec.g_f, ts, bc=bc))
+    fid_mom = otoc.fidelity_otoc(otoc.EchoConfig(
+        spec, echo_ts, n_phi=len(phis), aggregation="product"))
+    mag_mom = otoc.magnetization_otoc(otoc.EchoConfig(
+        spec, echo_ts, n_phi=len(phis), aggregation="mean"))
+    fid_ed, mag_ed = chain.echo_scan_chain(spec.n, spec.g_f, echo_ts, phis, bc=bc)
     return rate_gap, np.abs(fid_ed - fid_mom), np.abs(mag_ed - mag_mom)
 
 
@@ -442,10 +439,10 @@ def _job_compare(job):
 # subcommands
 
 def cmd_rate_function(resolved: dict) -> None:
-    q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
+    q, out = resolved["quench"], resolved["outputs"]
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
-    jobs = [(q["g_i"], g_f, q["n"], q["grid"], ts) for g_f in q["g_f"]]
-    series = _fan_out(_job_rate, jobs, s["threads"])
+    series = _fan_out(functools.partial(quench.rate_function, t=ts), q, q["n"],
+                      ts.size)
     data = [np.repeat(q["g_f"], ts.size), np.tile(ts, len(series)),
             np.concatenate(series)]
     names = [_write_table(out["out"], "rate_function",
@@ -465,10 +462,10 @@ def cmd_rate_function(resolved: dict) -> None:
 
 
 def cmd_heatmap(resolved: dict) -> None:
-    q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
-    jobs = [(q["g_i"], g_f, q["n"], q["grid"], q["tau_points"])
-            for g_f in q["g_f"]]
-    maps = _fan_out(_job_heatmap, jobs, s["threads"])
+    q, out = resolved["quench"], resolved["outputs"]
+    maps = _fan_out(functools.partial(quench.return_probability_map,
+                                      n_t=q["tau_points"]), q, q["n"],
+                    q["tau_points"])
     ks, taus, _ = maps[0]
     data = [np.repeat(q["g_f"], ks.size * taus.size),
             np.tile(np.repeat(ks, taus.size), len(maps)),
@@ -484,10 +481,9 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     q, e = resolved["quench"], resolved["echo"]
     s, out = resolved["sweep"], resolved["outputs"]
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
-    jobs = [(q["g_i"], g_f, q["n"], q["grid"], ts, e["n_phi"], e["aggregation"],
-             e["m_max"], e["dw_tau_points"], e["dw_window"], s["dw_threshold"])
-            for g_f in q["g_f"]]
-    results = _fan_out(_job_otoc, jobs, s["threads"])
+    results = _fan_out(functools.partial(_job_otoc, ts=ts, e=e,
+                                         eps_dw=s["dw_threshold"]),
+                       q, q["n"], ts.size)
     phis = 2.0 * np.pi * np.arange(e["n_phi"]) / e["n_phi"]
     n_fields, cells = len(results), phis.size * ts.size
     names = []
@@ -544,12 +540,12 @@ def cmd_oracle_compare(resolved: dict) -> None:
     ts = np.linspace(0.0, q["t_max"], 100)
     phis = 2.0 * np.pi * np.arange(8) / 8
     echo_ts = np.linspace(0.0, q["t_max"], 10)
-    jobs = [(q["g_i"], g_f, n, grid, o["bc"], ts, phis, echo_ts)
-            for g_f in q["g_f"]]
-    results = _fan_out(_job_compare, jobs, s["threads"])
     # per field: the rate rows (no phi), then fidelity and magnetization
-    # over (phi, t)
+    # over (phi, t); the 2^n register is sampled at each
     cells = phis.size * echo_ts.size
+    results = _fan_out(functools.partial(_job_compare, bc=o["bc"], ts=ts,
+                                         phis=phis, echo_ts=echo_ts),
+                       q, n, ts.size + cells, 2 ** n)
     per_field = ts.size + 2 * cells
     quantities = (["rate_function"] * ts.size + ["fidelity"] * cells
                   + ["magnetization"] * cells)
@@ -578,9 +574,8 @@ def cmd_oracle_compare(resolved: dict) -> None:
 
 def cmd_pulse_schedule(resolved: dict) -> None:
     q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
-    jobs = [(q["g_i"], g_f, q["n"], q["grid"], s["pulse_constant"], s["n_t"])
-            for g_f in q["g_f"]]
-    results = _fan_out(_job_pulse, jobs, s["threads"])
+    results = _fan_out(functools.partial(_job_pulse, constant=s["pulse_constant"],
+                                         n_t=s["n_t"]), q, q["n"], s["n_t"])
     sched, n_t = np.concatenate([sched for sched, _ in results]), s["n_t"]
     data = [np.repeat(q["g_f"], len(sched) // len(results) * n_t),
             *(np.repeat(sched[name], n_t) for name in sched.dtype.names[:3]),
@@ -605,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=["csv", "json"],
                         help="tabular artifact format")
-    common.add_argument("--threads", type=int, help="worker pool size")
     common.add_argument("--gf", help="comma-separated final fields")
     common.add_argument("--gi", type=float, help="initial field")
     common.add_argument("--n", type=int, help="momentum grid size")

@@ -172,6 +172,13 @@ def _require_budget(need: int, what: str) -> None:
             f"{MODE_BUDGET_BYTES >> 20} MiB mode budget")
 
 
+def _require_mode_budget(spec: QuenchSpec, n_t: int, whole_grid: bool) -> None:
+    """Refuse (distinct modes, n_t), plus its (n_k, n_t) grid copy, over budget."""
+    copy = spec.n_modes * n_t if whole_grid else 0
+    _require_budget(8 * ((spec.n_modes + 1) // 2 * (n_t + GEOMETRY_ROWS) + copy),
+                    f"{spec.n_modes} modes x {n_t} times")
+
+
 def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
                    whole_grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(|G_k|^2 over (distinct modes, n_t), each mode's multiplicity).
@@ -184,11 +191,8 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
     before allocating; non-finite times raise InvalidArgumentError.
     """
     su2._require_finite("t", grid)
-    count = (spec.n_modes + 1) // 2
-    copy = spec.n_modes * grid.size if whole_grid else 0
-    _require_budget(8 * (count * (grid.size + GEOMETRY_ROWS) + copy),
-                    f"{spec.n_modes} modes x {grid.size} times")
-    ks = spec._momenta(np.arange(count))
+    _require_mode_budget(spec, grid.size, whole_grid)
+    ks = spec._momenta(np.arange((spec.n_modes + 1) // 2))
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
     rate = np.full_like(n_f, np.pi) if normalized else n_f
     probs = np.multiply.outer(rate, grid)
@@ -278,6 +282,7 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     """
     if not (su2._is_integral(n_t) and n_t >= 2):
         raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
+    _require_mode_budget(spec, int(n_t), whole_grid=True)   # before the grid
     taus = np.linspace(0.0, 2.0, int(n_t))
     probs = _probabilities(spec, taus, normalized=True, whole_grid=True)[0]
     return spec.momentum_grid(), taus, probs

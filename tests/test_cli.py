@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -195,8 +196,8 @@ CORRUPTIONS = ("arcsin_axis", "rabi_rate", "duration")
 def closed_form_deviation(sched, g_f, c):
     """The replay check of ``cli._job_pulse``, run on the given schedule."""
     with mock.patch.object(quench, "pulse_schedule", return_value=sched):
-        job = (0.0, g_f, 2, "paper", c, sched.durations.shape[1])
-        return cli._job_pulse(job)[1]
+        return cli._job_pulse(quench.QuenchSpec(0.0, g_f, 2), c,
+                              sched.durations.shape[1])[1]
 
 
 def literal_deviation(sched, g_f, c):
@@ -287,8 +288,8 @@ class TestReplayCheck:
     def test_check_holds_no_more_than_its_guard_counts(self, monkeypatch,
                                                        g_f, n_t):
         # the four (n_k, n_t) arrays and numpy's iteration buffers
-        sched = quench.pulse_schedule(quench.QuenchSpec(0.0, g_f, 2000),
-                                      n_t=n_t)
+        spec = quench.QuenchSpec(0.0, g_f, 2000)
+        sched = quench.pulse_schedule(spec, n_t=n_t)
         counted = []
         guard = quench._require_budget
 
@@ -300,7 +301,7 @@ class TestReplayCheck:
         monkeypatch.setattr(quench, "pulse_schedule", lambda *_, **__: sched)
         tracemalloc.start()
         try:
-            _, deviation = cli._job_pulse((0.0, g_f, 2000, "paper", 1.0, n_t))
+            _, deviation = cli._job_pulse(spec, 1.0, n_t)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,7 +314,7 @@ class TestReplayCheck:
                 mock.patch.object(quench, "replay_unitary",
                                   side_effect=AssertionError):
             assert main(["pulse-schedule", "--out", str(tmp_path / "p"),
-                         "--gf", "1.0,1.2", "--threads", "1"]) == 0
+                         "--gf", "1.0,1.2"]) == 0
         assert read_json(tmp_path / "p" / "replay_check.json")[
             "max_deviation"] <= 1e-13
 
@@ -395,13 +396,106 @@ class TestDeterminism:
         self.rerun_identical(tmp_path, ["otoc", "--n", "8", "--gf", "1.2",
                                         "--config", cfg])
 
-    def test_thread_count_does_not_change_artifacts(self, tmp_path):
-        base = ["rate-function", "--n", "12", "--gf", "0.8,1.2,1.5"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t4"
-        assert main([*base, "--threads", "1", "--out", str(out1)]) == 0
-        assert main([*base, "--threads", "4", "--out", str(out2)]) == 0
-        assert (out1 / "rate_function.csv").read_bytes() \
-            == (out2 / "rate_function.csv").read_bytes()
+    @pytest.mark.parametrize("argv", [
+        ["rate-function", "--n", "12", "--gf", "0.8,1.2,1.5"],
+        ["otoc", "--n", "8", "--gf", "1.2,0.5", "--nphi", "8"],
+        ["pulse-schedule", "--n", "6", "--gf", "1.0,1.2,-0.5", "--nt", "5"]],
+        ids=lambda argv: argv[0])
+    def test_pooled_and_serial_runs_write_the_same_files(self, tmp_path,
+                                                         monkeypatch, argv):
+        # both runs write to one --out path, so manifest.json must match too
+        pools = []
+        pool = multiprocessing.Pool
+        monkeypatch.setattr(multiprocessing, "Pool", lambda **kwargs: (
+            pools.append(kwargs["processes"]) or pool(**kwargs)))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        out, pooled = tmp_path / "run", tmp_path / "pooled"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert pools == [2]
+        shutil.move(out, pooled)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 2 ** 62)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert pools == [2]
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(p.name for p in pooled.iterdir())
+        assert "manifest.json" in names
+        for name in names:
+            assert (pooled / name).read_bytes() == (out / name).read_bytes(), name
+
+
+class PoolStarted(Exception):
+    """Raised by a stand-in pool in place of starting any worker."""
+
+
+def pool_started(processes):
+    raise PoolStarted(processes)
+
+
+def pool_refused(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+class TestFieldPool:
+    """Fields run in this process unless the planned work reaches
+    POOL_MIN_CELLS; then in one worker per usable CPU, at most one per field.
+    """
+
+    @pytest.mark.parametrize("argv, config, fields", [
+        # the benchmark's rate-large-n workload
+        (["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6",
+          "--format", "json"], "", 4),
+        (["rate-function", "--n", "10000"], "", 3),
+        (["oracle-compare"], "[oracle]\nn_oracle = 14\n", 3),
+        (["oracle-compare", "--tolerance", "1"],
+         "[oracle]\nn_oracle = 14\nbc = open\n", 3)],
+        ids=["rate-large-n", "rate-n10000", "oracle-n14", "oracle-n14-open"])
+    def test_large_work_is_pooled(self, tmp_path, monkeypatch, argv, config,
+                                  fields):
+        # more CPUs than fields: one worker per field
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(multiprocessing, "Pool", pool_started)
+        if config:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        with pytest.raises(PoolStarted) as started:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert started.value.args == (fields,)
+
+    @pytest.mark.parametrize("argv, config", [
+        # every subcommand at its defaults; otoc there is the benchmark's
+        # otoc-sweep workload, and the oracle at n_oracle = 12 its oracle-n12
+        *[([command], "") for command in cli.COMMANDS],
+        (["oracle-compare"], "[oracle]\nn_oracle = 12\n"),
+        (["pulse-schedule", "--n", "3000", "--gf", "1.0,1.2"], "")],
+        ids=[*cli.COMMANDS, "oracle-n12", "pulse-n3000"])
+    def test_small_work_runs_in_process(self, tmp_path, monkeypatch, argv,
+                                        config):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        if config:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+    def test_one_usable_cpu_runs_in_process(self, tmp_path, monkeypatch):
+        # the affinity set counts, not the CPUs installed
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        assert main(["rate-function", "--n", "12",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_worker_count_is_not_an_option(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["rate-function", "--threads", "2", "--out", str(out)])
+        assert exited.value.code == 2
+        config = write_config(tmp_path, "[sweep]\nthreads = 2\n")
+        assert main(["rate-function", "--config", config,
+                     "--out", str(out)]) == 2
+        assert "sweep.threads" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_config(tmp_path, text: str) -> str:
@@ -439,7 +533,7 @@ def test_commands_load_no_scipy(tmp_path):
                 "pulse-schedule", "oracle-compare"]
     code = (f"import sys; from tfim_dqpt.cli import main\n"
             f"for i, command in enumerate({commands!r}):\n"
-            f"    code = main([command, '--threads', '1', '--out', "
+            f"    code = main([command, '--out', "
             f"{str(tmp_path)!r} + '/' + str(i)])\n"
             f"    print(command, code, {LOADED_SCIPY})\n")
     lines = run_python(code).splitlines()
@@ -455,8 +549,8 @@ def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
     config = write_config(tmp_path, f"[oracle]\nn_oracle = {n_oracle}\n"
                                     f"bc = {bc}\n[quench]\nt_max = 1.0\n")
     code = ("import sys; from tfim_dqpt.cli import main\n"
-            f"code = main(['oracle-compare', '--gf', '1.2', '--threads', '1', "
-            f"'--tolerance', '1', '--config', {config!r}, '--out', "
+            f"code = main(['oracle-compare', '--gf', '1.2', '--tolerance', '1', "
+            f"'--config', {config!r}, '--out', "
             f"{str(tmp_path / 'out')!r}])\n"
             f"print(code, {LOADED_SCIPY})\n")
     code, loaded = run_python(code).split(" ", 1)

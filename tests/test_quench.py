@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -395,6 +396,26 @@ def test_non_integral_sizes_are_refused(size):
                  lambda: quench.return_probability_map(spec, size)):
         with pytest.raises(ConfigurationError, match="n_t must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("n_t", [10 ** 9, 10 ** 400])
+def test_heatmap_size_is_refused_before_its_grid(monkeypatch, n_t):
+    # the tau grid alone would take 8 GB at 10**9, and 10**400 is past
+    # numpy's size limit: the budget is checked before np.linspace runs,
+    # which here refuses to build any grid at all
+    spec = quench.QuenchSpec(0.0, 1.2, 8)
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail(
+        "np.linspace ran on a refused size"))
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(ResourceGuardError, match="mode budget"):
+            quench.return_probability_map(spec, n_t)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2 ** 20
 
 
 class TestDefaultTimeGrid:

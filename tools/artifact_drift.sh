@@ -1,0 +1,62 @@
+#!/usr/bin/env bash
+# Artifact drift against a base commit.
+#
+# Usage: tools/artifact_drift.sh BASE
+#
+# Runs every subcommand at its defaults, in csv and in json, once from the
+# working tree's src/ and once from the src/ of commit BASE (extracted with
+# git archive), and compares the sha256 sums of every artifact except
+# manifest.json, which records the output path.  Exits 1 when an artifact
+# differs and tfim_dqpt.__version__ (the manifest's artifact_version) is the
+# same at both; a changed artifact must come with a version bump.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 BASE" >&2
+    exit 2
+fi
+base=$1
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/base"
+git -C "$root" archive "$base" src | tar -x -C "$work/base"
+
+# run SRC_DIR OUT_DIR: every subcommand and format; sums into OUT_DIR.sha256
+run() {
+    local src=$1 out=$2 command fmt code
+    for command in rate-function heatmap otoc spectra oracle-compare pulse-schedule; do
+        for fmt in csv json; do
+            code=0
+            PYTHONPATH="$src" python -m tfim_dqpt.cli "$command" --format "$fmt" \
+                --out "$out/$command-$fmt" 2>/dev/null || code=$?
+            if [ "$code" -ne 0 ]; then
+                echo "$command --format $fmt exited $code under $src" >&2
+                exit 1
+            fi
+        done
+    done
+    (cd "$out" && find . -type f ! -name manifest.json | LC_ALL=C sort \
+        | xargs sha256sum) > "$out.sha256"
+}
+
+version() {
+    PYTHONPATH=$1 python -c "import tfim_dqpt; print(tfim_dqpt.__version__)"
+}
+
+run "$work/base/src" "$work/out-base"
+run "$root/src" "$work/out-head"
+old=$(version "$work/base/src")
+new=$(version "$root/src")
+files=$(wc -l < "$work/out-head.sha256")
+if diff -u "$work/out-base.sha256" "$work/out-head.sha256"; then
+    echo "artifact drift: none; $files artifacts identical to $base" \
+         "(artifact_version $old -> $new)"
+elif [ "$old" = "$new" ]; then
+    echo "artifact drift: artifacts differ from $base," \
+         "but artifact_version is still $new" >&2
+    exit 1
+else
+    echo "artifact drift: artifacts differ from $base;" \
+         "artifact_version $old -> $new"
+fi
