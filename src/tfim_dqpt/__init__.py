@@ -62,7 +62,7 @@ from .chain import (
     rate_function_ed,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "AliasingError",

@@ -204,6 +204,9 @@ def validate_config(resolved: dict) -> None:
              "quench.tau_points", "must be an integer >= 2")
     _require(isinstance(e["dw_tau_points"], int) and e["dw_tau_points"] >= 3,
              "echo.dw_tau_points", "must be an integer >= 3")
+    quench._require_budget(   # grids and rate columns, before any library guard
+        8 * (q["t_points"] * (1 + 4 * len(q["g_f"])) + e["dw_tau_points"]),
+        f"time grids of {q['t_points']} and {e['dw_tau_points']} points")
     _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
     _require(s["dw_threshold"] > 0, "sweep.dw_threshold", "must be positive")

@@ -21,12 +21,15 @@ computed here are insensitive to that sign (covered by tests).
 
 The vectorized paths treat the grid as arrays: ``_mode_geometry`` returns
 |d_f| and dhat_i . dhat_f for every k at once.  Modes k and 2pi - k share
-both (the +-k pairing), so ``_probabilities`` computes the (n_k', n_t)
-matrix of |G_k|^2 on the n_k' ~ N/2 distinct modes k in [0, pi] only;
-``rate_function`` and ``otoc`` weight its rows by multiplicity, and
-``mode_probabilities`` and ``return_probability_map`` copy them onto the
-grid.  In place, it holds one such array plus that copy, and refuses a
-working set over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError`` first.
+both (the +-k pairing), so ``_blocks`` yields |G_k|^2 on the n_k' ~ N/2
+distinct modes k in [0, pi] only, one slab of times at a time.  On a
+uniform grid (``np.linspace`` over its ends) at least four slabs long,
+angle addition gives cos at T + r h from cos/sin tables of the slab starts
+T and offsets r h: with BLOCK-wide slabs, about 2 (n_t/BLOCK + BLOCK)
+transcendentals per mode.  Other grids take one ``np.cos`` per cell.
+``rate_function`` reduces each slab to its times of f; ``_probabilities``
+fills the (n_k', n_t) matrix from them.  Both refuse a working set over
+``MODE_BUDGET_BYTES`` with ``ResourceGuardError`` before allocating.
 
 ``pulse_schedule`` writes the drive of every grid mode as one record array
 (fields ``k``, ``axis_angle``, ``rabi_rate``, ``durations`` (n_t,) and
@@ -81,6 +84,11 @@ AMPLITUDE_FLOOR = 1e-300
 # modes, plus the (n_k, n_t) copy onto the grid where one is returned.
 MODE_BUDGET_BYTES = 2 ** 30
 GEOMETRY_ROWS = 12
+
+# Times per slab of the mode kernel: BLOCK, or more to fill SLAB_CELLS cells.
+# Angle addition holds four slabs, so it runs from four slab widths of times
+# on, where they fit in the n_t rows budgeted.
+BLOCK, SLAB_CELLS = 16, 2 ** 14
 
 GRID_MODES = ("paper", "abc")
 
@@ -173,34 +181,59 @@ def _require_budget(need: int, what: str) -> None:
 
 
 def _require_mode_budget(spec: QuenchSpec, n_t: int, whole_grid: bool) -> None:
-    """Refuse (distinct modes, n_t), plus its (n_k, n_t) grid copy, over budget."""
+    """Refuse (distinct modes, n_t), plus its (n_k, n_t) grid copy, over budget.
+
+    Streaming ``rate_function`` holds geometry rows and slabs of n_t columns
+    at most: this count bounds it.  Whole-matrix callers add the slabs.
+    """
     copy = spec.n_modes * n_t if whole_grid else 0
     _require_budget(8 * ((spec.n_modes + 1) // 2 * (n_t + GEOMETRY_ROWS) + copy),
                     f"{spec.n_modes} modes x {n_t} times")
 
 
-def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
-                   whole_grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(|G_k|^2 over (distinct modes, n_t), each mode's multiplicity).
+def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
+    """(start, |G_k|^2 over (distinct modes, slab times)), slab by slab.
 
-    |G_k|^2 = c^2 + (1 - c^2) cos^2(phase), c = dhat_i . dhat_f: one cosine
-    per cell, two nonnegative terms, exactly 1 at phase 0 and where c = 1
-    (gapless final modes).  The phase is |d_f| t, or pi tau for normalized
-    times tau = t/t0 (t0 = pi/|d_f|).  ``whole_grid`` copies the rows onto
-    the grid, weight 1 each.  Refuses a working set over MODE_BUDGET_BYTES
-    before allocating; non-finite times raise InvalidArgumentError.
+    |G_k|^2 = c^2 + (1 - c^2) cos^2(phase) <= 1, c = dhat_i . dhat_f: exactly
+    1 where c = 1 (gapless final modes) and at phase 0 opening a slab; the
+    phase is |d_f| t, or pi tau for normalized times tau = t/t0.  Slabs of
+    equal width share one buffer; the last ends at the grid's end,
+    overlapping its predecessor, as numpy sums a one-column slab pairwise.
     """
     su2._require_finite("t", grid)
-    _require_mode_budget(spec, grid.size, whole_grid)
     ks = spec._momenta(np.arange((spec.n_modes + 1) // 2))
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
     rate = np.full_like(n_f, np.pi) if normalized else n_f
-    probs = np.multiply.outer(rate, grid)
-    np.cos(probs, out=probs)
-    probs *= probs
-    c2 = overlap * overlap
-    probs *= (1.0 - c2)[:, None]
-    probs += c2[:, None]
+    c2 = (overlap * overlap)[:, None]
+    s2, width = 1.0 - c2, min(max(BLOCK, SLAB_CELLS // rate.size), grid.size)
+    slab = np.empty((rate.size, width))
+    uniform = (0 < 4 * width <= grid.size and np.array_equal(
+        grid, np.linspace(grid[0], grid[-1], grid.size)))
+    if uniform:   # cos(a + b) = cos a cos b - sin a sin b, b = rate (t_r - t_0)
+        b = np.multiply.outer(rate, grid[:width] - grid[0])
+        cos_b, sin_b, tmp = np.cos(b), np.sin(b, out=b), np.empty_like(slab)
+    for start in range(0, grid.size, width or 1):
+        start = min(start, grid.size - width)
+        if uniform:
+            a = rate * grid[start]
+            np.multiply(cos_b, np.cos(a)[:, None], out=slab)
+            slab -= np.multiply(sin_b, np.sin(a, out=a)[:, None], out=tmp)
+        else:
+            np.cos(np.multiply.outer(rate, grid[start:start + width], out=slab),
+                   out=slab)
+        slab *= slab
+        slab *= s2
+        yield start, np.minimum(np.add(slab, c2, out=slab), 1.0, out=slab)
+
+
+def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
+                   whole_grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(|G_k|^2 over (distinct modes, n_t), filled slab by slab, and each
+    mode's multiplicity); ``whole_grid`` copies rows onto the grid, weight 1."""
+    _require_mode_budget(spec, grid.size, whole_grid)
+    probs = np.empty(((spec.n_modes + 1) // 2, grid.size))
+    for start, slab in _blocks(spec, grid, normalized):
+        probs[:, start:start + slab.shape[1]] = slab
     index = spec._distinct_index()
     if whole_grid:
         return probs[index], np.ones(spec.n_modes)
@@ -231,14 +264,17 @@ def rate_function(spec: QuenchSpec, t):
     """Loschmidt rate function f(t) = -(1/N) sum_k log |G_k(t)|^2.
 
     The sum runs over the spec's momentum grid (N+1 terms in "paper" grid
-    mode, still divided by N), weighting each distinct mode.  Scalar or array t.
+    mode, still divided by N), weighting each distinct mode, in mode order.
+    Slab by slab, so no (modes, n_t) array is held.  Scalar or array t.
     """
     ts = np.asarray(t, dtype=float)
-    logs, weights = _probabilities(spec, np.atleast_1d(ts))
-    np.maximum(logs, AMPLITUDE_FLOOR, out=logs)
-    np.log(logs, out=logs)
-    logs *= weights[:, None]        # not weights @ logs: BLAS-independent sum
-    f = -np.sum(logs, axis=0) / spec.n
+    _require_mode_budget(spec, ts.size, whole_grid=False)
+    weights = np.bincount(spec._distinct_index()).astype(float)[:, None]
+    f = np.empty(ts.size)
+    for start, logs in _blocks(spec, np.atleast_1d(ts)):
+        np.log(np.maximum(logs, AMPLITUDE_FLOOR, out=logs), out=logs)
+        logs *= weights             # not weights @ logs: BLAS-independent sum
+        f[start:start + logs.shape[1]] = -np.sum(logs, axis=0) / spec.n
     return f if ts.ndim else float(f[0])
 
 

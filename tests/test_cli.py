@@ -800,6 +800,31 @@ class TestResourceAndRangeGuards:
         assert "mode budget" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("rate-function", "quench", "t_points"),
+        ("otoc", "quench", "t_points"),
+        ("otoc", "echo", "dw_tau_points"),
+    ])
+    @pytest.mark.parametrize("size", [10 ** 9, 10 ** 400])
+    def test_time_grid_size_is_refused_before_its_grid(
+            self, tmp_path, capsys, monkeypatch, command, section, key, size):
+        # 10**9 times take 8 GB a grid; the CLI checks before np.linspace,
+        # which here refuses to build any grid at all
+        config = tmp_path / "grid.ini"
+        config.write_text(f"[{section}]\n{key} = {size}\n")
+        out = tmp_path / "out"
+        monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: pytest.fail(
+            "np.linspace ran on a refused size"))
+        tracemalloc.start()
+        try:
+            code = main([command, "--config", str(config), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2 ** 20
+        assert "mode budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oversized_echo_scan_is_refused(self, tmp_path, capsys,
                                             monkeypatch):
         # 31 modes x 500 times fit a 300 kB budget; 4096 angles do not

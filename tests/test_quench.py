@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -708,14 +709,130 @@ class TestProbabilityKernel:
         assert expected < 1e-10
         assert abs(prob - expected) <= 1e-12 * expected
 
-    def test_rate_function_holds_one_mode_array(self):
+
+def distinct_momenta(spec):
+    """The distinct modes k in [0, pi] the kernel evaluates, in its order."""
+    return spec._momenta(np.arange((spec.n_modes + 1) // 2))
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# uniform grids long enough for angle addition, across slab boundaries
+uniform_sizes = st.integers(4 * quench.BLOCK, 8 * quench.BLOCK + 1)
+# the two cosines differ by a few ulp of the largest phase, |d_f| |t| <= 20
+ends = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+class TestTimeBlocks:
+    """The streamed kernel: angle addition on uniform grids, in slabs."""
+
+    @given(fields.filter(lambda g: abs(g) != 1.0), critical_fields,
+           st.integers(2, 80), grid_modes, st.booleans(), ends, ends,
+           uniform_sizes)
+    def test_uniform_grid_matches_literal_and_cosine(self, g_i, g_f, n, grid,
+                                                     normalized, t0, t1, n_t):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        scale = 0.4 if normalized else 1.0     # tau = t/t0 within [-2, 2]
+        ts = np.linspace(scale * t0, scale * t1, n_t)
+        try:
+            with mock.patch.object(quench, "SLAB_CELLS", 0):   # BLOCK wide
+                probs = quench._probabilities(spec, ts, normalized)[0]
+        except GaplessModeError:
+            return
+        literal = []
+        for k in distinct_momenta(spec):
+            if normalized and quench._gap_squared(g_f, k) == 0.0:
+                literal.append(np.ones_like(ts))
+                continue
+            t0 = (np.pi / np.linalg.norm(quench.bloch_vector(g_f, k))
+                  if normalized else 1.0)
+            literal.append(np.abs(quench.loschmidt_mode(spec, k, ts * t0)) ** 2)
+        assert np.max(np.abs(probs - np.array(literal))) <= 1e-13
+        # one slab of the whole grid is too short for angle addition
+        with mock.patch.object(quench, "BLOCK", 10 ** 9):
+            cosine = quench._probabilities(spec, ts, normalized)[0]
+        assert np.max(np.abs(probs - cosine)) <= 1e-14
+
+    @given(fields.filter(lambda g: abs(g) != 1.0), critical_fields,
+           st.booleans(), st.integers(2, 80), grid_modes, st.booleans(), ends,
+           uniform_sizes | st.integers(1, 4 * quench.BLOCK))
+    def test_kernel_keeps_its_invariants(self, g_i, g_f, quenched, n, grid,
+                                         normalized, t1, n_t):
+        # without a quench, dhat_i . dhat_f can round to 1 + ulp
+        spec = quench.QuenchSpec(g_i, g_f if quenched else g_i, n, grid)
+        ts = np.linspace(0.0, t1, n_t)
+        try:
+            with mock.patch.object(quench, "SLAB_CELLS", 0):
+                probs = quench._probabilities(spec, ts, normalized)[0]
+                rate = quench.rate_function(spec, ts)
+        except GaplessModeError:
+            return
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert np.all(probs[:, 0] == 1.0)
+        idle = quench._gap_squared(spec.g_f, distinct_momenta(spec)) == 0.0
+        assert np.all(probs[idle] == 1.0)
+        assert np.all(rate >= 0.0)
+
+    def test_uniform_grid_takes_few_cosines_per_mode(self):
+        spec = quench.QuenchSpec(0.3, 1.2, 2000)
+        n_t, cells, cos = 500, [], np.cos
+
+        def counting(x, *args, **kwargs):
+            cells.append(np.size(x))
+            return cos(x, *args, **kwargs)
+
+        with mock.patch.object(np, "cos", counting):
+            quench.rate_function(spec, np.linspace(0.0, 5.0, n_t))
+        # the geometry, the table of BLOCK offsets and one per slab start
+        n_k = (spec.n_modes + 1) // 2
+        assert sum(cells) <= n_k * (1 + quench.BLOCK + n_t // quench.BLOCK + 1)
+
+    @pytest.mark.parametrize("ts", [[1.3], np.linspace(0.0, 5.0, 500)])
+    def test_one_slab_takes_one_cosine_per_cell(self, ts):
+        # a one-point grid, and 16 modes x 500 times below SLAB_CELLS
+        spec = quench.QuenchSpec(0.3, 1.2, 31)
+        n_f, overlap = quench._mode_geometry(0.3, 1.2, distinct_momenta(spec))
+        c2 = (overlap * overlap)[:, None]
+        cos = np.cos(np.multiply.outer(n_f, ts))
+        assert np.array_equal(quench._probabilities(spec, np.asarray(ts))[0],
+                              c2 + (1.0 - c2) * cos ** 2)
+
+    def test_empty_and_scalar_times(self):
+        spec = quench.QuenchSpec(0.3, 1.2, 31)
+        assert quench.rate_function(spec, []).shape == (0,)
+        assert quench.mode_probabilities(spec, [])[1].shape == (32, 0)
+        assert isinstance(quench.rate_function(spec, 1.3), float)
+
+    @pytest.mark.parametrize("n_t", [2, 17, 4 * quench.BLOCK + 1, 500])
+    def test_rate_function_sums_modes_in_order(self, monkeypatch, n_t):
+        # numpy sums a one-column slab pairwise; no slab of n_t >= 2 times
+        # is one column, so each time is summed mode by mode, as a whole
+        # matrix would be
+        monkeypatch.setattr(quench, "SLAB_CELLS", 0)
+        spec = quench.QuenchSpec(0.3, 1.2, 101)
+        ts = np.linspace(0.0, 5.0, n_t)
+        probs, weights = quench._probabilities(spec, ts)
+        logs = np.log(np.maximum(probs, quench.AMPLITUDE_FLOOR)) \
+            * weights[:, None]
+        assert np.array_equal(quench.rate_function(spec, ts),
+                              -np.add.accumulate(logs, axis=0)[-1] / spec.n)
+
+    def test_rate_function_streams_in_time_blocks(self):
+        # the (10001, 500) matrix alone would take 40 MB
         spec = quench.QuenchSpec(0.3, 1.2, 20000)
         ts = np.linspace(0.0, 5.0, 500)
-        one = 8 * ts.size * ((spec.n_modes + 1) // 2)
-        tracemalloc.start()
-        try:
-            quench.rate_function(spec, ts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.1 * one
+        assert traced_peak(lambda: quench.rate_function(spec, ts)) < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("n_t", [3, 17, 4 * quench.BLOCK, 100, 500])
+    def test_rate_function_holds_no_more_than_its_guard_counts(self, n_t):
+        spec = quench.QuenchSpec(0.3, 1.2, 20000)
+        ts = np.linspace(0.0, 5.0, n_t)
+        counted = 8 * ((spec.n_modes + 1) // 2) * (n_t + quench.GEOMETRY_ROWS)
+        assert traced_peak(lambda: quench.rate_function(spec, ts)) <= counted

@@ -1,21 +1,26 @@
 #!/usr/bin/env bash
 # Artifact drift against a base commit.
 #
-# Usage: tools/artifact_drift.sh BASE
+# Usage: tools/artifact_drift.sh BASE [FLAG ...]
 #
 # Runs every subcommand at its defaults, in csv and in json, once from the
 # working tree's src/ and once from the src/ of commit BASE (extracted with
 # git archive), and compares the sha256 sums of every artifact except
-# manifest.json, which records the output path.  Exits 1 when an artifact
+# manifest.json, which records the output path.  FLAGs (for example
+# --n 20000) are passed to every subcommand.  For each artifact that
+# differs, tools/artifact_diff.py prints the largest absolute difference
+# over its numeric cells, or "layout changed".  Exits 1 when an artifact
 # differs and tfim_dqpt.__version__ (the manifest's artifact_version) is the
 # same at both; a changed artifact must come with a version bump.
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 BASE" >&2
+if [ $# -lt 1 ]; then
+    echo "usage: $0 BASE [FLAG ...]" >&2
     exit 2
 fi
 base=$1
+shift
+flags=("$@")
 root=$(git rev-parse --show-toplevel)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -29,7 +34,8 @@ run() {
         for fmt in csv json; do
             code=0
             PYTHONPATH="$src" python -m tfim_dqpt.cli "$command" --format "$fmt" \
-                --out "$out/$command-$fmt" 2>/dev/null || code=$?
+                --out "$out/$command-$fmt" ${flags[@]+"${flags[@]}"} 2>/dev/null \
+                || code=$?
             if [ "$code" -ne 0 ]; then
                 echo "$command --format $fmt exited $code under $src" >&2
                 exit 1
@@ -52,7 +58,14 @@ files=$(wc -l < "$work/out-head.sha256")
 if diff -u "$work/out-base.sha256" "$work/out-head.sha256"; then
     echo "artifact drift: none; $files artifacts identical to $base" \
          "(artifact_version $old -> $new)"
-elif [ "$old" = "$new" ]; then
+    exit 0
+fi
+# the artifacts of the working tree whose sum differs from BASE's
+changed=$(awk 'NR == FNR { sum[$2] = $1; next } sum[$2] != $1 { print $2 }' \
+    "$work/out-base.sha256" "$work/out-head.sha256")
+# shellcheck disable=SC2086  # artifact paths hold no spaces
+python "$root/tools/artifact_diff.py" "$work/out-base" "$work/out-head" $changed
+if [ "$old" = "$new" ]; then
     echo "artifact drift: artifacts differ from $base," \
          "but artifact_version is still $new" >&2
     exit 1
