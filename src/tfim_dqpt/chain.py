@@ -102,6 +102,7 @@ __all__ = [
 MAX_SPINS = 14          # 2^14 amplitudes; hard resource guard
 DENSE_LIMIT = 10        # dense eigendecomposition up to here
 ORACLE_COUPLING = 0.5   # J making chain quasiparticle energy equal |d(k)|
+CHEBYSHEV_TOL = 1e-12   # certified bound on each expansion's dropped tail
 
 BOUNDARY_CONDITIONS = ("periodic", "open")
 
@@ -282,19 +283,18 @@ def _bessel_j(size: int, tau: float) -> np.ndarray:
     return out
 
 
-def _chebyshev_coefficients(tau: float, tol: float = 1e-12,
-                            max_terms: int = 10000) -> np.ndarray:
+def _chebyshev_coefficients(tau: float, max_terms: int = 10000) -> np.ndarray:
     """J_m(tau) for m = 0..cutoff, the certified Chebyshev cutoff.
 
     e^{-i x tau} = sum_m (2 - delta_m0) (-i)^m J_m(tau) T_m(x) on
     x in [-1, 1].  The cutoff is the earliest order whose tail of dropped
     coefficient magnitudes, summed over orders below max_terms + 50, is
-    at most tol.  Orders past |tau| decay faster than geometrically, so
-    the weights (``_bessel_j``) are computed only until the last one is
-    far below the ulp of tol (2^-60 tol), which leaves every tail sum
-    that is compared against tol, and so the cutoff, as over the full
-    range.  Past |tau| = max_terms + 50 the weights peak beyond every
-    order computed, so the expansion is refused at once.
+    at most CHEBYSHEV_TOL.  Orders past |tau| decay faster than
+    geometrically, so the weights (``_bessel_j``) are computed only until
+    the last one is far below the ulp of that tolerance (2^-60 of it),
+    which leaves every tail sum compared against it, and so the cutoff, as
+    over the full range.  Past |tau| = max_terms + 50 the weights peak
+    beyond every order computed, so the expansion is refused at once.
     """
     limit = max_terms + 50
     if abs(tau) > limit:
@@ -307,11 +307,11 @@ def _chebyshev_coefficients(tau: float, tol: float = 1e-12,
         weights = 2.0 * np.abs(coeffs)
         weights[0] *= 0.5
         if size == limit or (size > abs(tau) + 1
-                             and weights[-1] <= tol * 2.0 ** -60):
+                             and weights[-1] <= CHEBYSHEV_TOL * 2.0 ** -60):
             break
         size = min(limit, 2 * size)
     tails = np.cumsum(weights[::-1])[::-1]
-    below = np.flatnonzero(tails <= tol)
+    below = np.flatnonzero(tails <= CHEBYSHEV_TOL)
     if below.size == 0 or below[0] > max_terms:
         raise NumericalFailureError(
             f"Chebyshev expansion did not converge within {max_terms} terms "
@@ -321,7 +321,7 @@ def _chebyshev_coefficients(tau: float, tol: float = 1e-12,
 
 
 def _chebyshev_evolve(op: ChainOperator, vec: np.ndarray, t: float,
-                      tol: float = 1e-12, max_terms: int = 10000) -> np.ndarray:
+                      max_terms: int = 10000) -> np.ndarray:
     """exp(-iHt) vec via Chebyshev expansion with certified tail bound.
 
     H is scaled by its term-norm bound.  The truncation error is bounded
@@ -330,7 +330,7 @@ def _chebyshev_evolve(op: ChainOperator, vec: np.ndarray, t: float,
     scale = op.norm_bound()
     if scale == 0.0:
         return vec.astype(complex)
-    coeffs = _chebyshev_coefficients(scale * float(t), tol, max_terms)
+    coeffs = _chebyshev_coefficients(scale * float(t), max_terms)
     cutoff = coeffs.size - 1
 
     phi_prev = vec.astype(complex)
@@ -347,10 +347,9 @@ def _chebyshev_evolve(op: ChainOperator, vec: np.ndarray, t: float,
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _series_table(taus: np.ndarray, tol: float = 1e-12,
-                  max_terms: int = 10000) -> np.ndarray:
+def _series_table(taus: np.ndarray, max_terms: int = 10000) -> np.ndarray:
     """(2 - delta_m0) (-i)^m J_m(tau_j) as table[m, j], zero past each cutoff."""
-    columns = [_chebyshev_coefficients(tau, tol, max_terms) for tau in taus]
+    columns = [_chebyshev_coefficients(tau, max_terms) for tau in taus]
     table = np.zeros((max(c.size for c in columns), len(columns)), dtype=complex)
     for j, coeffs in enumerate(columns):
         table[:coeffs.size, j] = coeffs

@@ -198,12 +198,12 @@ def validate_config(resolved: dict) -> None:
         raise ConfigurationError(f"{section}.{exc}") from exc
     _require(np.isfinite(q["t_max"]) and q["t_max"] > 0, "quench.t_max",
              "must be finite and positive")
-    _require(isinstance(q["t_points"], int) and q["t_points"] >= 2,
-             "quench.t_points", "must be an integer >= 2")
-    _require(isinstance(q["tau_points"], int) and q["tau_points"] >= 2,
-             "quench.tau_points", "must be an integer >= 2")
-    _require(isinstance(e["dw_tau_points"], int) and e["dw_tau_points"] >= 3,
-             "echo.dw_tau_points", "must be an integer >= 3")
+    for section, key, least in (("quench", "t_points", 2), ("sweep", "n_t", 2),
+                                ("quench", "tau_points", 2),
+                                ("echo", "dw_tau_points", 3)):
+        value = resolved[section][key]
+        _require(isinstance(value, int) and value >= least,
+                 f"{section}.{key}", f"must be an integer >= {least}")
     quench._require_budget(   # grids and rate columns, before any library guard
         8 * (q["t_points"] * (1 + 4 * len(q["g_f"])) + e["dw_tau_points"]),
         f"time grids of {q['t_points']} and {e['dw_tau_points']} points")
@@ -212,8 +212,6 @@ def validate_config(resolved: dict) -> None:
     _require(s["dw_threshold"] > 0, "sweep.dw_threshold", "must be positive")
     _require(np.isfinite(s["pulse_constant"]) and s["pulse_constant"] > 0,
              "sweep.pulse_constant", "must be finite and positive")
-    _require(isinstance(s["n_t"], int) and s["n_t"] >= 2,
-             "sweep.n_t", "must be an integer >= 2")
     _require(isinstance(o["n_oracle"], int) and 2 <= o["n_oracle"] <= chain.MAX_SPINS,
              "oracle.n_oracle", f"must be an integer in [2, {chain.MAX_SPINS}]")
     _require(o["bc"] in ("periodic", "open"), "oracle.bc",
@@ -298,10 +296,16 @@ def _table_text(columns: list[str], data, fmt: str):
 def _atomic_write(path: str, pieces) -> None:
     """Write an iterable of text pieces to ``path`` through a temp file.
 
-    The temp file is renamed into place when every piece is written; on
-    any failure it is removed, so no partial file is left behind.
+    The output directory is made at the first artifact, so a refused
+    request leaves none.  The temp file is renamed into place when every
+    piece is written; on any failure it is removed, leaving no partial file.
     """
-    tmp = f"{path}.tmp"
+    outdir, tmp = os.path.dirname(path), f"{path}.tmp"
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"outputs.out: cannot make {outdir!r}: {exc.strerror}") from exc
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(pieces)
@@ -314,15 +318,10 @@ def _atomic_write(path: str, pieces) -> None:
 
 def _write_table(outdir: str, stem: str, columns: list[str], data,
                  fmt: str) -> str:
-    """Write equal-length columns as ``stem.csv`` or ``stem.json``.
-
-    Each distinct value of a column chunk is formatted once (``_cells``)
-    and rows are joined in C with ``str.join``; CSV fields follow csv's
-    QUOTE_MINIMAL rule.  The JSON layout is
+    """Write equal-length columns as ``stem.csv`` or ``stem.json``, chunk
+    by chunk from ``_table_text``; the JSON layout is
     ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
-    sorted keys would write it.  Rows are formatted and written in chunks
-    into a temp file that is renamed into place at the end.
-    """
+    sorted keys would write it."""
     name = f"{stem}.{fmt}"
     _atomic_write(os.path.join(outdir, name), _table_text(columns, data, fmt))
     return name
@@ -376,7 +375,10 @@ def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
 # per-field jobs (module level so a process pool can pickle them)
 
 def _job_otoc(spec, ts, e: dict, eps_dw: float):
-    # one echo evaluation per surface; the spectra come from the surfaces
+    # one echo evaluation per surface; the spectra come from the surfaces.
+    # The longer grid's scan is checked first: a refusal precedes every scan
+    otoc._require_scan_budget(spec, max(ts.size, e["dw_tau_points"]),
+                              e["n_phi"])
     fidelity = otoc.fidelity_otoc(
         otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation=e["aggregation"]))
     magnetization = otoc.magnetization_otoc(
@@ -401,11 +403,10 @@ def _job_pulse(spec, constant: float, n_t: int):
     target is d_f(k)'s propagator at C T / 2 (the identity if idle), and
     its angle must also be pi j / (n_t - 1) at duration j: one period.
     """
+    # four (n_k, n_t) arrays, refused before the schedule, which holds less
+    quench._require_budget(quench._working_set(spec.n_modes, n_t, 4),
+                           f"replay check of {spec.n_modes} x {n_t} pulses")
     sched, g_f = quench.pulse_schedule(spec, c=constant, n_t=n_t), spec.g_f
-    # four (n_k, n_t) arrays, and numpy's iteration buffers (3 operands)
-    quench._require_budget(8 * (len(sched) * (4 * n_t + quench.GEOMETRY_ROWS)
-                                + 3 * np.getbufsize()),
-                           f"replay check of {sched.durations.size} pulses")
     live = ~sched.idle
     d_x, d_y = 1.0 - g_f * np.cos(sched.k), g_f * np.sin(sched.k)
     norm = np.hypot(d_x, d_y) * live                     # |d_f|, 0 if idle
@@ -537,9 +538,6 @@ def cmd_oracle_compare(resolved: dict) -> None:
     q, s = resolved["quench"], resolved["sweep"]
     o, out = resolved["oracle"], resolved["outputs"]
     n = o["n_oracle"]
-    # the correspondence holds on the abc grid with one mode per chain site;
-    # requesting the "paper" endpoint grid here is the documented negative control
-    grid = q["grid"]
     ts = np.linspace(0.0, q["t_max"], 100)
     phis = 2.0 * np.pi * np.arange(8) / 8
     echo_ts = np.linspace(0.0, q["t_max"], 10)
@@ -572,7 +570,7 @@ def cmd_oracle_compare(resolved: dict) -> None:
         raise ToleranceFailure(
             f"worst difference {difference[worst]:.3e} > tolerance "
             f"{s['tolerance']:.3e} ({quantities[row]}, g_f={q['g_f'][field]}, "
-            f"t={t_column[row]:.6f}, grid={grid})")
+            f"t={t_column[row]:.6f}, grid={q['grid']})")
 
 
 def cmd_pulse_schedule(resolved: dict) -> None:
@@ -654,9 +652,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        resolved = resolve_config(args)
-        os.makedirs(resolved["outputs"]["out"], exist_ok=True)
-        COMMANDS[args.command](resolved)
+        COMMANDS[args.command](resolve_config(args))
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 1

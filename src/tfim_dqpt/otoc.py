@@ -133,18 +133,18 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     return backward @ (rotation_x(phi) @ (forward @ np.asarray(psi0, dtype=complex)))
 
 
-def _squared_n(config: EchoConfig) -> tuple[np.ndarray, np.ndarray]:
-    """n^2 = (2 P_k - 1)^2 over (distinct modes, t), in place; multiplicities.
-
-    Both observables start here, so the echo's working set is checked here
-    against the mode budget before anything is allocated: this matrix plus
-    up to three (n_phi, n_t) arrays (the product's running product and the
-    two temporaries of each factor).
-    """
-    n_t = config.time_grid.size
+def _require_scan_budget(spec: QuenchSpec, n_t: int, n_phi: int) -> None:
+    """Refuse an echo scan over the mode budget: its matrix and slabs, and
+    three (n_phi, n_t) surfaces (a running product and two temporaries)."""
     quench._require_budget(
-        8 * n_t * ((config.spec.n_modes + 1) // 2 + 3 * config.n_phi),
-        f"{config.n_phi} angles x {n_t} times over {config.spec.n_modes} modes")
+        quench._working_set(spec.n_distinct, n_t, 2, 3 * n_phi),
+        f"{n_phi} angles x {n_t} times over {spec.n_modes} modes")
+
+
+def _squared_n(config: EchoConfig) -> tuple[np.ndarray, np.ndarray]:
+    """n^2 = (2 P_k - 1)^2 over (distinct modes, t), in place, and each
+    mode's multiplicity."""
+    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
     n, weights = quench._probabilities(
         config.spec, config.time_grid, config.time_mode == "normalized")
     n *= 2.0

@@ -28,13 +28,14 @@ angle addition gives cos at T + r h from cos/sin tables of the slab starts
 T and offsets r h: with BLOCK-wide slabs, about 2 (n_t/BLOCK + BLOCK)
 transcendentals per mode.  Other grids take one ``np.cos`` per cell.
 ``rate_function`` reduces each slab to its times of f; ``_probabilities``
-fills the (n_k', n_t) matrix from them.  Both refuse a working set over
-``MODE_BUDGET_BYTES`` with ``ResourceGuardError`` before allocating.
+fills the (n_k', n_t) matrix from them.  Each guarded call checks, before
+its first allocation, one count (``_working_set``) of all it holds, and
+refuses a count over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError``.
 
 ``pulse_schedule`` writes the drive of every grid mode as one record array
 (fields ``k``, ``axis_angle``, ``rabi_rate``, ``durations`` (n_t,) and
-``idle``), built from the same Bloch-vector arrays and counted against the
-same budget; ``replay_unitary`` replays one record as a literal rotation.
+``idle``), built from the same Bloch-vector arrays and checked the same
+way; ``replay_unitary`` replays one record as a literal rotation.
 
 Two momentum grids are supported.  ``paper`` takes k = 0, 2pi/N, ..., 2pi
 (N+1 points, both endpoints included, each weighted once in the 1/N
@@ -79,9 +80,9 @@ __all__ = [
 # an exact Fisher zero, but the rate function must stay finite if they do.
 AMPLITUDE_FLOOR = 1e-300
 
-# Largest mode working set the vectorized paths may allocate: one float64
-# (n_k', n_t) array and GEOMETRY_ROWS n_k'-long ones over the n_k' distinct
-# modes, plus the (n_k, n_t) copy onto the grid where one is returned.
+# Largest working set (``_working_set``) a guarded call may hold, and the
+# floats it counts per mode besides its n_t-long rows: the geometry arrays,
+# or a schedule record's scalars
 MODE_BUDGET_BYTES = 2 ** 30
 GEOMETRY_ROWS = 12
 
@@ -116,6 +117,11 @@ class QuenchSpec:
     def n_modes(self) -> int:
         """Size of the momentum grid, known without building it."""
         return self.n + 1 if self.grid_mode == "paper" else self.n
+
+    @property
+    def n_distinct(self) -> int:
+        """Distinct modes k in [0, pi]: k and 2pi - k are one mode."""
+        return (self.n_modes + 1) // 2
 
     def momentum_grid(self) -> np.ndarray:
         return self._momenta(np.arange(self.n_modes))
@@ -172,23 +178,21 @@ def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
     return n_f, overlap
 
 
+def _working_set(modes: int, n_t: int, per_mode: int, rows: int = 0) -> int:
+    """Bytes a guarded call holds at most: per mode, GEOMETRY_ROWS floats and
+    ``per_mode`` n_t-long rows (slabs, a matrix, durations); ``rows`` + 4
+    rows of n_t + 1 floats (a grid copy or surfaces; the times, uniformity
+    test, output and sums); numpy's iteration buffers (3 operands)."""
+    return 8 * (modes * (GEOMETRY_ROWS + per_mode * n_t)
+                + (rows + 4) * (n_t + 1) + 3 * np.getbufsize())
+
+
 def _require_budget(need: int, what: str) -> None:
     """ResourceGuardError when ``need`` bytes exceed MODE_BUDGET_BYTES."""
     if need > MODE_BUDGET_BYTES:
         raise ResourceGuardError(
             f"{what} need about {need >> 20} MiB, over the "
             f"{MODE_BUDGET_BYTES >> 20} MiB mode budget")
-
-
-def _require_mode_budget(spec: QuenchSpec, n_t: int, whole_grid: bool) -> None:
-    """Refuse (distinct modes, n_t), plus its (n_k, n_t) grid copy, over budget.
-
-    Streaming ``rate_function`` holds geometry rows and slabs of n_t columns
-    at most: this count bounds it.  Whole-matrix callers add the slabs.
-    """
-    copy = spec.n_modes * n_t if whole_grid else 0
-    _require_budget(8 * ((spec.n_modes + 1) // 2 * (n_t + GEOMETRY_ROWS) + copy),
-                    f"{spec.n_modes} modes x {n_t} times")
 
 
 def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
@@ -201,7 +205,7 @@ def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
     overlapping its predecessor, as numpy sums a one-column slab pairwise.
     """
     su2._require_finite("t", grid)
-    ks = spec._momenta(np.arange((spec.n_modes + 1) // 2))
+    ks = spec._momenta(np.arange(spec.n_distinct))
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
     rate = np.full_like(n_f, np.pi) if normalized else n_f
     c2 = (overlap * overlap)[:, None]
@@ -226,18 +230,14 @@ def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
         yield start, np.minimum(np.add(slab, c2, out=slab), 1.0, out=slab)
 
 
-def _probabilities(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False,
-                   whole_grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _probabilities(spec: QuenchSpec, grid: np.ndarray,
+                   normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(|G_k|^2 over (distinct modes, n_t), filled slab by slab, and each
-    mode's multiplicity); ``whole_grid`` copies rows onto the grid, weight 1."""
-    _require_mode_budget(spec, grid.size, whole_grid)
-    probs = np.empty(((spec.n_modes + 1) // 2, grid.size))
+    mode's multiplicity).  Unguarded: its callers check the budget."""
+    probs = np.empty((spec.n_distinct, grid.size))
     for start, slab in _blocks(spec, grid, normalized):
         probs[:, start:start + slab.shape[1]] = slab
-    index = spec._distinct_index()
-    if whole_grid:
-        return probs[index], np.ones(spec.n_modes)
-    return probs, np.bincount(index).astype(float)
+    return probs, np.bincount(spec._distinct_index()).astype(float)
 
 
 def loschmidt_mode(spec: QuenchSpec, k: float, t):
@@ -256,8 +256,11 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """(k grid, |G_k(t)|^2 matrix of shape (n_k, n_t)) for the spec's grid."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    probs = _probabilities(spec, ts, whole_grid=True)[0]
-    return spec.momentum_grid(), probs
+    # the distinct matrix and its slabs, then its copy onto the grid
+    _require_budget(_working_set(spec.n_distinct, ts.size, 2, spec.n_modes),
+                    f"{spec.n_modes} modes x {ts.size} times")
+    probs = _probabilities(spec, ts)[0]
+    return spec.momentum_grid(), probs[spec._distinct_index()]
 
 
 def rate_function(spec: QuenchSpec, t):
@@ -268,7 +271,8 @@ def rate_function(spec: QuenchSpec, t):
     Slab by slab, so no (modes, n_t) array is held.  Scalar or array t.
     """
     ts = np.asarray(t, dtype=float)
-    _require_mode_budget(spec, ts.size, whole_grid=False)
+    _require_budget(_working_set(spec.n_distinct, ts.size, 1),
+                    f"{spec.n_modes} modes x {ts.size} times")
     weights = np.bincount(spec._distinct_index()).astype(float)[:, None]
     f = np.empty(ts.size)
     for start, logs in _blocks(spec, np.atleast_1d(ts)):
@@ -318,10 +322,12 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     """
     if not (su2._is_integral(n_t) and n_t >= 2):
         raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
-    _require_mode_budget(spec, int(n_t), whole_grid=True)   # before the grid
-    taus = np.linspace(0.0, 2.0, int(n_t))
-    probs = _probabilities(spec, taus, normalized=True, whole_grid=True)[0]
-    return spec.momentum_grid(), taus, probs
+    n_t = int(n_t)
+    _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
+                    f"{spec.n_modes} modes x {n_t} times")   # before the grid
+    taus = np.linspace(0.0, 2.0, n_t)
+    probs = _probabilities(spec, taus, normalized=True)[0]
+    return spec.momentum_grid(), taus, probs[spec._distinct_index()]
 
 
 def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
@@ -344,9 +350,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
     if not (su2._is_integral(n_t) and n_t >= 2):
         raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
     n_t = int(n_t)
-    # the rows, and numpy's iteration buffers (3 operands) for the 2-D fill
-    _require_budget(8 * (spec.n_modes * (n_t + GEOMETRY_ROWS)
-                         + 3 * np.getbufsize()),
+    _require_budget(_working_set(spec.n_modes, n_t, 1),
                     f"{spec.n_modes} schedule rows x {n_t} durations")
     # judged per distinct mode: the paper grid's k = 2pi idles with k = 0
     idle = _gap_squared(spec.g_f, spec._momenta(spec._distinct_index())) == 0.0

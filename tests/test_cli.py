@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -284,7 +285,8 @@ class TestReplayCheck:
         assert literal_deviation(bad, g_f, c) == pytest.approx(
             closed_form_deviation(bad, g_f, c), abs=1e-12)
 
-    @pytest.mark.parametrize("g_f, n_t", [(1.2, 2), (1.2, 100), (1.0, 2)])
+    @pytest.mark.parametrize("g_f, n_t", [(1.2, 2), (1.2, 100), (1.0, 2),
+                                          (1.2, 500)])
     def test_check_holds_no_more_than_its_guard_counts(self, monkeypatch,
                                                        g_f, n_t):
         # the four (n_k, n_t) arrays and numpy's iteration buffers
@@ -496,6 +498,19 @@ class TestFieldPool:
                      "--out", str(out)]) == 2
         assert "sweep.threads" in capsys.readouterr().err
         assert not out.exists()
+
+
+# the least valid value of each size the refusal sweep draws
+LEAST = {"quench.n": 2, "quench.t_points": 2, "quench.tau_points": 2,
+         "echo.n_phi": 7, "echo.dw_tau_points": 3, "sweep.n_t": 2}
+
+
+def huge_size(low: int):
+    """An integer >= low, log-uniform up to 10**400: uniform in its number
+    of digits, then uniform within them."""
+    return st.integers(len(str(low)), 400).flatmap(
+        lambda digits: st.integers(max(low, 10 ** (digits - 1)),
+                                   10 ** digits))
 
 
 def write_config(tmp_path, text: str) -> str:
@@ -780,7 +795,7 @@ class TestResourceAndRangeGuards:
         assert main(["rate-function", "--out", str(out),
                      "--n", str(10 ** 8)]) == 2
         assert "mode budget" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag, value", [
         ("rate-function", "--n", 10 ** 400),
@@ -798,7 +813,7 @@ class TestResourceAndRangeGuards:
         assert main([command, "--out", str(out), "--gf", "1.2",
                      flag, str(value)]) == 2
         assert "mode budget" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key", [
         ("rate-function", "quench", "t_points"),
@@ -825,6 +840,52 @@ class TestResourceAndRangeGuards:
         assert "mode budget" in capsys.readouterr().err
         assert not out.exists()
 
+    @given(st.sampled_from(sorted(cli.COMMANDS)), st.fixed_dictionaries(
+        {}, optional={key: huge_size(low) for key, low in LEAST.items()}))
+    # the surfaces' scan fits, the longer double-well scan does not
+    @example("otoc", {"quench.t_points": 2000, "echo.dw_tau_points": 3000,
+                      "echo.n_phi": 64})
+    # the schedule fits, its replay check does not
+    @example("pulse-schedule", {"quench.n": 2000, "sweep.n_t": 100})
+    @example("heatmap", {"quench.n": 10 ** 8})
+    def test_every_size_is_refused_before_it_is_allocated(self, command,
+                                                          sizes):
+        # a size not drawn takes its least value, so admitted runs are
+        # quick; fields run in process, so tracemalloc sees every allocation
+        sections = {}
+        for key, value in {**LEAST, **sizes}.items():
+            section, name = key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {value}\n")
+        text = "".join(f"[{section}]\n" + "".join(lines)
+                       for section, lines in sections.items())
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(quench, "MODE_BUDGET_BYTES", 4 * 2 ** 20), \
+                mock.patch.object(cli, "_usable_cpus", lambda: 1), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            out = os.path.join(tmp, "out")
+            config = write_config(Path(tmp), text)
+            tracemalloc.start()
+            try:
+                code = main([command, "--config", config, "--out", out])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if code == 2:
+                assert "mode budget" in err.getvalue()
+                assert peak < 2 ** 20 and not os.path.exists(out)
+            else:
+                assert code == 0, err.getvalue()
+
+    def test_output_path_that_is_a_file_is_refused(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "out"):
+            assert main(["rate-function", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: outputs.out")
+            assert err.count("\n") == 1
+        assert taken.read_text() == ""
+
     def test_oversized_echo_scan_is_refused(self, tmp_path, capsys,
                                             monkeypatch):
         # 31 modes x 500 times fit a 300 kB budget; 4096 angles do not
@@ -833,4 +894,4 @@ class TestResourceAndRangeGuards:
         assert main(["otoc", "--out", str(out), "--gf", "1.2",
                      "--nphi", "4096"]) == 2
         assert "mode budget" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -502,9 +503,10 @@ class TestClosedFormEcho:
             assert np.all(np.isfinite(otoc.fidelity_otoc(cfg)))
 
     def test_scan_working_set_is_guarded(self, monkeypatch):
-        # the modes fit a 300 kB budget, but 4096 angles x 500 times of
-        # (n_phi, n_t) surfaces need about 47 MiB
-        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 300_000)
+        # 8 angles fit a 500 kB budget (the scan counts 438 kB and peaks
+        # near 260 kB), but 4096 angles x 500 times of (n_phi, n_t) surfaces
+        # need about 47 MiB
+        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 500_000)
         spec = quench.QuenchSpec(0.0, 1.2, 30)
         ts = np.linspace(0.0, 5.0, 500)
         assert otoc.fidelity_otoc(otoc.EchoConfig(spec, ts, n_phi=8)).shape \
@@ -530,6 +532,76 @@ class TestClosedFormEcho:
             otoc.fidelity_otoc(cfg)
         with pytest.raises(ResourceGuardError):
             otoc.magnetization_otoc(cfg)
+
+
+def log_uniform(low: int, high: int):
+    return st.floats(np.log(low), np.log(high + 1)).map(
+        lambda x: min(high, int(np.exp(x))))
+
+
+@st.composite
+def guarded_calls(draw):
+    """(call, N, n_t, n_phi, grid, aggregation, time mode, uniform grid),
+    at most 2e6 mode cells and 1e6 surface cells."""
+    call = draw(st.sampled_from(GUARDED))
+    n = draw(log_uniform(2, 20000))
+    n_t = min(draw(log_uniform(2, 200_000)), max(2, 2_000_000 // n))
+    n_phi = min(draw(log_uniform(3, 1000)), max(3, 1_000_000 // n_t))
+    aggregation = "mean" if call == "magnetization" else \
+        draw(st.sampled_from(["mean", "product"]))
+    return (call, n, n_t, n_phi, draw(st.sampled_from(["paper", "abc"])),
+            aggregation, draw(st.sampled_from(["absolute", "normalized"])),
+            draw(st.booleans()))
+
+
+GUARDED = ("rate_function", "mode_probabilities", "return_probability_map",
+           "pulse_schedule", "fidelity", "magnetization")
+
+
+class TestWorkingSet:
+    """Every guarded call makes one budget check, and holds no more."""
+
+    @given(guarded_calls())
+    # where the counts before quench._working_set fell short: the echo with
+    # 64 times (1.8-1.9x), the heatmap and the rate with 2e5 times (1.2x)
+    @example(("fidelity", 2000, 64, 64, "paper", "mean", "absolute", True))
+    @example(("fidelity", 20000, 64, 64, "paper", "product", "absolute", True))
+    @example(("magnetization", 20000, 64, 64, "abc", "mean", "normalized",
+              True))
+    @example(("return_probability_map", 2, 200_000, 3, "paper", "mean",
+              "absolute", True))
+    @example(("rate_function", 2, 200_000, 3, "abc", "mean", "absolute", True))
+    def test_peak_is_at_most_the_one_count(self, case):
+        # no allowance past the count itself, whose numpy-buffer term
+        # (3 x 8 x np.getbufsize() bytes) also covers small Python objects
+        call, n, n_t, n_phi, grid, aggregation, time_mode, uniform = case
+        spec = quench.QuenchSpec(0.3, 1.2, n, grid)
+        ts = np.linspace(0.0, 5.0, n_t)
+        if not uniform:
+            ts = ts * ts / 5.0
+        config = otoc.EchoConfig(spec, ts, n_phi=n_phi,
+                                 aggregation=aggregation, time_mode=time_mode)
+        run = {"rate_function": lambda: quench.rate_function(spec, ts),
+               "mode_probabilities": lambda: quench.mode_probabilities(spec, ts),
+               "return_probability_map":
+                   lambda: quench.return_probability_map(spec, n_t),
+               "pulse_schedule": lambda: quench.pulse_schedule(spec, n_t=n_t),
+               "fidelity": lambda: otoc.fidelity_otoc(config),
+               "magnetization": lambda: otoc.magnetization_otoc(config)}[call]
+        counted, guard = [], quench._require_budget
+
+        def recording(need, what):
+            counted.append(need)
+            guard(need, what)
+
+        with mock.patch.object(quench, "_require_budget", recording):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(counted) == 1 and peak <= counted[0]
 
 
 class TestMqcComponents:
