@@ -11,20 +11,21 @@ pulse-schedule  schedule.csv + replay_check.json
 
 Every run writes ``manifest.json`` holding the fully resolved configuration
 (defaults included), the artifact version, and a sha256 checksum per output
-file.  Identical configurations produce byte-identical files on any host:
-floats are printed in shortest round-trip form and the wall-clock duration
-goes to stderr, never into an artifact.  Files appear atomically (temp +
-rename); a failed write removes its temp file.
+file, taken from the bytes as they are written.  Identical configurations
+produce byte-identical files on any host: floats are printed in shortest
+round-trip form and the wall-clock duration goes to stderr, never into an
+artifact.  Files appear atomically (temp + rename); a failed write removes
+its temp file.
 
 The final fields run in this process unless the planned work (fields x grid
 size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
 pool of one worker per usable CPU, at most one per field.  No option picks
 the path, and the artifacts do not depend on it.
 
-Tables are written column by column: each distinct value of a column is
-turned into text once, and rows and lines are joined with ``str.join``.
-CSV and JSON share that one text path; CSV fields follow csv's
-QUOTE_MINIMAL rule.
+Tables are written one final field's block of rows at a time, column by
+column: each distinct value of a column is turned into text once, and rows
+and lines are joined with ``str.join``.  CSV and JSON share that one text
+path; CSV fields follow csv's QUOTE_MINIMAL rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 numerical failure.
@@ -271,30 +272,33 @@ def _cells(column, fmt: str) -> list[str]:
     return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _table_text(columns: list[str], data, fmt: str):
-    """The text of a table, yielded one chunk of CHUNK_ROWS rows at a time.
-
-    Cells come from ``_cells``; rows and lines are joined with
+def _table_text(columns: list[str], blocks, fmt: str):
+    """The text of a table, yielded one chunk of at most CHUNK_ROWS rows at
+    a time, from an iterable of blocks, each a list of equal-length columns
+    (a block may be empty); it holds one block and one chunk's text at a
+    time.  Cells come from ``_cells``; rows and lines are joined with
     ``str.join``.  csv would write a row of one empty field as ``""``;
     every table here has at least two columns, so no row is one field.
     """
     if fmt == "csv":
+        head, row_sep, cell_sep, tail = "", "\n", ",", "\n"
         yield ",".join(map(_quote, columns)) + "\n"
     else:
+        head, row_sep, cell_sep, tail = "[", "], [", ", ", "]"
         yield f'{{"columns": {json.dumps(columns)}, "rows": ['
-    for start in range(0, len(data[0]), CHUNK_ROWS):
-        chunk = [_cells(col[start:start + CHUNK_ROWS], fmt) for col in data]
-        if fmt == "csv":
-            yield "\n".join(map(",".join, zip(*chunk))) + "\n"
-        else:
-            rows = "], [".join(map(", ".join, zip(*chunk)))
-            yield f"{', ' if start else ''}[{rows}]"
+    for block in blocks:
+        for start in range(0, len(block[0]), CHUNK_ROWS):
+            yield head + row_sep.join(map(cell_sep.join, zip(*[
+                _cells(col[start:start + CHUNK_ROWS], fmt) for col in block]))) + tail
+            head = "" if fmt == "csv" else ", ["
+        del block       # released before the next block is built
     if fmt == "json":
         yield "]}\n"
 
 
-def _atomic_write(path: str, pieces) -> None:
-    """Write an iterable of text pieces to ``path`` through a temp file.
+def _atomic_write(path: str, pieces) -> tuple[str, str]:
+    """Write an iterable of text pieces to ``path`` through a temp file;
+    return the file's name and the sha256 of the bytes written.
 
     The output directory is made at the first artifact, so a refused
     request leaves none.  The temp file is renamed into place when every
@@ -306,44 +310,43 @@ def _atomic_write(path: str, pieces) -> None:
     except OSError as exc:
         raise ConfigurationError(
             f"outputs.out: cannot make {outdir!r}: {exc.strerror}") from exc
+    digest = hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(pieces)
+        with open(tmp, "wb") as handle:
+            for data in map(str.encode, pieces):
+                digest.update(data)
+                handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+    return os.path.basename(path), digest.hexdigest()
 
 
-def _write_table(outdir: str, stem: str, columns: list[str], data,
-                 fmt: str) -> str:
-    """Write equal-length columns as ``stem.csv`` or ``stem.json``, chunk
-    by chunk from ``_table_text``; the JSON layout is
+def _write_table(outdir: str, stem: str, columns: list[str], blocks,
+                 fmt: str) -> tuple[str, str]:
+    """Write blocks of equal-length columns as ``stem.csv`` or
+    ``stem.json``, chunk by chunk from ``_table_text``; the JSON layout is
     ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
-    sorted keys would write it."""
-    name = f"{stem}.{fmt}"
-    _atomic_write(os.path.join(outdir, name), _table_text(columns, data, fmt))
-    return name
+    sorted keys would write it.  Returns the name and its sha256."""
+    return _atomic_write(os.path.join(outdir, f"{stem}.{fmt}"),
+                         _table_text(columns, blocks, fmt))
 
 
-def _write_json(outdir: str, name: str, payload) -> str:
-    _atomic_write(os.path.join(outdir, name),
-                  [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
-    return name
+def _write_json(outdir: str, name: str, payload) -> tuple[str, str]:
+    return _atomic_write(os.path.join(outdir, name),
+                         [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_manifest(outdir: str, command: str, resolved: dict,
-                    names: list[str]) -> None:
-    checksums = {}
-    for name in names:
-        with open(os.path.join(outdir, name), "rb") as handle:
-            checksums[name] = hashlib.sha256(handle.read()).hexdigest()
+                    written: list[tuple[str, str]]) -> None:
+    """``manifest.json`` from the writers' (name, sha256) pairs."""
     _write_json(outdir, "manifest.json", {
         "artifact_version": __version__,
         "command": command,
         "config": resolved,
-        "checksums": checksums,
+        "checksums": dict(written),
     })
 
 
@@ -374,18 +377,21 @@ def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
 # ---------------------------------------------------------------------------
 # per-field jobs (module level so a process pool can pickle them)
 
-def _job_otoc(spec, ts, e: dict, eps_dw: float):
+def _job_otoc(spec, ts, e: dict, eps_dw: float | None):
     # one echo evaluation per surface; the spectra come from the surfaces.
-    # The longer grid's scan is checked first: a refusal precedes every scan
-    otoc._require_scan_budget(spec, max(ts.size, e["dw_tau_points"]),
-                              e["n_phi"])
+    # With eps_dw, the double-well scan and verdict too; the longer grid's
+    # scan is checked first: a refusal precedes every scan
+    tau_points = 0 if eps_dw is None else e["dw_tau_points"]
+    otoc._require_scan_budget(spec, max(ts.size, tau_points), e["n_phi"])
     fidelity = otoc.fidelity_otoc(
         otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation=e["aggregation"]))
     magnetization = otoc.magnetization_otoc(
         otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation="mean"))
     spectra = {"fidelity": otoc.mqc_components(fidelity, e["m_max"]),
                "magnetization": otoc.mqc_components(magnetization, e["m_max"])}
-    taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
+    if eps_dw is None:
+        return fidelity, magnetization, spectra, None
+    taus = np.linspace(0.0, 1.0, tau_points)
     normalized = otoc.magnetization_otoc(
         otoc.EchoConfig(spec, taus, n_phi=e["n_phi"], aggregation="mean",
                         time_mode="normalized"))
@@ -447,10 +453,10 @@ def cmd_rate_function(resolved: dict) -> None:
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
     series = _fan_out(functools.partial(quench.rate_function, t=ts), q, q["n"],
                       ts.size)
-    data = [np.repeat(q["g_f"], ts.size), np.tile(ts, len(series)),
-            np.concatenate(series)]
-    names = [_write_table(out["out"], "rate_function",
-                          ["g_f", "t", "f"], data, out["format"])]
+    written = [_write_table(out["out"], "rate_function", ["g_f", "t", "f"],
+                            ([np.full(ts.size, g_f), ts, f]
+                             for g_f, f in zip(q["g_f"], series)),
+                            out["format"])]
     analytic = []
     for g_f in q["g_f"]:
         try:
@@ -460,9 +466,9 @@ def cmd_rate_function(resolved: dict) -> None:
         analytic.append({"g_f": g_f,
                          "dqpt": quench.dqpt_predicate(q["g_i"], g_f),
                          "critical_times": t_c})
-    names.append(_write_json(out["out"], "critical_times.json",
-                             {"g_i": q["g_i"], "series": analytic}))
-    _write_manifest(out["out"], "rate-function", resolved, names)
+    written.append(_write_json(out["out"], "critical_times.json",
+                               {"g_i": q["g_i"], "series": analytic}))
+    _write_manifest(out["out"], "rate-function", resolved, written)
 
 
 def cmd_heatmap(resolved: dict) -> None:
@@ -470,53 +476,47 @@ def cmd_heatmap(resolved: dict) -> None:
     maps = _fan_out(functools.partial(quench.return_probability_map,
                                       n_t=q["tau_points"]), q, q["n"],
                     q["tau_points"])
-    ks, taus, _ = maps[0]
-    data = [np.repeat(q["g_f"], ks.size * taus.size),
-            np.tile(np.repeat(ks, taus.size), len(maps)),
-            np.tile(taus, len(maps) * ks.size),
-            np.concatenate([probs.ravel() for _, _, probs in maps])]
-    names = [_write_table(out["out"], "return_prob",
-                          ["g_f", "k", "t_over_t0", "probability"],
-                          data, out["format"])]
-    _write_manifest(out["out"], "heatmap", resolved, names)
+    blocks = ([np.full(probs.size, g_f), np.repeat(ks, taus.size),
+               np.tile(taus, ks.size), probs.ravel()]
+              for g_f, (ks, taus, probs) in zip(q["g_f"], maps))
+    written = [_write_table(out["out"], "return_prob",
+                            ["g_f", "k", "t_over_t0", "probability"],
+                            blocks, out["format"])]
+    _write_manifest(out["out"], "heatmap", resolved, written)
 
 
 def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     q, e = resolved["quench"], resolved["echo"]
     s, out = resolved["sweep"], resolved["outputs"]
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
-    results = _fan_out(functools.partial(_job_otoc, ts=ts, e=e,
-                                         eps_dw=s["dw_threshold"]),
-                       q, q["n"], ts.size)
+    results = _fan_out(functools.partial(
+        _job_otoc, ts=ts, e=e, eps_dw=None if spectra_only else s["dw_threshold"]),
+        q, q["n"], ts.size)
     phis = 2.0 * np.pi * np.arange(e["n_phi"]) / e["n_phi"]
-    n_fields, cells = len(results), phis.size * ts.size
-    names = []
+    written = []
     if not spectra_only:
-        data = [np.repeat(q["g_f"], cells),
-                np.tile(np.repeat(phis, ts.size), n_fields),
-                np.tile(ts, n_fields * phis.size),
-                np.concatenate([fid.ravel() for fid, _, _, _ in results]),
-                np.concatenate([mag.ravel() for _, mag, _, _ in results])]
-        names.append(_write_table(out["out"], "otoc_surface",
-                                  ["g_f", "phi", "t", "fidelity", "magnetization"],
-                                  data, out["format"]))
+        blocks = ([np.full(fid.size, g_f), np.repeat(phis, ts.size),
+                   np.tile(ts, phis.size), fid.ravel(), mag.ravel()]
+                  for g_f, (fid, mag, _, _) in zip(q["g_f"], results))
+        written.append(_write_table(
+            out["out"], "otoc_surface",
+            ["g_f", "phi", "t", "fidelity", "magnetization"], blocks,
+            out["format"]))
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
     observables = ("fidelity", "magnetization")
-    # row order: field, observable, t, m; one (2 m_max + 1, n_t) block each
-    comps = np.concatenate([spectra[observable].T.ravel()
-                            for _, _, spectra, _ in results
-                            for observable in observables])
-    block = ts.size * orders.size
-    data = [np.repeat(q["g_f"], len(observables) * block),
-            [obs for obs in observables for _ in range(block)] * n_fields,
-            np.tile(np.repeat(ts, orders.size), n_fields * len(observables)),
-            np.tile(orders, n_fields * len(observables) * ts.size),
-            comps.real, comps.imag,
-            # Python's abs(), not np.abs: they differ in the last bit
-            np.array([abs(c) for c in comps.tolist()])]
-    names.append(_write_table(out["out"], "spectra",
-                              ["g_f", "observable", "t", "m", "re", "im", "abs"],
-                              data, out["format"]))
+    # row order per field: observable, t, m; one (2 m_max + 1, n_t) block each
+    comps = [np.concatenate([spectra[obs].T.ravel() for obs in observables])
+             for _, _, spectra, _ in results]
+    labels = [obs for obs in observables for _ in range(ts.size * orders.size)]
+    blocks = ([np.full(c.size, g_f), labels,
+               np.tile(np.repeat(ts, orders.size), len(observables)),
+               np.tile(orders, len(observables) * ts.size), c.real, c.imag,
+               # Python's abs(), not np.abs: they differ in the last bit
+               np.array([abs(z) for z in c.tolist()])]
+              for g_f, c in zip(q["g_f"], comps))
+    written.append(_write_table(
+        out["out"], "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
+        blocks, out["format"]))
     if not spectra_only:
         payload = {
             "detector": {
@@ -529,9 +529,9 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
             "results": [{"g_f": g_f, "classification": verdict}
                         for g_f, (_, _, _, verdict) in zip(q["g_f"], results)],
         }
-        names.append(_write_json(out["out"], "doublewell.json", payload))
+        written.append(_write_json(out["out"], "doublewell.json", payload))
     _write_manifest(out["out"], "spectra" if spectra_only else "otoc",
-                    resolved, names)
+                    resolved, written)
 
 
 def cmd_oracle_compare(resolved: dict) -> None:
@@ -547,28 +547,26 @@ def cmd_oracle_compare(resolved: dict) -> None:
     results = _fan_out(functools.partial(_job_compare, bc=o["bc"], ts=ts,
                                          phis=phis, echo_ts=echo_ts),
                        q, n, ts.size + cells, 2 ** n)
-    per_field = ts.size + 2 * cells
     quantities = (["rate_function"] * ts.size + ["fidelity"] * cells
                   + ["magnetization"] * cells)
     phi_column = ([""] * ts.size
                   + 2 * [phi for phi in (phis + 0.0).tolist() for _ in echo_ts])
     t_column = np.concatenate([ts, np.tile(echo_ts, 2 * phis.size)])
-    difference = np.concatenate([np.concatenate([rate, fid.ravel(), mag.ravel()])
-                                 for rate, fid, mag in results])
-    data = [np.repeat(q["g_f"], per_field), quantities * len(results),
-            phi_column * len(results), np.tile(t_column, len(results)),
-            difference]
-    names = [_write_table(out["out"], "compare",
-                          ["g_f", "quantity", "phi", "t", "difference"],
-                          data, out["format"])]
-    _write_manifest(out["out"], "oracle-compare", resolved, names)
+    difference = np.array([np.concatenate([rate, fid.ravel(), mag.ravel()])
+                           for rate, fid, mag in results])
+    written = [_write_table(out["out"], "compare",
+                            ["g_f", "quantity", "phi", "t", "difference"],
+                            ([np.full(t_column.size, g_f), quantities,
+                              phi_column, t_column, row]
+                             for g_f, row in zip(q["g_f"], difference)),
+                            out["format"])]
+    _write_manifest(out["out"], "oracle-compare", resolved, written)
     # the first largest difference; NaN rows never count as the worst
     ranked = np.where(np.isnan(difference), -np.inf, difference)
-    worst = int(np.argmax(ranked))
-    if ranked[worst] > s["tolerance"]:
-        field, row = divmod(worst, per_field)
+    field, row = np.unravel_index(np.argmax(ranked), ranked.shape)
+    if ranked[field, row] > s["tolerance"]:
         raise ToleranceFailure(
-            f"worst difference {difference[worst]:.3e} > tolerance "
+            f"worst difference {difference[field, row]:.3e} > tolerance "
             f"{s['tolerance']:.3e} ({quantities[row]}, g_f={q['g_f'][field]}, "
             f"t={t_column[row]:.6f}, grid={q['grid']})")
 
@@ -577,20 +575,21 @@ def cmd_pulse_schedule(resolved: dict) -> None:
     q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
     results = _fan_out(functools.partial(_job_pulse, constant=s["pulse_constant"],
                                          n_t=s["n_t"]), q, q["n"], s["n_t"])
-    sched, n_t = np.concatenate([sched for sched, _ in results]), s["n_t"]
-    data = [np.repeat(q["g_f"], len(sched) // len(results) * n_t),
-            *(np.repeat(sched[name], n_t) for name in sched.dtype.names[:3]),
-            np.tile(np.arange(n_t), len(sched)), sched["durations"].ravel(),
-            np.repeat(sched["idle"], n_t)]
-    names = [_write_table(out["out"], "schedule",
-                          ["g_f", *sched.dtype.names[:3], "duration_index",
-                           "duration", "idle"], data, out["format"])]
+    n_t, keys = s["n_t"], ("k", "axis_angle", "rabi_rate")
+    blocks = ([np.full(sched.durations.size, g_f),
+               *(np.repeat(sched[key], n_t) for key in keys),
+               np.tile(np.arange(n_t), len(sched)), sched.durations.ravel(),
+               np.repeat(sched.idle, n_t)]
+              for g_f, (sched, _) in zip(q["g_f"], results))
+    written = [_write_table(out["out"], "schedule",
+                            ["g_f", *keys, "duration_index", "duration", "idle"],
+                            blocks, out["format"])]
     deviations = [deviation for _, deviation in results]
-    names.append(_write_json(out["out"], "replay_check.json", {
+    written.append(_write_json(out["out"], "replay_check.json", {
         "per_g_f": [{"g_f": g_f, "max_deviation": deviation}
                     for g_f, deviation in zip(q["g_f"], deviations)],
         "max_deviation": max(deviations)}))
-    _write_manifest(out["out"], "pulse-schedule", resolved, names)
+    _write_manifest(out["out"], "pulse-schedule", resolved, written)
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,8 @@ def _require_budget(need: int, what: str) -> None:
     """ResourceGuardError when ``need`` bytes exceed MODE_BUDGET_BYTES."""
     if need > MODE_BUDGET_BYTES:
         raise ResourceGuardError(
-            f"{what} need about {need >> 20} MiB, over the "
-            f"{MODE_BUDGET_BYTES >> 20} MiB mode budget")
+            f"{what} need {need:,} bytes, over the "
+            f"{MODE_BUDGET_BYTES:,}-byte mode budget")
 
 
 def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):

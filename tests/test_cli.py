@@ -126,6 +126,23 @@ class TestOtoc:
         manifest = read_json(out / "manifest.json")
         assert manifest["command"] == "spectra"
 
+    def test_spectra_neither_runs_nor_counts_the_double_well_scan(
+            self, tmp_path, capsys):
+        # 10**6 double-well times need about 1.7 GiB of scan, which otoc
+        # refuses; spectra never writes that scan, so it neither runs it
+        # nor counts it
+        cfg = write_config(tmp_path, "[echo]\ndw_tau_points = 1000000\n")
+        default, wide = tmp_path / "default", tmp_path / "wide"
+        assert main(["spectra", "--out", str(default)]) == 0
+        assert main(["spectra", "--out", str(wide), "--config", cfg]) == 0
+        assert (wide / "spectra.csv").read_bytes() \
+            == (default / "spectra.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["otoc", "--out", str(tmp_path / "otoc"),
+                     "--config", cfg]) == 2
+        assert "mode budget" in capsys.readouterr().err
+        assert not (tmp_path / "otoc").exists()
+
 
 class TestOracleCompare:
     def test_default_grid_is_abc(self, tmp_path):
@@ -646,9 +663,12 @@ class TestColumnarWriter:
                                             fmt, chunk):
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
         columns, data, rows = self.table()
-        name = cli._write_table(str(tmp_path), "table", columns, data, fmt)
+        name, digest = cli._write_table(str(tmp_path), "table", columns, [data],
+                                        fmt)
         assert name == f"table.{fmt}"
-        assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
+        written = (tmp_path / name).read_bytes()
+        assert written == reference_table(columns, rows, fmt)
+        assert digest == hashlib.sha256(written).hexdigest()
         assert not (tmp_path / f"{name}.tmp").exists()
 
     def repeated_table(self):
@@ -673,7 +693,7 @@ class TestColumnarWriter:
         # chunk edges fall inside runs of one value
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
         columns, data, rows = self.repeated_table()
-        name = cli._write_table(str(tmp_path), "table", columns, data, fmt)
+        name, _ = cli._write_table(str(tmp_path), "table", columns, [data], fmt)
         assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
 
     @given(st.integers(0, 40), st.lists(st.sampled_from(COLUMN_KINDS),
@@ -691,9 +711,16 @@ class TestColumnarWriter:
             columns.append(f"c{i}" if i % 2 else f"c,{i}")
             table.append(values if kind in ("strings", "mixed")
                          else np.array(values, dtype=kind))
+        # consecutive blocks of the rows; equal edges make empty blocks
+        edges = [0, *sorted(data.draw(st.lists(st.integers(0, n_rows),
+                                               max_size=4))), n_rows]
+        blocks = [[column[start:stop] for column in table]
+                  for start, stop in zip(edges, edges[1:])]
+        if n_rows == 0 and data.draw(st.booleans()):
+            blocks = []                                # no block at all
         with tempfile.TemporaryDirectory() as outdir, \
                 mock.patch.object(cli, "CHUNK_ROWS", chunk):
-            name = cli._write_table(outdir, "t", columns, table, fmt)
+            name, _ = cli._write_table(outdir, "t", columns, iter(blocks), fmt)
             with open(os.path.join(outdir, name), "rb") as handle:
                 written = handle.read()
         assert written == reference_table(columns, list(zip(*table)), fmt)
@@ -713,7 +740,7 @@ class TestColumnarWriter:
         monkeypatch.setattr(cli, "_cells", failing)
         with pytest.raises(MemoryError):
             cli._write_table(str(tmp_path), "t", ["a", "b"],
-                             [np.arange(10.0), np.arange(10)], fmt)
+                             [[np.arange(10.0), np.arange(10)]], fmt)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_atomic_write_leaves_no_file(self, tmp_path):
@@ -725,10 +752,38 @@ class TestColumnarWriter:
             cli._atomic_write(str(tmp_path / "x.json"), pieces())
         assert list(tmp_path.iterdir()) == []
 
+    def test_manifest_opens_no_artifact(self, tmp_path):
+        # a 17 MiB artifact: its checksum is taken as its bytes are
+        # written, so the manifest step reads nothing back
+        piece = "0123456789abcdef" * 2 ** 16                     # 1 MiB
+        written = [cli._atomic_write(str(tmp_path / "big.csv"), [piece] * 17)]
+        assert (tmp_path / "big.csv").stat().st_size >= 16 * 2 ** 20
+        opened = []
+
+        def recording(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        with mock.patch.object(cli, "open", recording, create=True):
+            tracemalloc.start()
+            try:
+                cli._write_manifest(str(tmp_path), "heatmap", cli.DEFAULTS,
+                                    written)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert opened == ["manifest.json.tmp"] and peak < 2 ** 20
+        digest = hashlib.sha256()
+        with open(tmp_path / "big.csv", "rb") as handle:
+            for block in iter(lambda: handle.read(2 ** 20), b""):
+                digest.update(block)
+        assert read_json(tmp_path / "manifest.json")["checksums"] \
+            == {"big.csv": digest.hexdigest()}
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, tmp_path, fmt):
-        name = cli._write_table(str(tmp_path), "empty", ["a", "b"],
-                                [np.zeros(0), []], fmt)
+        name, _ = cli._write_table(str(tmp_path), "empty", ["a", "b"],
+                                   [[np.zeros(0), []]], fmt)
         assert (tmp_path / name).read_bytes() == reference_table(["a", "b"], [], fmt)
 
     def test_otoc_csv_equals_json_rows(self, tmp_path):

@@ -675,6 +675,22 @@ class TestModePairing:
                 call()
         assert quench.QuenchSpec(0.0, 1.2, np.int64(8)).n == 8
 
+    @pytest.mark.parametrize("budget", [2 ** 20, 300_000])
+    @pytest.mark.parametrize("over", [1, 2 ** 20 + 7])
+    def test_refusal_reads_a_need_above_the_budget(self, monkeypatch, budget,
+                                                   over):
+        # whole-MiB rounding read "1 MiB, over the 1 MiB" and "0 MiB, over
+        # the 0 MiB"; the message must show the need larger than the budget
+        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", budget)
+        quench._require_budget(budget, "exactly the budget")
+        with pytest.raises(ResourceGuardError) as refused:
+            quench._require_budget(budget + over, "the scan")
+        need, limit = (int(number.replace(",", "")) for number in re.findall(
+            r"[\d,]*\d", str(refused.value)))
+        assert (need, limit) == (budget + over, budget)
+        assert str(refused.value).startswith("the scan need ")
+        assert str(refused.value).endswith("mode budget")
+
 
 class TestProbabilityKernel:
     """|G_k|^2 = c^2 + (1 - c^2) cos^2(phase): exact where it must be."""

@@ -11,7 +11,9 @@
 # differs, tools/artifact_diff.py prints the largest absolute difference
 # over its numeric cells, or "layout changed".  Exits 1 when an artifact
 # differs and tfim_dqpt.__version__ (the manifest's artifact_version) is the
-# same at both; a changed artifact must come with a version bump.
+# same at both; a changed artifact must come with a version bump.  In every
+# output directory of both trees, manifest.json's checksums must name
+# exactly the other files there, each with its sha256sum; otherwise exit 1.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -44,6 +46,24 @@ run() {
     done
     (cd "$out" && find . -type f ! -name manifest.json | LC_ALL=C sort \
         | xargs sha256sum) > "$out.sha256"
+    check_manifests "$out"
+}
+
+# check_manifests OUT_DIR: each output directory's manifest.json against the
+# sha256sum of every other file in it
+check_manifests() {
+    local dir
+    for dir in "$1"/*/; do
+        if ! diff -u \
+            <(python -c 'import json, sys
+for name, digest in sorted(json.load(open(sys.argv[1]))["checksums"].items()):
+    print(f"{digest}  {name}")' "$dir/manifest.json") \
+            <(cd "$dir" && find . -type f ! -name manifest.json \
+                | sed 's|^\./||' | LC_ALL=C sort | xargs -r sha256sum); then
+            echo "manifest of $dir does not match its files" >&2
+            exit 1
+        fi
+    done
 }
 
 version() {
