@@ -7,12 +7,13 @@ literal chain Hamiltonian
 
 acting on dense state vectors (N <= 14) through a real sparse (CSR) form
 that each operator builds once, on its first ``apply``; a block of states
-(dim, b) costs about one sparse product.  Dense eigendecomposition drives
-the evolution for N <= 10; beyond that a Chebyshev expansion with
-certified truncation error takes over.  Its weights J_m(tau) come from
-Miller's backward Bessel recurrence (``_bessel_j``), so importing this
-module loads no scipy; scipy.sparse is imported only when a CSR form is
-first built.
+(dim, b) costs about one sparse product.  Every evolution goes through
+``_evolve_block``, under one rule: the dense eigensystem below
+2^DENSE_LIMIT states, a Chebyshev expansion with certified truncation
+error from there on (the literal register from N = 10).  Its weights
+J_m(tau) come from Miller's backward Bessel recurrence (``_bessel_j``), so
+importing this module loads no scipy; scipy.sparse is imported only when
+a CSR form is first built.
 
 ``ChainOperator``, ``evolve_chain``, ``echo_chain``,
 ``register_rotation_x`` and ``bond_correlator`` are the literal paths:
@@ -32,8 +33,9 @@ against them.  The sweeps (``rate_function_ed``, ``echo_scan_chain``,
   -J lambda_a, and a spin flip taking the representative of O_a into
   O_b adds -J g sqrt(|O_a|/|O_b|) to <b|H|a> (Sandvik, arXiv:1101.3281,
   sec. 4.1);
-* below 2^DENSE_LIMIT orbit states the sweeps use the dense
-  eigensystem; beyond (open chains from N = 11), one Chebyshev recursion
+* by the same rule, the sweeps use the dense eigensystem below
+  2^DENSE_LIMIT orbit states (every ring up to N = 14); from there on
+  (open chains from N = 11), one Chebyshev recursion
   on the sector's CSR form serves every time of a scan, since the
   vectors T_m(H/s) psi do not depend on t (``rate_function_ed`` keeps
   only the moments <psi|T_m|psi>);
@@ -100,9 +102,10 @@ __all__ = [
 ]
 
 MAX_SPINS = 14          # 2^14 amplitudes; hard resource guard
-DENSE_LIMIT = 10        # dense eigendecomposition up to here
+DENSE_LIMIT = 10        # dense eigensystem below 2^DENSE_LIMIT states
 ORACLE_COUPLING = 0.5   # J making chain quasiparticle energy equal |d(k)|
 CHEBYSHEV_TOL = 1e-12   # certified bound on each expansion's dropped tail
+CHEBYSHEV_TERMS = 10000  # term budget of each expansion
 
 BOUNDARY_CONDITIONS = ("periodic", "open")
 
@@ -283,23 +286,23 @@ def _bessel_j(size: int, tau: float) -> np.ndarray:
     return out
 
 
-def _chebyshev_coefficients(tau: float, max_terms: int = 10000) -> np.ndarray:
+def _chebyshev_coefficients(tau: float) -> np.ndarray:
     """J_m(tau) for m = 0..cutoff, the certified Chebyshev cutoff.
 
     e^{-i x tau} = sum_m (2 - delta_m0) (-i)^m J_m(tau) T_m(x) on
     x in [-1, 1].  The cutoff is the earliest order whose tail of dropped
-    coefficient magnitudes, summed over orders below max_terms + 50, is
-    at most CHEBYSHEV_TOL.  Orders past |tau| decay faster than
+    coefficient magnitudes, summed over orders below CHEBYSHEV_TERMS + 50,
+    is at most CHEBYSHEV_TOL.  Orders past |tau| decay faster than
     geometrically, so the weights (``_bessel_j``) are computed only until
     the last one is far below the ulp of that tolerance (2^-60 of it),
     which leaves every tail sum compared against it, and so the cutoff, as
-    over the full range.  Past |tau| = max_terms + 50 the weights peak
-    beyond every order computed, so the expansion is refused at once.
+    over the full range.  Past |tau| = CHEBYSHEV_TERMS + 50 the weights
+    peak beyond every order computed, so the expansion is refused at once.
     """
-    limit = max_terms + 50
+    limit = CHEBYSHEV_TERMS + 50
     if abs(tau) > limit:
         raise NumericalFailureError(
-            f"Chebyshev expansion cannot converge within {max_terms} terms "
+            f"Chebyshev expansion cannot converge within {CHEBYSHEV_TERMS} terms "
             f"(|tau| = {abs(tau):.3g} is past the {limit} orders computed)")
     size = min(limit, int(abs(tau) + 18.0 * max(abs(tau), 1.0) ** (1 / 3)) + 16)
     while True:
@@ -312,44 +315,22 @@ def _chebyshev_coefficients(tau: float, max_terms: int = 10000) -> np.ndarray:
         size = min(limit, 2 * size)
     tails = np.cumsum(weights[::-1])[::-1]
     below = np.flatnonzero(tails <= CHEBYSHEV_TOL)
-    if below.size == 0 or below[0] > max_terms:
+    if below.size == 0 or below[0] > CHEBYSHEV_TERMS:
+        residual = float(tails[CHEBYSHEV_TERMS])
         raise NumericalFailureError(
-            f"Chebyshev expansion did not converge within {max_terms} terms "
-            f"(|tau| = {abs(tau):.3g}); achieved residual {tails[max_terms]:.3e}",
-            residual=float(tails[max_terms]))
+            f"Chebyshev expansion did not converge within {CHEBYSHEV_TERMS} "
+            f"terms (|tau| = {abs(tau):.3g}); achieved residual {residual:.3e}",
+            residual=residual)
     return coeffs[:below[0] + 1]
-
-
-def _chebyshev_evolve(op: ChainOperator, vec: np.ndarray, t: float,
-                      max_terms: int = 10000) -> np.ndarray:
-    """exp(-iHt) vec via Chebyshev expansion with certified tail bound.
-
-    H is scaled by its term-norm bound.  The truncation error is bounded
-    by the summed magnitude of the dropped coefficients.
-    """
-    scale = op.norm_bound()
-    if scale == 0.0:
-        return vec.astype(complex)
-    coeffs = _chebyshev_coefficients(scale * float(t), max_terms)
-    cutoff = coeffs.size - 1
-
-    phi_prev = vec.astype(complex)
-    phi_curr = op.apply(phi_prev) / scale
-    result = coeffs[0] * phi_prev + 2.0 * (-1.0j) * coeffs[1] * phi_curr
-    for m in range(2, cutoff + 1):
-        phi_next = 2.0 * op.apply(phi_curr) / scale - phi_prev
-        result += 2.0 * (-1.0j) ** m * coeffs[m] * phi_next
-        phi_prev, phi_curr = phi_curr, phi_next
-    return result
 
 
 # (-i)^m by m mod 4, exact
 _POWERS_OF_MINUS_I = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _series_table(taus: np.ndarray, max_terms: int = 10000) -> np.ndarray:
+def _series_table(taus: np.ndarray) -> np.ndarray:
     """(2 - delta_m0) (-i)^m J_m(tau_j) as table[m, j], zero past each cutoff."""
-    columns = [_chebyshev_coefficients(tau, max_terms) for tau in taus]
+    columns = [_chebyshev_coefficients(tau) for tau in taus]
     table = np.zeros((max(c.size for c in columns), len(columns)), dtype=complex)
     for j, coeffs in enumerate(columns):
         table[:coeffs.size, j] = coeffs
@@ -379,9 +360,10 @@ def _chebyshev_vectors(op: ChainOperator, vec: np.ndarray, scale: float,
 def _evolve_block(op: ChainOperator, block: np.ndarray, ts) -> np.ndarray:
     """exp(-iHt) block for every t in ts, shape (dim, b, n_t).
 
-    Dense through the cached eigenbasis below 2^DENSE_LIMIT states;
-    beyond, one Chebyshev recursion of the (dim, b) block serves every t,
-    each t summed to its own certified cutoff.
+    The one evolution engine of this module.  Dense through the cached
+    eigenbasis below 2^DENSE_LIMIT states; from there on, one Chebyshev
+    recursion of the (dim, b) block serves every t, each t summed to its
+    own certified cutoff.
     """
     ts = np.asarray(ts, dtype=float)
     if op.dim < 2 ** DENSE_LIMIT:
@@ -428,23 +410,14 @@ def _chebyshev_amplitudes(op: ChainOperator, psi: np.ndarray, ts) -> np.ndarray:
     return moments[:len(table)] @ table
 
 
-def evolve_chain(state: np.ndarray, op: ChainOperator, t: float,
-                 method: str = "auto", max_terms: int = 10000) -> np.ndarray:
-    """exp(-iHt) |state>; dense for N <= 10, Chebyshev beyond."""
+def evolve_chain(state: np.ndarray, op: ChainOperator, t: float) -> np.ndarray:
+    """exp(-iHt) |state> through ``_evolve_block``."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (op.dim,):
         raise ConfigurationError(
             f"state dimension {state.shape} does not match operator ({op.dim},)")
-    if not np.isfinite(t):
-        raise ConfigurationError(f"t must be finite, got {t}")
-    if method == "auto":
-        method = "dense" if op.n <= DENSE_LIMIT else "chebyshev"
-    if method == "dense":
-        energies, vectors = op.eigensystem()
-        return vectors @ (np.exp(-1.0j * energies * t) * (vectors.conj().T @ state))
-    if method == "chebyshev":
-        return _chebyshev_evolve(op, state, t, max_terms=max_terms)
-    raise ConfigurationError(f"unknown method {method!r}")
+    t = float(su2._require_finite("t", t))
+    return _evolve_block(op, state[:, None], [t])[:, 0, 0]
 
 
 def _xx_spectrum(n: int, bonds) -> np.ndarray:
@@ -483,6 +456,7 @@ def register_rotation_x(state: np.ndarray, phi: float, n: int,
     about x.  Note this is not exp(-i phi S_x): the register x operator
     maps to the bond correlator, not to the collective spin.
     """
+    phi = su2._require_finite("phi", phi)
     phases = np.exp(-0.25j * phi * _xx_spectrum(n, bonds))
     return _fwht(phases * _fwht(state))
 
@@ -562,11 +536,9 @@ def echo_scan_chain(n: int, g_f: float, ts, phis,
     magnetization evolves the n_phi rotated states of each t back as one
     block (see the module docstring).
     """
+    ts = np.atleast_1d(su2._require_finite("ts", ts))
+    phis = np.atleast_1d(su2._require_finite("phis", phis))
     op = _oracle_operator(int(n), float(g_f), bc)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(phis))):
-        raise ConfigurationError("ts and phis must be finite")
     # the cat state e_0 is the first column of the identity
     forward = _evolve_block(op, np.eye(op.dim, 1), ts)[:, 0, :]
     rotations = np.exp(-0.25j * np.outer(op.lam, phis))
@@ -592,10 +564,9 @@ def mqc_spectrum_ed(n: int, g_f: float, t: float, bc: str = "periodic",
     if n_phi is None:
         n_phi = max(2 * n + 1, 64)
     require_resolvable(n_phi, m_max)
-    if not np.isfinite(t):
-        raise ConfigurationError(f"t must be finite, got {t}")
+    t = float(su2._require_finite("t", t))
     op = _oracle_operator(n, float(g_f), bc)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    weights = np.abs(_evolve_block(op, np.eye(op.dim, 1), [float(t)])[:, 0, 0]) ** 2
+    weights = np.abs(_evolve_block(op, np.eye(op.dim, 1), [t])[:, 0, 0]) ** 2
     signal = np.abs(np.exp(-0.25j * np.outer(phis, op.lam)) @ weights) ** 4
     return mqc_spectrum(signal, m_max)

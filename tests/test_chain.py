@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import jv
 
 from tfim_dqpt import chain, otoc, quench, su2
@@ -23,10 +24,11 @@ fields = st.floats(0.05, 2.0)
 times = st.floats(0.0, 5.0)
 angles = st.floats(0.0, 2.0 * np.pi)
 boundaries = st.sampled_from(["periodic", "open"])
-# the literal register at N <= DENSE_LIMIT (eigenbasis) and beyond it
-# (Chebyshev); odd N have orbits of mixed size in the periodic sector
-dense_sizes = st.integers(3, 10)
-chebyshev_sizes = st.sampled_from([11, 12])
+# the literal register below 2^DENSE_LIMIT states (eigensystem) and from
+# there on (Chebyshev, N >= 10); odd N have orbits of mixed size in the
+# periodic sector
+dense_sizes = st.integers(3, 9)
+chebyshev_sizes = st.sampled_from([10, 11, 12])
 
 
 def random_register(rng, n):
@@ -37,6 +39,11 @@ def random_register(rng, n):
 def plus_state(n):
     """|+>^N: every amplitude 2^{-N/2}."""
     return np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+
+
+def reference_evolution(op, vec, t):
+    """exp(-iHt) vec from scipy's expm_multiply on the CSR form of H."""
+    return expm_multiply(-1.0j * t * op._matrix(), vec)
 
 
 class TestChainOperator:
@@ -175,11 +182,10 @@ class TestStates:
 class TestEvolveChain:
     def test_zero_time(self):
         rng = np.random.default_rng(8)
-        vec = random_register(rng, 6)
-        op = chain.ChainOperator(6, 1.2)
-        for method in ("dense", "chebyshev"):
-            assert np.max(np.abs(chain.evolve_chain(vec, op, 0.0, method=method)
-                                 - vec)) < 1e-12
+        for n in (6, 10):                   # eigensystem, Chebyshev
+            vec = random_register(rng, n)
+            op = chain.ChainOperator(n, 1.2)
+            assert np.max(np.abs(chain.evolve_chain(vec, op, 0.0) - vec)) < 1e-12
 
     def test_eigenstate_phase(self):
         # H(g=0) |+>^N = -N J |+>^N on the ring
@@ -188,33 +194,54 @@ class TestEvolveChain:
         out = chain.evolve_chain(psi, op, 0.9)
         assert np.max(np.abs(out - np.exp(1.0j * 8 * 0.9) * psi)) < 1e-12
 
-    def test_methods_agree(self):
+    @pytest.mark.parametrize("n", [8, 10, 11, 12])
+    def test_matches_expm_multiply(self, n):
         rng = np.random.default_rng(9)
-        vec = random_register(rng, 8)
-        op = chain.ChainOperator(8, 1.2, coupling=0.5)
-        dense = chain.evolve_chain(vec, op, 2.7, method="dense")
-        cheb = chain.evolve_chain(vec, op, 2.7, method="chebyshev")
-        assert np.max(np.abs(dense - cheb)) < 1e-9
+        vec = random_register(rng, n)
+        op = chain.ChainOperator(n, 1.2, coupling=0.5)
+        got = chain.evolve_chain(vec, op, 2.7)
+        assert np.max(np.abs(got - reference_evolution(op, vec, 2.7))) < 1e-12
+
+    @pytest.mark.parametrize("n, bc, sector, dense", [
+        (9, "periodic", False, True), (10, "periodic", False, False),
+        (11, "open", True, False), (12, "periodic", True, True)])
+    def test_one_rule_by_states(self, monkeypatch, n, bc, sector, dense):
+        # the eigensystem below 2^DENSE_LIMIT states and Chebyshev from
+        # there on, for the literal register (512, 1024 states) as for
+        # the symmetric sectors (1024 open, 180 periodic)
+        kind = chain._SymmetricSector if sector else chain.ChainOperator
+        op = kind(n, 1.2, bc=bc, coupling=0.5)
+        calls = []
+        eigensystem = chain.ChainOperator.eigensystem
+        monkeypatch.setattr(chain.ChainOperator, "eigensystem",
+                            lambda self: calls.append(self.dim) or eigensystem(self))
+        vec = np.eye(op.dim, 1)[:, 0]
+        got = chain.evolve_chain(vec, op, 0.7)
+        assert (calls == [op.dim]) == dense
+        assert np.max(np.abs(got - reference_evolution(op, vec, 0.7))) < 1e-12
 
     def test_large_register_round_trip(self):
         rng = np.random.default_rng(10)
         vec = random_register(rng, 12)
         op = chain.ChainOperator(12, 1.2, coupling=0.5)
-        fwd = chain.evolve_chain(vec, op, 1.8)          # auto -> chebyshev
+        fwd = chain.evolve_chain(vec, op, 1.8)
         assert abs(np.linalg.norm(fwd) - 1.0) < 1e-9
         back = chain.evolve_chain(fwd, op, -1.8)
         assert np.max(np.abs(back - vec)) < 1e-9
 
     def test_truncation_failure_reports_residual(self):
-        vec = plus_state(11)
+        # |tau| = 12.1 * 830 = 10043 lies within the orders computed but
+        # past the term budget
         op = chain.ChainOperator(11, 1.2, coupling=0.5)
+        assert chain.CHEBYSHEV_TERMS < op.norm_bound() * 830.0 \
+            < chain.CHEBYSHEV_TERMS + 50
         with pytest.raises(NumericalFailureError) as err:
-            chain.evolve_chain(vec, op, 3.0, method="chebyshev", max_terms=3)
+            chain.evolve_chain(plus_state(11), op, 830.0)
         assert err.value.residual is not None and err.value.residual > 0
 
     def test_coefficient_range_does_not_move_cutoff(self):
         # the cutoff from jv over the orders the tail needs equals the
-        # cutoff from jv over all max_terms + 50 orders
+        # cutoff from jv over all CHEBYSHEV_TERMS + 50 orders
         taus = np.concatenate([np.linspace(-500.0, 500.0, 201),
                                [0.0, 1e-3, -0.4, 2.7, -17.3, 90.1]])
         for tau in taus:
@@ -231,7 +258,7 @@ class TestEvolveChain:
     @settings(max_examples=60, deadline=None)
     def test_bessel_recurrence_matches_jv(self, tau, short):
         # scipy's jv is the oracle for the recurrence; the cutoff and the
-        # failure past max_terms must come out as from jv
+        # failure past CHEBYSHEV_TERMS must come out as from jv
         reference = jv(np.arange(10050), tau)
         # jv itself is off by up to 1.1e-13 near |tau| = 1e4 (measured
         # against a 50-digit recurrence), by less than 1e-13 below 5000
@@ -254,8 +281,8 @@ class TestEvolveChain:
                 chain._chebyshev_coefficients(tau)
 
     def test_argument_past_computed_orders_is_refused(self):
-        # the weights peak near order |tau|; from max_terms + 50 on no
-        # computed order can hold the tail
+        # the weights peak near order |tau|; from CHEBYSHEV_TERMS + 50 on
+        # no computed order can hold the tail
         with pytest.raises(NumericalFailureError):
             chain._chebyshev_coefficients(10051.0)
         with pytest.raises(NumericalFailureError):
@@ -270,8 +297,6 @@ class TestEvolveChain:
             chain.evolve_chain(np.ones(8), op, 1.0)
         with pytest.raises(ConfigurationError):
             chain.evolve_chain(np.ones(16), op, np.inf)
-        with pytest.raises(ConfigurationError):
-            chain.evolve_chain(np.ones(16), op, 1.0, method="krylov")
 
 
 class TestRegisterRotation:
@@ -369,15 +394,14 @@ class TestChebyshevMoments:
 
     @given(chebyshev_sizes, fields, st.lists(times, min_size=1, max_size=3),
            st.booleans())
-    @settings(max_examples=6)
-    def test_moment_amplitude_matches_literal_chebyshev(self, n, g, ts, cat):
+    @settings(max_examples=6, deadline=None)
+    def test_moment_amplitude_matches_expm_multiply(self, n, g, ts, cat):
         op = chain.ChainOperator(n, g, coupling=0.5)
         psi = chain.even_cat_state(n) if cat else \
             random_register(np.random.default_rng(n), n)
-        literal = [np.vdot(psi, chain.evolve_chain(psi, op, t, method="chebyshev"))
-                   for t in ts]
+        reference = [np.vdot(psi, reference_evolution(op, psi, t)) for t in ts]
         got = chain._chebyshev_amplitudes(op, psi, ts)
-        assert np.max(np.abs(got - literal)) < 1e-12
+        assert np.max(np.abs(got - reference)) < 1e-12
 
 
 class TestEchoChain:
@@ -482,6 +506,27 @@ class TestMqcSpectrumEd:
         spec = chain.mqc_spectrum_ed(6, 1.2, T_C_12)
         high = [abs(spec.component(m)) for m in range(2, 7)]
         assert max(high) > 1e-6
+
+
+# every t and phi that enters the register oracle, as the mode oracle
+# refuses them
+NON_FINITE_CALLS = {
+    "evolve_chain": lambda x: chain.evolve_chain(
+        plus_state(4), chain.ChainOperator(4, 1.2), x),
+    "echo_chain-t": lambda x: chain.echo_chain(6, 1.2, x, 1.0),
+    "echo_chain-phi": lambda x: chain.echo_chain(6, 1.2, 1.0, x),
+    "echo_scan_chain-t": lambda x: chain.echo_scan_chain(6, 1.2, [0.5, x], [1.0]),
+    "echo_scan_chain-phi": lambda x: chain.echo_scan_chain(6, 1.2, [0.5], [1.0, x]),
+    "mqc_spectrum_ed": lambda x: chain.mqc_spectrum_ed(6, 1.2, x),
+    "rate_function_ed": lambda x: chain.rate_function_ed(6, 0.0, 1.2, x),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS)
+def test_non_finite_time_or_angle_is_refused(call, bad):
+    with pytest.raises(InvalidArgumentError):
+        call(bad)
 
 
 class TestTranslationInvariance:

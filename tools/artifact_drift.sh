@@ -7,13 +7,15 @@
 # working tree's src/ and once from the src/ of commit BASE (extracted with
 # git archive), and compares the sha256 sums of every artifact except
 # manifest.json, which records the output path.  FLAGs (for example
-# --n 20000) are passed to every subcommand.  For each artifact that
-# differs, tools/artifact_diff.py prints the largest absolute difference
-# over its numeric cells, or "layout changed".  Exits 1 when an artifact
-# differs and tfim_dqpt.__version__ (the manifest's artifact_version) is the
-# same at both; a changed artifact must come with a version bump.  In every
-# output directory of both trees, manifest.json's checksums must name
-# exactly the other files there, each with its sha256sum; otherwise exit 1.
+# --n 20000, or --config FILE with --tolerance 1 for an oracle whose rows
+# are a documented mismatch) are passed to every subcommand.  For each
+# artifact that differs, tools/artifact_diff.py prints the largest absolute
+# difference over its numeric cells, or "layout changed".  Exits 1 when an
+# artifact differs and tfim_dqpt.__version__ (the manifest's
+# artifact_version) is the same at both; a changed artifact must come with
+# a version bump.  In every output directory of both trees, manifest.json's
+# checksums must name exactly the other files there, each with its
+# sha256sum; otherwise exit 1.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
