@@ -43,6 +43,7 @@ from .otoc import (
     EchoConfig,
     MqcSpectrum,
     coherence_series,
+    double_well_depth,
     double_well_detector,
     echo_state,
     fidelity_otoc,
@@ -62,7 +63,7 @@ from .chain import (
     rate_function_ed,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "AliasingError",
@@ -85,6 +86,7 @@ __all__ = [
     "critical_momentum",
     "critical_times",
     "default_time_grid",
+    "double_well_depth",
     "double_well_detector",
     "dqpt_predicate",
     "echo_chain",

@@ -139,8 +139,8 @@ class ChainOperator:
         if bc not in BOUNDARY_CONDITIONS:
             raise ConfigurationError(
                 f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
-        if not np.isfinite(g) or not np.isfinite(coupling):
-            raise ConfigurationError("g and coupling must be finite")
+        su2._require_finite("g", g)
+        su2._require_finite("coupling", coupling)
         self.n = int(n)
         self.g = float(g)
         self.bc = bc
@@ -469,6 +469,7 @@ def bond_correlator(state: np.ndarray, n: int, bonds) -> float:
 
 
 def _require_quench_fields(g_i: float) -> None:
+    su2._require_finite("g_i", g_i)
     if g_i != 0.0:
         raise ConfigurationError(
             "the oracle requires g_i = 0 (closed-form |+>^N initial state); "

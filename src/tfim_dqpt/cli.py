@@ -22,6 +22,13 @@ size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
 pool of one worker per usable CPU, at most one per field.  No option picks
 the path, and the artifacts do not depend on it.
 
+``otoc`` and ``spectra`` stream one mode moment m(t) per field; the
+``mean`` surfaces and every spectrum but the ``product`` fidelity's (the
+DFT of its surface) are closed forms in it, so ``spectra`` under ``mean``
+builds no surface.  The double-well verdict reads the closed-form A_1
+series (``otoc._well_series``), and ``doublewell.json`` adds each field's
+closed-form depth and its margin over eps_dw.
+
 Tables are written one final field's block of rows at a time, column by
 column: each distinct value of a column is turned into text once, and rows
 and lines are joined with ``str.join``.  CSV and JSON share that one text
@@ -377,28 +384,43 @@ def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
 # ---------------------------------------------------------------------------
 # per-field jobs (module level so a process pool can pickle them)
 
+def _well(spec, e: dict, eps_dw: float) -> dict:
+    """The double-well verdict on the closed-form A_1 series, and the
+    closed-form depth and its margin over eps_dw."""
+    taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
+    verdict = otoc.double_well_detector(taus, otoc._well_series(spec, taus), 0.5,
+                                        e["dw_window"], eps_dw=eps_dw)
+    depth = otoc.double_well_depth(spec.g_i, spec.g_f, spec.n, spec.grid_mode)
+    return {"classification": verdict, "depth": depth, "margin": depth - eps_dw}
+
+
 def _job_otoc(spec, ts, e: dict, eps_dw: float | None):
-    # one echo evaluation per surface; the spectra come from the surfaces.
-    # With eps_dw, the double-well scan and verdict too; the longer grid's
-    # scan is checked first: a refusal precedes every scan
-    tau_points = 0 if eps_dw is None else e["dw_tau_points"]
-    otoc._require_scan_budget(spec, max(ts.size, tau_points), e["n_phi"])
-    fidelity = otoc.fidelity_otoc(
-        otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation=e["aggregation"]))
-    magnetization = otoc.magnetization_otoc(
-        otoc.EchoConfig(spec, ts, n_phi=e["n_phi"], aggregation="mean"))
-    spectra = {"fidelity": otoc.mqc_components(fidelity, e["m_max"]),
-               "magnetization": otoc.mqc_components(magnetization, e["m_max"])}
+    # the mean spectra and surfaces from one mode moment m(t); product
+    # fidelity keeps its surface and DFT.  With eps_dw (otoc, not spectra),
+    # the surfaces and the double-well entry too.  Both counts precede any
+    # work: the scan's, then 8 rows of double-well times (the series, its
+    # temporaries and the detector's comparisons), whose work comes first
+    otoc._require_scan_budget(spec, ts.size, e["n_phi"])
+    if eps_dw is not None:
+        quench._require_budget(quench._working_set(0, e["dw_tau_points"], 0, 4),
+                               f"double-well series of {e['dw_tau_points']} times")
+        well = _well(spec, e, eps_dw)
+    config = otoc.EchoConfig(spec, ts, n_phi=e["n_phi"],
+                             aggregation=e["aggregation"])
+    m, phis, fidelity = otoc._mode_moment(config), config.phi_values, None
+    if e["aggregation"] == "product":
+        fidelity = otoc._product_fidelity(config)
+        spectrum = otoc.mqc_components(fidelity, e["m_max"])
+    else:
+        spectrum = otoc._mean_spectra(m, e["m_max"], "fidelity")
+    # one row per observable, t and m, in that order
+    spectra = np.concatenate([spectrum.T.ravel(), otoc._mean_spectra(
+        m, e["m_max"], "magnetization").T.ravel()])
     if eps_dw is None:
-        return fidelity, magnetization, spectra, None
-    taus = np.linspace(0.0, 1.0, tau_points)
-    normalized = otoc.magnetization_otoc(
-        otoc.EchoConfig(spec, taus, n_phi=e["n_phi"], aggregation="mean",
-                        time_mode="normalized"))
-    a1 = np.real(otoc.mqc_components(normalized, 1)[2])   # order m = 1
-    verdict = otoc.double_well_detector(taus, a1, 0.5, e["dw_window"],
-                                        eps_dw=eps_dw)
-    return fidelity, magnetization, spectra, verdict
+        return None, None, spectra, None
+    if fidelity is None:
+        fidelity = otoc._mean_surface(m, phis, "fidelity")
+    return fidelity, otoc._mean_surface(m, phis, "magnetization"), spectra, well
 
 
 def _job_pulse(spec, constant: float, n_t: int):
@@ -504,16 +526,13 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
             out["format"]))
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
     observables = ("fidelity", "magnetization")
-    # row order per field: observable, t, m; one (2 m_max + 1, n_t) block each
-    comps = [np.concatenate([spectra[obs].T.ravel() for obs in observables])
-             for _, _, spectra, _ in results]
     labels = [obs for obs in observables for _ in range(ts.size * orders.size)]
     blocks = ([np.full(c.size, g_f), labels,
                np.tile(np.repeat(ts, orders.size), len(observables)),
                np.tile(orders, len(observables) * ts.size), c.real, c.imag,
                # Python's abs(), not np.abs: they differ in the last bit
                np.array([abs(z) for z in c.tolist()])]
-              for g_f, c in zip(q["g_f"], comps))
+              for g_f, (_, _, c, _) in zip(q["g_f"], results))
     written.append(_write_table(
         out["out"], "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
         blocks, out["format"]))
@@ -526,8 +545,8 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
                 "eps_dw": s["dw_threshold"],
                 "tau_points": e["dw_tau_points"],
             },
-            "results": [{"g_f": g_f, "classification": verdict}
-                        for g_f, (_, _, _, verdict) in zip(q["g_f"], results)],
+            "results": [{"g_f": g_f, **well}
+                        for g_f, (_, _, _, well) in zip(q["g_f"], results)],
         }
         written.append(_write_json(out["out"], "doublewell.json", payload))
     _write_manifest(out["out"], "spectra" if spectra_only else "otoc",

@@ -6,29 +6,27 @@ under the sign-inverted Hamiltonian for the same duration, then read out
 fidelity against the initial state or the magnetization along dhat_i.  The
 phi dependence of either signal is a real Fourier series whose components
 are the multiple-quantum coherence intensities I_m (fidelity) or
-amplitudes A_m (magnetization); a single mode only supports m = 0, +-1.
+amplitudes A_m (magnetization).
 
-Both signals are closed forms.  A mode starts in the ground state of
--d_i . sigma, with Bloch vector dhat_i.  Let n be the component along
-dhat_i of dhat_i rotated by 2|d_f| t about dhat_f: n = 2 P_k(t) - 1, with
-P_k = |G_k|^2 the return probability of ``quench``.  Per mode the echo
-fidelity is
-
-    F_k(phi, t) = cos^2(phi/2) + sin^2(phi/2) n^2
-
-and the magnetization <dhat_i . sigma>/2 of the echoed state is
-
-    M_k(phi, t) = (cos phi + 2 sin^2(phi/2) n^2) / 2,
-
-so the whole (k, t, phi) scan reduces to the (n_k, n_t) matrix of n^2.
-At g_i = 0, dhat_i = x and every mode starts in |x>: ``echo_state``
-keeps the literal three-factor sequence for that case as the test oracle.
+Both signals are closed forms in n = 2 P_k(t) - 1, the component along
+dhat_i of dhat_i rotated by 2|d_f| t about dhat_f (P_k = |G_k|^2 of
+``quench``): per mode F_k = cos^2(phi/2) + sin^2(phi/2) n^2 and
+M_k = (cos phi + 2 sin^2(phi/2) n^2)/2.  Under ``mean`` aggregation both
+surfaces are linear in cos phi with one coefficient, the mode moment
+m(t) = <n_k^2>, streamed from ``quench._blocks`` like the rate function:
+I_0 = (1 + m)/2, A_0 = m/2, I_+-1 = A_+-1 = (1 - m)/4, and every other
+order is 0.  The ``product`` fidelity multiplies each slab's mode factors
+into its surface; its orders reach the grid size.  No path holds a
+(modes, n_t) array.  ``echo_state`` (the literal three-factor sequence),
+``mqc_components`` and ``spectrum_dynamics`` (the DFT of the surfaces)
+stay as the test oracles.
 
 Time grids come in two interpretations.  ``absolute`` evolves every mode
 to the same time t.  ``normalized`` reads grid values as tau = t/t0 with
-t0 = pi/|d_f(k)| per mode, mirroring the drive schedule that sweeps each
-mode through one full period at the same normalized speed; the critical
-time of a DQPT quench sits at tau = 0.5 on that axis for every mode.
+t0 = pi/|d_f(k)| per mode; the critical time of a DQPT quench sits at
+tau = 0.5 for every mode.  There A_1 is a quadratic in cos 2 pi tau
+(``_well_moments``), so the double-well verdict and its depth
+(``double_well_depth``) need no scan.
 """
 
 from __future__ import annotations
@@ -59,6 +57,7 @@ __all__ = [
     "coherence_series",
     "otoc_general",
     "double_well_detector",
+    "double_well_depth",
     "DW_THRESHOLD",
 ]
 
@@ -113,9 +112,11 @@ class MqcSpectrum:
     components: np.ndarray
 
     def component(self, m: int) -> complex:
+        if not su2._is_integral(m):
+            raise InvalidArgumentError(f"order must be an integer, got {m!r}")
         if abs(m) > self.m_max:
             raise IndexError(f"order {m} outside |m| <= {self.m_max}")
-        return complex(self.components[m + self.m_max])
+        return complex(self.components[int(m) + self.m_max])
 
     @property
     def orders(self) -> np.ndarray:
@@ -134,35 +135,73 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
 
 
 def _require_scan_budget(spec: QuenchSpec, n_t: int, n_phi: int) -> None:
-    """Refuse an echo scan over the mode budget: its matrix and slabs, and
-    three (n_phi, n_t) surfaces (a running product and two temporaries)."""
+    """Refuse an echo scan over the mode budget: its slabs, and three
+    (n_phi, n_t) surfaces (two finished, or a running product, and their
+    temporaries)."""
     quench._require_budget(
-        quench._working_set(spec.n_distinct, n_t, 2, 3 * n_phi),
+        quench._working_set(spec.n_distinct, n_t, 1, 3 * n_phi),
         f"{n_phi} angles x {n_t} times over {spec.n_modes} modes")
 
 
-def _squared_n(config: EchoConfig) -> tuple[np.ndarray, np.ndarray]:
-    """n^2 = (2 P_k - 1)^2 over (distinct modes, t), in place, and each
-    mode's multiplicity."""
-    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
-    n, weights = quench._probabilities(
-        config.spec, config.time_grid, config.time_mode == "normalized")
-    n *= 2.0
-    n -= 1.0
-    n *= n
-    return n, weights
+def _squared_n(config: EchoConfig):
+    """(start, n^2 = (2 P_k - 1)^2 over (distinct modes, slab times)), slab
+    by slab, in ``quench._blocks``' buffer."""
+    for start, n in quench._blocks(config.spec, config.time_grid,
+                                   config.time_mode == "normalized"):
+        n *= 2.0
+        n -= 1.0
+        n *= n
+        yield start, n
 
 
-def _mode_mean(n2: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Grid mean of n^2 from the distinct rows, which it scales in place."""
-    n2 *= weights[:, None]
-    return n2.sum(axis=0) / weights.sum()
+def _mode_moment(config: EchoConfig) -> np.ndarray:
+    """m(t) = <n_k^2>, the grid mean of n^2: each slab's weighted rows
+    summed over axis 0, in mode order.  Unguarded: callers check the scan."""
+    weights = config.spec._multiplicity()[:, None]
+    m = np.empty(config.time_grid.size)
+    for start, n2 in _squared_n(config):
+        n2 *= weights
+        m[start:start + n2.shape[1]] = n2.sum(axis=0)
+    m /= weights.sum()
+    return m
 
 
-def _half_angle_weights(config: EchoConfig):
-    """cos^2(phi/2) and sin^2(phi/2) as (n_phi, 1) columns."""
+def _mean_surface(m: np.ndarray, phis: np.ndarray, observable: str):
+    """A ``mean`` surface over (phi, t) from its mode moment m: the fidelity
+    cos^2(phi/2) + sin^2(phi/2) m, or the magnetization
+    (cos phi + 2 sin^2(phi/2) m)/2."""
+    sin2 = np.sin(phis[:, None] / 2.0) ** 2
+    if observable == "fidelity":
+        return np.cos(phis[:, None] / 2.0) ** 2 + sin2 * m
+    return 0.5 * (np.cos(phis)[:, None] + 2.0 * sin2 * m)
+
+
+def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
+    """``mqc_components`` of a ``mean`` surface, in closed form from m.
+
+    Both surfaces are a + b cos phi with b = (1 - m)/2, a = (1 + m)/2
+    (fidelity) or m/2 (magnetization): order 0 is a, orders +-1 are b/2,
+    and every other order and every imaginary part is exactly +0.0.
+    """
+    comps = np.zeros((2 * m_max + 1, m.size), dtype=complex)
+    comps[m_max].real = (1.0 + m) / 2.0 if observable == "fidelity" else m / 2.0
+    if m_max:
+        comps[m_max - 1].real = comps[m_max + 1].real = (1.0 - m) / 4.0
+    return comps
+
+
+def _product_fidelity(config: EchoConfig) -> np.ndarray:
+    """The ``product`` fidelity surface: each slab's per-mode factors
+    multiplied in, in ascending k.  Unguarded: callers check the scan."""
     half = config.phi_values[:, None] / 2.0
-    return np.cos(half) ** 2, np.sin(half) ** 2
+    cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
+    fids = np.empty((config.n_phi, config.time_grid.size))
+    for start, n2 in _squared_n(config):
+        block = fids[:, start:start + n2.shape[1]]
+        block.fill(1.0)         # the last slab overlaps its predecessor
+        for row, weight in zip(n2, config.spec._multiplicity()):
+            block *= (cos2 + sin2 * row) ** weight
+    return fids
 
 
 def fidelity_otoc(config: EchoConfig) -> np.ndarray:
@@ -173,14 +212,10 @@ def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     mode's factor raised to its multiplicity; ``mean`` averages them.  The
     phi = 0 column is identically 1: unitary reversal is exact in simulation.
     """
-    n2, weights = _squared_n(config)
-    cos2, sin2 = _half_angle_weights(config)
-    if config.aggregation == "mean":
-        return cos2 + sin2 * _mode_mean(n2, weights)
-    fids = np.ones((config.n_phi, n2.shape[1]))
-    for row, weight in zip(n2, weights):
-        fids *= (cos2 + sin2 * row) ** weight
-    return fids
+    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
+    if config.aggregation == "product":
+        return _product_fidelity(config)
+    return _mean_surface(_mode_moment(config), config.phi_values, "fidelity")
 
 
 def magnetization_otoc(config: EchoConfig) -> np.ndarray:
@@ -193,9 +228,9 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
         raise ConfigurationError(
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
-    mean = _mode_mean(*_squared_n(config))
-    _, sin2 = _half_angle_weights(config)
-    return 0.5 * (np.cos(config.phi_values)[:, None] + 2.0 * sin2 * mean)
+    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
+    return _mean_surface(_mode_moment(config), config.phi_values,
+                         "magnetization")
 
 
 def require_resolvable(n_phi: int, m_max: int) -> None:
@@ -288,9 +323,12 @@ def double_well_detector(times, values, t_c: float, window: float,
     on both sides.  The flanking peaks are the highest samples left and
     right of the minimum over the whole series, so a well truncated by the
     scan edge still reads as a well; only the minimum is window-bound.
+    Non-finite input raises InvalidArgumentError.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times = su2._require_finite("times", times)
+    values = su2._require_finite("values", values)
+    for name, value in (("t_c", t_c), ("window", window), ("eps_dw", eps_dw)):
+        su2._require_finite(name, value)
     if times.ndim != 1 or times.shape != values.shape or times.size < 3:
         raise ConfigurationError("series must be 1-D with at least 3 samples")
     lo, hi = t_c - window, t_c + window
@@ -306,3 +344,37 @@ def double_well_detector(times, values, t_c: float, window: float,
         if values[:i].max() >= dip + eps_dw and values[i + 1:].max() >= dip + eps_dw:
             return "double_well"
     return "single_well"
+
+
+def _well_moments(spec: QuenchSpec) -> tuple[float, float, float]:
+    """(alpha, beta, gamma), the grid means of c^4, c^2 s^2 and s^4, with
+    c = dhat_i . dhat_f (c^2 <= 1, as in ``quench._blocks``), s^2 = 1 - c^2.
+
+    In normalized time each mode's n = c^2 + s^2 C, C = cos 2 pi tau, so
+    m = alpha + 2 beta C + gamma C^2 and the order-1 magnetization
+    coherence A_1 = (1 - m)/4 (``_well_series``).
+    """
+    ks = spec._momenta(np.arange(spec.n_distinct))
+    c2 = np.minimum(quench._mode_geometry(spec.g_i, spec.g_f, ks)[1] ** 2, 1.0)
+    s2, weights = 1.0 - c2, spec._multiplicity() / spec.n_modes
+    return tuple(float(np.sum(weights * x)) for x in (c2 * c2, c2 * s2, s2 * s2))
+
+
+def _well_series(spec: QuenchSpec, taus: np.ndarray) -> np.ndarray:
+    """A_1 = (1 - alpha - 2 beta C - gamma C^2)/4 over normalized times."""
+    alpha, beta, gamma = _well_moments(spec)
+    c = np.cos(2.0 * np.pi * taus)
+    return (1.0 - alpha - c * (2.0 * beta + gamma * c)) / 4.0
+
+
+def double_well_depth(g_i: float, g_f: float, n: int,
+                      grid_mode: str = "paper") -> float:
+    """Depth of the central well of A_1 over normalized time, in closed form.
+
+    A_1 is concave in C = cos 2 pi tau (``_well_moments``).  Its value at
+    tau = 1/2 (C = -1) is a strict local minimum iff gamma > beta; the
+    maxima at C = -beta/gamma then rise (gamma - beta)^2/(4 gamma) above
+    it.  Without a well the depth is 0.0.
+    """
+    _, beta, gamma = _well_moments(QuenchSpec(g_i, g_f, n, grid_mode))
+    return (gamma - beta) ** 2 / (4.0 * gamma) if gamma > beta else 0.0

@@ -27,8 +27,9 @@ uniform grid (``np.linspace`` over its ends) at least four slabs long,
 angle addition gives cos at T + r h from cos/sin tables of the slab starts
 T and offsets r h: with BLOCK-wide slabs, about 2 (n_t/BLOCK + BLOCK)
 transcendentals per mode.  Other grids take one ``np.cos`` per cell.
-``rate_function`` reduces each slab to its times of f; ``_probabilities``
-fills the (n_k', n_t) matrix from them.  Each guarded call checks, before
+``rate_function`` (and the echo, in ``otoc``) reduces each slab to its
+times; ``_probabilities`` fills the (n_k', n_t) matrix for the heatmap and
+``mode_probabilities``.  Each guarded call checks, before
 its first allocation, one count (``_working_set``) of all it holds, and
 refuses a count over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError``.
 
@@ -53,6 +54,7 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     GaplessModeError,
+    InvalidArgumentError,
     NoDqptError,
     ResourceGuardError,
     UndefinedExpressionError,
@@ -105,7 +107,7 @@ class QuenchSpec:
 
     def __post_init__(self):
         if not (np.isfinite(self.g_i) and np.isfinite(self.g_f)):
-            raise ConfigurationError("g_i and g_f must be finite")
+            raise InvalidArgumentError("g_i and g_f must be finite")
         if not (self.n >= 2 and su2._is_integral(self.n)):
             raise ConfigurationError(f"n must be an integer >= 2, got {self.n}")
         if self.grid_mode not in GRID_MODES:
@@ -135,6 +137,10 @@ class QuenchSpec:
         """Distinct mode of each grid point: k and 2pi - k are one mode."""
         j = np.arange(self.n_modes)
         return np.minimum(j, self.n_modes - 1 - j)
+
+    def _multiplicity(self) -> np.ndarray:
+        """Grid points each distinct mode stands for, as floats."""
+        return np.bincount(self._distinct_index()).astype(float)
 
 
 def bloch_vector(g: float, k: float) -> np.ndarray:
@@ -231,13 +237,13 @@ def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
 
 
 def _probabilities(spec: QuenchSpec, grid: np.ndarray,
-                   normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(|G_k|^2 over (distinct modes, n_t), filled slab by slab, and each
-    mode's multiplicity).  Unguarded: its callers check the budget."""
+                   normalized: bool = False) -> np.ndarray:
+    """|G_k|^2 over (distinct modes, n_t), filled slab by slab.  Unguarded:
+    its callers check the budget."""
     probs = np.empty((spec.n_distinct, grid.size))
     for start, slab in _blocks(spec, grid, normalized):
         probs[:, start:start + slab.shape[1]] = slab
-    return probs, np.bincount(spec._distinct_index()).astype(float)
+    return probs
 
 
 def loschmidt_mode(spec: QuenchSpec, k: float, t):
@@ -259,7 +265,7 @@ def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     # the distinct matrix and its slabs, then its copy onto the grid
     _require_budget(_working_set(spec.n_distinct, ts.size, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {ts.size} times")
-    probs = _probabilities(spec, ts)[0]
+    probs = _probabilities(spec, ts)
     return spec.momentum_grid(), probs[spec._distinct_index()]
 
 
@@ -273,7 +279,7 @@ def rate_function(spec: QuenchSpec, t):
     ts = np.asarray(t, dtype=float)
     _require_budget(_working_set(spec.n_distinct, ts.size, 1),
                     f"{spec.n_modes} modes x {ts.size} times")
-    weights = np.bincount(spec._distinct_index()).astype(float)[:, None]
+    weights = spec._multiplicity()[:, None]
     f = np.empty(ts.size)
     for start, logs in _blocks(spec, np.atleast_1d(ts)):
         np.log(np.maximum(logs, AMPLITUDE_FLOOR, out=logs), out=logs)
@@ -326,7 +332,7 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {n_t} times")   # before the grid
     taus = np.linspace(0.0, 2.0, n_t)
-    probs = _probabilities(spec, taus, normalized=True)[0]
+    probs = _probabilities(spec, taus, normalized=True)
     return spec.momentum_grid(), taus, probs[spec._distinct_index()]
 
 

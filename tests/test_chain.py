@@ -529,6 +529,30 @@ def test_non_finite_time_or_angle_is_refused(call, bad):
         call(bad)
 
 
+# every field that enters a model, the mode model's included
+NON_FINITE_FIELDS = {
+    "QuenchSpec-g_i": lambda x: quench.QuenchSpec(x, 1.2, 8),
+    "QuenchSpec-g_f": lambda x: quench.QuenchSpec(0.0, x, 8),
+    "ChainOperator-g": lambda x: chain.ChainOperator(4, x),
+    "ChainOperator-coupling": lambda x: chain.ChainOperator(4, 1.2, coupling=x),
+    "rate_function_ed-g_f": lambda x: chain.rate_function_ed(6, 0.0, x, 1.0),
+    "echo_chain-g": lambda x: chain.echo_chain(6, x, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", NON_FINITE_FIELDS.values(), ids=NON_FINITE_FIELDS)
+def test_non_finite_field_is_refused(call, bad):
+    with pytest.raises(InvalidArgumentError):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_field_is_named_before_the_zero_rule(bad):
+    with pytest.raises(InvalidArgumentError, match="g_i must be finite"):
+        chain.rate_function_ed(6, bad, 1.2, 1.0)
+
+
 class TestTranslationInvariance:
     def test_bond_order_is_immaterial(self):
         rng = np.random.default_rng(15)

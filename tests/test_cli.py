@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tfim_dqpt import cli, quench, su2
+from tfim_dqpt import cli, otoc, quench, su2
 from tfim_dqpt.cli import main
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
@@ -128,10 +128,10 @@ class TestOtoc:
 
     def test_spectra_neither_runs_nor_counts_the_double_well_scan(
             self, tmp_path, capsys):
-        # 10**6 double-well times need about 1.7 GiB of scan, which otoc
-        # refuses; spectra never writes that scan, so it neither runs it
-        # nor counts it
-        cfg = write_config(tmp_path, "[echo]\ndw_tau_points = 1000000\n")
+        # 10**8 double-well times need about 6 GiB of series and detector
+        # work, which otoc refuses; spectra never writes a verdict, so it
+        # neither runs that work nor counts it
+        cfg = write_config(tmp_path, "[echo]\ndw_tau_points = 100000000\n")
         default, wide = tmp_path / "default", tmp_path / "wide"
         assert main(["spectra", "--out", str(default)]) == 0
         assert main(["spectra", "--out", str(wide), "--config", cfg]) == 0
@@ -142,6 +142,82 @@ class TestOtoc:
                      "--config", cfg]) == 2
         assert "mode budget" in capsys.readouterr().err
         assert not (tmp_path / "otoc").exists()
+
+
+    def test_doublewell_depth_and_margin(self, tmp_path):
+        out = tmp_path / "otoc"
+        assert main(["otoc", "--out", str(out), "--n", "12"]) == 0
+        wells = read_json(out / "doublewell.json")
+        eps_dw = wells["detector"]["eps_dw"]
+        for entry in wells["results"]:
+            depth = otoc.double_well_depth(0.0, entry["g_f"], 12)
+            assert entry["depth"] == depth
+            assert entry["margin"] == depth - eps_dw
+            assert (entry["classification"] == "double_well") \
+                == (entry["margin"] > 0.0)
+
+    @pytest.mark.parametrize("command", ["otoc", "spectra"])
+    def test_mean_path_holds_no_mode_matrix_and_no_dft(self, tmp_path,
+                                                       command):
+        # the mean surfaces and spectra come from m(t) alone: no (modes, n_t)
+        # matrix, no scan call and no DFT; spectra builds no surface
+        refused = {"_probabilities": quench, "fidelity_otoc": otoc,
+                   "magnetization_otoc": otoc, "mqc_components": otoc}
+        if command == "spectra":
+            refused["_mean_surface"] = otoc
+        with contextlib.ExitStack() as stack:
+            for name, module in refused.items():
+                stack.enter_context(mock.patch.object(
+                    module, name, side_effect=AssertionError(name)))
+            assert main([command, "--out", str(tmp_path / "out")]) == 0
+
+    def test_verdicts_match_the_literal_dft_path(self):
+        # A_1 as the order-1 DFT of the 64-angle magnetization surface at
+        # 161 normalized times, the literal path, on a 0.05 grid of fields
+        e, eps_dw = cli.DEFAULTS["echo"], cli.DEFAULTS["sweep"]["dw_threshold"]
+        taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
+        kinds = set()
+        for g_i in (0.0, 0.5, -0.3):
+            for g_f in np.round(np.arange(0.05, 2.5, 0.05), 2):
+                spec = quench.QuenchSpec(g_i, g_f, 30)
+                config = otoc.EchoConfig(spec, taus, n_phi=e["n_phi"],
+                                         time_mode="normalized")
+                a1 = np.real(otoc.coherence_series(otoc.spectrum_dynamics(
+                    config, "magnetization", 1), 1))
+                literal = otoc.double_well_detector(taus, a1, 0.5,
+                                                    e["dw_window"], eps_dw)
+                well = cli._well(spec, e, eps_dw)
+                assert well["classification"] == literal, (g_i, g_f)
+                assert (well["margin"] > 0.0) == (literal == "double_well")
+                kinds.add(literal)
+        assert kinds == {"single_well", "double_well"}
+
+    @pytest.mark.parametrize("aggregation", ["mean", "product"])
+    @pytest.mark.parametrize("n, n_t, eps_dw", [(30, 500, 1e-3),
+                                                (2000, 64, 1e-3),
+                                                (30, 500, None)])
+    def test_job_holds_no_more_than_its_counts(self, aggregation, n, n_t,
+                                               eps_dw):
+        # the scan's count and the double-well series' count, both taken
+        # before any work; the series is done and dropped before the scan
+        e = dict(cli.DEFAULTS["echo"], aggregation=aggregation)
+        spec = quench.QuenchSpec(0.0, 1.2, n)
+        ts = np.linspace(0.0, 5.0, n_t)
+        counted, guard = [], quench._require_budget
+
+        def recording(need, what):
+            counted.append(need)
+            guard(need, what)
+
+        with mock.patch.object(quench, "_require_budget", recording):
+            tracemalloc.start()
+            try:
+                cli._job_otoc(spec, ts, e, eps_dw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(counted) == (1 if eps_dw is None else 2)
+        assert peak <= max(counted)
 
 
 class TestOracleCompare:

@@ -126,6 +126,13 @@ class TestMqcSpectrum:
         with pytest.raises(IndexError):
             spec.component(3)
 
+    @pytest.mark.parametrize("order", [1.5, -0.5, np.nan, np.inf])
+    def test_non_integral_order_is_refused(self, order):
+        spec = otoc.mqc_spectrum(np.ones(16), 2)
+        with pytest.raises(InvalidArgumentError):
+            spec.component(order)
+        assert spec.component(1.0) == spec.component(1)
+
     @given(st.integers(0, 4), st.integers(0, 30), st.integers(0, 2 ** 31 - 1))
     def test_band_limited_reconstruction(self, m_max, extra, seed):
         n_phi = 2 * m_max + 1 + extra
@@ -281,6 +288,22 @@ class TestDoubleWellDetector:
     def test_shape_guard(self):
         with pytest.raises(ConfigurationError):
             otoc.double_well_detector([0.0, 1.0], [0.0, 1.0], 0.5, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argument", ["times", "values", "t_c", "window",
+                                          "eps_dw"])
+    def test_non_finite_input_is_refused(self, argument, bad):
+        ts = np.linspace(0, 2, 201)
+        call = {"times": ts, "values": 1.0 - np.exp(-((ts - 1.0) / 0.1) ** 2),
+                "t_c": 1.0, "window": 0.5, "eps_dw": 1e-3}
+        assert otoc.double_well_detector(**call) == "double_well"
+        if argument in ("times", "values"):
+            call[argument] = call[argument].copy()
+            call[argument][100] = bad
+        else:
+            call[argument] = bad
+        with pytest.raises(InvalidArgumentError):
+            otoc.double_well_detector(**call)
 
 
 class TestNormalizedCoherenceShape:
@@ -532,6 +555,111 @@ class TestClosedFormEcho:
             otoc.fidelity_otoc(cfg)
         with pytest.raises(ResourceGuardError):
             otoc.magnetization_otoc(cfg)
+
+
+finite_fields = st.floats(-2.5, 2.5, allow_nan=False) \
+    | st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.2])
+time_lists = st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1,
+                      max_size=5)
+
+
+class TestMeanClosedForms:
+    """The closed forms in the mode moment m(t) and the product's 3-tap
+    spectrum, against the DFT of the literal surfaces."""
+
+    @example(0.0, 1.2, 30, "paper", "absolute", [0.0, 1.0], 64, 3)
+    @example(0.3, 1.0, 7, "abc", "normalized", [0.5], 3, 1)
+    @example(0.5, 0.5, 12, "paper", "absolute", [2.0], 9, 0)
+    @given(finite_fields, finite_fields, st.integers(2, 60),
+           st.sampled_from(["paper", "abc"]),
+           st.sampled_from(["absolute", "normalized"]), time_lists,
+           st.integers(3, 64), st.integers(0, 31))
+    def test_mean_spectra_match_the_dft(self, g_i, g_f, n, grid, time_mode,
+                                        times, n_phi, m_max):
+        m_max = min(m_max, (n_phi - 1) // 2)
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        cfg = otoc.EchoConfig(spec, times, n_phi=n_phi, time_mode=time_mode)
+        try:
+            m = otoc._mode_moment(cfg)
+        except GaplessModeError:
+            return
+        orders = np.arange(-m_max, m_max + 1)
+        for observable, call in (("fidelity", otoc.fidelity_otoc),
+                                 ("magnetization", otoc.magnetization_otoc)):
+            closed = otoc._mean_spectra(m, m_max, observable)
+            dft = otoc.mqc_components(call(cfg), m_max)
+            assert np.max(np.abs(closed - dft)) <= 1e-14
+            # exact +0.0 off the three orders and in every imaginary part
+            off = closed[np.abs(orders) >= 2].real
+            assert np.all(off == 0.0) and not np.signbit(off).any()
+            assert np.all(closed.imag == 0.0) \
+                and not np.signbit(closed.imag).any()
+
+    @example(0.0, 1.2, 30, "paper", "absolute", [0.0, 1.0], 1)
+    @example(0.0, -1.0, 7, "abc", "normalized", [0.5, 1.5], 0)
+    @given(finite_fields, finite_fields, st.integers(2, 14),
+           st.sampled_from(["paper", "abc"]),
+           st.sampled_from(["absolute", "normalized"]), time_lists,
+           st.integers(0, 20))
+    def test_product_spectrum_is_the_three_tap_convolution(
+            self, g_i, g_f, n, grid, time_mode, times, extra):
+        # each grid mode's fidelity is (1 + n^2)/2 + (1 - n^2)/2 cos phi, so
+        # the product's spectrum is the convolution of the modes' 3-tap
+        # sequences, with orders up to the grid size: more angles than grid
+        # points resolve the orders |m| < N_phi - grid size
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        n_phi = spec.n_modes + 1 + extra
+        m_max = min((n_phi - 1) // 2, n_phi - spec.n_modes - 1)
+        cfg = otoc.EchoConfig(spec, times, n_phi=n_phi, aggregation="product",
+                              time_mode=time_mode)
+        try:
+            dft = otoc.mqc_components(otoc.fidelity_otoc(cfg), m_max)
+        except GaplessModeError:
+            return
+        probs = quench._probabilities(spec, cfg.time_grid,
+                                      time_mode == "normalized")
+        n2 = (2.0 * probs[spec._distinct_index()] - 1.0) ** 2
+        for j in range(cfg.time_grid.size):
+            taps = np.ones(1)
+            for x in n2[:, j]:
+                taps = np.convolve(taps, [(1.0 - x) / 4, (1.0 + x) / 2,
+                                          (1.0 - x) / 4])
+            taps = np.pad(taps, m_max)          # orders past the grid size
+            centre = spec.n_modes + m_max
+            assert np.max(np.abs(dft[:, j] - taps[centre - m_max:
+                                                  centre + m_max + 1])) <= 1e-14
+
+    @example(0.0, 1.2, 30, "paper")
+    @example(0.0, 0.8, 30, "paper")
+    @example(0.5, 0.5, 8, "abc")
+    @example(0.0, -1.0, 7, "abc")
+    @given(finite_fields, finite_fields, st.integers(2, 40),
+           st.sampled_from(["paper", "abc"]))
+    def test_depth_is_the_densely_sampled_well(self, g_i, g_f, n, grid):
+        # A_1 from the literal DFT path at 2001 normalized times: its
+        # maximum over its value at tau = 1/2, the well's bottom
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        taus = np.linspace(0.0, 1.0, 2001)
+        cfg = otoc.EchoConfig(spec, taus, n_phi=5, time_mode="normalized")
+        try:
+            a1 = np.real(otoc.coherence_series(
+                otoc.spectrum_dynamics(cfg, "magnetization", 1), 1))
+        except GaplessModeError:
+            with pytest.raises(GaplessModeError):
+                otoc.double_well_depth(g_i, g_f, n, grid)
+            return
+        depth = otoc.double_well_depth(g_i, g_f, n, grid)
+        sampled = a1.max() - a1[1000]
+        assert depth >= 0.0 and sampled - 1e-14 <= depth <= sampled + 1e-6
+        assert np.max(np.abs(otoc._well_series(spec, taus) - a1)) <= 1e-14
+
+    def test_well_opens_near_the_root_of_gamma_minus_beta(self):
+        # at g_i = 0 gamma - beta changes sign at g_f* = 0.8165 (N = 2000)
+        # and 0.8149 (N = 30); criterion 07's field 0.8 sits below it
+        for n, below, above in ((30, 0.814, 0.816), (2000, 0.8164, 0.8166)):
+            assert otoc.double_well_depth(0.0, below, n) == 0.0
+            assert otoc.double_well_depth(0.0, above, n) > 0.0
+        assert otoc.double_well_depth(0.0, 0.8, 30) == 0.0
 
 
 def log_uniform(low: int, high: int):

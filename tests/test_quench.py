@@ -565,7 +565,8 @@ class TestModePairing:
     def test_multiplicities_cover_the_grid(self, grid):
         for n in range(2, 42):
             spec = quench.QuenchSpec(0.3, 1.2, n, grid)
-            probs, weights = quench._probabilities(spec, np.array([0.0, 1.0]))
+            probs = quench._probabilities(spec, np.array([0.0, 1.0]))
+            weights = spec._multiplicity()
             assert weights.sum() == spec.n_modes
             assert probs.shape == (weights.size, 2)
             assert weights.size == (n // 2 + 1 if grid == "paper"
@@ -759,7 +760,7 @@ class TestTimeBlocks:
         ts = np.linspace(scale * t0, scale * t1, n_t)
         try:
             with mock.patch.object(quench, "SLAB_CELLS", 0):   # BLOCK wide
-                probs = quench._probabilities(spec, ts, normalized)[0]
+                probs = quench._probabilities(spec, ts, normalized)
         except GaplessModeError:
             return
         literal = []
@@ -773,7 +774,7 @@ class TestTimeBlocks:
         assert np.max(np.abs(probs - np.array(literal))) <= 1e-13
         # one slab of the whole grid is too short for angle addition
         with mock.patch.object(quench, "BLOCK", 10 ** 9):
-            cosine = quench._probabilities(spec, ts, normalized)[0]
+            cosine = quench._probabilities(spec, ts, normalized)
         assert np.max(np.abs(probs - cosine)) <= 1e-14
 
     @given(fields.filter(lambda g: abs(g) != 1.0), critical_fields,
@@ -786,7 +787,7 @@ class TestTimeBlocks:
         ts = np.linspace(0.0, t1, n_t)
         try:
             with mock.patch.object(quench, "SLAB_CELLS", 0):
-                probs = quench._probabilities(spec, ts, normalized)[0]
+                probs = quench._probabilities(spec, ts, normalized)
                 rate = quench.rate_function(spec, ts)
         except GaplessModeError:
             return
@@ -817,7 +818,7 @@ class TestTimeBlocks:
         n_f, overlap = quench._mode_geometry(0.3, 1.2, distinct_momenta(spec))
         c2 = (overlap * overlap)[:, None]
         cos = np.cos(np.multiply.outer(n_f, ts))
-        assert np.array_equal(quench._probabilities(spec, np.asarray(ts))[0],
+        assert np.array_equal(quench._probabilities(spec, np.asarray(ts)),
                               c2 + (1.0 - c2) * cos ** 2)
 
     def test_empty_and_scalar_times(self):
@@ -834,9 +835,9 @@ class TestTimeBlocks:
         monkeypatch.setattr(quench, "SLAB_CELLS", 0)
         spec = quench.QuenchSpec(0.3, 1.2, 101)
         ts = np.linspace(0.0, 5.0, n_t)
-        probs, weights = quench._probabilities(spec, ts)
+        probs = quench._probabilities(spec, ts)
         logs = np.log(np.maximum(probs, quench.AMPLITUDE_FLOOR)) \
-            * weights[:, None]
+            * spec._multiplicity()[:, None]
         assert np.array_equal(quench.rate_function(spec, ts),
                               -np.add.accumulate(logs, axis=0)[-1] / spec.n)
 
