@@ -133,15 +133,13 @@ class ChainOperator:
 
     def __init__(self, n: int, g: float, bc: str = "periodic",
                  coupling: float = 1.0, bonds=None):
-        if not (2 <= n <= MAX_SPINS and su2._is_integral(n)):
-            raise ResourceGuardError(
-                f"n must be an integer in [2, {MAX_SPINS}], got {n}")
+        n = su2._require_int("n", n, 2, MAX_SPINS, ResourceGuardError)
         if bc not in BOUNDARY_CONDITIONS:
             raise ConfigurationError(
                 f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
         su2._require_finite("g", g)
         su2._require_finite("coupling", coupling)
-        self.n = int(n)
+        self.n = n
         self.g = float(g)
         self.bc = bc
         self.coupling = float(coupling)
@@ -237,10 +235,7 @@ class _SymmetricSector(ChainOperator):
 
 def even_cat_state(n: int) -> np.ndarray:
     """(|+>^N + |->^N)/sqrt(2): the even fermion-parity quench state."""
-    if not (1 <= n <= MAX_SPINS and su2._is_integral(n)):
-        raise ResourceGuardError(
-            f"n must be an integer in [1, {MAX_SPINS}], got {n}")
-    n = int(n)
+    n = su2._require_int("n", n, 1, MAX_SPINS, ResourceGuardError)
     dim = 2 ** n
     signs = 1.0 + (-1.0) ** _popcount(np.arange(dim), n)
     psi = signs.astype(complex)

@@ -9,6 +9,11 @@ spectra         otoc with spectra-only output
 oracle-compare  compare.csv; exit 1 when any difference beats the tolerance
 pulse-schedule  schedule.csv + replay_check.json
 
+Configuration is DEFAULTS, then the INI file (``--config``), then flags.
+Each flag in ``FLAGS`` sets one INI key and is collected as a plain string;
+``_coerce`` parses it and ``validate_config`` (with the model constructors
+it calls) checks it, exactly as for the same string in the INI file.
+
 Every run writes ``manifest.json`` holding the fully resolved configuration
 (defaults included), the artifact version, and a sha256 checksum per output
 file, taken from the bytes as they are written.  Identical configurations
@@ -53,7 +58,7 @@ import time
 
 import numpy as np
 
-from . import __version__, chain, otoc, quench
+from . import __version__, chain, otoc, quench, su2
 from .errors import (
     ConfigurationError,
     NoDqptError,
@@ -98,44 +103,37 @@ DEFAULTS = {
     },
 }
 
-# flag destination -> (section, key)
-FLAG_MAP = {
-    "gi": ("quench", "g_i"),
-    "gf": ("quench", "g_f"),
-    "n": ("quench", "n"),
-    "grid": ("quench", "grid"),
-    "nphi": ("echo", "n_phi"),
-    "aggregation": ("echo", "aggregation"),
-    "tolerance": ("sweep", "tolerance"),
-    "dw_threshold": ("sweep", "dw_threshold"),
-    "pulse_constant": ("sweep", "pulse_constant"),
-    "nt": ("sweep", "n_t"),
-    "out": ("outputs", "out"),
-    "format": ("outputs", "format"),
+# flag -> (section, key, help).  argparse only collects each value as a
+# string; _coerce parses it and validate_config checks it, as for an INI value
+FLAGS = {
+    "--out": ("outputs", "out", "output directory"),
+    "--format": ("outputs", "format", "tabular artifact format: csv or json"),
+    "--gf": ("quench", "g_f", "comma-separated final fields"),
+    "--gi": ("quench", "g_i", "initial field"),
+    "--n": ("quench", "n", "momentum grid size, an integer >= 2"),
+    "--grid": ("quench", "grid", "momentum grid convention: paper or abc"),
+    "--aggregation": ("echo", "aggregation", "fidelity over modes: mean or product"),
+    "--nphi": ("echo", "n_phi", "rotation angles, an integer >= max(3, 2 m_max + 1)"),
+    "--tolerance": ("sweep", "tolerance", "oracle comparison tolerance, > 0"),
+    "--dw-threshold": ("sweep", "dw_threshold", "double-well threshold, finite, > 0"),
+    "--pulse-constant": ("sweep", "pulse_constant", "Rabi constant C, finite, > 0"),
+    "--nt": ("sweep", "n_t", "pulse durations per mode, an integer >= 2"),
 }
 
 
-def _parse_field_list(section: str, key: str, raw: str) -> list[float]:
-    try:
-        return [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ConfigurationError(f"{section}.{key}: not a float list: {raw!r}") \
-            from exc
-
-
 def _coerce(section: str, key: str, raw: str):
+    """A flag's or an INI value's string as the type of its default; the
+    final fields are comma-separated floats."""
     default = DEFAULTS[section][key]
     try:
         if isinstance(default, list):
-            return _parse_field_list(section, key, raw)
-        if isinstance(default, bool):
-            raise TypeError
+            return [float(part) for part in raw.split(",") if part.strip()]
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
         return raw
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigurationError(
             f"{section}.{key}: cannot parse {raw!r}") from exc
 
@@ -144,7 +142,7 @@ def load_config_file(path: str) -> dict:
     """Flat INI-style file with sections mirroring the module layout."""
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)   # '%' is literal
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -173,12 +171,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         for section, values in load_config_file(args.config).items():
             resolved[section].update(values)
-    for dest, (section, key) in FLAG_MAP.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            if key == "g_f" and isinstance(value, str):
-                value = _parse_field_list(section, key, value)
-            resolved[section][key] = value
+    for section, key, _ in FLAGS.values():
+        raw = getattr(args, f"{section}.{key}", None)
+        if raw is not None:
+            resolved[section][key] = _coerce(section, key, raw)
     validate_config(resolved)
     return resolved
 
@@ -209,19 +205,16 @@ def validate_config(resolved: dict) -> None:
     for section, key, least in (("quench", "t_points", 2), ("sweep", "n_t", 2),
                                 ("quench", "tau_points", 2),
                                 ("echo", "dw_tau_points", 3)):
-        value = resolved[section][key]
-        _require(isinstance(value, int) and value >= least,
-                 f"{section}.{key}", f"must be an integer >= {least}")
+        su2._require_int(f"{section}.{key}", resolved[section][key], least)
     quench._require_budget(   # grids and rate columns, before any library guard
         8 * (q["t_points"] * (1 + 4 * len(q["g_f"])) + e["dw_tau_points"]),
         f"time grids of {q['t_points']} and {e['dw_tau_points']} points")
     _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
-    _require(s["dw_threshold"] > 0, "sweep.dw_threshold", "must be positive")
-    _require(np.isfinite(s["pulse_constant"]) and s["pulse_constant"] > 0,
-             "sweep.pulse_constant", "must be finite and positive")
-    _require(isinstance(o["n_oracle"], int) and 2 <= o["n_oracle"] <= chain.MAX_SPINS,
-             "oracle.n_oracle", f"must be an integer in [2, {chain.MAX_SPINS}]")
+    for key in ("dw_threshold", "pulse_constant"):
+        _require(np.isfinite(s[key]) and s[key] > 0, f"sweep.{key}",
+                 "must be finite and positive")
+    su2._require_int("oracle.n_oracle", o["n_oracle"], 2, chain.MAX_SPINS)
     _require(o["bc"] in ("periodic", "open"), "oracle.bc",
              "must be 'periodic' or 'open'")
     _require(out["format"] in ("csv", "json"), "outputs.format",
@@ -530,8 +523,8 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     blocks = ([np.full(c.size, g_f), labels,
                np.tile(np.repeat(ts, orders.size), len(observables)),
                np.tile(orders, len(observables) * ts.size), c.real, c.imag,
-               # Python's abs(), not np.abs: they differ in the last bit
-               np.array([abs(z) for z in c.tolist()])]
+               # Python's abs() bit for bit; np.abs differs in the last bit
+               np.hypot(c.real, c.imag)]
               for g_f, (_, _, c, _) in zip(q["g_f"], results))
     written.append(_write_table(
         out["out"], "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
@@ -613,64 +606,43 @@ def cmd_pulse_schedule(resolved: dict) -> None:
 
 # ---------------------------------------------------------------------------
 
+# subcommand -> (function of the resolved config, help)
+COMMANDS = {
+    "rate-function": (cmd_rate_function,
+                      "rate function sweep and analytic critical times"),
+    "heatmap": (cmd_heatmap, "per-mode return probability surface"),
+    "otoc": (cmd_otoc, "echo surfaces, coherence spectra, well classification"),
+    "spectra": (functools.partial(cmd_otoc, spectra_only=True),
+                "coherence spectra only"),
+    "oracle-compare": (cmd_oracle_compare,
+                       "momentum model vs full-register oracle"),
+    "pulse-schedule": (cmd_pulse_schedule,
+                       "per-mode rotation schedule and replay check"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="INI config file")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--format", choices=["csv", "json"],
-                        help="tabular artifact format")
-    common.add_argument("--gf", help="comma-separated final fields")
-    common.add_argument("--gi", type=float, help="initial field")
-    common.add_argument("--n", type=int, help="momentum grid size")
-    common.add_argument("--grid", choices=["paper", "abc"],
-                        help="momentum grid convention")
-    common.add_argument("--aggregation", choices=["mean", "product"],
-                        help="mode aggregation for fidelity")
-    common.add_argument("--nphi", type=int, help="rotation angles per scan")
-    common.add_argument("--tolerance", type=float,
-                        help="oracle comparison tolerance")
-    common.add_argument("--dw-threshold", type=float, dest="dw_threshold",
-                        help="double-well noise threshold")
-    common.add_argument("--pulse-constant", type=float, dest="pulse_constant",
-                        help="Rabi proportionality constant C")
-    common.add_argument("--nt", type=int, help="pulse durations per mode")
-
+    for flag, (section, key, text) in FLAGS.items():
+        common.add_argument(flag, dest=f"{section}.{key}",
+                            metavar=f"{section}.{key}", help=text)
     parser = argparse.ArgumentParser(
         prog="tfim-dqpt",
         description="Quench, echo, and pulse-schedule sweeps for the "
                     "transverse-field Ising chain")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("rate-function", parents=[common],
-                   help="rate function sweep and analytic critical times")
-    sub.add_parser("heatmap", parents=[common],
-                   help="per-mode return probability surface")
-    sub.add_parser("otoc", parents=[common],
-                   help="echo surfaces, coherence spectra, well classification")
-    sub.add_parser("spectra", parents=[common],
-                   help="coherence spectra only")
-    sub.add_parser("oracle-compare", parents=[common],
-                   help="momentum model vs full-register oracle")
-    sub.add_parser("pulse-schedule", parents=[common],
-                   help="per-mode rotation schedule and replay check")
+    for name, (_, text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
-
-
-COMMANDS = {
-    "rate-function": cmd_rate_function,
-    "heatmap": cmd_heatmap,
-    "otoc": cmd_otoc,
-    "spectra": lambda resolved: cmd_otoc(resolved, spectra_only=True),
-    "oracle-compare": cmd_oracle_compare,
-    "pulse-schedule": cmd_pulse_schedule,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        COMMANDS[args.command](resolve_config(args))
+        COMMANDS[args.command][0](resolve_config(args))
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 1

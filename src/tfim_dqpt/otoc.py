@@ -91,13 +91,12 @@ class EchoConfig:
         if self.time_mode not in TIME_MODES:
             raise ConfigurationError(
                 f"time_mode must be one of {TIME_MODES}, got {self.time_mode!r}")
-        if not (self.n_phi >= 3 and su2._is_integral(self.n_phi)):
-            raise ConfigurationError(f"n_phi must be an integer >= 3, got {self.n_phi}")
+        n_phi = su2._require_int("n_phi", self.n_phi, 3)
         grid = np.atleast_1d(np.asarray(self.time_grid, dtype=float))
         if grid.size == 0 or not np.all(np.isfinite(grid)):
             raise ConfigurationError("time_grid must be nonempty and finite")
         object.__setattr__(self, "time_grid", grid)
-        object.__setattr__(self, "n_phi", int(self.n_phi))
+        object.__setattr__(self, "n_phi", n_phi)
 
     @property
     def phi_values(self) -> np.ndarray:
@@ -318,11 +317,13 @@ def double_well_detector(times, values, t_c: float, window: float,
                          eps_dw: float = DW_THRESHOLD) -> str:
     """Classify a real time series as ``double_well`` or ``single_well``.
 
-    ``double_well`` iff some strict interior local minimum with
+    ``double_well`` iff some interior local minimum with a sample at
     t in [t_c - window, t_c + window] is exceeded by at least ``eps_dw``
-    on both sides.  The flanking peaks are the highest samples left and
-    right of the minimum over the whole series, so a well truncated by the
-    scan edge still reads as a well; only the minimum is window-bound.
+    on both sides.  A minimum is a run of equal samples (one sample, or a
+    flat bottom such as the two that straddle t_c on an even grid) with a
+    higher sample on each side.  The flanking peaks are the highest samples
+    left and right of the run over the whole series, so a well truncated by
+    the scan edge still reads as a well; only the minimum is window-bound.
     Non-finite input raises InvalidArgumentError.
     """
     times = su2._require_finite("times", times)
@@ -335,13 +336,15 @@ def double_well_detector(times, values, t_c: float, window: float,
     if lo < times[0] or hi > times[-1]:
         raise WindowRangeError(
             f"window [{lo}, {hi}] outside sampled range [{times[0]}, {times[-1]}]")
-    interior = np.arange(1, times.size - 1)
-    strict_min = (values[interior] < values[interior - 1]) \
-        & (values[interior] < values[interior + 1])
-    in_window = (times[interior] >= lo) & (times[interior] <= hi)
-    for i in interior[strict_min & in_window]:
-        dip = values[i]
-        if values[:i].max() >= dip + eps_dw and values[i + 1:].max() >= dip + eps_dw:
+    in_window = (times >= lo) & (times <= hi)
+    # runs of equal samples: each interior one is values[start:stop]
+    edges = np.flatnonzero(np.diff(values)) + 1
+    starts, stops = edges[:-1], edges[1:]
+    dips = values[starts]
+    minima = (values[starts - 1] > dips) & (values[stops] > dips)
+    for start, stop, dip in zip(starts[minima], stops[minima], dips[minima]):
+        if (in_window[start:stop].any() and values[:start].max() >= dip + eps_dw
+                and values[stop:].max() >= dip + eps_dw):
             return "double_well"
     return "single_well"
 

@@ -108,12 +108,11 @@ class QuenchSpec:
     def __post_init__(self):
         if not (np.isfinite(self.g_i) and np.isfinite(self.g_f)):
             raise InvalidArgumentError("g_i and g_f must be finite")
-        if not (self.n >= 2 and su2._is_integral(self.n)):
-            raise ConfigurationError(f"n must be an integer >= 2, got {self.n}")
+        n = su2._require_int("n", self.n, 2)
         if self.grid_mode not in GRID_MODES:
             raise ConfigurationError(
                 f"grid_mode must be one of {GRID_MODES}, got {self.grid_mode!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def n_modes(self) -> int:
@@ -326,9 +325,7 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     t0 = pi/|d_f(k)|, matching how the mode sweeps are displayed; gapless
     final modes give a row of ones.  Returns (k grid, tau grid, matrix).
     """
-    if not (su2._is_integral(n_t) and n_t >= 2):
-        raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
-    n_t = int(n_t)
+    n_t = su2._require_int("n_t", n_t, 2)
     _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {n_t} times")   # before the grid
     taus = np.linspace(0.0, 2.0, n_t)
@@ -353,9 +350,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
     if not (c > 0.0 and np.isfinite(c)):
         raise ConfigurationError(
             f"pulse constant must be finite and > 0, got {c}")
-    if not (su2._is_integral(n_t) and n_t >= 2):
-        raise ConfigurationError(f"n_t must be an integer >= 2, got {n_t}")
-    n_t = int(n_t)
+    n_t = su2._require_int("n_t", n_t, 2)
     _require_budget(_working_set(spec.n_modes, n_t, 1),
                     f"{spec.n_modes} schedule rows x {n_t} durations")
     # judged per distinct mode: the paper grid's k = 2pi idles with k = 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import GaplessModeError, InvalidArgumentError
+from .errors import ConfigurationError, GaplessModeError, InvalidArgumentError
 
 __all__ = [
     "SIGMA_X",
@@ -50,6 +50,16 @@ def _require_finite(name, value):
 def _is_integral(value) -> bool:
     """True for Python or numpy integers, however large, and integral floats."""
     return isinstance(value, (int, np.integer)) or float(value).is_integer()
+
+
+def _require_int(name, value, least, most=None, error=ConfigurationError) -> int:
+    """``value`` as an int if it is integral and in [least, most] (no upper
+    end if most is None); otherwise ``error`` naming ``name`` and the range."""
+    span = f">= {least}" if most is None else f"in [{least}, {most}]"
+    if not (least <= value and (most is None or value <= most)
+            and _is_integral(value)):
+        raise error(f"{name} must be an integer {span}, got {value}")
+    return int(value)
 
 
 def pauli_dot(d) -> np.ndarray:

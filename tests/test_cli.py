@@ -144,6 +144,32 @@ class TestOtoc:
         assert not (tmp_path / "otoc").exists()
 
 
+    @pytest.mark.parametrize("points", [160, 1000])
+    def test_even_grid_finds_the_flat_bottomed_well(self, tmp_path, points):
+        # tau = 1/2 is not sampled; the two samples that straddle it are
+        # equal by symmetry, and that flat bottom is the well's minimum
+        out = tmp_path / "otoc"
+        cfg = write_config(tmp_path, f"[echo]\ndw_tau_points = {points}\n")
+        assert main(["otoc", "--out", str(out), "--config", cfg]) == 0
+        results = read_json(out / "doublewell.json")["results"]
+        verdicts = {entry["g_f"]: entry["classification"] for entry in results}
+        assert verdicts == {0.5: "single_well", 0.8: "single_well",
+                            1.2: "double_well"}
+        for entry in results:
+            assert (entry["classification"] == "double_well") \
+                == (entry["margin"] > 0.0)
+
+    def test_complex_spectra_abs_is_pythons_abs(self, tmp_path):
+        # product fidelity spectra have imaginary parts, where np.abs can
+        # differ from abs() in the last bit
+        out = tmp_path / "spectra"
+        assert main(["spectra", "--out", str(out), "--aggregation", "product",
+                     "--format", "json"]) == 0
+        rows = read_json(out / "spectra.json")["rows"]
+        assert any(row[5] != 0.0 for row in rows)
+        for _, _, _, _, re_, im_, abs_ in rows:
+            assert abs_ == abs(complex(re_, im_))
+
     def test_doublewell_depth_and_margin(self, tmp_path):
         out = tmp_path / "otoc"
         assert main(["otoc", "--out", str(out), "--n", "12"]) == 0
@@ -468,6 +494,118 @@ class TestFormatsAndConfig:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["rate-function", "--out", str(tmp_path), "--config",
                      str(tmp_path / "nope.ini")]) == 2
+
+
+# a valid string for each flag's key; the equivalence test also draws
+# near misses and arbitrary text for every key but outputs.out, which it
+# keeps inside a temporary directory
+FLAG_VALUES = {
+    "--out": st.text("abcxyz_", min_size=1, max_size=8),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--gf": st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3).map(
+        lambda fields: ",".join(map(repr, fields))),
+    "--gi": st.floats(-3.0, 3.0).map(repr),
+    "--n": st.integers(2, 40).map(str),
+    "--grid": st.sampled_from(["paper", "abc"]),
+    "--aggregation": st.sampled_from(["mean", "product"]),
+    "--nphi": st.integers(7, 128).map(str),
+    "--tolerance": st.floats(1e-12, 1.0).map(repr),
+    "--dw-threshold": st.floats(1e-6, 1.0).map(repr),
+    "--pulse-constant": st.floats(1e-3, 1e3).map(repr),
+    "--nt": st.integers(2, 200).map(str),
+}
+NEAR_MISSES = st.sampled_from([
+    "", "0", "-1", "1.5", "3.0", "1e400", "inf", "-inf", "nan", "10" * 40,
+    "1,2", ",", "50%", "%(n)s", "paper", "product", "json", "0x10", "1_0"])
+# configparser strips a value's outer whitespace and ends it at a line break
+ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")),
+                   max_size=10).filter(lambda raw: raw == raw.strip())
+
+
+def flag_and_raw(flag: str):
+    values = FLAG_VALUES[flag]
+    if flag != "--out":
+        values = st.one_of(values, NEAR_MISSES, ANY_TEXT)
+    return st.tuples(st.just(flag), values)
+
+
+class TestFlags:
+    def test_each_flag_is_listed_once_with_its_key(self):
+        for command in cli.COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()) as text, \
+                    pytest.raises(SystemExit):
+                main([command, "--help"])
+            lines = text.getvalue().splitlines()
+            for flag, (section, key, _) in cli.FLAGS.items():
+                listed = [line for line in lines
+                          if line.split()[:2] == [flag, f"{section}.{key}"]]
+                assert len(listed) == 1, (command, flag)
+        keys = [(section, key) for section, key, _ in cli.FLAGS.values()]
+        assert len(set(keys)) == len(keys)
+        assert all(key in cli.DEFAULTS[section] for section, key in keys)
+
+    @given(st.sampled_from(sorted(cli.FLAGS)).flatmap(flag_and_raw))
+    @example(("--grid", "foo"))
+    @example(("--n", "3.0"))
+    @example(("--gf", "-0.5,1.2"))
+    @example(("--dw-threshold", "inf"))
+    def test_flag_and_ini_key_are_one_rule(self, drawn):
+        # the same string as a flag and as an INI value: the same exit code,
+        # stderr and resolved config; the command only writes its manifest
+        flag, raw = drawn
+        section, key, _ = cli.FLAGS[flag]
+
+        def manifest_only(resolved):
+            cli._write_manifest(resolved["outputs"]["out"], "otoc", resolved, [])
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(cli.COMMANDS, {"otoc": (manifest_only, "")}):
+            out, out_flag = os.path.join(tmp, "out"), []
+            if flag == "--out":
+                raw = out = os.path.join(tmp, raw)
+            else:
+                out_flag = ["--out", out]
+            ini = Path(tmp) / "flag.ini"
+            ini.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+            runs = []
+            for argv in ([f"{flag}={raw}"], ["--config", str(ini)]):
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(["otoc", *argv, *out_flag])
+                config = None
+                if os.path.exists(out):
+                    config = read_json(Path(out) / "manifest.json")["config"]
+                    shutil.rmtree(out)
+                runs.append((code, [line for line in err.getvalue().splitlines()
+                                    if not line.startswith("completed in")],
+                             config))
+        assert runs[0] == runs[1]
+        code, lines, config = runs[0]
+        assert code in (0, 2) and (code == 0) == (config is not None)
+        if code == 2:
+            assert lines == [line for line in lines
+                             if line.startswith(f"configuration error: {section}.")]
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_flags_and_ini_write_the_same_files(self, tmp_path, command):
+        flags = {"--format": "json", "--gf": "0.7,1.3", "--gi": "0",
+                 "--n": "6", "--grid": "abc", "--aggregation": "product",
+                 "--nphi": "9", "--tolerance": "1", "--dw-threshold": "0.002",
+                 "--pulse-constant": "1.5", "--nt": "4"}
+        sections = {}
+        for flag, raw in flags.items():
+            section, key, _ = cli.FLAGS[flag]
+            sections.setdefault(section, []).append(f"{key} = {raw}\n")
+        cfg = write_config(tmp_path, "".join(
+            f"[{section}]\n" + "".join(lines)
+            for section, lines in sections.items()))
+        out, files = tmp_path / "out", []
+        for argv in ([arg for pair in flags.items() for arg in pair],
+                     ["--config", cfg]):
+            assert main([command, *argv, "--out", str(out)]) == 0
+            files.append({path.name: path.read_bytes()
+                          for path in out.iterdir()})
+            shutil.rmtree(out)
+        assert files[0] == files[1] and "manifest.json" in files[0]
 
 
 class TestDeterminism:
@@ -912,6 +1050,8 @@ class TestResourceAndRangeGuards:
         (["--nphi", "2"], "", "echo.n_phi"),
         ([], "[echo]\naggregation = median\n", "echo.aggregation"),
         ([], "[quench]\ngrid = foo\n", "quench.grid"),
+        (["--dw-threshold", "inf"], "", "sweep.dw_threshold"),
+        ([], "[sweep]\ndw_threshold = inf\n", "sweep.dw_threshold"),
     ])
     def test_invalid_model_value_is_refused(self, tmp_path, capsys, argv,
                                             config, field):

@@ -280,6 +280,23 @@ class TestDoubleWellDetector:
         deep = 1.0 - 5e-2 * np.exp(-((ts - 1.0) / 0.1) ** 2)
         assert otoc.double_well_detector(ts, deep, 1.0, 0.5) == "double_well"
 
+    def test_flat_bottom_is_one_minimum(self):
+        # a well whose bottom is three equal samples, as a V with its tip cut
+        ts = np.linspace(0.0, 2.0, 21)
+        vals = np.maximum(np.abs(np.arange(21) - 10), 1) / 10.0
+        assert np.count_nonzero(vals == vals.min()) == 3
+        assert otoc.double_well_detector(ts, vals, 1.0, 0.5) == "double_well"
+        # one sample of the bottom in the window will do, first or last
+        for t_c in (0.55, 1.45):
+            assert otoc.double_well_detector(ts, vals, t_c, 0.4) == "double_well"
+        assert otoc.double_well_detector(ts, vals, 0.5, 0.35) == "single_well"
+        # a step, a flat top and a flat edge are no minimum
+        step = np.where(ts < 0.9, 1.0, np.where(ts < 1.15, 0.5, 0.0))
+        assert otoc.double_well_detector(ts, step, 1.0, 0.5) == "single_well"
+        assert otoc.double_well_detector(ts, -vals, 1.0, 0.5) == "single_well"
+        edge = np.minimum(ts, 1.0)
+        assert otoc.double_well_detector(ts, 2.0 - edge, 1.0, 1.0) == "single_well"
+
     def test_window_range_guard(self):
         ts = np.linspace(0, 2, 51)
         with pytest.raises(WindowRangeError):
