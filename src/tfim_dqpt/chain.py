@@ -35,10 +35,10 @@ against them.  The sweeps (``rate_function_ed``, ``echo_scan_chain``,
   sec. 4.1);
 * by the same rule, the sweeps use the dense eigensystem below
   2^DENSE_LIMIT orbit states (every ring up to N = 14); from there on
-  (open chains from N = 11), one Chebyshev recursion
+  (open chains from N = 11), one Chebyshev recursion in ``_evolve_block``
   on the sector's CSR form serves every time of a scan, since the
-  vectors T_m(H/s) psi do not depend on t (``rate_function_ed`` keeps
-  only the moments <psi|T_m|psi>);
+  vectors T_m(H/s) psi do not depend on t (``rate_function_ed`` reads
+  the cat-state amplitude off it);
 * the echo rotation is diagonal and the backward leg is exactly
   U^dagger, so with c = U psi the echo fidelity is
   |sum_a |c_a|^2 e^{-i phi lambda_a/4}|^4, with no backward leg; the
@@ -381,30 +381,6 @@ def _evolve_block(op: ChainOperator, block: np.ndarray, ts) -> np.ndarray:
     return out.T.reshape(block.shape + (ts.size,))
 
 
-def _chebyshev_amplitudes(op: ChainOperator, psi: np.ndarray, ts) -> np.ndarray:
-    """<psi| exp(-iHt) |psi> for every t from one set of Chebyshev moments.
-
-    The moments mu_m = <psi|T_m(H/s)|psi> do not depend on t.  With
-    phi_k = T_k psi, mu_2k = 2 <phi_k|phi_k> - mu_0 and
-    mu_2k+1 = 2 <phi_k+1|phi_k> - mu_1, so the recursion runs only to
-    half the largest cutoff (Weisse et al., Rev. Mod. Phys. 78, 275).
-    """
-    scale = op.norm_bound() or 1.0
-    table = _series_table(scale * np.asarray(ts, dtype=float))
-    half = len(table) // 2
-    doubled = np.empty(2 * half + 1)
-    prev = None
-    for k, vec in enumerate(_chebyshev_vectors(op, psi, scale, half)):
-        doubled[2 * k] = 2.0 * np.vdot(vec, vec).real
-        if prev is not None:
-            doubled[2 * k - 1] = 2.0 * np.vdot(vec, prev).real
-        prev = vec
-    moments = doubled.copy()
-    moments[0::2] -= 0.5 * doubled[0]
-    moments[1::2] -= 0.5 * doubled[1]
-    return moments[:len(table)] @ table
-
-
 def evolve_chain(state: np.ndarray, op: ChainOperator, t: float) -> np.ndarray:
     """exp(-iHt) |state> through ``_evolve_block``."""
     state = np.asarray(state, dtype=complex)
@@ -467,7 +443,7 @@ def _require_quench_fields(g_i: float) -> None:
     su2._require_finite("g_i", g_i)
     if g_i != 0.0:
         raise ConfigurationError(
-            "the oracle requires g_i = 0 (closed-form |+>^N initial state); "
+            "g_i must be 0 for the oracle (closed-form |+>^N initial state); "
             "general g_i would need a many-body ground-state solve")
 
 
@@ -493,8 +469,8 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t,
     if op.dim < 2 ** DENSE_LIMIT:
         energies, vectors = op.eigensystem()
         amps = np.exp(-1.0j * np.outer(ts, energies)) @ np.abs(vectors[0]) ** 2
-    else:
-        amps = _chebyshev_amplitudes(op, np.eye(op.dim, 1)[:, 0], ts)
+    else:   # the cat state e_0 is the first column of the identity
+        amps = _evolve_block(op, np.eye(op.dim, 1), ts)[0, 0]
     probs = np.abs(amps) ** 2
     if np.any(probs < AMPLITUDE_FLOOR):
         warnings.warn("Loschmidt probability hit the 1e-300 floor", RuntimeWarning)

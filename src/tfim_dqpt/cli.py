@@ -175,7 +175,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         raw = getattr(args, f"{section}.{key}", None)
         if raw is not None:
             resolved[section][key] = _coerce(section, key, raw)
-    validate_config(resolved)
+    validate_config(resolved, getattr(args, "command", None))
     return resolved
 
 
@@ -184,16 +184,21 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigurationError(f"{field}: {message}")
 
 
-def validate_config(resolved: dict) -> None:
+def validate_config(resolved: dict, command: str | None) -> None:
+    """Every key of ``resolved``, and the time grids ``command`` builds."""
     q, e = resolved["quench"], resolved["echo"]
     s, o = resolved["sweep"], resolved["oracle"]
     out = resolved["outputs"]
     _require(len(q["g_f"]) > 0, "quench.g_f", "must be a nonempty list")
+    _require(q["grid"] in quench.GRID_MODES, "quench.grid",
+             f"must be one of {quench.GRID_MODES}, got {q['grid']!r}")
     # the model's own checks; each message starts with the field it names
     section = "quench"
     try:
         for g_f in q["g_f"]:
             spec = quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"])
+        if command == "oracle-compare":
+            chain._require_quench_fields(q["g_i"])
         section = "echo"
         otoc.EchoConfig(spec, [0.0], n_phi=e["n_phi"],
                         aggregation=e["aggregation"])
@@ -206,9 +211,12 @@ def validate_config(resolved: dict) -> None:
                                 ("quench", "tau_points", 2),
                                 ("echo", "dw_tau_points", 3)):
         su2._require_int(f"{section}.{key}", resolved[section][key], least)
-    quench._require_budget(   # grids and rate columns, before any library guard
-        8 * (q["t_points"] * (1 + 4 * len(q["g_f"])) + e["dw_tau_points"]),
-        f"time grids of {q['t_points']} and {e['dw_tau_points']} points")
+    # the t grid and its rate columns, and the double-well tau grid, for the
+    # commands that build them, before any library guard
+    t_points = q["t_points"] if command in ("rate-function", "otoc", "spectra") else 0
+    dw_points = e["dw_tau_points"] if command == "otoc" else 0
+    quench._require_budget(8 * (t_points * (1 + 4 * len(q["g_f"])) + dw_points),
+                           f"time grids of {t_points} and {dw_points} points")
     _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
     for key in ("dw_threshold", "pulse_constant"):

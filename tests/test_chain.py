@@ -359,13 +359,13 @@ class TestRateFunctionEd:
         out = chain.rate_function_ed(4, 0.0, 1.2, 1.3)
         assert isinstance(out, float)
 
-    # N = 8 reads the eigenbasis, N = 11 the Chebyshev moments
+    # open N = 8 reads the eigenbasis, open N = 11 the Chebyshev engine
     @pytest.mark.parametrize("n", [8, 11])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_is_refused(self, n, bad):
         for t in (bad, [0.0, bad]):
             with pytest.raises(InvalidArgumentError):
-                chain.rate_function_ed(n, 0.0, 1.2, t)
+                chain.rate_function_ed(n, 0.0, 1.2, t, bc="open")
 
     @given(dense_sizes | chebyshev_sizes, fields,
            st.lists(times, min_size=1, max_size=3), boundaries)
@@ -379,29 +379,34 @@ class TestRateFunctionEd:
         probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts, bc=bc))
         assert np.max(np.abs(probs - literal)) < 1e-12
 
-
-class TestChebyshevMoments:
-    @given(dense_sizes, fields, st.lists(times, min_size=1, max_size=4))
-    @settings(max_examples=25)
-    def test_moment_amplitude_matches_eigenbasis(self, n, g, ts):
-        op = chain.ChainOperator(n, g, coupling=0.5)
-        psi = chain.even_cat_state(n)
-        energies, vectors = op.eigensystem()
-        weights = np.abs(vectors.T @ psi) ** 2
-        exact = np.exp(-1.0j * np.outer(ts, energies)) @ weights
-        got = chain._chebyshev_amplitudes(op, psi, ts)
-        assert np.max(np.abs(got - exact)) < 1e-12
-
-    @given(chebyshev_sizes, fields, st.lists(times, min_size=1, max_size=3),
-           st.booleans())
+    # open chains from N = 11 have 2^(N-1) >= 2^DENSE_LIMIT sector states
+    @given(st.sampled_from([11, 12]), fields,
+           st.lists(times, min_size=1, max_size=3))
     @settings(max_examples=6, deadline=None)
-    def test_moment_amplitude_matches_expm_multiply(self, n, g, ts, cat):
-        op = chain.ChainOperator(n, g, coupling=0.5)
-        psi = chain.even_cat_state(n) if cat else \
-            random_register(np.random.default_rng(n), n)
-        reference = [np.vdot(psi, reference_evolution(op, psi, t)) for t in ts]
-        got = chain._chebyshev_amplitudes(op, psi, ts)
-        assert np.max(np.abs(got - reference)) < 1e-12
+    def test_chebyshev_sizes_match_expm_multiply(self, n, g, ts):
+        op = chain.ChainOperator(n, g, bc="open", coupling=0.5)
+        psi = chain.even_cat_state(n)
+        reference = [abs(np.vdot(psi, reference_evolution(op, psi, t))) ** 2
+                     for t in ts]
+        probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts,
+                                                         bc="open"))
+        assert np.max(np.abs(probs - reference)) < 1e-12
+
+    @pytest.mark.parametrize("n, bc, dense", [
+        (10, "open", True), (11, "open", False), (12, "periodic", True),
+        (12, "open", False)])
+    def test_one_rule_by_states(self, monkeypatch, n, bc, dense):
+        # the eigensystem below 2^DENSE_LIMIT sector states (512 open,
+        # 180 periodic) and one engine call from there on (1024, 2048)
+        calls = []
+        evolve_block = chain._evolve_block
+        eigensystem = chain.ChainOperator.eigensystem
+        monkeypatch.setattr(chain, "_evolve_block", lambda *args:
+                            calls.append("evolve") or evolve_block(*args))
+        monkeypatch.setattr(chain.ChainOperator, "eigensystem", lambda self:
+                            calls.append("eigensystem") or eigensystem(self))
+        chain.rate_function_ed(n, 0.0, 1.2, [0.4, 1.3], bc=bc)
+        assert calls == (["eigensystem"] if dense else ["evolve"])
 
 
 class TestEchoChain:

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1058,7 +1059,8 @@ class TestResourceAndRangeGuards:
         out = tmp_path / "out"
         assert main(["otoc", "--out", str(out), *argv,
                      "--config", write_config(tmp_path, config)]) == 2
-        assert field in capsys.readouterr().err
+        # the key itself: quench.grid_mode does not name quench.grid
+        assert re.search(rf"{re.escape(field)}\b", capsys.readouterr().err)
         assert not out.exists()
 
     def test_oversized_mode_grid_is_refused(self, tmp_path, capsys):
@@ -1090,6 +1092,7 @@ class TestResourceAndRangeGuards:
         ("rate-function", "quench", "t_points"),
         ("otoc", "quench", "t_points"),
         ("otoc", "echo", "dw_tau_points"),
+        ("spectra", "quench", "t_points"),
     ])
     @pytest.mark.parametrize("size", [10 ** 9, 10 ** 400])
     def test_time_grid_size_is_refused_before_its_grid(
@@ -1109,6 +1112,32 @@ class TestResourceAndRangeGuards:
             tracemalloc.stop()
         assert code == 2 and peak < 2 ** 20
         assert "mode budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("rate-function", "[echo]\ndw_tau_points = 200000000\n"),
+        ("heatmap", "[quench]\nt_points = 40000000\n"),
+        ("spectra", "[echo]\ndw_tau_points = 200000000\n"),
+    ])
+    def test_grid_a_command_never_builds_is_not_counted(self, tmp_path,
+                                                        command, config):
+        # each grid alone is over the mode budget (1.6 GB and 4.2 GB)
+        default, sized = tmp_path / "default", tmp_path / "sized"
+        assert main([command, "--out", str(default)]) == 0
+        assert main([command, "--out", str(sized),
+                     "--config", write_config(tmp_path, config)]) == 0
+        files = [{path.name: path.read_bytes() for path in out.iterdir()
+                  if path.name != "manifest.json"} for out in (default, sized)]
+        assert files[0] == files[1] and files[0]
+
+    def test_oracle_initial_field_is_refused_before_any_field_runs(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_fan_out", lambda *args, **kwargs:
+                            pytest.fail("_fan_out ran on a refused config"))
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--gi", "0.2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: quench.g_i must be 0 for the oracle")
         assert not out.exists()
 
     @given(st.sampled_from(sorted(cli.COMMANDS)), st.fixed_dictionaries(
