@@ -34,9 +34,11 @@ builds no surface.  The double-well verdict reads the closed-form A_1
 series (``otoc._well_series``), and ``doublewell.json`` adds each field's
 closed-form depth and its margin over eps_dw.
 
-Tables are written one final field's block of rows at a time, column by
-column: each distinct value of a column is turned into text once, and rows
-and lines are joined with ``str.join``.  CSV and JSON share that one text
+Tables are written one block at a time: one final field's arrays (and
+scalars) that broadcast together, whose rows are the C-order cells of the
+broadcast, so no key column is ever built whole.  Each chunk of rows is
+texted column by column, each distinct value once per chunk, and rows and
+lines are joined with ``str.join``.  CSV and JSON share that one text
 path; CSV fields follow csv's QUOTE_MINIMAL rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
@@ -249,44 +251,44 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(column, fmt: str) -> list[str]:
-    """One column (or a slice of it) as CSV or JSON cell text.
+def _cells(column: np.ndarray, fmt: str) -> list[str]:
+    """One chunk of a column as CSV or JSON cell text.
 
     Each distinct value is turned into text once and the texts are indexed
-    back: numpy columns through ``np.unique``, list columns (strings, or
-    canonical floats without -0.0) through a dict.  Floats print in
-    shortest round-trip form with -0.0 made 0.0 (``NaN``/``Infinity`` in
-    JSON, as ``json.dumps`` writes them); bools print as 1/0 in CSV.
+    back through ``np.unique``.  Floats print in shortest round-trip form
+    with -0.0 made 0.0 (``NaN``/``Infinity`` in JSON, as ``json.dumps``
+    writes them); bools print as 1/0 in CSV; strings are quoted as csv or
+    ``json.dumps`` would quote them.
     """
-    as_json = fmt == "json"
-    if isinstance(column, list):
-        text = json.dumps if as_json else lambda value: _quote(str(value))
-        texts = {value: text(value) for value in set(column)}
-        return [texts[value] for value in column]
-    if column.dtype == bool:
+    as_json, kind = fmt == "json", column.dtype.kind
+    # + 0.0 canonicalizes negative zero; np.unique joins every NaN
+    levels, codes = np.unique(column + 0.0 if kind == "f" else column,
+                              return_inverse=True)
+    if kind == "b":
         words = ("false", "true") if as_json else ("0", "1")
-        levels, codes = np.unique(column, return_inverse=True)
         texts = [words[value] for value in levels.tolist()]
-    elif np.issubdtype(column.dtype, np.integer):
-        levels, codes = np.unique(column, return_inverse=True)
-        texts = list(map(str, levels.tolist()))
-    else:
-        # + 0.0 canonicalizes negative zero; np.unique joins every NaN
-        levels, codes = np.unique(column + 0.0, return_inverse=True)
+    elif kind == "U":
+        texts = list(map(json.dumps if as_json else _quote, levels.tolist()))
+    elif kind == "f":
         texts = list(map(repr, levels.tolist()))
         if as_json and not np.isfinite(levels).all():
             names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
             texts = [names.get(text, text) for text in texts]
+    else:
+        texts = list(map(str, levels.tolist()))
     return np.array(texts, dtype=object)[codes].tolist()
 
 
 def _table_text(columns: list[str], blocks, fmt: str):
     """The text of a table, yielded one chunk of at most CHUNK_ROWS rows at
-    a time, from an iterable of blocks, each a list of equal-length columns
-    (a block may be empty); it holds one block and one chunk's text at a
-    time.  Cells come from ``_cells``; rows and lines are joined with
-    ``str.join``.  csv would write a row of one empty field as ``""``;
-    every table here has at least two columns, so no row is one field.
+    a time, from an iterable of blocks.  A block is a list of arrays (or
+    scalars) that broadcast together, and its rows are the C-order cells of
+    the broadcast: ``np.broadcast_arrays`` makes views only, so no key
+    column is built whole.  A block may be empty.  It holds one block and
+    one chunk's text at a time.  Cells come from ``_cells``; rows and lines
+    are joined with ``str.join``.  csv would write a row of one empty field
+    as ``""``; every table here has at least two columns, so no row is one
+    field.
     """
     if fmt == "csv":
         head, row_sep, cell_sep, tail = "", "\n", ",", "\n"
@@ -295,9 +297,11 @@ def _table_text(columns: list[str], blocks, fmt: str):
         head, row_sep, cell_sep, tail = "[", "], [", ", ", "]"
         yield f'{{"columns": {json.dumps(columns)}, "rows": ['
     for block in blocks:
-        for start in range(0, len(block[0]), CHUNK_ROWS):
+        block = np.broadcast_arrays(*block)
+        for start in range(0, block[0].size, CHUNK_ROWS):
             yield head + row_sep.join(map(cell_sep.join, zip(*[
-                _cells(col[start:start + CHUNK_ROWS], fmt) for col in block]))) + tail
+                _cells(col.flat[start:start + CHUNK_ROWS], fmt)
+                for col in block]))) + tail
             head = "" if fmt == "csv" else ", ["
         del block       # released before the next block is built
     if fmt == "json":
@@ -334,7 +338,7 @@ def _atomic_write(path: str, pieces) -> tuple[str, str]:
 
 def _write_table(outdir: str, stem: str, columns: list[str], blocks,
                  fmt: str) -> tuple[str, str]:
-    """Write blocks of equal-length columns as ``stem.csv`` or
+    """Write blocks of broadcast columns as ``stem.csv`` or
     ``stem.json``, chunk by chunk from ``_table_text``; the JSON layout is
     ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
     sorted keys would write it.  Returns the name and its sha256."""
@@ -414,9 +418,9 @@ def _job_otoc(spec, ts, e: dict, eps_dw: float | None):
         spectrum = otoc.mqc_components(fidelity, e["m_max"])
     else:
         spectrum = otoc._mean_spectra(m, e["m_max"], "fidelity")
-    # one row per observable, t and m, in that order
-    spectra = np.concatenate([spectrum.T.ravel(), otoc._mean_spectra(
-        m, e["m_max"], "magnetization").T.ravel()])
+    # over (observable, t, m)
+    spectra = np.stack([spectrum.T, otoc._mean_spectra(
+        m, e["m_max"], "magnetization").T])
     if eps_dw is None:
         return None, None, spectra, None
     if fidelity is None:
@@ -477,8 +481,7 @@ def cmd_rate_function(resolved: dict) -> None:
     series = _fan_out(functools.partial(quench.rate_function, t=ts), q, q["n"],
                       ts.size)
     written = [_write_table(out["out"], "rate_function", ["g_f", "t", "f"],
-                            ([np.full(ts.size, g_f), ts, f]
-                             for g_f, f in zip(q["g_f"], series)),
+                            ([g_f, ts, f] for g_f, f in zip(q["g_f"], series)),
                             out["format"])]
     analytic = []
     for g_f in q["g_f"]:
@@ -499,8 +502,7 @@ def cmd_heatmap(resolved: dict) -> None:
     maps = _fan_out(functools.partial(quench.return_probability_map,
                                       n_t=q["tau_points"]), q, q["n"],
                     q["tau_points"])
-    blocks = ([np.full(probs.size, g_f), np.repeat(ks, taus.size),
-               np.tile(taus, ks.size), probs.ravel()]
+    blocks = ([g_f, ks[:, None], taus, probs]
               for g_f, (ks, taus, probs) in zip(q["g_f"], maps))
     written = [_write_table(out["out"], "return_prob",
                             ["g_f", "k", "t_over_t0", "probability"],
@@ -518,19 +520,15 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     phis = 2.0 * np.pi * np.arange(e["n_phi"]) / e["n_phi"]
     written = []
     if not spectra_only:
-        blocks = ([np.full(fid.size, g_f), np.repeat(phis, ts.size),
-                   np.tile(ts, phis.size), fid.ravel(), mag.ravel()]
+        blocks = ([g_f, phis[:, None], ts, fid, mag]
                   for g_f, (fid, mag, _, _) in zip(q["g_f"], results))
         written.append(_write_table(
             out["out"], "otoc_surface",
             ["g_f", "phi", "t", "fidelity", "magnetization"], blocks,
             out["format"]))
+    observables = np.array(["fidelity", "magnetization"])[:, None, None]
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
-    observables = ("fidelity", "magnetization")
-    labels = [obs for obs in observables for _ in range(ts.size * orders.size)]
-    blocks = ([np.full(c.size, g_f), labels,
-               np.tile(np.repeat(ts, orders.size), len(observables)),
-               np.tile(orders, len(observables) * ts.size), c.real, c.imag,
+    blocks = ([g_f, observables, ts[:, None], orders, c.real, c.imag,
                # Python's abs() bit for bit; np.abs differs in the last bit
                np.hypot(c.real, c.imag)]
               for g_f, (_, _, c, _) in zip(q["g_f"], results))
@@ -561,45 +559,39 @@ def cmd_oracle_compare(resolved: dict) -> None:
     ts = np.linspace(0.0, q["t_max"], 100)
     phis = 2.0 * np.pi * np.arange(8) / 8
     echo_ts = np.linspace(0.0, q["t_max"], 10)
-    # per field: the rate rows (no phi), then fidelity and magnetization
-    # over (phi, t); the 2^n register is sampled at each
-    cells = phis.size * echo_ts.size
+    # the 2^n register is sampled at each rate time and (phi, t) echo cell
     results = _fan_out(functools.partial(_job_compare, bc=o["bc"], ts=ts,
                                          phis=phis, echo_ts=echo_ts),
-                       q, n, ts.size + cells, 2 ** n)
-    quantities = (["rate_function"] * ts.size + ["fidelity"] * cells
-                  + ["magnetization"] * cells)
-    phi_column = ([""] * ts.size
-                  + 2 * [phi for phi in (phis + 0.0).tolist() for _ in echo_ts])
-    t_column = np.concatenate([ts, np.tile(echo_ts, 2 * phis.size)])
-    difference = np.array([np.concatenate([rate, fid.ravel(), mag.ravel()])
-                           for rate, fid, mag in results])
+                       q, n, ts.size + phis.size * echo_ts.size, 2 ** n)
+    # per field: the rate rows (no phi), then fidelity and magnetization
+    # over (phi, t)
+    keys = [("rate_function", "", ts), ("fidelity", phis[:, None], echo_ts),
+            ("magnetization", phis[:, None], echo_ts)]
+    blocks = [[g_f, *key, gap] for g_f, gaps in zip(q["g_f"], results)
+              for key, gap in zip(keys, gaps)]
     written = [_write_table(out["out"], "compare",
                             ["g_f", "quantity", "phi", "t", "difference"],
-                            ([np.full(t_column.size, g_f), quantities,
-                              phi_column, t_column, row]
-                             for g_f, row in zip(q["g_f"], difference)),
-                            out["format"])]
+                            blocks, out["format"])]
     _write_manifest(out["out"], "oracle-compare", resolved, written)
     # the first largest difference; NaN rows never count as the worst
-    ranked = np.where(np.isnan(difference), -np.inf, difference)
-    field, row = np.unravel_index(np.argmax(ranked), ranked.shape)
-    if ranked[field, row] > s["tolerance"]:
+    ranked = [np.where(np.isnan(gap), -np.inf, gap) for *_, gap in blocks]
+    index = max(range(len(blocks)), key=lambda i: ranked[i].max())
+    row = np.argmax(ranked[index])                    # C-order, as written
+    if ranked[index].flat[row] > s["tolerance"]:
+        g_f, quantity, _, t, gap = blocks[index]
         raise ToleranceFailure(
-            f"worst difference {difference[field, row]:.3e} > tolerance "
-            f"{s['tolerance']:.3e} ({quantities[row]}, g_f={q['g_f'][field]}, "
-            f"t={t_column[row]:.6f}, grid={q['grid']})")
+            f"worst difference {gap.flat[row]:.3e} > tolerance "
+            f"{s['tolerance']:.3e} ({quantity}, g_f={g_f}, "
+            f"t={np.broadcast_to(t, gap.shape).flat[row]:.6f}, grid={q['grid']})")
 
 
 def cmd_pulse_schedule(resolved: dict) -> None:
     q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
     results = _fan_out(functools.partial(_job_pulse, constant=s["pulse_constant"],
                                          n_t=s["n_t"]), q, q["n"], s["n_t"])
-    n_t, keys = s["n_t"], ("k", "axis_angle", "rabi_rate")
-    blocks = ([np.full(sched.durations.size, g_f),
-               *(np.repeat(sched[key], n_t) for key in keys),
-               np.tile(np.arange(n_t), len(sched)), sched.durations.ravel(),
-               np.repeat(sched.idle, n_t)]
+    keys = ("k", "axis_angle", "rabi_rate")
+    blocks = ([g_f, *(sched[key][:, None] for key in keys),
+               np.arange(s["n_t"]), sched.durations, sched.idle[:, None]]
               for g_f, (sched, _) in zip(q["g_f"], results))
     written = [_write_table(out["out"], "schedule",
                             ["g_f", *keys, "duration_index", "duration", "idle"],

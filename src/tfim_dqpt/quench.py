@@ -293,6 +293,7 @@ def critical_momentum(g_i: float, g_f: float) -> float | None:
     Returns None when |argument| >= 1 (no zero crossing exists).  At k* the
     old and new Bloch vectors are exactly orthogonal.
     """
+    su2._require_finite("g_i and g_f", (g_i, g_f))
     if g_i + g_f == 0.0:
         raise UndefinedExpressionError(
             "critical momentum undefined for g_i + g_f = 0")
@@ -304,6 +305,7 @@ def critical_momentum(g_i: float, g_f: float) -> float | None:
 
 def critical_times(g_i: float, g_f: float, n_max: int = 3) -> np.ndarray:
     """Critical times t_c(n) = pi/|d_f(k*)| (n + 1/2), n = 0..n_max."""
+    n_max = su2._require_int("n_max", n_max, 0, error=InvalidArgumentError)
     k_star = critical_momentum(g_i, g_f)
     if k_star is None:
         raise NoDqptError(
@@ -315,6 +317,7 @@ def critical_times(g_i: float, g_f: float, n_max: int = 3) -> np.ndarray:
 
 def dqpt_predicate(g_i: float, g_f: float) -> bool:
     """True iff the quench crosses the critical field: (1-|g_i|)(1-|g_f|) < 0."""
+    su2._require_finite("g_i and g_f", (g_i, g_f))
     return (1.0 - abs(g_i)) * (1.0 - abs(g_f)) < 0.0
 
 

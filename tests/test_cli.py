@@ -273,6 +273,32 @@ class TestOracleCompare:
         assert (out / "compare.csv").exists()
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_message_names_the_first_largest_row(self, tmp_path, capsys,
+                                                 monkeypatch, seed):
+        # differences in quarters, each block's below its own drawn cap, so
+        # the largest is tied; NaN rows never count
+        def job(spec, bc, ts, phis, echo_ts):
+            rng = np.random.default_rng([seed, round(10 * spec.g_f)])
+            gaps = [rng.integers(0, rng.integers(1, 5), shape) / 4.0
+                    for shape in (ts.shape, *2 * [(phis.size, echo_ts.size)])]
+            for gap in gaps:
+                gap.flat[rng.integers(0, gap.size, 3)] = np.nan
+            return gaps
+
+        monkeypatch.setattr(cli, "_job_compare", job)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--gf", "0.5,0.8,1.2",
+                     "--out", str(out)]) == 1
+        _, rows = read_csv(out / "compare.csv")
+        ranked = [-np.inf if np.isnan(float(row[4])) else float(row[4])
+                  for row in rows]
+        g_f, quantity, _, t, gap = rows[int(np.argmax(ranked))]
+        assert capsys.readouterr().err.startswith(
+            f"tolerance failure: worst difference {float(gap):.3e} > tolerance "
+            f"1.000e-06 ({quantity}, g_f={float(g_f)}, t={float(t):.6f}, "
+            f"grid=abc)\n")
+
     def test_loose_tolerance_rescues_mismatch(self, tmp_path):
         out = tmp_path / "ocloose"
         assert main(["oracle-compare", "--out", str(out), "--grid", "paper",
@@ -849,10 +875,32 @@ COLUMN_POOLS = {
                 -np.inf, np.nan, 2.0],
     "int64": [2 ** 53 + 1, -2 ** 62, 0, -7],
     "bool": [True, False],
-    "strings": ["", "fidelity", "a,b", 'q"t', '""', "line\nbreak"],
-    "mixed": ["", 0.0, 0.7853981633974483, np.nan, 1e-300],
+    "str": ["", "fidelity", "a,b", 'q"t', '""', "line\nbreak"],
 }
-COLUMN_KINDS = sorted(COLUMN_POOLS)
+# "mixed" is a float column written as the str scalar "" in some blocks, as
+# compare writes its phi column
+COLUMN_KINDS = sorted([*COLUMN_POOLS, "mixed"])
+
+
+def str_then_floats(data, at: int, cut: int):
+    """Two blocks of the columns ``data``, split at row ``cut``; column
+    ``at`` is the str scalar "" in the first block and floats in the
+    second.  Returns the blocks and the rows they write."""
+    first = [column[:cut] for column in data]
+    first[at] = ""
+    rows = list(zip(*data))
+    rows[:cut] = [(*row[:at], "", *row[at + 1:]) for row in rows[:cut]]
+    return [first, [column[cut:] for column in data]], rows
+
+
+def written_table(columns, blocks, fmt: str, chunk: int) -> bytes:
+    """The bytes ``_write_table`` writes for ``blocks`` in chunks of
+    ``chunk`` rows."""
+    with tempfile.TemporaryDirectory() as outdir, \
+            mock.patch.object(cli, "CHUNK_ROWS", chunk):
+        name, _ = cli._write_table(outdir, "t", columns, iter(blocks), fmt)
+        with open(os.path.join(outdir, name), "rb") as handle:
+            return handle.read()
 
 
 class TestColumnarWriter:
@@ -865,20 +913,20 @@ class TestColumnarWriter:
         rng = np.random.default_rng(4)
         ints = rng.integers(-10 ** 12, 10 ** 12, size=n)
         bools = rng.random(n) < 0.5
-        strings = [["", "fidelity", "a,b", 'q"t'][i % 4] for i in range(n)]
-        mixed = ["" if i % 3 == 0 else v
-                 for i, v in enumerate((self.FLOATS + 0.0).tolist())]
-        data = [self.FLOATS, ints, bools, strings, mixed, -self.FLOATS]
-        rows = list(zip(self.FLOATS, ints, bools, strings, mixed, -self.FLOATS))
-        return ["x", "n", "flag", "label", "phi", "neg"], data, rows
+        strings = np.array([["", "fidelity", "a,b", 'q"t'][i % 4]
+                            for i in range(n)])
+        data = [self.FLOATS, ints, bools, strings, self.FLOATS[::-1],
+                -self.FLOATS]
+        return (["x", "n", "flag", "label", "phi", "neg"],
+                *str_then_floats(data, 4, n // 3))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [3, cli.CHUNK_ROWS])
     def test_bytes_equal_per_cell_reference(self, tmp_path, monkeypatch,
                                             fmt, chunk):
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
-        columns, data, rows = self.table()
-        name, digest = cli._write_table(str(tmp_path), "table", columns, [data],
+        columns, blocks, rows = self.table()
+        name, digest = cli._write_table(str(tmp_path), "table", columns, blocks,
                                         fmt)
         assert name == f"table.{fmt}"
         written = (tmp_path / name).read_bytes()
@@ -890,16 +938,16 @@ class TestColumnarWriter:
         """Long columns of heavily repeated values, as the sweeps write."""
         n = self.FLOATS.size
         strings = ["", "fidelity", "a,b", 'q"t', '""']
-        mixed = [""] + (self.FLOATS + 0.0).tolist()
         data = [np.repeat(self.FLOATS, 23),
                 np.tile(np.array([2 ** 53 + 1, -2 ** 62, 0, 7, 2 ** 63 - 1]),
                         n * 23 // 5 + 1)[:n * 23],
                 np.tile(np.repeat([True, False, False], 4), n * 23)[:n * 23],
-                [strings[i // 5 % len(strings)] for i in range(n * 23)],
-                [mixed[i % len(mixed)] for i in range(n * 23)],
+                np.array([strings[i // 5 % len(strings)]
+                          for i in range(n * 23)]),
+                np.tile(self.FLOATS, 23),
                 np.tile(-self.FLOATS, 23)]
-        rows = list(zip(*data))
-        return ["x", "n", "flag", "label", "phi", "neg"], data, rows
+        return (["x", "n", "flag", "label", "phi", "neg"],
+                *str_then_floats(data, 4, 5 * n))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk", [3, 7, cli.CHUNK_ROWS])
@@ -907,8 +955,8 @@ class TestColumnarWriter:
                                                        monkeypatch, fmt, chunk):
         # chunk edges fall inside runs of one value
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
-        columns, data, rows = self.repeated_table()
-        name, _ = cli._write_table(str(tmp_path), "table", columns, [data], fmt)
+        columns, blocks, rows = self.repeated_table()
+        name, _ = cli._write_table(str(tmp_path), "table", columns, blocks, fmt)
         assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
 
     @given(st.integers(0, 40), st.lists(st.sampled_from(COLUMN_KINDS),
@@ -919,26 +967,60 @@ class TestColumnarWriter:
                                                     fmt, data):
         columns, table = [], []
         for i, kind in enumerate(kinds):
-            pool = COLUMN_POOLS[kind]
+            pool = COLUMN_POOLS["float64" if kind == "mixed" else kind]
             picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
                                        min_size=n_rows, max_size=n_rows))
-            values = [pool[j] for j in picks]
             columns.append(f"c{i}" if i % 2 else f"c,{i}")
-            table.append(values if kind in ("strings", "mixed")
-                         else np.array(values, dtype=kind))
+            table.append(np.array([pool[j] for j in picks],
+                                  dtype="float64" if kind == "mixed" else kind))
         # consecutive blocks of the rows; equal edges make empty blocks
         edges = [0, *sorted(data.draw(st.lists(st.integers(0, n_rows),
                                                max_size=4))), n_rows]
         blocks = [[column[start:stop] for column in table]
                   for start, stop in zip(edges, edges[1:])]
+        rows = list(zip(*table))
+        for (start, stop), block in zip(zip(edges, edges[1:]), blocks):
+            for i, kind in enumerate(kinds):
+                if kind == "mixed" and data.draw(st.booleans()):
+                    block[i] = ""                     # the str scalar ""
+                    rows[start:stop] = [(*row[:i], "", *row[i + 1:])
+                                        for row in rows[start:stop]]
         if n_rows == 0 and data.draw(st.booleans()):
             blocks = []                                # no block at all
-        with tempfile.TemporaryDirectory() as outdir, \
-                mock.patch.object(cli, "CHUNK_ROWS", chunk):
-            name, _ = cli._write_table(outdir, "t", columns, iter(blocks), fmt)
-            with open(os.path.join(outdir, name), "rb") as handle:
-                written = handle.read()
-        assert written == reference_table(columns, list(zip(*table)), fmt)
+        assert written_table(columns, blocks, fmt, chunk) \
+            == reference_table(columns, rows, fmt)
+
+    @given(st.lists(st.sampled_from(sorted(COLUMN_POOLS)), min_size=2,
+                    max_size=5),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                    min_size=1, max_size=3),
+           st.sampled_from([1, 2, 5, 16384]), st.sampled_from(["csv", "json"]),
+           st.data())
+    def test_broadcast_blocks_equal_materialized_columns(
+            self, kinds, sizes, chunk, fmt, data):
+        # a block's rows are the C-order cells of its broadcast columns:
+        # 0-d, (a, 1), (1, b) or (a, b), with a or b possibly 0
+        columns = [f"c{i}" for i in range(len(kinds))]
+        blocks, materialized = [], []
+        for a, b in sizes:
+            block = []
+            for kind in kinds:
+                pool = COLUMN_POOLS[kind]
+                shape = data.draw(st.sampled_from([(), (a, 1), (1, b), (a, b)]))
+                picks = data.draw(st.lists(
+                    st.integers(0, len(pool) - 1), min_size=int(np.prod(shape)),
+                    max_size=int(np.prod(shape))))
+                values = np.array([pool[j] for j in picks],
+                                  dtype=kind).reshape(shape)
+                block.append(values.item() if values.ndim == 0 else values)
+            shape = np.broadcast_shapes(*map(np.shape, block))
+            blocks.append(block)
+            materialized.append([np.broadcast_to(column, shape).ravel()
+                                 for column in block])
+        written = written_table(columns, blocks, fmt, chunk)
+        assert written == written_table(columns, materialized, fmt, chunk)
+        rows = [row for block in materialized for row in zip(*block)]
+        assert written == reference_table(columns, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, fmt):
@@ -1175,6 +1257,31 @@ class TestResourceAndRangeGuards:
                 assert peak < 2 ** 20 and not os.path.exists(out)
             else:
                 assert code == 0, err.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, n, bound", [
+        ("heatmap", 2500, 2.5), ("pulse-schedule", 2483, 2.5),
+        ("otoc", 1827, 1.2)])
+    def test_whole_command_peak_at_an_admitted_size(self, tmp_path, command,
+                                                   n, bound, fmt):
+        # 3 default fields in process at 8 MiB: heatmap and pulse-schedule
+        # at the largest n their guards admit; otoc's peak is its surfaces,
+        # the same up to its largest, n = 3615.  The command holds every
+        # field's result and one chunk's text; a key column built whole
+        # would break the bound
+        budget = 8 * 2 ** 20
+        with mock.patch.object(quench, "MODE_BUDGET_BYTES", budget), \
+                mock.patch.object(cli, "_usable_cpus", lambda: 1), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            tracemalloc.start()
+            try:
+                code = main([command, "--n", str(n), "--format", fmt,
+                             "--out", str(tmp_path / "out")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0, err.getvalue()
+        assert peak <= bound * budget
 
     def test_output_path_that_is_a_file_is_refused(self, tmp_path, capsys):
         taken = tmp_path / "taken"

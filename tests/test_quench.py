@@ -256,6 +256,21 @@ class TestCriticalAnalytics:
         with pytest.raises(NoDqptError):
             quench.critical_times(0.0, 0.8)
 
+    @pytest.mark.parametrize("call, args", [
+        (quench.dqpt_predicate, (np.nan, 1.2)),
+        (quench.dqpt_predicate, (0.0, np.inf)),
+        (quench.critical_momentum, (np.nan, 1.2)),
+        (quench.critical_times, (0.0, np.nan)),
+        (quench.default_time_grid, (0.0, np.nan)),
+        (quench.critical_times, (0.0, 1.2, 1.5)),
+        (quench.critical_times, (0.0, 1.2, -3)),
+    ])
+    def test_invalid_argument_is_refused(self, call, args):
+        # a non-finite field, or an n_max that is not a count, gets no
+        # value and no verdict
+        with pytest.raises(InvalidArgumentError):
+            call(*args)
+
     def test_predicate_examples(self):
         assert quench.dqpt_predicate(0.0, 1.2) is True
         assert quench.dqpt_predicate(0.0, 0.8) is False
