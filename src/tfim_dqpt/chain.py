@@ -143,11 +143,9 @@ class ChainOperator:
         self.g = float(g)
         self.bc = bc
         self.coupling = float(coupling)
-        self.bonds = tuple((int(i), int(j)) for i, j in (
-            default_bonds(self.n, bc) if bonds is None else bonds))
-        for i, j in self.bonds:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ConfigurationError(f"bond ({i},{j}) outside 0..{self.n - 1}")
+        self.bonds = tuple(
+            tuple(su2._require_int("bond site", site, 0, n - 1) for site in (i, j))
+            for i, j in (default_bonds(n, bc) if bonds is None else bonds))
         self.dim, self._entries = self._build()
         self._eig = None
         self._sparse = None
@@ -383,7 +381,7 @@ def _evolve_block(op: ChainOperator, block: np.ndarray, ts) -> np.ndarray:
 
 def evolve_chain(state: np.ndarray, op: ChainOperator, t: float) -> np.ndarray:
     """exp(-iHt) |state> through ``_evolve_block``."""
-    state = np.asarray(state, dtype=complex)
+    state = su2._require_state("state", state)
     if state.shape != (op.dim,):
         raise ConfigurationError(
             f"state dimension {state.shape} does not match operator ({op.dim},)")
@@ -465,7 +463,7 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t,
     """
     _require_quench_fields(g_i)
     ts = np.atleast_1d(su2._require_finite("t", t))
-    op = _oracle_operator(int(n), float(g_f), bc)
+    op = _oracle_operator(n, float(g_f), bc)
     if op.dim < 2 ** DENSE_LIMIT:
         energies, vectors = op.eigensystem()
         amps = np.exp(-1.0j * np.outer(ts, energies)) @ np.abs(vectors[0]) ** 2
@@ -474,7 +472,7 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t,
     probs = np.abs(amps) ** 2
     if np.any(probs < AMPLITUDE_FLOOR):
         warnings.warn("Loschmidt probability hit the 1e-300 floor", RuntimeWarning)
-    f = -(2.0 / n) * np.log(np.maximum(probs, AMPLITUDE_FLOOR))
+    f = -(2.0 / op.n) * np.log(np.maximum(probs, AMPLITUDE_FLOOR))
     return f if np.ndim(t) else float(f[0])
 
 
@@ -488,7 +486,7 @@ def echo_chain(n: int, g_f: float, t: float, phi: float,
     the product- and mean-aggregated momentum-module observables on the
     abc grid (see the module docstring for why the raw overlap is squared).
     """
-    op = _oracle_operator(int(n), float(g_f), bc, sector=False)
+    op = _oracle_operator(n, float(g_f), bc, sector=False)
     psi = even_cat_state(n)
     forward = evolve_chain(psi, op, t)
     rotated = register_rotation_x(forward, phi, op.n, op.bonds)
@@ -510,7 +508,7 @@ def echo_scan_chain(n: int, g_f: float, ts, phis,
     """
     ts = np.atleast_1d(su2._require_finite("ts", ts))
     phis = np.atleast_1d(su2._require_finite("phis", phis))
-    op = _oracle_operator(int(n), float(g_f), bc)
+    op = _oracle_operator(n, float(g_f), bc)
     # the cat state e_0 is the first column of the identity
     forward = _evolve_block(op, np.eye(op.dim, 1), ts)[:, 0, :]
     rotations = np.exp(-0.25j * np.outer(op.lam, phis))
@@ -530,7 +528,7 @@ def mqc_spectrum_ed(n: int, g_f: float, t: float, bc: str = "periodic",
     single forward evolution; the register supports orders up to +-N, so
     the default keeps m_max = N and N_phi >= 2N+1.
     """
-    n = int(n)
+    n = su2._require_int("n", n, 2, MAX_SPINS, ResourceGuardError)
     if m_max is None:
         m_max = n
     if n_phi is None:

@@ -27,12 +27,12 @@ size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
 pool of one worker per usable CPU, at most one per field.  No option picks
 the path, and the artifacts do not depend on it.
 
-``otoc`` and ``spectra`` stream one mode moment m(t) per field; the
-``mean`` surfaces and every spectrum but the ``product`` fidelity's (the
-DFT of its surface) are closed forms in it, so ``spectra`` under ``mean``
-builds no surface.  The double-well verdict reads the closed-form A_1
-series (``otoc._well_series``), and ``doublewell.json`` adds each field's
-closed-form depth and its margin over eps_dw.
+The ``otoc`` and ``spectra`` jobs return one mode moment m(t) per field
+(and the ``product`` fidelity surface); the parent forms the rest as it
+writes.  The ``mean`` surfaces and every spectrum but the ``product``
+fidelity's (its surface's DFT) are closed forms in m, so ``spectra`` under
+``mean`` builds no surface.  ``doublewell.json`` holds each field's verdict
+on the closed-form A_1 series, its closed-form depth and margin over eps_dw.
 
 Tables are written one block at a time: one final field's arrays (and
 scalars) that broadcast together, whose rows are the C-order cells of the
@@ -213,12 +213,15 @@ def validate_config(resolved: dict, command: str | None) -> None:
                                 ("quench", "tau_points", 2),
                                 ("echo", "dw_tau_points", 3)):
         su2._require_int(f"{section}.{key}", resolved[section][key], least)
-    # the t grid and its rate columns, and the double-well tau grid, for the
-    # commands that build them, before any library guard
+    # the t grid and its rate columns, and otoc's double-well series (8 rows:
+    # the series, its temporaries and the detector's comparisons), for the
+    # commands that build them, before any grid, pool or library guard
     t_points = q["t_points"] if command in ("rate-function", "otoc", "spectra") else 0
-    dw_points = e["dw_tau_points"] if command == "otoc" else 0
-    quench._require_budget(8 * (t_points * (1 + 4 * len(q["g_f"])) + dw_points),
-                           f"time grids of {t_points} and {dw_points} points")
+    quench._require_budget(8 * t_points * (1 + 4 * len(q["g_f"])),
+                           f"time grids of {t_points} points")
+    if command == "otoc":
+        quench._require_budget(quench._working_set(0, e["dw_tau_points"], 0, 4),
+                               f"double-well series of {e['dw_tau_points']} times")
     _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
     for key in ("dw_threshold", "pulse_constant"):
@@ -389,43 +392,15 @@ def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
 # ---------------------------------------------------------------------------
 # per-field jobs (module level so a process pool can pickle them)
 
-def _well(spec, e: dict, eps_dw: float) -> dict:
-    """The double-well verdict on the closed-form A_1 series, and the
-    closed-form depth and its margin over eps_dw."""
-    taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
-    verdict = otoc.double_well_detector(taus, otoc._well_series(spec, taus), 0.5,
-                                        e["dw_window"], eps_dw=eps_dw)
-    depth = otoc.double_well_depth(spec.g_i, spec.g_f, spec.n, spec.grid_mode)
-    return {"classification": verdict, "depth": depth, "margin": depth - eps_dw}
-
-
-def _job_otoc(spec, ts, e: dict, eps_dw: float | None):
-    # the mean spectra and surfaces from one mode moment m(t); product
-    # fidelity keeps its surface and DFT.  With eps_dw (otoc, not spectra),
-    # the surfaces and the double-well entry too.  Both counts precede any
-    # work: the scan's, then 8 rows of double-well times (the series, its
-    # temporaries and the detector's comparisons), whose work comes first
+def _job_otoc(spec, ts, e: dict):
+    """One field's mode moment m(t) after the scan's one count, and under
+    ``product`` its fidelity surface (else None); the parent forms the rest."""
     otoc._require_scan_budget(spec, ts.size, e["n_phi"])
-    if eps_dw is not None:
-        quench._require_budget(quench._working_set(0, e["dw_tau_points"], 0, 4),
-                               f"double-well series of {e['dw_tau_points']} times")
-        well = _well(spec, e, eps_dw)
     config = otoc.EchoConfig(spec, ts, n_phi=e["n_phi"],
                              aggregation=e["aggregation"])
-    m, phis, fidelity = otoc._mode_moment(config), config.phi_values, None
-    if e["aggregation"] == "product":
-        fidelity = otoc._product_fidelity(config)
-        spectrum = otoc.mqc_components(fidelity, e["m_max"])
-    else:
-        spectrum = otoc._mean_spectra(m, e["m_max"], "fidelity")
-    # over (observable, t, m)
-    spectra = np.stack([spectrum.T, otoc._mean_spectra(
-        m, e["m_max"], "magnetization").T])
-    if eps_dw is None:
-        return None, None, spectra, None
-    if fidelity is None:
-        fidelity = otoc._mean_surface(m, phis, "fidelity")
-    return fidelity, otoc._mean_surface(m, phis, "magnetization"), spectra, well
+    m = otoc._mode_moment(config)
+    return m, (otoc._product_fidelity(config)
+               if e["aggregation"] == "product" else None)
 
 
 def _job_pulse(spec, constant: float, n_t: int):
@@ -510,28 +485,44 @@ def cmd_heatmap(resolved: dict) -> None:
     _write_manifest(out["out"], "heatmap", resolved, written)
 
 
+def _well(spec, e: dict, eps_dw: float) -> dict:
+    """The double-well verdict on the closed-form A_1 series, and the
+    closed-form depth and its margin over eps_dw."""
+    taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
+    verdict = otoc.double_well_detector(taus, otoc._well_series(spec, taus), 0.5,
+                                        e["dw_window"], eps_dw=eps_dw)
+    depth = otoc.double_well_depth(spec.g_i, spec.g_f, spec.n, spec.grid_mode)
+    return {"classification": verdict, "depth": depth, "margin": depth - eps_dw}
+
+
 def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     q, e = resolved["quench"], resolved["echo"]
     s, out = resolved["sweep"], resolved["outputs"]
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
-    results = _fan_out(functools.partial(
-        _job_otoc, ts=ts, e=e, eps_dw=None if spectra_only else s["dw_threshold"]),
-        q, q["n"], ts.size)
+    results = _fan_out(functools.partial(_job_otoc, ts=ts, e=e), q, q["n"],
+                       ts.size)
     phis = 2.0 * np.pi * np.arange(e["n_phi"]) / e["n_phi"]
     written = []
     if not spectra_only:
-        blocks = ([g_f, phis[:, None], ts, fid, mag]
-                  for g_f, (fid, mag, _, _) in zip(q["g_f"], results))
+        blocks = ([g_f, phis[:, None], ts,
+                   otoc._mean_surface(m, phis, "fidelity") if fid is None else fid,
+                   otoc._mean_surface(m, phis, "magnetization")]
+                  for g_f, (m, fid) in zip(q["g_f"], results))
         written.append(_write_table(
             out["out"], "otoc_surface",
             ["g_f", "phi", "t", "fidelity", "magnetization"], blocks,
             out["format"]))
     observables = np.array(["fidelity", "magnetization"])[:, None, None]
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
+    # over (observable, t, m)
+    spectra = (np.stack([(otoc._mean_spectra(m, e["m_max"], "fidelity")
+                          if fid is None else otoc.mqc_components(fid, e["m_max"])).T,
+                         otoc._mean_spectra(m, e["m_max"], "magnetization").T])
+               for m, fid in results)
     blocks = ([g_f, observables, ts[:, None], orders, c.real, c.imag,
                # Python's abs() bit for bit; np.abs differs in the last bit
                np.hypot(c.real, c.imag)]
-              for g_f, (_, _, c, _) in zip(q["g_f"], results))
+              for g_f, c in zip(q["g_f"], spectra))
     written.append(_write_table(
         out["out"], "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
         blocks, out["format"]))
@@ -544,8 +535,9 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
                 "eps_dw": s["dw_threshold"],
                 "tau_points": e["dw_tau_points"],
             },
-            "results": [{"g_f": g_f, **well}
-                        for g_f, (_, _, _, well) in zip(q["g_f"], results)],
+            "results": [{"g_f": g_f, **_well(quench.QuenchSpec(
+                q["g_i"], g_f, q["n"], q["grid"]), e, s["dw_threshold"])}
+                        for g_f in q["g_f"]],
         }
         written.append(_write_json(out["out"], "doublewell.json", payload))
     _write_manifest(out["out"], "spectra" if spectra_only else "otoc",

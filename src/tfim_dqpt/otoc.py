@@ -92,9 +92,9 @@ class EchoConfig:
             raise ConfigurationError(
                 f"time_mode must be one of {TIME_MODES}, got {self.time_mode!r}")
         n_phi = su2._require_int("n_phi", self.n_phi, 3)
-        grid = np.atleast_1d(np.asarray(self.time_grid, dtype=float))
-        if grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise ConfigurationError("time_grid must be nonempty and finite")
+        grid = np.atleast_1d(su2._require_finite("time_grid", self.time_grid))
+        if grid.size == 0:
+            raise ConfigurationError("time_grid must be nonempty")
         object.__setattr__(self, "time_grid", grid)
         object.__setattr__(self, "n_phi", n_phi)
 
@@ -109,6 +109,12 @@ class MqcSpectrum:
 
     m_max: int
     components: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "m_max", su2._require_int(
+            "m_max", self.m_max, 0, error=InvalidArgumentError))
+        object.__setattr__(self, "components", su2._require_finite(
+            "components", self.components, complex))
 
     def component(self, m: int) -> complex:
         if not su2._is_integral(m):
@@ -130,7 +136,7 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     """
     forward = evolution_unitary(d_f, t)
     backward = evolution_unitary(-np.asarray(d_f, dtype=float), t)
-    return backward @ (rotation_x(phi) @ (forward @ np.asarray(psi0, dtype=complex)))
+    return backward @ (rotation_x(phi) @ (forward @ su2._require_state("psi0", psi0)))
 
 
 def _require_scan_budget(spec: QuenchSpec, n_t: int, n_phi: int) -> None:
@@ -253,7 +259,7 @@ def mqc_components(scan, m_max: int) -> np.ndarray:
     order m.  Resolving |m| <= m_max without aliasing requires
     N_phi >= 2 m_max + 1.
     """
-    scan = np.asarray(scan, dtype=float)
+    scan = su2._require_finite("scan", scan)
     n_phi = scan.shape[0]
     require_resolvable(n_phi, m_max)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -264,7 +270,7 @@ def mqc_components(scan, m_max: int) -> np.ndarray:
 
 def mqc_spectrum(signal, m_max: int) -> MqcSpectrum:
     """MQC spectrum of one real phi-scan signal (see ``mqc_components``)."""
-    return MqcSpectrum(m_max=int(m_max),
+    return MqcSpectrum(m_max=m_max,
                        components=mqc_components(np.ravel(signal), m_max))
 
 
@@ -296,8 +302,8 @@ def otoc_general(w, v, d, t: float, psi0, convention: str = "paper") -> complex:
     sequence; ``conventional`` uses the Heisenberg order U^dag W U.  The
     commutator identity Re F = 1 - <|[W(t), V]|^2>/2 holds for either.
     """
-    w = np.asarray(w, dtype=complex)
-    v = np.asarray(v, dtype=complex)
+    w = su2._require_finite("W", w, complex)
+    v = su2._require_finite("V", v, complex)
     if not su2.is_unitary(w):
         raise InvalidArgumentError("W must be unitary")
     if not su2.is_unitary(v):
@@ -309,7 +315,7 @@ def otoc_general(w, v, d, t: float, psi0, convention: str = "paper") -> complex:
         w_t = u @ w @ u.conj().T
     else:
         w_t = u.conj().T @ w @ u
-    psi0 = np.asarray(psi0, dtype=complex)
+    psi0 = su2._require_state("psi0", psi0)
     return complex(np.vdot(psi0, w_t.conj().T @ (v.conj().T @ (w_t @ (v @ psi0)))))
 
 

@@ -106,8 +106,7 @@ class QuenchSpec:
     grid_mode: str = "paper"
 
     def __post_init__(self):
-        if not (np.isfinite(self.g_i) and np.isfinite(self.g_f)):
-            raise InvalidArgumentError("g_i and g_f must be finite")
+        su2._require_finite("g_i and g_f", (self.g_i, self.g_f))
         n = su2._require_int("n", self.n, 2)
         if self.grid_mode not in GRID_MODES:
             raise ConfigurationError(
@@ -144,6 +143,7 @@ class QuenchSpec:
 
 def bloch_vector(g: float, k: float) -> np.ndarray:
     """Mode Bloch vector d(g, k) = (1 - g cos k, g sin k, 0)."""
+    g, k = su2._require_finite("g and k", (g, k))
     return np.array([1.0 - g * np.cos(k), g * np.sin(k), 0.0])
 
 
@@ -249,10 +249,11 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
     """Per-mode Loschmidt amplitude G_k(t); scalar or array in t.
 
     Gapless final modes (|d_f| = 0) do not evolve, so G_k = 1 there.
-    Non-finite times raise InvalidArgumentError.
+    Non-finite k or times raise InvalidArgumentError.
     """
     t = su2._require_finite("t", t)
-    n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, np.array([float(k)]))
+    n_f, overlap = _mode_geometry(spec.g_i, spec.g_f,
+                                  np.array([float(su2._require_finite("k", k))]))
     n_f, overlap = float(n_f[0]), float(overlap[0])
     g = np.cos(n_f * t) + 1.0j * overlap * np.sin(n_f * t)
     return g if t.ndim else complex(g)
@@ -350,7 +351,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
     final modes are ``idle``, with zero axis, rate and durations.  Refuses a
     constant for which a rate or its period is not a finite float.
     """
-    if not (c > 0.0 and np.isfinite(c)):
+    if su2._require_finite("c", c) <= 0.0:
         raise ConfigurationError(
             f"pulse constant must be finite and > 0, got {c}")
     n_t = su2._require_int("n_t", n_t, 2)
@@ -388,15 +389,17 @@ def replay_unitary(entry, duration: float) -> np.ndarray:
     phase; idle records replay as the identity.  The literal per-record
     oracle of the closed-form replay check.
     """
+    duration = float(su2._require_finite("duration", duration))
     if entry.idle:
         return np.eye(2, dtype=complex)
-    theta = entry.rabi_rate * float(duration)
+    theta = entry.rabi_rate * duration
     axis = np.array([np.cos(entry.axis_angle), np.sin(entry.axis_angle), 0.0])
     return su2.evolution_unitary(axis, 0.5 * theta)
 
 
 def default_time_grid(g_i: float, g_f: float, n_points: int = 300) -> np.ndarray:
     """[0, 3 t_c] when a DQPT exists, else [0, 10]; covers the visible range."""
+    n_points = su2._require_int("n_points", n_points, 2, error=InvalidArgumentError)
     if dqpt_predicate(g_i, g_f) and g_i + g_f != 0.0:
         t_c = critical_times(g_i, g_f, n_max=0)[0]
         return np.linspace(0.0, 3.0 * t_c, n_points)

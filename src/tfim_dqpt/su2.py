@@ -40,10 +40,20 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 X_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def _require_finite(name, value):
-    arr = np.asarray(value, dtype=float)
+def _require_finite(name, value, dtype=float):
+    """``value`` as an array of ``dtype`` if every entry is finite (both
+    parts, for complex); otherwise InvalidArgumentError naming ``name``."""
+    arr = np.asarray(value, dtype=dtype)
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
+def _require_state(name, value) -> np.ndarray:
+    """``value`` as a complex state vector if it is finite and nonzero."""
+    arr = _require_finite(name, value, complex)
+    if not arr.any():
+        raise InvalidArgumentError(f"{name} must be a nonzero state")
     return arr
 
 
@@ -109,12 +119,13 @@ def ground_state(d) -> np.ndarray:
 
 def fidelity(a, b) -> float:
     """|<a|b>|^2 for normalized pure states."""
-    return float(np.abs(np.vdot(a, b)) ** 2)
+    return float(np.abs(np.vdot(_require_state("a", a),
+                                _require_state("b", b))) ** 2)
 
 
 def expect_sx(a) -> float:
     """<a| sigma_x / 2 |a>, the per-mode x magnetization in [-1/2, 1/2]."""
-    a = np.asarray(a, dtype=complex)
+    a = _require_state("a", a)
     return float(np.real(np.conj(a[0]) * a[1]))
 
 

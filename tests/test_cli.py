@@ -225,8 +225,10 @@ class TestOtoc:
                                                 (30, 500, None)])
     def test_job_holds_no_more_than_its_counts(self, aggregation, n, n_t,
                                                eps_dw):
-        # the scan's count and the double-well series' count, both taken
-        # before any work; the series is done and dropped before the scan
+        # one field's work: the job, with the scan's one count taken before
+        # it, then under otoc (eps_dw given) the parent's double-well entry,
+        # which validate_config counted.  The job returns m(t) and, under
+        # product, the fidelity surface, and nothing else
         e = dict(cli.DEFAULTS["echo"], aggregation=aggregation)
         spec = quench.QuenchSpec(0.0, 1.2, n)
         ts = np.linspace(0.0, 5.0, n_t)
@@ -239,12 +241,47 @@ class TestOtoc:
         with mock.patch.object(quench, "_require_budget", recording):
             tracemalloc.start()
             try:
-                cli._job_otoc(spec, ts, e, eps_dw)
+                m, fidelity = cli._job_otoc(spec, ts, e)
                 peak = tracemalloc.get_traced_memory()[1]
+                if eps_dw is not None:     # beside the job's result
+                    tracemalloc.reset_peak()
+                    held = tracemalloc.get_traced_memory()[0]
+                    cli._well(spec, e, eps_dw)
+                    well_peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
-        assert len(counted) == (1 if eps_dw is None else 2)
-        assert peak <= max(counted)
+        assert len(counted) == 1 and peak <= counted[0]
+        assert m.shape == (n_t,)
+        assert (fidelity is None) == (aggregation == "mean")
+        if eps_dw is not None:
+            assert well_peak <= quench._working_set(0, e["dw_tau_points"], 0, 4)
+
+    @pytest.mark.parametrize("points", [160, 100_000])
+    @pytest.mark.parametrize("g_f", [0.5, 1.2])
+    def test_well_holds_no_more_than_its_count(self, points, g_f):
+        # the parent's double-well series, counted once in validate_config
+        e = dict(cli.DEFAULTS["echo"], dw_tau_points=points)
+        spec = quench.QuenchSpec(0.0, g_f, 30)
+        tracemalloc.start()
+        try:
+            cli._well(spec, e, cli.DEFAULTS["sweep"]["dw_threshold"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= quench._working_set(0, points, 0, 4)
+
+    def test_refused_double_well_grid_starts_no_pool(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # 3 fields x 5601 modes x 500 times reach POOL_MIN_CELLS; 10**8
+        # double-well times are refused before any grid or pool
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        cfg = write_config(tmp_path, "[quench]\nn = 5600\n"
+                                     "[echo]\ndw_tau_points = 100000000\n")
+        out = tmp_path / "out"
+        assert main(["otoc", "--config", cfg, "--out", str(out)]) == 2
+        assert "mode budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCompare:
@@ -1224,7 +1261,7 @@ class TestResourceAndRangeGuards:
 
     @given(st.sampled_from(sorted(cli.COMMANDS)), st.fixed_dictionaries(
         {}, optional={key: huge_size(low) for key, low in LEAST.items()}))
-    # the surfaces' scan fits, the longer double-well scan does not
+    # the surfaces' scan fits, and so does the longer double-well series
     @example("otoc", {"quench.t_points": 2000, "echo.dw_tau_points": 3000,
                       "echo.n_phi": 64})
     # the schedule fits, its replay check does not
@@ -1261,14 +1298,15 @@ class TestResourceAndRangeGuards:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, n, bound", [
         ("heatmap", 2500, 2.5), ("pulse-schedule", 2483, 2.5),
-        ("otoc", 1827, 1.2)])
+        ("otoc", 1827, 1.05)])
     def test_whole_command_peak_at_an_admitted_size(self, tmp_path, command,
                                                    n, bound, fmt):
         # 3 default fields in process at 8 MiB: heatmap and pulse-schedule
-        # at the largest n their guards admit; otoc's peak is its surfaces,
-        # the same up to its largest, n = 3615.  The command holds every
-        # field's result and one chunk's text; a key column built whole
-        # would break the bound
+        # at the largest n their guards admit; otoc's peak is one block's
+        # surfaces and chunk text, the same up to its largest admitted n,
+        # 3615.  The command holds every field's result (for otoc, m(t)
+        # alone) and one chunk's text; a key column built whole, or every
+        # field's surfaces held at once, would break the bound
         budget = 8 * 2 ** 20
         with mock.patch.object(quench, "MODE_BUDGET_BYTES", budget), \
                 mock.patch.object(cli, "_usable_cpus", lambda: 1), \

@@ -264,6 +264,7 @@ class TestCriticalAnalytics:
         (quench.default_time_grid, (0.0, np.nan)),
         (quench.critical_times, (0.0, 1.2, 1.5)),
         (quench.critical_times, (0.0, 1.2, -3)),
+        (quench.default_time_grid, (0.0, 1.2, 2.5)),
     ])
     def test_invalid_argument_is_refused(self, call, args):
         # a non-finite field, or an n_max that is not a count, gets no
