@@ -63,7 +63,7 @@ from .chain import (
     rate_function_ed,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "AliasingError",

@@ -17,10 +17,10 @@ it calls) checks it, exactly as for the same string in the INI file.
 Every run writes ``manifest.json`` holding the fully resolved configuration
 (defaults included), the artifact version, and a sha256 checksum per output
 file, taken from the bytes as they are written.  Identical configurations
-produce byte-identical files on any host: floats are printed in shortest
-round-trip form and the wall-clock duration goes to stderr, never into an
-artifact.  Files appear atomically (temp + rename); a failed write removes
-its temp file.
+give byte-identical files for one numpy build at one CPU dispatch level
+(across levels only numeric cells move, by a few ulp: README); floats
+print in shortest round-trip form, and the run time goes only to stderr.
+Files appear atomically (temp + rename); a failed write removes its temp file.
 
 The final fields run in this process unless the planned work (fields x grid
 size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
@@ -414,9 +414,9 @@ def _job_pulse(spec, constant: float, n_t: int):
     # four (n_k, n_t) arrays, refused before the schedule, which holds less
     quench._require_budget(quench._working_set(spec.n_modes, n_t, 4),
                            f"replay check of {spec.n_modes} x {n_t} pulses")
-    sched, g_f = quench.pulse_schedule(spec, c=constant, n_t=n_t), spec.g_f
+    sched = quench.pulse_schedule(spec, c=constant, n_t=n_t)
     live = ~sched.idle
-    d_x, d_y = 1.0 - g_f * np.cos(sched.k), g_f * np.sin(sched.k)
+    d_x, d_y = quench._bloch_xy(spec.g_f, sched.k)
     norm = np.hypot(d_x, d_y) * live                     # |d_f|, 0 if idle
     u_x, u_y = (np.divide(d, norm, out=np.zeros_like(d), where=live)[:, None]
                 for d in (d_x, d_y))

@@ -111,10 +111,13 @@ class MqcSpectrum:
     components: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m_max", su2._require_int(
-            "m_max", self.m_max, 0, error=InvalidArgumentError))
-        object.__setattr__(self, "components", su2._require_finite(
-            "components", self.components, complex))
+        m_max = su2._require_int("m_max", self.m_max, 0, error=InvalidArgumentError)
+        comps = su2._require_finite("components", self.components, complex)
+        if comps.shape != (2 * m_max + 1,):
+            raise InvalidArgumentError(f"components must hold 2 m_max + 1 = "
+                                       f"{2 * m_max + 1} orders, got {comps.shape}")
+        object.__setattr__(self, "m_max", m_max)
+        object.__setattr__(self, "components", comps)
 
     def component(self, m: int) -> complex:
         if not su2._is_integral(m):
@@ -149,8 +152,8 @@ def _require_scan_budget(spec: QuenchSpec, n_t: int, n_phi: int) -> None:
 
 
 def _squared_n(config: EchoConfig):
-    """(start, n^2 = (2 P_k - 1)^2 over (distinct modes, slab times)), slab
-    by slab, in ``quench._blocks``' buffer."""
+    """(start, n^2 = (2 P_k - 1)^2 over (slab times, distinct modes)), slab
+    by slab, in ``quench._blocks``' time-major buffer."""
     for start, n in quench._blocks(config.spec, config.time_grid,
                                    config.time_mode == "normalized"):
         n *= 2.0
@@ -160,13 +163,13 @@ def _squared_n(config: EchoConfig):
 
 
 def _mode_moment(config: EchoConfig) -> np.ndarray:
-    """m(t) = <n_k^2>, the grid mean of n^2: each slab's weighted rows
-    summed over axis 0, in mode order.  Unguarded: callers check the scan."""
-    weights = config.spec._multiplicity()[:, None]
+    """m(t) = <n_k^2>, the grid mean of n^2: each time's weighted modes, one
+    contiguous slab row, summed pairwise.  Unguarded: callers check the scan."""
+    weights = config.spec._multiplicity()
     m = np.empty(config.time_grid.size)
     for start, n2 in _squared_n(config):
         n2 *= weights
-        m[start:start + n2.shape[1]] = n2.sum(axis=0)
+        m[start:start + n2.shape[0]] = n2.sum(axis=1)
     m /= weights.sum()
     return m
 
@@ -196,15 +199,15 @@ def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
 
 
 def _product_fidelity(config: EchoConfig) -> np.ndarray:
-    """The ``product`` fidelity surface: each slab's per-mode factors
+    """The ``product`` fidelity surface: each slab column's mode factors
     multiplied in, in ascending k.  Unguarded: callers check the scan."""
     half = config.phi_values[:, None] / 2.0
     cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
     fids = np.empty((config.n_phi, config.time_grid.size))
     for start, n2 in _squared_n(config):
-        block = fids[:, start:start + n2.shape[1]]
+        block = fids[:, start:start + n2.shape[0]]
         block.fill(1.0)         # the last slab overlaps its predecessor
-        for row, weight in zip(n2, config.spec._multiplicity()):
+        for row, weight in zip(n2.T, config.spec._multiplicity()):
             block *= (cos2 + sin2 * row) ** weight
     return fids
 
@@ -281,12 +284,9 @@ def spectrum_dynamics(config: EchoConfig, observable: str,
         raise ConfigurationError(
             f"observable must be one of {OBSERVABLES}, got {observable!r}")
     require_resolvable(config.n_phi, m_max)
-    if observable == "fidelity":
-        matrix = fidelity_otoc(config)
-    else:
-        matrix = magnetization_otoc(config)
+    surface = fidelity_otoc if observable == "fidelity" else magnetization_otoc
     return [MqcSpectrum(m_max=int(m_max), components=column)
-            for column in mqc_components(matrix, m_max).T]
+            for column in mqc_components(surface(config), m_max).T]
 
 
 def coherence_series(spectra: list[MqcSpectrum], m: int) -> np.ndarray:
@@ -311,10 +311,7 @@ def otoc_general(w, v, d, t: float, psi0, convention: str = "paper") -> complex:
     if convention not in ("paper", "conventional"):
         raise ConfigurationError(f"unknown convention {convention!r}")
     u = evolution_unitary(d, t)
-    if convention == "paper":
-        w_t = u @ w @ u.conj().T
-    else:
-        w_t = u.conj().T @ w @ u
+    w_t = u @ w @ u.conj().T if convention == "paper" else u.conj().T @ w @ u
     psi0 = su2._require_state("psi0", psi0)
     return complex(np.vdot(psi0, w_t.conj().T @ (v.conj().T @ (w_t @ (v @ psi0)))))
 

@@ -22,16 +22,16 @@ computed here are insensitive to that sign (covered by tests).
 The vectorized paths treat the grid as arrays: ``_mode_geometry`` returns
 |d_f| and dhat_i . dhat_f for every k at once.  Modes k and 2pi - k share
 both (the +-k pairing), so ``_blocks`` yields |G_k|^2 on the n_k' ~ N/2
-distinct modes k in [0, pi] only, one slab of times at a time.  On a
-uniform grid (``np.linspace`` over its ends) at least four slabs long,
-angle addition gives cos at T + r h from cos/sin tables of the slab starts
-T and offsets r h: with BLOCK-wide slabs, about 2 (n_t/BLOCK + BLOCK)
-transcendentals per mode.  Other grids take one ``np.cos`` per cell.
-``rate_function`` (and the echo, in ``otoc``) reduces each slab to its
-times; ``_probabilities`` fills the (n_k', n_t) matrix for the heatmap and
-``mode_probabilities``.  Each guarded call checks, before
-its first allocation, one count (``_working_set``) of all it holds, and
-refuses a count over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError``.
+distinct modes k in [0, pi] only, one time-major (slab times, n_k') slab at
+a time.  On a uniform grid (``np.linspace`` over its ends) at least four
+slabs long, angle addition gives cos at T + r h from cos/sin tables of the
+slab starts T and offsets r h: with BLOCK-wide slabs, about 2 (n_t/BLOCK +
+BLOCK) transcendentals per mode.  Other grids take one ``np.cos`` per cell.
+``rate_function`` (and the ``mean`` echo, in ``otoc``) sums each slab row,
+one time's modes, pairwise; ``_probabilities`` fills the (n_k', n_t) matrix
+for the heatmap and ``mode_probabilities``.  Each guarded call checks,
+before its first allocation, one count (``_working_set``) of all it holds,
+and refuses a count over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError``.
 
 ``pulse_schedule`` writes the drive of every grid mode as one record array
 (fields ``k``, ``axis_angle``, ``rabi_rate``, ``durations`` (n_t,) and
@@ -147,6 +147,11 @@ def bloch_vector(g: float, k: float) -> np.ndarray:
     return np.array([1.0 - g * np.cos(k), g * np.sin(k), 0.0])
 
 
+def _bloch_xy(g, ks: np.ndarray):
+    """(1 - g cos k, g sin k) over an array of k; a column g, a row each."""
+    return 1.0 - g * np.cos(ks), g * np.sin(ks)
+
+
 def _gap_squared(g, k):
     """|d(g, k)|^2 = (1 - g)^2 + 4 g sin^2(k/2), scalar or array in k.
 
@@ -167,11 +172,8 @@ def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
     Both tests use ``_gap_squared``, which is exactly 0 on the grid point
     next to k = pi at g = -1 where this |d| is not.
     """
-    cos_k, sin_k = np.cos(ks), np.sin(ks)
-    x_i, y_i = 1.0 - g_i * cos_k, g_i * sin_k
-    x_f, y_f = 1.0 - g_f * cos_k, g_f * sin_k
-    n_i = np.sqrt(x_i * x_i + y_i * y_i)
-    n_f = np.sqrt(x_f * x_f + y_f * y_f)
+    x, y = _bloch_xy(np.array([[g_i], [g_f]]), ks)      # rows: initial, final
+    n_i, n_f = np.sqrt(x * x + y * y)
     gapless = _gap_squared(g_i, ks) == 0.0
     if gapless.any():
         raise GaplessModeError(
@@ -179,7 +181,7 @@ def _mode_geometry(g_i: float, g_f: float, ks: np.ndarray):
             "the quench ground state is undefined")
     n_f[_gap_squared(g_f, ks) == 0.0] = 0.0
     overlap = np.ones_like(n_f)
-    np.divide(x_i * x_f + y_i * y_f, n_i * n_f, out=overlap, where=n_f > 0.0)
+    np.divide(x[0] * x[1] + y[0] * y[1], n_i * n_f, out=overlap, where=n_f > 0.0)
     return n_f, overlap
 
 
@@ -201,34 +203,34 @@ def _require_budget(need: int, what: str) -> None:
 
 
 def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
-    """(start, |G_k|^2 over (distinct modes, slab times)), slab by slab.
+    """(start, |G_k|^2 over (slab times, distinct modes)), slab by slab.
 
     |G_k|^2 = c^2 + (1 - c^2) cos^2(phase) <= 1, c = dhat_i . dhat_f: exactly
     1 where c = 1 (gapless final modes) and at phase 0 opening a slab; the
-    phase is |d_f| t, or pi tau for normalized times tau = t/t0.  Slabs of
-    equal width share one buffer; the last ends at the grid's end,
-    overlapping its predecessor, as numpy sums a one-column slab pairwise.
+    phase is |d_f| t, or pi tau for normalized times tau = t/t0.  Slabs are
+    C-contiguous, a row of all modes per time; those of equal width share
+    one buffer, and the last ends at the grid's end, overlapping the one before.
     """
     su2._require_finite("t", grid)
     ks = spec._momenta(np.arange(spec.n_distinct))
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
     rate = np.full_like(n_f, np.pi) if normalized else n_f
-    c2 = (overlap * overlap)[:, None]
+    c2 = overlap * overlap
     s2, width = 1.0 - c2, min(max(BLOCK, SLAB_CELLS // rate.size), grid.size)
-    slab = np.empty((rate.size, width))
+    slab = np.empty((width, rate.size))
     uniform = (0 < 4 * width <= grid.size and np.array_equal(
         grid, np.linspace(grid[0], grid[-1], grid.size)))
-    if uniform:   # cos(a + b) = cos a cos b - sin a sin b, b = rate (t_r - t_0)
-        b = np.multiply.outer(rate, grid[:width] - grid[0])
+    if uniform:   # cos(a + b) = cos a cos b - sin a sin b, b = (t_r - t_0) rate
+        b = np.multiply.outer(grid[:width] - grid[0], rate)
         cos_b, sin_b, tmp = np.cos(b), np.sin(b, out=b), np.empty_like(slab)
     for start in range(0, grid.size, width or 1):
         start = min(start, grid.size - width)
         if uniform:
             a = rate * grid[start]
-            np.multiply(cos_b, np.cos(a)[:, None], out=slab)
-            slab -= np.multiply(sin_b, np.sin(a, out=a)[:, None], out=tmp)
+            np.multiply(cos_b, np.cos(a), out=slab)
+            slab -= np.multiply(sin_b, np.sin(a, out=a), out=tmp)
         else:
-            np.cos(np.multiply.outer(rate, grid[start:start + width], out=slab),
+            np.cos(np.multiply.outer(grid[start:start + width], rate, out=slab),
                    out=slab)
         slab *= slab
         slab *= s2
@@ -237,11 +239,11 @@ def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
 
 def _probabilities(spec: QuenchSpec, grid: np.ndarray,
                    normalized: bool = False) -> np.ndarray:
-    """|G_k|^2 over (distinct modes, n_t), filled slab by slab.  Unguarded:
-    its callers check the budget."""
+    """|G_k|^2 over (distinct modes, n_t), filled with each time-major slab's
+    transpose.  Unguarded: its callers check the budget."""
     probs = np.empty((spec.n_distinct, grid.size))
     for start, slab in _blocks(spec, grid, normalized):
-        probs[:, start:start + slab.shape[1]] = slab
+        probs[:, start:start + slab.shape[0]] = slab.T
     return probs
 
 
@@ -273,18 +275,19 @@ def rate_function(spec: QuenchSpec, t):
     """Loschmidt rate function f(t) = -(1/N) sum_k log |G_k(t)|^2.
 
     The sum runs over the spec's momentum grid (N+1 terms in "paper" grid
-    mode, still divided by N), weighting each distinct mode, in mode order.
-    Slab by slab, so no (modes, n_t) array is held.  Scalar or array t.
+    mode, still divided by N), weighting each distinct mode; each time's
+    weighted logs, one slab row, are summed pairwise.  Slab by slab, so no
+    (modes, n_t) array is held.  Scalar or array t.
     """
     ts = np.asarray(t, dtype=float)
     _require_budget(_working_set(spec.n_distinct, ts.size, 1),
                     f"{spec.n_modes} modes x {ts.size} times")
-    weights = spec._multiplicity()[:, None]
+    weights = spec._multiplicity()
     f = np.empty(ts.size)
     for start, logs in _blocks(spec, np.atleast_1d(ts)):
         np.log(np.maximum(logs, AMPLITUDE_FLOOR, out=logs), out=logs)
-        logs *= weights             # not weights @ logs: BLAS-independent sum
-        f[start:start + logs.shape[1]] = -np.sum(logs, axis=0) / spec.n
+        logs *= weights             # not logs @ weights: BLAS-independent sum
+        f[start:start + logs.shape[0]] = -np.sum(logs, axis=1) / spec.n
     return f if ts.ndim else float(f[0])
 
 
@@ -364,7 +367,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
         ("durations", float, (n_t,)), ("idle", bool)], align=True))
     ks = spec.momentum_grid()
     sched.k, sched.idle = ks, idle
-    x, y = 1.0 - spec.g_f * np.cos(ks), spec.g_f * np.sin(ks)
+    x, y = _bloch_xy(spec.g_f, ks)
     sched.axis_angle = np.where(idle, 0.0, np.arctan2(y, x))
     with np.errstate(over="ignore", divide="ignore"):
         sched.rabi_rate = np.where(idle, 0.0, c * np.sqrt(x * x + y * y))

@@ -126,6 +126,14 @@ class TestMqcSpectrum:
         with pytest.raises(IndexError):
             spec.component(3)
 
+    @pytest.mark.parametrize("m_max, components", [
+        (1, [0.0, 1.0, 2.0, 3.0, 4.0]), (1, [0.0]), (0, []), (1, [[0.0, 1.0, 2.0]])])
+    def test_components_must_hold_every_order(self, m_max, components):
+        # 2 m_max + 1 of them, one per order -m_max..m_max
+        with pytest.raises(InvalidArgumentError):
+            otoc.MqcSpectrum(m_max, components)
+        assert otoc.MqcSpectrum(1, [0.0, 1.0, 2.0]).component(1) == 2.0
+
     @pytest.mark.parametrize("order", [1.5, -0.5, np.nan, np.inf])
     def test_non_integral_order_is_refused(self, order):
         spec = otoc.mqc_spectrum(np.ones(16), 2)

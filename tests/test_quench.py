@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import time
 import tracemalloc
@@ -11,9 +12,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tfim_dqpt import quench, su2
+from tfim_dqpt import otoc, quench, su2
 from tfim_dqpt.errors import (
     ConfigurationError,
     GaplessModeError,
@@ -843,19 +844,21 @@ class TestTimeBlocks:
         assert quench.mode_probabilities(spec, [])[1].shape == (32, 0)
         assert isinstance(quench.rate_function(spec, 1.3), float)
 
-    @pytest.mark.parametrize("n_t", [2, 17, 4 * quench.BLOCK + 1, 500])
-    def test_rate_function_sums_modes_in_order(self, monkeypatch, n_t):
-        # numpy sums a one-column slab pairwise; no slab of n_t >= 2 times
-        # is one column, so each time is summed mode by mode, as a whole
-        # matrix would be
-        monkeypatch.setattr(quench, "SLAB_CELLS", 0)
-        spec = quench.QuenchSpec(0.3, 1.2, 101)
+    @pytest.mark.parametrize("slab_cells", [0, quench.SLAB_CELLS, 2 ** 20])
+    @pytest.mark.parametrize("n_t", [1, 2, 17, 4 * quench.BLOCK + 1, 500])
+    def test_rate_function_sums_each_time_pairwise(self, monkeypatch, n_t,
+                                                   slab_cells):
+        # each time's f is numpy's pairwise sum of one contiguous row of
+        # weighted logs, whatever the slab width
+        monkeypatch.setattr(quench, "SLAB_CELLS", slab_cells)
+        spec = quench.QuenchSpec(0.3, 1.2, 2000)
         ts = np.linspace(0.0, 5.0, n_t)
         probs = quench._probabilities(spec, ts)
-        logs = np.log(np.maximum(probs, quench.AMPLITUDE_FLOOR)) \
-            * spec._multiplicity()[:, None]
+        rows = np.ascontiguousarray(
+            np.log(np.maximum(probs, quench.AMPLITUDE_FLOOR)).T) \
+            * spec._multiplicity()
         assert np.array_equal(quench.rate_function(spec, ts),
-                              -np.add.accumulate(logs, axis=0)[-1] / spec.n)
+                              np.array([-np.sum(row) for row in rows]) / spec.n)
 
     def test_rate_function_streams_in_time_blocks(self):
         # the (10001, 500) matrix alone would take 40 MB
@@ -869,3 +872,45 @@ class TestTimeBlocks:
         ts = np.linspace(0.0, 5.0, n_t)
         counted = 8 * ((spec.n_modes + 1) // 2) * (n_t + quench.GEOMETRY_ROWS)
         assert traced_peak(lambda: quench.rate_function(spec, ts)) <= counted
+
+
+class TestModeSumAccuracy:
+    """Each time's mode sum of f and of m against ``math.fsum`` of the same
+    terms.
+
+    Every term of either sum has one sign.  numpy's pairwise sum of n <= 10^5
+    terms errs by at most about 35 u sum|terms| (16-term runs in 8
+    accumulators, three levels joining them, up to 7 trailing terms, then
+    one level per halving down to 128 terms; Higham, SIAM J. Sci. Comput.
+    14, 783 (1993)), and a sequential sum by up to (n - 1) u sum|terms|.
+    """
+
+    @settings(max_examples=30)
+    @given(critical_fields, critical_fields, grid_modes, st.integers(2, 10 ** 5),
+           st.booleans(), st.integers(1, 70), st.floats(0.1, 10.0),
+           st.integers(0, 2 ** 31 - 1))
+    @example(0.0, 1.5362, "paper", 10 ** 5, True, 70, 5.0, 0)
+    @example(0.0, 0.2372, "abc", 10 ** 5, False, 40, 5.0, 1)
+    def test_mode_sums_stay_near_fsum(self, g_i, g_f, grid, n, uniform, n_t,
+                                      t1, seed):
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        ts = (np.linspace(0.0, t1, n_t) if uniform else
+              np.sort(np.random.default_rng(seed).uniform(0.0, t1, n_t)))
+        try:
+            f = quench.rate_function(spec, ts)
+        except GaplessModeError:
+            return
+        m = otoc._mode_moment(otoc.EchoConfig(spec, ts))
+        # the kernel's terms, cell for cell: weighted n^2, then weighted logs
+        weights = spec._multiplicity()[:, None]
+        probs = quench._probabilities(spec, ts)
+        squares = (2.0 * probs - 1.0) ** 2 * weights
+        logs = np.log(np.maximum(probs, quench.AMPLITUDE_FLOOR, out=probs),
+                      out=probs)
+        logs *= weights
+        for got, terms, divisor in ((f, logs, -spec.n),
+                                    (m, squares, weights.sum())):
+            for value, column in zip(got, terms.T):
+                exact = math.fsum(column.tolist()) / divisor
+                scale = math.fsum(np.abs(column).tolist()) / abs(divisor)
+                assert abs(value - exact) <= 40 * 2.0 ** -53 * scale
