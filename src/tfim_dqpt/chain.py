@@ -25,17 +25,17 @@ against them.  The sweeps (``rate_function_ed``, ``echo_scan_chain``,
 * they run in the x product basis, where the bond term is the diagonal
   lambda(x) = sum_bonds s_i s_j (s_i = +-1 the x spins) and g sum_i
   sigma^z flips single spins.  H, the echo rotation and both readouts
-  commute with the global flip and, on the ring, with translations, so
-  from the cat state (the flip orbit of |+...+>) every state stays in
-  the span of the orbit states |a> = |O_a|^(-1/2) sum_{x in O_a} |x>
-  (``_SymmetricSector``: 180 states at N = 12 and 596 at N = 14 on the
-  ring, 2^(N-1) for open chains).  There H has the diagonal
-  -J lambda_a, and a spin flip taking the representative of O_a into
-  O_b adds -J g sqrt(|O_a|/|O_b|) to <b|H|a> (Sandvik, arXiv:1101.3281,
-  sec. 4.1);
+  commute with the global flip, the mirror x_i -> x_{N-1-i} and, on the
+  ring, translations, so from the cat state (the flip orbit of |+...+>)
+  every state stays in the span of the orbit states |a> = |O_a|^(-1/2)
+  sum_{x in O_a} |x> (``_SymmetricSector``: 122 states at N = 12 and 362
+  at N = 14 on the ring, 2^(N-2) + 2^(floor(N/2)-1) on open chains).
+  There H has the diagonal -J lambda_a, and a spin flip taking the
+  representative of O_a into O_b adds -J g sqrt(|O_a|/|O_b|) to <b|H|a>
+  (Sandvik, arXiv:1101.3281, sec. 4.1 and 4.2);
 * by the same rule, the sweeps use the dense eigensystem below
   2^DENSE_LIMIT orbit states (every ring up to N = 14); from there on
-  (open chains from N = 11), one Chebyshev recursion in ``_evolve_block``
+  (open chains from N = 12), one Chebyshev recursion in ``_evolve_block``
   on the sector's CSR form serves every time of a scan, since the
   vectors T_m(H/s) psi do not depend on t (``rate_function_ed`` reads
   the cat-state amplitude off it);
@@ -201,34 +201,49 @@ class ChainOperator:
         return self._eig
 
 
-class _SymmetricSector(ChainOperator):
-    """H(g) on the x-basis orbit states of the flip and ring translations.
+@lru_cache(maxsize=None)   # one entry per (n, bc): at most 26
+def _orbits(n: int, bc: str):
+    """Orbits of the x basis under the flip, the mirror and ring translations.
 
-    Translations count on the periodic ``default_bonds`` ring only, the
-    global flip always.  ``orbit`` maps each x to its orbit, ordered by smallest member;
-    ``sizes`` and ``lam`` (the bond eigenvalue) are per orbit.  Orbit 0
-    is that of |0...0>, so e_0 is the even cat state.
+    (orbit of each x, orbit sizes, lambda per orbit, flips) for the bonds
+    ``default_bonds(n, bc)``, orbits by smallest member; flipping spin i of
+    that member of orbit a lands in orbit flips[a * n + i].  Shared, so read-only.
+    """
+    states = np.arange(2 ** n)
+    mask = states[-1]
+    mirrored = sum(((states >> i) & 1) << (n - 1 - i) for i in range(n))
+    canonical = mask
+    for x in (states, mirrored):
+        for shift in range(n if bc == "periodic" else 1):
+            turned = ((x << shift) | (x >> (n - shift))) & mask
+            canonical = np.minimum(canonical, np.minimum(turned, turned ^ mask))
+    reps, orbit, sizes = np.unique(canonical, return_inverse=True, return_counts=True)
+    lam = _xx_spectrum(n, default_bonds(n, bc))[reps]
+    flips = orbit[reps[:, None] ^ (1 << np.arange(n))].ravel()
+    for array in (orbit, sizes, lam, flips):
+        array.setflags(write=False)
+    return orbit, sizes, lam, flips
+
+
+class _SymmetricSector(ChainOperator):
+    """H(g) on the x-basis orbit states of ``_orbits(n, bc)``.
+
+    Bonds other than ``default_bonds(n, bc)``, in any order or orientation,
+    raise ConfigurationError.  ``orbit``, ``sizes`` and ``lam`` (the bond
+    eigenvalue) are ``_orbits``'; orbit 0 is that of |0...0>, the cat state.
     """
 
     def _build(self):
-        n = self.n
-        states = np.arange(2 ** n)
-        mask = states[-1]
-        canonical = np.minimum(states, states ^ mask)
-        if self.bc == "periodic":
-            for shift in range(1, n):
-                turned = ((states << shift) | (states >> (n - shift))) & mask
-                canonical = np.minimum(canonical, np.minimum(turned, turned ^ mask))
-        reps, self.orbit, self.sizes = np.unique(
-            canonical, return_inverse=True, return_counts=True)
-        self.lam = _xx_spectrum(n, self.bonds)[reps]
-        # flipping spin i of representative a lands in orbit flips[a * n + i]
-        flips = self.orbit[reps[:, None] ^ (1 << np.arange(n))].ravel()
-        diagonal = np.arange(reps.size)
+        n, pairs = self.n, sorted(map(sorted, self.bonds))
+        if pairs != sorted(map(sorted, default_bonds(n, self.bc))):
+            raise ConfigurationError(
+                f"the {self.bc} symmetric sector needs default_bonds, got {self.bonds}")
+        self.orbit, self.sizes, self.lam, flips = _orbits(n, self.bc)
+        diagonal = np.arange(self.sizes.size)
         cols = np.repeat(diagonal, n)
         ratio = self.sizes[cols] / self.sizes[flips]
         values = -self.coupling * np.concatenate([self.lam, self.g * np.sqrt(ratio)])
-        return reps.size, (values, (np.r_[diagonal, flips], np.r_[diagonal, cols]))
+        return diagonal.size, (values, (np.r_[diagonal, flips], np.r_[diagonal, cols]))
 
 
 def even_cat_state(n: int) -> np.ndarray:
@@ -392,11 +407,11 @@ def evolve_chain(state: np.ndarray, op: ChainOperator, t: float) -> np.ndarray:
 def _xx_spectrum(n: int, bonds) -> np.ndarray:
     """Eigenvalues of sum_bonds sigma^x sigma^x in the x product basis."""
     states = np.arange(2 ** n)
-    spins = 1.0 - 2.0 * np.stack([(states >> i) & 1 for i in range(n)])
-    total = np.zeros(2 ** n)
-    for i, j in bonds:
-        total += spins[i] * spins[j]
-    return total
+    anti = np.zeros_like(states)    # each anti-aligned bond counts -1, not +1
+    for bond in bonds:
+        i, j = (su2._require_int("bond site", site, 0, n - 1) for site in bond)
+        anti += ((states >> i) ^ (states >> j)) & 1
+    return len(bonds) - 2.0 * anti
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:

@@ -112,7 +112,8 @@ FLAGS = {
     "--format": ("outputs", "format", "tabular artifact format: csv or json"),
     "--gf": ("quench", "g_f", "comma-separated final fields"),
     "--gi": ("quench", "g_i", "initial field"),
-    "--n": ("quench", "n", "momentum grid size, an integer >= 2"),
+    "--n": ("quench", "n", "momentum grid size, an integer >= 2; oracle-compare "
+            "ignores it and sizes its chain by oracle.n_oracle"),
     "--grid": ("quench", "grid", "momentum grid convention: paper or abc"),
     "--aggregation": ("echo", "aggregation", "fidelity over modes: mean or product"),
     "--nphi": ("echo", "n_phi", "rotation angles, an integer >= max(3, 2 m_max + 1)"),

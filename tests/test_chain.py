@@ -31,6 +31,31 @@ dense_sizes = st.integers(3, 9)
 chebyshev_sizes = st.sampled_from([10, 11, 12])
 
 
+def burnside_orbits(n, bc):
+    """Orbits of the 2^N x strings under the flip, the mirror and, on the
+    ring, the translations: the mean over the group of its fixed strings.
+
+    A site permutation with c cycles fixes 2^c strings; composed with the
+    flip it fixes 2^c when every cycle has even length, else none.
+    """
+    sites = np.arange(n)
+    perms = [sites, sites[::-1]]
+    if bc == "periodic":
+        perms = [np.roll(perm, shift) for perm in perms for shift in range(n)]
+    fixed = 0
+    for perm in perms:
+        lengths, seen = [], set()
+        for start in range(n):
+            size, site = 0, start
+            while site not in seen:
+                seen.add(site)
+                site, size = perm[site], size + 1
+            if size:
+                lengths.append(size)
+        fixed += 2 ** len(lengths) * (1 + all(size % 2 == 0 for size in lengths))
+    return fixed // (2 * len(perms))
+
+
 def random_register(rng, n):
     vec = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return vec / np.linalg.norm(vec)
@@ -95,13 +120,37 @@ class TestChainOperator:
         assert np.max(np.abs(sector.apply(block[:, 0]) - restricted @ block[:, 0])) \
             < 1e-12
 
-    @pytest.mark.parametrize("n, bc, dim", [(12, "periodic", 180),
-                                            (14, "periodic", 596),
-                                            (11, "open", 1024)])
+    @pytest.mark.parametrize("n, bc, dim", [(12, "periodic", 122),
+                                            (14, "periodic", 362),
+                                            (11, "open", 528),
+                                            (12, "open", 1056)])
     def test_sector_dimensions(self, n, bc, dim):
-        # orbits under translations x flip on the ring, under the flip
-        # alone on open chains: every ring stays below the dense limit
-        assert chain._SymmetricSector(n, 1.0, bc=bc).dim == dim
+        # orbits under flip x mirror, and translations on the ring: every
+        # ring and the open chain up to N = 11 stay below the dense limit
+        assert chain._SymmetricSector(n, 1.0, bc=bc).dim == dim \
+            == burnside_orbits(n, bc)
+
+    @pytest.mark.parametrize("bc, bonds", [
+        ("periodic", chain.default_bonds(6, "open")),
+        ("open", chain.default_bonds(6, "open") + ((0, 2),)),
+        ("open", chain.default_bonds(6, "open") + ((1, 2),))],
+        ids=["ring-without-wrap", "next-nearest", "doubled"])
+    def test_sector_refuses_other_bonds(self, bc, bonds):
+        # the orbits and their lambda are those of default_bonds
+        with pytest.raises(ConfigurationError):
+            chain._SymmetricSector(6, 1.0, bc=bc, bonds=bonds)
+        turned = [(j, i) for i, j in reversed(chain.default_bonds(6, bc))]
+        sector = chain._SymmetricSector(6, 1.0, bc=bc, bonds=turned)
+        default = chain._SymmetricSector(6, 1.0, bc=bc)
+        assert np.array_equal(sector.dense(), default.dense())
+
+    def test_fields_share_one_orbit_build(self):
+        chain._orbits.cache_clear()
+        chain._oracle_operator.cache_clear()
+        first, second = (chain._oracle_operator(8, g, "periodic") for g in (0.5, 1.2))
+        assert chain._orbits.cache_info().misses == 1
+        assert first.orbit is second.orbit and first.lam is second.lam
+        assert not first.lam.flags.writeable
 
     def test_hermiticity(self):
         rng = np.random.default_rng(6)
@@ -204,11 +253,11 @@ class TestEvolveChain:
 
     @pytest.mark.parametrize("n, bc, sector, dense", [
         (9, "periodic", False, True), (10, "periodic", False, False),
-        (11, "open", True, False), (12, "periodic", True, True)])
+        (12, "open", True, False), (12, "periodic", True, True)])
     def test_one_rule_by_states(self, monkeypatch, n, bc, sector, dense):
         # the eigensystem below 2^DENSE_LIMIT states and Chebyshev from
         # there on, for the literal register (512, 1024 states) as for
-        # the symmetric sectors (1024 open, 180 periodic)
+        # the symmetric sectors (1056 open, 122 periodic)
         kind = chain._SymmetricSector if sector else chain.ChainOperator
         op = kind(n, 1.2, bc=bc, coupling=0.5)
         calls = []
@@ -321,6 +370,26 @@ class TestRegisterRotation:
         assert np.max(np.abs(once - chain.register_rotation_x(vec, 1.8, 6, bonds))) \
             < 1e-12
 
+    @given(st.integers(1, 8), st.data())
+    def test_xx_spectrum_counts_bond_signs(self, n, data):
+        # bit for bit the float sum of s_i s_j, any bond list
+        site = st.integers(0, n - 1)
+        bonds = data.draw(st.lists(st.tuples(site, site), max_size=12))
+        spins = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+        expected = np.zeros(2 ** n)
+        for i, j in bonds:
+            expected += spins[:, i] * spins[:, j]
+        got = chain._xx_spectrum(n, bonds)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("bond", [(0, 4), (-1, 0), (0.5, 1)])
+    def test_bond_sites_off_the_chain_are_refused(self, bond):
+        # a shift past the chain's bits would read spin 0 for any such site
+        with pytest.raises(ConfigurationError):
+            chain.register_rotation_x(plus_state(4), 0.3, 4, [bond])
+        with pytest.raises(ConfigurationError):
+            chain.bond_correlator(plus_state(4), 4, [bond])
+
     def test_bond_correlator_values(self):
         bonds = chain.default_bonds(6, "periodic")
         plus = plus_state(6)
@@ -359,8 +428,8 @@ class TestRateFunctionEd:
         out = chain.rate_function_ed(4, 0.0, 1.2, 1.3)
         assert isinstance(out, float)
 
-    # open N = 8 reads the eigenbasis, open N = 11 the Chebyshev engine
-    @pytest.mark.parametrize("n", [8, 11])
+    # open N = 8 and 11 read the eigenbasis, open N = 12 the Chebyshev engine
+    @pytest.mark.parametrize("n", [8, 11, 12])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_is_refused(self, n, bad):
         for t in (bad, [0.0, bad]):
@@ -379,8 +448,8 @@ class TestRateFunctionEd:
         probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts, bc=bc))
         assert np.max(np.abs(probs - literal)) < 1e-12
 
-    # open chains from N = 11 have 2^(N-1) >= 2^DENSE_LIMIT sector states
-    @given(st.sampled_from([11, 12]), fields,
+    # open chains from N = 12 have >= 2^DENSE_LIMIT sector states (1056)
+    @given(st.sampled_from([12, 13]), fields,
            st.lists(times, min_size=1, max_size=3))
     @settings(max_examples=6, deadline=None)
     def test_chebyshev_sizes_match_expm_multiply(self, n, g, ts):
@@ -393,11 +462,11 @@ class TestRateFunctionEd:
         assert np.max(np.abs(probs - reference)) < 1e-12
 
     @pytest.mark.parametrize("n, bc, dense", [
-        (10, "open", True), (11, "open", False), (12, "periodic", True),
+        (10, "open", True), (11, "open", True), (12, "periodic", True),
         (12, "open", False)])
     def test_one_rule_by_states(self, monkeypatch, n, bc, dense):
-        # the eigensystem below 2^DENSE_LIMIT sector states (512 open,
-        # 180 periodic) and one engine call from there on (1024, 2048)
+        # the eigensystem below 2^DENSE_LIMIT sector states (272 and 528
+        # open, 122 periodic) and one engine call from there on (1056)
         calls = []
         evolve_block = chain._evolve_block
         eigensystem = chain.ChainOperator.eigensystem
@@ -453,7 +522,7 @@ class TestEchoScanChain:
     def test_matches_echo_chain_dense(self, n, g, ts, phis, bc):
         self.check_against_literal(n, g, ts, phis, bc)
 
-    # open chains from N = 11 run the sector's Chebyshev path too
+    # the open N = 12 chain runs the sector's Chebyshev path too
     @given(chebyshev_sizes, fields, st.lists(times, min_size=1, max_size=2),
            st.lists(angles, min_size=1, max_size=3), boundaries)
     @settings(max_examples=6, deadline=None)
@@ -462,7 +531,7 @@ class TestEchoScanChain:
 
     def test_open_chain_matches_echo_chain(self):
         self.check_against_literal(6, 1.2, [0.7, 2.9], [0.4, 3.3], bc="open")
-        self.check_against_literal(11, 0.6, [1.9], [2.2], bc="open")
+        self.check_against_literal(12, 0.6, [1.9], [2.2], bc="open")
 
     def test_nonfinite_inputs_rejected(self):
         with pytest.raises(ConfigurationError):

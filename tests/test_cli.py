@@ -851,11 +851,12 @@ def test_commands_load_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("n_oracle, bc", [(12, "periodic"), (14, "periodic"),
-                                         (11, "open")])
+                                         (11, "open"), (12, "open")])
 def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
-    # every periodic sector is small enough for the dense eigensystem; the
-    # open chain past DENSE_LIMIT runs Chebyshev on a sparse matrix (its
-    # rows are the documented mismatch, so the tolerance is loose)
+    # every periodic sector and the open one up to N = 11 (528 states) take
+    # the dense eigensystem; the open chain from N = 12 (1056 states) runs
+    # Chebyshev on a sparse matrix (its rows are the documented mismatch,
+    # so the tolerance is loose)
     config = write_config(tmp_path, f"[oracle]\nn_oracle = {n_oracle}\n"
                                     f"bc = {bc}\n[quench]\nt_max = 1.0\n")
     code = ("import sys; from tfim_dqpt.cli import main\n"
@@ -865,10 +866,10 @@ def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
             f"print(code, {LOADED_SCIPY})\n")
     code, loaded = run_python(code).split(" ", 1)
     assert code == "0"
-    if bc == "periodic":
-        assert loaded == "[]"
-    else:
+    if bc == "open" and n_oracle >= 12:
         assert "'scipy.sparse'" in loaded
+    else:
+        assert loaded == "[]"
 
 
 def reference_fmt(value) -> str:
