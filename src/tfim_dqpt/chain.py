@@ -7,13 +7,15 @@ literal chain Hamiltonian
 
 acting on dense state vectors (N <= 14) through a real sparse (CSR) form
 that each operator builds once, on its first ``apply``; a block of states
-(dim, b) costs about one sparse product.  Every evolution goes through
-``_evolve_block``, under one rule: the dense eigensystem below
+(dim, b) costs about one sparse product.  Every evolution but one goes
+through ``_evolve_block``, under one rule: the dense eigensystem below
 2^DENSE_LIMIT states, a Chebyshev expansion with certified truncation
-error from there on (the literal register from N = 10).  Its weights
-J_m(tau) come from Miller's backward Bessel recurrence (``_bessel_j``), so
-importing this module loads no scipy; scipy.sparse is imported only when
-a CSR form is first built.
+error from there on (the literal register from N = 10).  Below that
+limit ``rate_function_ed`` sums |<E|e_0>|^2 e^{-iEt} itself: the engine
+would form every evolved state for one amplitude (about twice the time
+at N = 12).  The Chebyshev weights J_m(tau) come from Miller's backward
+Bessel recurrence (``_bessel_j``), so importing this module loads no
+scipy; scipy.sparse is imported only when a CSR form is first built.
 
 ``ChainOperator``, ``evolve_chain``, ``echo_chain``,
 ``register_rotation_x`` and ``bond_correlator`` are the literal paths:
@@ -77,7 +79,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import su2
+from . import quench, su2
 from .errors import (
     ConfigurationError,
     NumericalFailureError,
@@ -125,14 +127,10 @@ def default_bonds(n: int, bc: str) -> tuple[tuple[int, int], ...]:
 
 
 class ChainOperator:
-    """H(g) = -J (sum_bonds xx + g sum_i z) on the 2^N z basis states.
-
-    ``bonds`` may be given explicitly (any order; used by the
-    translation-invariance tests); entries are site index pairs.
-    """
+    """H(g) = -J (sum_{default_bonds(n, bc)} xx + g sum_i z) on the 2^N z basis states."""
 
     def __init__(self, n: int, g: float, bc: str = "periodic",
-                 coupling: float = 1.0, bonds=None):
+                 coupling: float = 1.0):
         n = su2._require_int("n", n, 2, MAX_SPINS, ResourceGuardError)
         if bc not in BOUNDARY_CONDITIONS:
             raise ConfigurationError(
@@ -143,9 +141,7 @@ class ChainOperator:
         self.g = float(g)
         self.bc = bc
         self.coupling = float(coupling)
-        self.bonds = tuple(
-            tuple(su2._require_int("bond site", site, 0, n - 1) for site in (i, j))
-            for i, j in (default_bonds(n, bc) if bonds is None else bonds))
+        self.bonds = default_bonds(n, bc)
         self.dim, self._entries = self._build()
         self._eig = None
         self._sparse = None
@@ -226,21 +222,13 @@ def _orbits(n: int, bc: str):
 
 
 class _SymmetricSector(ChainOperator):
-    """H(g) on the x-basis orbit states of ``_orbits(n, bc)``.
-
-    Bonds other than ``default_bonds(n, bc)``, in any order or orientation,
-    raise ConfigurationError.  ``orbit``, ``sizes`` and ``lam`` (the bond
-    eigenvalue) are ``_orbits``'; orbit 0 is that of |0...0>, the cat state.
-    """
+    """H(g) on the x-basis orbit states of ``_orbits(n, bc)``, whose ``orbit``,
+    ``sizes`` and ``lam`` it keeps; orbit 0 is that of |0...0>, the cat state."""
 
     def _build(self):
-        n, pairs = self.n, sorted(map(sorted, self.bonds))
-        if pairs != sorted(map(sorted, default_bonds(n, self.bc))):
-            raise ConfigurationError(
-                f"the {self.bc} symmetric sector needs default_bonds, got {self.bonds}")
-        self.orbit, self.sizes, self.lam, flips = _orbits(n, self.bc)
+        self.orbit, self.sizes, self.lam, flips = _orbits(self.n, self.bc)
         diagonal = np.arange(self.sizes.size)
-        cols = np.repeat(diagonal, n)
+        cols = np.repeat(diagonal, self.n)
         ratio = self.sizes[cols] / self.sizes[flips]
         values = -self.coupling * np.concatenate([self.lam, self.g * np.sqrt(ratio)])
         return diagonal.size, (values, (np.r_[diagonal, flips], np.r_[diagonal, cols]))
@@ -551,6 +539,7 @@ def mqc_spectrum_ed(n: int, g_f: float, t: float, bc: str = "periodic",
     require_resolvable(n_phi, m_max)
     t = float(su2._require_finite("t", t))
     op = _oracle_operator(n, float(g_f), bc)
+    quench._require_budget(quench._working_set(op.dim, n_phi, 4), f"{n_phi} angles")
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     weights = np.abs(_evolve_block(op, np.eye(op.dim, 1), [t])[:, 0, 0]) ** 2
     signal = np.abs(np.exp(-0.25j * np.outer(phis, op.lam)) @ weights) ** 4

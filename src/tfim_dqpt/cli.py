@@ -27,12 +27,10 @@ size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
 pool of one worker per usable CPU, at most one per field.  No option picks
 the path, and the artifacts do not depend on it.
 
-The ``otoc`` and ``spectra`` jobs return one mode moment m(t) per field
-(and the ``product`` fidelity surface); the parent forms the rest as it
-writes.  The ``mean`` surfaces and every spectrum but the ``product``
-fidelity's (its surface's DFT) are closed forms in m, so ``spectra`` under
-``mean`` builds no surface.  ``doublewell.json`` holds each field's verdict
-on the closed-form A_1 series, its closed-form depth and margin over eps_dw.
+The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
+one mode moment m(t) per field, and under ``product`` its fidelity surface;
+the parent forms every ``mean`` surface and spectrum from m in closed form,
+and each field's double-well verdict, depth and margin, as it writes.
 
 Tables are written one block at a time: one final field's arrays (and
 scalars) that broadcast together, whose rows are the C-order cells of the
@@ -113,7 +111,7 @@ FLAGS = {
     "--gf": ("quench", "g_f", "comma-separated final fields"),
     "--gi": ("quench", "g_i", "initial field"),
     "--n": ("quench", "n", "momentum grid size, an integer >= 2; oracle-compare "
-            "ignores it and sizes its chain by oracle.n_oracle"),
+            "refuses it and sizes its chain by oracle.n_oracle"),
     "--grid": ("quench", "grid", "momentum grid convention: paper or abc"),
     "--aggregation": ("echo", "aggregation", "fidelity over modes: mean or product"),
     "--nphi": ("echo", "n_phi", "rotation angles, an integer >= max(3, 2 m_max + 1)"),
@@ -169,16 +167,20 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = copy.deepcopy(DEFAULTS)
     # the oracle correspondence needs anti-periodic momenta, so that command
     # defaults to abc; an explicit --grid paper is the negative control
-    if getattr(args, "command", None) == "oracle-compare":
+    command = getattr(args, "command", None)
+    if command == "oracle-compare":
         resolved["quench"]["grid"] = "abc"
-    if getattr(args, "config", None):
-        for section, values in load_config_file(args.config).items():
-            resolved[section].update(values)
+    ini = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for section, values in ini.items():
+        resolved[section].update(values)
     for section, key, _ in FLAGS.values():
         raw = getattr(args, f"{section}.{key}", None)
         if raw is not None:
             resolved[section][key] = _coerce(section, key, raw)
-    validate_config(resolved, getattr(args, "command", None))
+    _require(command != "oracle-compare" or "n" not in ini.get("quench", {})
+             and getattr(args, "quench.n", None) is None, "quench.n",
+             "oracle-compare sizes its chain by oracle.n_oracle; leave it unset")
+    validate_config(resolved, command)
     return resolved
 
 
@@ -440,12 +442,10 @@ def _job_pulse(spec, constant: float, n_t: int):
 def _job_compare(spec, bc: str, ts, phis, echo_ts):
     rate_gap = np.abs(quench.rate_function(spec, ts) - chain.rate_function_ed(
         spec.n, spec.g_i, spec.g_f, ts, bc=bc))
-    fid_mom = otoc.fidelity_otoc(otoc.EchoConfig(
-        spec, echo_ts, n_phi=len(phis), aggregation="product"))
-    mag_mom = otoc.magnetization_otoc(otoc.EchoConfig(
-        spec, echo_ts, n_phi=len(phis), aggregation="mean"))
+    m, fid = _job_otoc(spec, echo_ts, {"n_phi": phis.size, "aggregation": "product"})
     fid_ed, mag_ed = chain.echo_scan_chain(spec.n, spec.g_f, echo_ts, phis, bc=bc)
-    return rate_gap, np.abs(fid_ed - fid_mom), np.abs(mag_ed - mag_mom)
+    return rate_gap, np.abs(fid_ed - fid), np.abs(
+        mag_ed - otoc._mean_surface(m, phis, "magnetization"))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +492,7 @@ def _well(spec, e: dict, eps_dw: float) -> dict:
     taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
     verdict = otoc.double_well_detector(taus, otoc._well_series(spec, taus), 0.5,
                                         e["dw_window"], eps_dw=eps_dw)
-    depth = otoc.double_well_depth(spec.g_i, spec.g_f, spec.n, spec.grid_mode)
+    depth = otoc._well_depth(spec)      # its modes fit: the job's scan holds them
     return {"classification": verdict, "depth": depth, "margin": depth - eps_dw}
 
 

@@ -16,7 +16,8 @@ surfaces are linear in cos phi with one coefficient, the mode moment
 m(t) = <n_k^2>, streamed from ``quench._blocks`` like the rate function:
 I_0 = (1 + m)/2, A_0 = m/2, I_+-1 = A_+-1 = (1 - m)/4, and every other
 order is 0.  The ``product`` fidelity multiplies each slab's mode factors
-into its surface; its orders reach the grid size.  No path holds a
+into its surface; its orders reach the grid size, and its DFT on n_phi
+angles folds those past n_phi/2 onto the low ones (README).  No path holds a
 (modes, n_t) array.  ``echo_state`` (the literal three-factor sequence),
 ``mqc_components`` and ``spectrum_dynamics`` (the DFT of the surfaces)
 stay as the test oracles.
@@ -259,8 +260,8 @@ def mqc_components(scan, m_max: int) -> np.ndarray:
     component(m) = (1/N_phi) sum_j scan(phi_j) exp(-i m phi_j) on the
     uniform grid phi_j = 2 pi j / N_phi, for a (N_phi,) signal or every
     column of a (N_phi, n_t) matrix; row m + m_max of the result holds
-    order m.  Resolving |m| <= m_max without aliasing requires
-    N_phi >= 2 m_max + 1.
+    order m.  N_phi >= 2 m_max + 1 is required; orders past N_phi/2 (the
+    ``product`` fidelity has them) fold onto these.
     """
     scan = su2._require_finite("scan", scan)
     n_phi = scan.shape[0]
@@ -373,6 +374,12 @@ def _well_series(spec: QuenchSpec, taus: np.ndarray) -> np.ndarray:
     return (1.0 - alpha - c * (2.0 * beta + gamma * c)) / 4.0
 
 
+def _well_depth(spec: QuenchSpec) -> float:
+    """``double_well_depth`` of a spec; unguarded, callers check its modes."""
+    _, beta, gamma = _well_moments(spec)
+    return (gamma - beta) ** 2 / (4.0 * gamma) if gamma > beta else 0.0
+
+
 def double_well_depth(g_i: float, g_f: float, n: int,
                       grid_mode: str = "paper") -> float:
     """Depth of the central well of A_1 over normalized time, in closed form.
@@ -382,5 +389,6 @@ def double_well_depth(g_i: float, g_f: float, n: int,
     maxima at C = -beta/gamma then rise (gamma - beta)^2/(4 gamma) above
     it.  Without a well the depth is 0.0.
     """
-    _, beta, gamma = _well_moments(QuenchSpec(g_i, g_f, n, grid_mode))
-    return (gamma - beta) ** 2 / (4.0 * gamma) if gamma > beta else 0.0
+    spec = QuenchSpec(g_i, g_f, n, grid_mode)
+    quench._require_budget(quench._working_set(spec.n_distinct, 0, 0), f"{n} sites")
+    return _well_depth(spec)

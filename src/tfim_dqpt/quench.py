@@ -316,6 +316,7 @@ def critical_times(g_i: float, g_f: float, n_max: int = 3) -> np.ndarray:
             f"no critical momentum for g_i={g_i}, g_f={g_f}; no DQPT occurs")
     d_f = bloch_vector(g_f, k_star)
     scale = np.pi / float(np.sqrt(d_f @ d_f))
+    _require_budget(_working_set(0, n_max + 1, 0), f"{n_max + 1} critical times")
     return scale * (np.arange(n_max + 1) + 0.5)
 
 
@@ -403,6 +404,7 @@ def replay_unitary(entry, duration: float) -> np.ndarray:
 def default_time_grid(g_i: float, g_f: float, n_points: int = 300) -> np.ndarray:
     """[0, 3 t_c] when a DQPT exists, else [0, 10]; covers the visible range."""
     n_points = su2._require_int("n_points", n_points, 2, error=InvalidArgumentError)
+    _require_budget(_working_set(0, n_points, 0), f"a time grid of {n_points} points")
     if dqpt_predicate(g_i, g_f) and g_i + g_f != 0.0:
         t_c = critical_times(g_i, g_f, n_max=0)[0]
         return np.linspace(0.0, 3.0 * t_c, n_points)

@@ -79,16 +79,10 @@ class TestChainOperator:
             vec = random_register(rng, 5)
             assert np.max(np.abs(op.apply(vec) - op.dense() @ vec)) < 1e-12
 
-    @given(st.sampled_from(["periodic", "open", "shuffled"]), fields,
-           st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
-    def test_block_apply_matches_dense_columns(self, kind, g, width, seed):
+    @given(boundaries, fields, st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+    def test_block_apply_matches_dense_columns(self, bc, g, width, seed):
         rng = np.random.default_rng(seed)
-        bonds = None
-        if kind == "shuffled":
-            bonds = [tuple(pair) for pair in
-                     rng.permutation(chain.default_bonds(5, "periodic"))]
-        op = chain.ChainOperator(5, g, bc="open" if kind == "open" else "periodic",
-                                 coupling=0.5, bonds=bonds)
+        op = chain.ChainOperator(5, g, bc=bc, coupling=0.5)
         block = rng.normal(size=(32, width)) + 1j * rng.normal(size=(32, width))
         expected = np.stack([op.dense() @ col for col in block.T], axis=1)
         assert np.max(np.abs(op.apply(block) - expected)) < 1e-12
@@ -129,20 +123,6 @@ class TestChainOperator:
         # ring and the open chain up to N = 11 stay below the dense limit
         assert chain._SymmetricSector(n, 1.0, bc=bc).dim == dim \
             == burnside_orbits(n, bc)
-
-    @pytest.mark.parametrize("bc, bonds", [
-        ("periodic", chain.default_bonds(6, "open")),
-        ("open", chain.default_bonds(6, "open") + ((0, 2),)),
-        ("open", chain.default_bonds(6, "open") + ((1, 2),))],
-        ids=["ring-without-wrap", "next-nearest", "doubled"])
-    def test_sector_refuses_other_bonds(self, bc, bonds):
-        # the orbits and their lambda are those of default_bonds
-        with pytest.raises(ConfigurationError):
-            chain._SymmetricSector(6, 1.0, bc=bc, bonds=bonds)
-        turned = [(j, i) for i, j in reversed(chain.default_bonds(6, bc))]
-        sector = chain._SymmetricSector(6, 1.0, bc=bc, bonds=turned)
-        default = chain._SymmetricSector(6, 1.0, bc=bc)
-        assert np.array_equal(sector.dense(), default.dense())
 
     def test_fields_share_one_orbit_build(self):
         chain._orbits.cache_clear()
@@ -188,8 +168,11 @@ class TestChainOperator:
             chain.ChainOperator(4, 1.0, bc="twisted")
         with pytest.raises(ConfigurationError):
             chain.ChainOperator(4, np.nan)
-        with pytest.raises(ConfigurationError):
-            chain.ChainOperator(4, 1.0, bonds=[(0, 7)])
+        # the register and the sector both take default_bonds(n, bc)
+        for kind in (chain.ChainOperator, chain._SymmetricSector):
+            with pytest.raises(TypeError):
+                kind(4, 1.0, bonds=[(0, 1)])
+            assert kind(4, 1.0, bc="open").bonds == chain.default_bonds(4, "open")
 
     def test_open_chain_has_one_less_bond(self):
         assert len(chain.default_bonds(6, "periodic")) == 6
@@ -629,24 +612,36 @@ def test_non_finite_initial_field_is_named_before_the_zero_rule(bad):
 
 class TestTranslationInvariance:
     def test_bond_order_is_immaterial(self):
+        # the readouts that take a bond list: any order and orientation
         rng = np.random.default_rng(15)
         vec = random_register(rng, 6)
         bonds = chain.default_bonds(6, "periodic")
-        op_a = chain.ChainOperator(6, 1.2, bonds=bonds)
-        op_b = chain.ChainOperator(6, 1.2, bonds=bonds[::-1])
-        assert np.max(np.abs(op_a.apply(vec) - op_b.apply(vec))) < 1e-14
+        turned = [(j, i) for i, j in reversed(bonds)]
+        assert np.max(np.abs(chain.register_rotation_x(vec, 0.9, 6, bonds)
+                             - chain.register_rotation_x(vec, 0.9, 6, turned))) < 1e-14
+        assert chain.bond_correlator(vec, 6, bonds) == pytest.approx(
+            chain.bond_correlator(vec, 6, turned), abs=1e-14)
 
     def test_shifted_ring_gives_same_readouts(self):
-        shifted = [((i + 1) % 6, (i + 2) % 6) for i in range(6)]
-        psi = chain.even_cat_state(6)
-        for op in (chain.ChainOperator(6, 1.2, coupling=0.5),
-                   chain.ChainOperator(6, 1.2, coupling=0.5, bonds=shifted)):
-            out = chain.evolve_chain(psi, op, 1.3)
-            rot = chain.register_rotation_x(out, 0.9, 6, op.bonds)
-            fid = abs(np.vdot(psi, chain.evolve_chain(rot, op, -1.3))) ** 4
-            corr = chain.bond_correlator(rot, 6, op.bonds)
-            if not hasattr(self, "_ref"):
-                self._ref = (fid, corr)
-            else:
-                assert fid == pytest.approx(self._ref[0], abs=1e-10)
-                assert corr == pytest.approx(self._ref[1], abs=1e-10)
+        # moving every spin one site along the ring maps its bonds onto
+        # themselves: evolution and rotation commute with the shift, and
+        # the echo readouts of a shifted state are those of the state
+        rng = np.random.default_rng(16)
+        states = np.arange(64)
+        shift = ((states << 1) | (states >> 5)) & 63       # spin i -> i + 1
+        op = chain.ChainOperator(6, 1.2, coupling=0.5)
+        psi = random_register(rng, 6)
+        moved = np.empty_like(psi)
+        moved[shift] = psi
+
+        def echo(state):
+            rot = chain.register_rotation_x(chain.evolve_chain(state, op, 1.3),
+                                            0.9, 6, op.bonds)
+            fid = abs(np.vdot(state, chain.evolve_chain(rot, op, -1.3))) ** 4
+            return rot, fid, chain.bond_correlator(rot, 6, op.bonds)
+
+        rot, fid, corr = echo(psi)
+        rot_moved, fid_moved, corr_moved = echo(moved)
+        assert np.max(np.abs(rot_moved[shift] - rot)) < 1e-12
+        assert fid_moved == pytest.approx(fid, abs=1e-12)
+        assert corr_moved == pytest.approx(corr, abs=1e-12)

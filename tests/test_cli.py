@@ -655,6 +655,8 @@ class TestFlags:
                  "--n": "6", "--grid": "abc", "--aggregation": "product",
                  "--nphi": "9", "--tolerance": "1", "--dw-threshold": "0.002",
                  "--pulse-constant": "1.5", "--nt": "4"}
+        if command == "oracle-compare":     # it refuses quench.n
+            del flags["--n"]
         sections = {}
         for flag, raw in flags.items():
             section, key, _ = cli.FLAGS[flag]
@@ -1132,8 +1134,10 @@ class TestColumnarWriter:
                     "oracle-compare": ("compare",),
                     "pulse-schedule": ("schedule",)}
         for command, stems in commands.items():
-            base = [command, "--n", "6", "--gf", "0.7,1.0,1.3", "--nphi", "9",
+            base = [command, "--gf", "0.7,1.0,1.3", "--nphi", "9",
                     "--nt", "4", "--config", cfg]
+            if command != "oracle-compare":     # it refuses quench.n
+                base += ["--n", "6"]
             csv_out, json_out = tmp_path / command / "c", tmp_path / command / "j"
             assert main([*base, "--out", str(csv_out)]) == 0
             assert main([*base, "--out", str(json_out), "--format", "json"]) == 0
@@ -1250,6 +1254,23 @@ class TestResourceAndRangeGuards:
                   if path.name != "manifest.json"} for out in (default, sized)]
         assert files[0] == files[1] and files[0]
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--n", "2000"], ""), (["--n", "30"], ""), ([], "[quench]\nn = 2000\n")],
+        ids=["flag", "flag-default", "ini"])
+    def test_oracle_refuses_the_grid_size(self, tmp_path, capsys, monkeypatch,
+                                          argv, config):
+        # its chain has oracle.n_oracle spins: any explicit quench.n, even
+        # the default value, exits 2 before any field runs or any file exists
+        monkeypatch.setattr(cli, "_fan_out", lambda *args, **kwargs:
+                            pytest.fail("_fan_out ran on a refused config"))
+        out = tmp_path / "out"
+        assert main(["oracle-compare", *argv, "--out", str(out),
+                     "--config", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: quench.n: ")
+        assert "oracle.n_oracle" in err
+        assert not out.exists()
+
     def test_oracle_initial_field_is_refused_before_any_field_runs(
             self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_fan_out", lambda *args, **kwargs:
@@ -1271,9 +1292,12 @@ class TestResourceAndRangeGuards:
     def test_every_size_is_refused_before_it_is_allocated(self, command,
                                                           sizes):
         # a size not drawn takes its least value, so admitted runs are
-        # quick; fields run in process, so tracemalloc sees every allocation
+        # quick; fields run in process, so tracemalloc sees every allocation.
+        # oracle-compare refuses quench.n, so it is left out there
         sections = {}
         for key, value in {**LEAST, **sizes}.items():
+            if command == "oracle-compare" and key == "quench.n":
+                continue
             section, name = key.split(".")
             sections.setdefault(section, []).append(f"{name} = {value}\n")
         text = "".join(f"[{section}]\n" + "".join(lines)

@@ -5,7 +5,8 @@ value into each of its numeric arguments, one argument at a time.  A nan
 or infinite value must raise a ``SimulatorError``, never return a value or
 a verdict, and never escape as a bare numpy or Python error.  A float
 argument, a time grid or a state raises ``InvalidArgumentError``; a size
-may raise its own ``ConfigurationError`` (or ``ResourceGuardError``).
+may raise its own ``ConfigurationError`` (or ``ResourceGuardError``).  Every
+integer route also takes 2.5, the integer below its range and 10**400.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ ROUTES = {
         "n": lambda x: tq.ChainOperator(x, 1.2),
         "g": lambda x: tq.ChainOperator(4, x),
         "coupling": lambda x: tq.ChainOperator(4, 1.2, coupling=x),
-        "bonds": lambda x: tq.ChainOperator(4, 1.2, bonds=[(0, x)]),
     },
     "EchoConfig": {
         "time_grid": lambda x: tq.EchoConfig(SPEC, [0.0, x]),
@@ -197,7 +197,22 @@ ROUTES = {
 }
 
 # sizes and orders: integers, which may be refused by their own range rule
-SIZES = {"n", "n_phi", "n_t", "n_max", "n_points", "m_max", "m", "bonds"}
+SIZES = {"n", "n_phi", "n_t", "n_max", "n_points", "m_max", "m"}
+# the least value each integer route admits
+LEAST = {
+    "ChainOperator-n": 2, "EchoConfig-n_phi": 3, "MqcSpectrum-m_max": 0,
+    "QuenchSpec-n": 2, "coherence_series-m": -1, "critical_times-n_max": 0,
+    "default_time_grid-n_points": 2, "double_well_depth-n": 2,
+    "echo_chain-n": 2, "echo_scan_chain-n": 2, "even_cat_state-n": 1,
+    "mqc_components-m_max": 0, "mqc_spectrum-m_max": 0, "mqc_spectrum_ed-n": 2,
+    "mqc_spectrum_ed-m_max": 0, "mqc_spectrum_ed-n_phi": 9,
+    "pulse_schedule-n_t": 2, "rate_function_ed-n": 2,
+    "return_probability_map-n_t": 2, "spectrum_dynamics-m_max": 0,
+}
+# value objects hold no array sized by a huge integer, so they keep it; the
+# first call that would build one refuses it
+HOLDERS = {"QuenchSpec-n": lambda spec: tq.rate_function(spec, 1.0),
+           "EchoConfig-n_phi": tq.fidelity_otoc}
 # arguments that take no number of their own
 NON_NUMERIC = {"spec", "op", "entry", "bc", "grid_mode", "aggregation",
                "time_mode", "observable", "convention"}
@@ -216,6 +231,8 @@ def test_table_names_every_public_callable_and_argument():
     for name, routes in ROUTES.items():
         numeric = set(inspect.signature(callables[name]).parameters) - NON_NUMERIC
         assert {label.split("-")[0] for label in routes} == numeric, name
+    assert set(LEAST) == {f"{name}-{label}" for name, routes in ROUTES.items()
+                          for label in routes if label in SIZES}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
@@ -229,6 +246,23 @@ def test_non_finite_argument_is_refused(name, label, call, bad):
     expected = SimulatorError if label in SIZES else InvalidArgumentError
     with pytest.raises(expected):
         call(bad)
+
+
+@pytest.mark.parametrize("draw", ["half", "below", "1e400"])
+@pytest.mark.parametrize("route", sorted(LEAST))
+def test_bad_integer_is_refused(route, draw):
+    # a non-integral value, the integer just below the route's range, and
+    # 10**400, which no float holds: each raises the route's typed error,
+    # never a bare numpy or Python one.  An order past m_max is an
+    # IndexError, as for a sequence
+    name, label = route.split("-", 1)
+    value = {"half": 2.5, "below": LEAST[route] - 1, "1e400": 10 ** 400}[draw]
+    call = ROUTES[name][label]
+    if route in HOLDERS and draw == "1e400":
+        value, call = call(value), HOLDERS[route]
+    ordered = route == "coherence_series-m" and draw != "half"
+    with pytest.raises(IndexError if ordered else SimulatorError):
+        call(value)
 
 
 @pytest.mark.parametrize("call", [

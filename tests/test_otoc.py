@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tfim_dqpt import otoc, quench, su2
+from tfim_dqpt import cli, otoc, quench, su2
 from tfim_dqpt.errors import (
     AliasingError,
     ConfigurationError,
@@ -182,6 +182,22 @@ class TestSpectrumDynamics:
         spectra = otoc.spectrum_dynamics(cfg, "fidelity", 1)
         series = otoc.coherence_series(spectra, 1)
         assert series.shape == (5,)
+
+    def test_default_product_spectra_do_not_alias(self):
+        # the product fidelity's orders reach the grid size, so n_phi angles
+        # fold every order past n_phi/2 onto |m| <= m_max.  At the CLI's
+        # defaults (N = 30, 64 angles, 500 times to 5) that fold is below
+        # 1e-14: 4096 angles give the same orders.  At N = 2000 it is not
+        # (1.2e-3 at g_f = 1.2, see README)
+        q, e = cli.DEFAULTS["quench"], cli.DEFAULTS["echo"]
+        assert (q["n"], e["n_phi"]) == (30, 64)
+        ts = np.linspace(0.0, q["t_max"], q["t_points"])
+        for g_f in q["g_f"]:
+            spec = quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"])
+            coarse, fine = (otoc.mqc_components(otoc.fidelity_otoc(otoc.EchoConfig(
+                spec, ts, n_phi=n_phi, aggregation="product")), e["m_max"])
+                for n_phi in (e["n_phi"], 4096))
+            assert np.max(np.abs(coarse - fine)) <= 1e-14
 
 
 class TestSpectrumInvariants:

@@ -8,7 +8,9 @@
 # git archive), and compares the sha256 sums of every artifact except
 # manifest.json, which records the output path.  FLAGs (for example
 # --n 20000, or --config FILE with --tolerance 1 for an oracle whose rows
-# are a documented mismatch) are passed to every subcommand.  For each
+# are a documented mismatch) are passed to every subcommand, except that
+# oracle-compare, which refuses quench.n, is skipped in both trees when the
+# FLAGs set it (for example --n 2000, or an INI file's [quench] n).  For each
 # artifact that differs, tools/artifact_diff.py prints the largest absolute
 # difference over its numeric cells, or "layout changed".  Exits 1 when an
 # artifact differs and tfim_dqpt.__version__ (the manifest's
@@ -31,10 +33,26 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/base"
 git -C "$root" archive "$base" src | tar -x -C "$work/base"
 
+commands=(rate-function heatmap otoc spectra oracle-compare pulse-schedule)
+# oracle-compare sizes its chain by oracle.n_oracle and exits 2 on quench.n
+if PYTHONPATH="$root/src" python - ${flags[@]+"${flags[@]}"} <<'PY'
+import sys
+from tfim_dqpt import cli
+try:
+    cli.resolve_config(cli.build_parser().parse_args(["oracle-compare", *sys.argv[1:]]))
+except cli.ConfigurationError as exc:
+    sys.exit(not str(exc).startswith("quench.n:"))
+sys.exit(1)
+PY
+then
+    echo "artifact drift: the flags set quench.n; oracle-compare skipped" >&2
+    commands=(rate-function heatmap otoc spectra pulse-schedule)
+fi
+
 # run SRC_DIR OUT_DIR: every subcommand and format; sums into OUT_DIR.sha256
 run() {
     local src=$1 out=$2 command fmt code
-    for command in rate-function heatmap otoc spectra oracle-compare pulse-schedule; do
+    for command in "${commands[@]}"; do
         for fmt in csv json; do
             code=0
             PYTHONPATH="$src" python -m tfim_dqpt.cli "$command" --format "$fmt" \
