@@ -85,7 +85,7 @@ from .errors import (
     NumericalFailureError,
     ResourceGuardError,
 )
-from .otoc import MqcSpectrum, mqc_spectrum, require_resolvable
+from .otoc import MqcSpectrum, _phi_grid, mqc_spectrum, require_resolvable
 from .quench import AMPLITUDE_FLOOR
 
 __all__ = [
@@ -540,7 +540,7 @@ def mqc_spectrum_ed(n: int, g_f: float, t: float, bc: str = "periodic",
     t = float(su2._require_finite("t", t))
     op = _oracle_operator(n, float(g_f), bc)
     quench._require_budget(quench._working_set(op.dim, n_phi, 4), f"{n_phi} angles")
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phis = _phi_grid(n_phi)
     weights = np.abs(_evolve_block(op, np.eye(op.dim, 1), [t])[:, 0, 0]) ** 2
     signal = np.abs(np.exp(-0.25j * np.outer(phis, op.lam)) @ weights) ** 4
     return mqc_spectrum(signal, m_max)

@@ -35,9 +35,10 @@ and each field's double-well verdict, depth and margin, as it writes.
 Tables are written one block at a time: one final field's arrays (and
 scalars) that broadcast together, whose rows are the C-order cells of the
 broadcast, so no key column is ever built whole.  Each chunk of rows is
-texted column by column, each distinct value once per chunk, and rows and
-lines are joined with ``str.join``.  CSV and JSON share that one text
-path; CSV fields follow csv's QUOTE_MINIMAL rule.
+texted column by column, each distinct value once per pair of adjacent
+chunks of a block, and rows and lines are joined with ``str.join``.  CSV
+and JSON share that one text path; CSV fields follow csv's QUOTE_MINIMAL
+rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 numerical failure.
@@ -257,32 +258,44 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(column: np.ndarray, fmt: str) -> list[str]:
+def _cells(column: np.ndarray, fmt: str, carry: list) -> list[str]:
     """One chunk of a column as CSV or JSON cell text.
 
     Each distinct value is turned into text once and the texts are indexed
-    back through ``np.unique``.  Floats print in shortest round-trip form
-    with -0.0 made 0.0 (``NaN``/``Infinity`` in JSON, as ``json.dumps``
-    writes them); bools print as 1/0 in CSV; strings are quoted as csv or
-    ``json.dumps`` would quote them.
+    back through ``np.unique``.  ``carry`` is empty at a block's first chunk
+    and then holds the previous chunk's sorted distinct values and their
+    texts: a value ``np.searchsorted`` finds there takes its text from it,
+    and ``carry`` is replaced by this chunk's.  Floats print in shortest
+    round-trip form with -0.0 made 0.0 (``NaN``/``Infinity`` in JSON, as
+    ``json.dumps`` writes them); bools print as 1/0 in CSV; strings are
+    quoted as csv or ``json.dumps`` would quote them.
     """
     as_json, kind = fmt == "json", column.dtype.kind
     # + 0.0 canonicalizes negative zero; np.unique joins every NaN
     levels, codes = np.unique(column + 0.0 if kind == "f" else column,
                               return_inverse=True)
+    texts = np.empty(levels.size, dtype=object)
+    new = np.ones(levels.size, dtype=bool)
+    if carry:
+        known, known_texts = carry
+        at = np.minimum(np.searchsorted(known, levels), known.size - 1)
+        new = known[at] != levels           # NaN is never found: it is new
+        texts[~new] = known_texts[at[~new]]
+    fresh = levels[new]
     if kind == "b":
         words = ("false", "true") if as_json else ("0", "1")
-        texts = [words[value] for value in levels.tolist()]
+        texts[new] = [words[value] for value in fresh.tolist()]
     elif kind == "U":
-        texts = list(map(json.dumps if as_json else _quote, levels.tolist()))
+        texts[new] = list(map(json.dumps if as_json else _quote, fresh.tolist()))
     elif kind == "f":
-        texts = list(map(repr, levels.tolist()))
-        if as_json and not np.isfinite(levels).all():
+        texts[new] = list(map(repr, fresh.tolist()))
+        if as_json and not np.isfinite(fresh).all():
             names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-            texts = [names.get(text, text) for text in texts]
+            texts[new] = [names.get(text, text) for text in texts[new]]
     else:
-        texts = list(map(str, levels.tolist()))
-    return np.array(texts, dtype=object)[codes].tolist()
+        texts[new] = list(map(str, fresh.tolist()))
+    carry[:] = levels, texts
+    return texts[codes].tolist()
 
 
 def _table_text(columns: list[str], blocks, fmt: str):
@@ -290,11 +303,12 @@ def _table_text(columns: list[str], blocks, fmt: str):
     a time, from an iterable of blocks.  A block is a list of arrays (or
     scalars) that broadcast together, and its rows are the C-order cells of
     the broadcast: ``np.broadcast_arrays`` makes views only, so no key
-    column is built whole.  A block may be empty.  It holds one block and
-    one chunk's text at a time.  Cells come from ``_cells``; rows and lines
-    are joined with ``str.join``.  csv would write a row of one empty field
-    as ``""``; every table here has at least two columns, so no row is one
-    field.
+    column is built whole.  A block may be empty.  It holds one block, one
+    chunk's text, and per column the previous chunk's distinct values and
+    their texts (``_cells``' carry, dropped with its block) at a time.
+    Rows and lines are joined with ``str.join``.  csv would write a row of
+    one empty field as ``""``; every table here has at least two columns,
+    so no row is one field.
     """
     if fmt == "csv":
         head, row_sep, cell_sep, tail = "", "\n", ",", "\n"
@@ -304,12 +318,13 @@ def _table_text(columns: list[str], blocks, fmt: str):
         yield f'{{"columns": {json.dumps(columns)}, "rows": ['
     for block in blocks:
         block = np.broadcast_arrays(*block)
+        carries = [[] for _ in block]
         for start in range(0, block[0].size, CHUNK_ROWS):
             yield head + row_sep.join(map(cell_sep.join, zip(*[
-                _cells(col.flat[start:start + CHUNK_ROWS], fmt)
-                for col in block]))) + tail
+                _cells(col.flat[start:start + CHUNK_ROWS], fmt, carry)
+                for col, carry in zip(block, carries)]))) + tail
             head = "" if fmt == "csv" else ", ["
-        del block       # released before the next block is built
+        del block, carries      # released before the next block is built
     if fmt == "json":
         yield "]}\n"
 
@@ -334,6 +349,7 @@ def _atomic_write(path: str, pieces) -> tuple[str, str]:
             for data in map(str.encode, pieces):
                 digest.update(data)
                 handle.write(data)
+                del data        # not held while the next piece is built
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -445,7 +461,7 @@ def _job_compare(spec, bc: str, ts, phis, echo_ts):
     m, fid = _job_otoc(spec, echo_ts, {"n_phi": phis.size, "aggregation": "product"})
     fid_ed, mag_ed = chain.echo_scan_chain(spec.n, spec.g_f, echo_ts, phis, bc=bc)
     return rate_gap, np.abs(fid_ed - fid), np.abs(
-        mag_ed - otoc._mean_surface(m, phis, "magnetization"))
+        mag_ed - otoc._mean_surface(m, phis.size, "magnetization"))
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +518,12 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
     results = _fan_out(functools.partial(_job_otoc, ts=ts, e=e), q, q["n"],
                        ts.size)
-    phis = 2.0 * np.pi * np.arange(e["n_phi"]) / e["n_phi"]
+    phis = otoc._phi_grid(e["n_phi"])
     written = []
     if not spectra_only:
         blocks = ([g_f, phis[:, None], ts,
-                   otoc._mean_surface(m, phis, "fidelity") if fid is None else fid,
-                   otoc._mean_surface(m, phis, "magnetization")]
+                   otoc._mean_surface(m, phis.size, "fidelity") if fid is None else fid,
+                   otoc._mean_surface(m, phis.size, "magnetization")]
                   for g_f, (m, fid) in zip(q["g_f"], results))
         written.append(_write_table(
             out["out"], "otoc_surface",
@@ -550,7 +566,7 @@ def cmd_oracle_compare(resolved: dict) -> None:
     o, out = resolved["oracle"], resolved["outputs"]
     n = o["n_oracle"]
     ts = np.linspace(0.0, q["t_max"], 100)
-    phis = 2.0 * np.pi * np.arange(8) / 8
+    phis = otoc._phi_grid(8)
     echo_ts = np.linspace(0.0, q["t_max"], 10)
     # the 2^n register is sampled at each rate time and (phi, t) echo cell
     results = _fan_out(functools.partial(_job_compare, bc=o["bc"], ts=ts,

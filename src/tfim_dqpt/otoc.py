@@ -17,10 +17,12 @@ m(t) = <n_k^2>, streamed from ``quench._blocks`` like the rate function:
 I_0 = (1 + m)/2, A_0 = m/2, I_+-1 = A_+-1 = (1 - m)/4, and every other
 order is 0.  The ``product`` fidelity multiplies each slab's mode factors
 into its surface; its orders reach the grid size, and its DFT on n_phi
-angles folds those past n_phi/2 onto the low ones (README).  No path holds a
-(modes, n_t) array.  ``echo_state`` (the literal three-factor sequence),
-``mqc_components`` and ``spectrum_dynamics`` (the DFT of the surfaces)
-stay as the test oracles.
+angles folds those past n_phi/2 onto the low ones (README).  Every surface
+is even in phi, and exactly so: its phi coefficients are built once per
+distinct angle (``_phi_coefficients``), so rows phi_j and 2pi - phi_j are
+bitwise equal.  No path holds a (modes, n_t) array.  ``echo_state`` (the
+literal three-factor sequence), ``mqc_components`` and
+``spectrum_dynamics`` (the DFT of the surfaces) stay as the test oracles.
 
 Time grids come in two interpretations.  ``absolute`` evolves every mode
 to the same time t.  ``normalized`` reads grid values as tau = t/t0 with
@@ -101,7 +103,9 @@ class EchoConfig:
 
     @property
     def phi_values(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
+        quench._require_budget(quench._working_set(0, self.n_phi, 0),
+                               f"a grid of {self.n_phi} angles")
+        return _phi_grid(self.n_phi)
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,32 @@ def _mode_moment(config: EchoConfig) -> np.ndarray:
     return m
 
 
-def _mean_surface(m: np.ndarray, phis: np.ndarray, observable: str):
+def _phi_grid(n_phi: int) -> np.ndarray:
+    """The n_phi uniform angles phi_j = 2 pi j / n_phi in [0, 2pi).
+    Unguarded: callers check their angles."""
+    return 2.0 * np.pi * np.arange(n_phi) / n_phi
+
+
+def _phi_coefficients(n_phi: int):
+    """(cos^2(phi/2), sin^2(phi/2), cos phi) over ``_phi_grid`` as (n_phi, 1)
+    columns, computed once per distinct angle: all three are even in phi
+    (mod 2pi), so row j holds the values of angle min(j, n_phi - j).  Rows
+    j and n_phi - j of every surface made from them are bitwise equal."""
+    phis = _phi_grid(n_phi)[:n_phi // 2 + 1]
+    j = np.arange(n_phi)
+    fold = np.minimum(j, n_phi - j)[:, None]
+    return (np.cos(phis / 2.0)[fold] ** 2, np.sin(phis / 2.0)[fold] ** 2,
+            np.cos(phis)[fold])
+
+
+def _mean_surface(m: np.ndarray, n_phi: int, observable: str):
     """A ``mean`` surface over (phi, t) from its mode moment m: the fidelity
     cos^2(phi/2) + sin^2(phi/2) m, or the magnetization
-    (cos phi + 2 sin^2(phi/2) m)/2."""
-    sin2 = np.sin(phis[:, None] / 2.0) ** 2
+    (cos phi + 2 sin^2(phi/2) m)/2, on n_phi angles."""
+    cos2, sin2, cos = _phi_coefficients(n_phi)
     if observable == "fidelity":
-        return np.cos(phis[:, None] / 2.0) ** 2 + sin2 * m
-    return 0.5 * (np.cos(phis)[:, None] + 2.0 * sin2 * m)
+        return cos2 + sin2 * m
+    return 0.5 * (cos + 2.0 * sin2 * m)
 
 
 def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
@@ -202,8 +224,7 @@ def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
 def _product_fidelity(config: EchoConfig) -> np.ndarray:
     """The ``product`` fidelity surface: each slab column's mode factors
     multiplied in, in ascending k.  Unguarded: callers check the scan."""
-    half = config.phi_values[:, None] / 2.0
-    cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
+    cos2, sin2, _ = _phi_coefficients(config.n_phi)
     fids = np.empty((config.n_phi, config.time_grid.size))
     for start, n2 in _squared_n(config):
         block = fids[:, start:start + n2.shape[0]]
@@ -224,7 +245,7 @@ def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
     if config.aggregation == "product":
         return _product_fidelity(config)
-    return _mean_surface(_mode_moment(config), config.phi_values, "fidelity")
+    return _mean_surface(_mode_moment(config), config.n_phi, "fidelity")
 
 
 def magnetization_otoc(config: EchoConfig) -> np.ndarray:
@@ -238,8 +259,7 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
     _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
-    return _mean_surface(_mode_moment(config), config.phi_values,
-                         "magnetization")
+    return _mean_surface(_mode_moment(config), config.n_phi, "magnetization")
 
 
 def require_resolvable(n_phi: int, m_max: int) -> None:
@@ -266,7 +286,7 @@ def mqc_components(scan, m_max: int) -> np.ndarray:
     scan = su2._require_finite("scan", scan)
     n_phi = scan.shape[0]
     require_resolvable(n_phi, m_max)
-    phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phis = _phi_grid(n_phi)
     orders = np.arange(-m_max, m_max + 1)
     kernel = np.exp(-1.0j * np.outer(orders, phis))
     return kernel @ scan / n_phi

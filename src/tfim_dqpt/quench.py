@@ -124,6 +124,13 @@ class QuenchSpec:
         return (self.n_modes + 1) // 2
 
     def momentum_grid(self) -> np.ndarray:
+        """The n_modes grid momenta, refused over the mode budget."""
+        _require_budget(_working_set(0, self.n_modes, 0),
+                        f"a momentum grid of {self.n_modes} points")
+        return self._grid()
+
+    def _grid(self) -> np.ndarray:
+        """``momentum_grid`` unguarded: callers check their modes."""
         return self._momenta(np.arange(self.n_modes))
 
     def _momenta(self, j: np.ndarray) -> np.ndarray:
@@ -268,7 +275,7 @@ def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     _require_budget(_working_set(spec.n_distinct, ts.size, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {ts.size} times")
     probs = _probabilities(spec, ts)
-    return spec.momentum_grid(), probs[spec._distinct_index()]
+    return spec._grid(), probs[spec._distinct_index()]
 
 
 def rate_function(spec: QuenchSpec, t):
@@ -338,7 +345,7 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
                     f"{spec.n_modes} modes x {n_t} times")   # before the grid
     taus = np.linspace(0.0, 2.0, n_t)
     probs = _probabilities(spec, taus, normalized=True)
-    return spec.momentum_grid(), taus, probs[spec._distinct_index()]
+    return spec._grid(), taus, probs[spec._distinct_index()]
 
 
 def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
@@ -366,7 +373,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
     sched = np.recarray(spec.n_modes, dtype=np.dtype([
         ("k", float), ("axis_angle", float), ("rabi_rate", float),
         ("durations", float, (n_t,)), ("idle", bool)], align=True))
-    ks = spec.momentum_grid()
+    ks = spec._grid()
     sched.k, sched.idle = ks, idle
     x, y = _bloch_xy(spec.g_f, ks)
     sched.axis_angle = np.where(idle, 0.0, np.arctan2(y, x))

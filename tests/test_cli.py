@@ -1030,6 +1030,53 @@ class TestColumnarWriter:
         assert written_table(columns, blocks, fmt, chunk) \
             == reference_table(columns, rows, fmt)
 
+    @given(st.sampled_from([3, 7]), st.sampled_from(["csv", "json"]),
+           st.data())
+    def test_values_repeated_across_chunks_equal_per_cell_reference(
+            self, chunk, fmt, data):
+        # each column draws from a few values, so a chunk finds most of its
+        # values in the carry of the chunk before and misses some; NaN, +-inf
+        # and +-0.0 sit on both sides of a chunk edge in each block.  Column
+        # "phi" is the str scalar "" in the first block and floats in the
+        # second, as compare writes it
+        n = data.draw(st.integers(4 * chunk, 8 * chunk))
+        cut = data.draw(st.integers(chunk + 2, n - chunk - 2))
+        table = []
+        for kind in ("float64", "float64", "int64", "bool", "str", "float64"):
+            pool = COLUMN_POOLS[kind]
+            if kind == "float64":
+                pool = pool + data.draw(st.lists(st.floats(), max_size=3))
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                       min_size=n, max_size=n))
+            table.append(np.array([pool[j] for j in picks], dtype=kind))
+        for edge in (chunk, cut + chunk):
+            table[0][edge - 2:edge + 2] = [np.nan, -np.inf, np.nan, -np.inf]
+            table[1][edge - 2:edge + 2] = [0.0, np.inf, -0.0, np.inf]
+            table[5][edge - 2:edge + 2] = [-0.0, np.nan, 0.0, np.nan]
+        columns = ["x", "y", "n", "flag", "label", "phi"]
+        blocks, rows = str_then_floats(table, 5, cut)
+        assert written_table(columns, blocks, fmt, chunk) \
+            == reference_table(columns, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_adjacent_chunks_format_each_value_once(self, monkeypatch, fmt):
+        # the second chunk of a block repeats the first's floats, as the
+        # rows 2pi - phi_j of an echo surface repeat the rows phi_j, so
+        # only the first chunk calls repr; a new block starts afresh
+        formatted = []
+
+        def counting(value):
+            formatted.append(value)
+            return repr(value)
+
+        values = np.array([0.1, -0.0, 1.0 / 3.0, np.inf, 2.0])
+        block = [np.r_[values, values[::-1]], np.arange(10)]
+        monkeypatch.setattr(cli, "repr", counting, raising=False)
+        written = written_table(["a", "b"], [block, block], fmt, 5)
+        assert len(formatted) == 2 * values.size
+        rows = [row for columns in (block, block) for row in zip(*columns)]
+        assert written == reference_table(["a", "b"], rows, fmt)
+
     @given(st.lists(st.sampled_from(sorted(COLUMN_POOLS)), min_size=2,
                     max_size=5),
            st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
@@ -1066,11 +1113,11 @@ class TestColumnarWriter:
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, fmt):
         calls = []
 
-        def failing(column, fmt):
+        def failing(column, fmt, carry):
             calls.append(1)
             if len(calls) > 2:         # the second chunk of two columns
                 raise MemoryError("simulated")
-            return cells(column, fmt)
+            return cells(column, fmt, carry)
 
         cells = cli._cells
         monkeypatch.setattr(cli, "CHUNK_ROWS", 3)

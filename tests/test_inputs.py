@@ -12,12 +12,13 @@ integer route also takes 2.5, the integer below its range and 10**400.
 from __future__ import annotations
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import tfim_dqpt as tq
-from tfim_dqpt import InvalidArgumentError, SimulatorError
+from tfim_dqpt import InvalidArgumentError, ResourceGuardError, SimulatorError
 
 SPEC = tq.QuenchSpec(0.0, 1.2, 8)
 CONFIG = tq.EchoConfig(SPEC, [0.0, 1.0], n_phi=8)
@@ -213,6 +214,13 @@ LEAST = {
 # first call that would build one refuses it
 HOLDERS = {"QuenchSpec-n": lambda spec: tq.rate_function(spec, 1.0),
            "EchoConfig-n_phi": tq.fidelity_otoc}
+# the value objects' grids, sized by the integer each holds
+GRIDS = {
+    "QuenchSpec.momentum_grid":
+        lambda n: tq.QuenchSpec(0.0, 1.2, n).momentum_grid(),
+    "EchoConfig.phi_values":
+        lambda n: tq.EchoConfig(SPEC, [0.0], n_phi=n).phi_values,
+}
 # arguments that take no number of their own
 NON_NUMERIC = {"spec", "op", "entry", "bc", "grid_mode", "aggregation",
                "time_mode", "observable", "convention"}
@@ -263,6 +271,18 @@ def test_bad_integer_is_refused(route, draw):
     ordered = route == "coherence_series-m" and draw != "half"
     with pytest.raises(IndexError if ordered else SimulatorError):
         call(value)
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=list(GRIDS))
+def test_grid_over_the_mode_budget_is_refused(grid):
+    # 10**400 points, which no float holds: numpy alone would raise a bare
+    # ValueError.  10**10 points would take 80 GB, so that size is tried
+    # only with np.arange refusing to run: the budget check must come first
+    with pytest.raises(ResourceGuardError):
+        grid(10 ** 400)
+    with mock.patch.object(np, "arange", side_effect=AssertionError("built")), \
+            pytest.raises(ResourceGuardError):
+        grid(10 ** 10)
 
 
 @pytest.mark.parametrize("call", [

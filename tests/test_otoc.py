@@ -69,8 +69,16 @@ class TestFidelityOtoc:
         assert np.max(np.abs(fids[:, 0] - 1.0)) < 1e-12
 
     def test_angle_reflection_symmetry(self):
-        fids = otoc.fidelity_otoc(echo_config(1.2, np.linspace(0, 5, 7), n_phi=16))
-        assert np.max(np.abs(fids[1:] - fids[:0:-1])) < 1e-12
+        # every surface is even in phi bit for bit, at odd and even n_phi:
+        # rows phi_j and 2pi - phi_j come from one coefficient row
+        ts = np.linspace(0, 5, 7)
+        for n_phi in (15, 16):
+            mean = echo_config(1.2, ts, n_phi=n_phi)
+            product = echo_config(1.2, ts, n_phi=n_phi, aggregation="product")
+            for surface in (otoc.fidelity_otoc(mean), otoc.fidelity_otoc(product),
+                            otoc.magnetization_otoc(mean)):
+                assert surface.shape == (n_phi, 7)
+                assert np.array_equal(surface[1:], surface[:0:-1])
 
     def test_bounded(self):
         fids = otoc.fidelity_otoc(echo_config(0.8, np.linspace(0, 6, 11)))
@@ -492,12 +500,13 @@ class TestClosedFormEcho:
                 otoc.magnetization_otoc(mean)
             return
         fids, mags = literal_echo(mean)
-        assert np.max(np.abs(otoc.fidelity_otoc(mean)
-                             - fids.mean(axis=0).T)) <= 1e-12
-        assert np.max(np.abs(otoc.fidelity_otoc(product)
-                             - np.prod(fids, axis=0).T)) <= 1e-12
-        assert np.max(np.abs(otoc.magnetization_otoc(mean)
-                             - mags.mean(axis=0).T)) <= 1e-12
+        for surface, literal in (
+                (otoc.fidelity_otoc(mean), fids.mean(axis=0).T),
+                (otoc.fidelity_otoc(product), np.prod(fids, axis=0).T),
+                (otoc.magnetization_otoc(mean), mags.mean(axis=0).T)):
+            assert np.max(np.abs(surface - literal)) <= 1e-12
+            # rows phi_j and 2pi - phi_j are equal bit for bit
+            assert np.array_equal(surface[1:], surface[:0:-1])
 
     @pytest.mark.parametrize("time_mode", ["absolute", "normalized"])
     def test_gapless_final_mode_on_paper_grid(self, time_mode):
