@@ -63,7 +63,7 @@ from .chain import (
     rate_function_ed,
 )
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "AliasingError",

@@ -29,8 +29,10 @@ the path, and the artifacts do not depend on it.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
-the parent forms every ``mean`` surface and spectrum from m in closed form,
-and each field's double-well verdict, depth and margin, as it writes.
+the parent forms every ``mean`` surface and spectrum from m in closed form
+as it writes.  Each field's double-well verdict is its closed-form well
+depth against ``sweep.dw_threshold`` (depth >= eps_dw); ``echo.dw_tau_points``
+and ``echo.dw_window`` are still accepted and checked, and change nothing.
 
 Tables are written one block at a time: one final field's arrays (and
 scalars) that broadcast together, whose rows are the C-order cells of the
@@ -85,6 +87,7 @@ DEFAULTS = {
         "n_phi": 64,
         "aggregation": "mean",
         "m_max": 3,
+        # unused since 0.16.0; kept so INI files that set them still run
         "dw_tau_points": 161,
         "dw_window": 0.4,
     },
@@ -217,15 +220,11 @@ def validate_config(resolved: dict, command: str | None) -> None:
                                 ("quench", "tau_points", 2),
                                 ("echo", "dw_tau_points", 3)):
         su2._require_int(f"{section}.{key}", resolved[section][key], least)
-    # the t grid and its rate columns, and otoc's double-well series (8 rows:
-    # the series, its temporaries and the detector's comparisons), for the
-    # commands that build them, before any grid, pool or library guard
+    # the t grid and its rate columns, for the commands that build them,
+    # before any grid, pool or library guard
     t_points = q["t_points"] if command in ("rate-function", "otoc", "spectra") else 0
     quench._require_budget(8 * t_points * (1 + 4 * len(q["g_f"])),
                            f"time grids of {t_points} points")
-    if command == "otoc":
-        quench._require_budget(quench._working_set(0, e["dw_tau_points"], 0, 4),
-                               f"double-well series of {e['dw_tau_points']} times")
     _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
     _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
     for key in ("dw_threshold", "pulse_constant"):
@@ -502,14 +501,12 @@ def cmd_heatmap(resolved: dict) -> None:
     _write_manifest(out["out"], "heatmap", resolved, written)
 
 
-def _well(spec, e: dict, eps_dw: float) -> dict:
-    """The double-well verdict on the closed-form A_1 series, and the
-    closed-form depth and its margin over eps_dw."""
-    taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
-    verdict = otoc.double_well_detector(taus, otoc._well_series(spec, taus), 0.5,
-                                        e["dw_window"], eps_dw=eps_dw)
+def _well(spec, eps_dw: float) -> dict:
+    """The double-well verdict, depth >= eps_dw, from the closed-form depth,
+    and the depth and its margin over eps_dw."""
     depth = otoc._well_depth(spec)      # its modes fit: the job's scan holds them
-    return {"classification": verdict, "depth": depth, "margin": depth - eps_dw}
+    return {"classification": "double_well" if depth >= eps_dw else "single_well",
+            "depth": depth, "margin": depth - eps_dw}
 
 
 def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
@@ -548,12 +545,10 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
             "detector": {
                 "series": "order-1 magnetization coherence, normalized time",
                 "t_c_normalized": 0.5,
-                "window": e["dw_window"],
                 "eps_dw": s["dw_threshold"],
-                "tau_points": e["dw_tau_points"],
             },
             "results": [{"g_f": g_f, **_well(quench.QuenchSpec(
-                q["g_i"], g_f, q["n"], q["grid"]), e, s["dw_threshold"])}
+                q["g_i"], g_f, q["n"], q["grid"]), s["dw_threshold"])}
                         for g_f in q["g_f"]],
         }
         written.append(_write_json(out["out"], "doublewell.json", payload))

@@ -28,8 +28,10 @@ Time grids come in two interpretations.  ``absolute`` evolves every mode
 to the same time t.  ``normalized`` reads grid values as tau = t/t0 with
 t0 = pi/|d_f(k)| per mode; the critical time of a DQPT quench sits at
 tau = 0.5 for every mode.  There A_1 is a quadratic in cos 2 pi tau
-(``_well_moments``), so the double-well verdict and its depth
-(``double_well_depth``) need no scan.
+(``_well_moments``), so its well depth (``double_well_depth``) needs no
+scan, and the double-well verdict is depth >= eps_dw.
+``double_well_detector`` stays as the literal oracle for that verdict: it
+classifies a sampled series, such as A_1 read off the DFT path.
 """
 
 from __future__ import annotations
@@ -341,6 +343,10 @@ def double_well_detector(times, values, t_c: float, window: float,
                          eps_dw: float = DW_THRESHOLD) -> str:
     """Classify a real time series as ``double_well`` or ``single_well``.
 
+    The literal oracle for the double-well verdict: the CLI takes its
+    verdict from the closed-form depth, ``double_well_depth >= eps_dw``, and
+    tests hold that to this detector on densely sampled A_1 series.
+
     ``double_well`` iff some interior local minimum with a sample at
     t in [t_c - window, t_c + window] is exceeded by at least ``eps_dw``
     on both sides.  A minimum is a run of equal samples (one sample, or a
@@ -379,19 +385,12 @@ def _well_moments(spec: QuenchSpec) -> tuple[float, float, float]:
 
     In normalized time each mode's n = c^2 + s^2 C, C = cos 2 pi tau, so
     m = alpha + 2 beta C + gamma C^2 and the order-1 magnetization
-    coherence A_1 = (1 - m)/4 (``_well_series``).
+    coherence A_1 = (1 - m)/4 = (1 - alpha - 2 beta C - gamma C^2)/4.
     """
     ks = spec._momenta(np.arange(spec.n_distinct))
     c2 = np.minimum(quench._mode_geometry(spec.g_i, spec.g_f, ks)[1] ** 2, 1.0)
     s2, weights = 1.0 - c2, spec._multiplicity() / spec.n_modes
     return tuple(float(np.sum(weights * x)) for x in (c2 * c2, c2 * s2, s2 * s2))
-
-
-def _well_series(spec: QuenchSpec, taus: np.ndarray) -> np.ndarray:
-    """A_1 = (1 - alpha - 2 beta C - gamma C^2)/4 over normalized times."""
-    alpha, beta, gamma = _well_moments(spec)
-    c = np.cos(2.0 * np.pi * taus)
-    return (1.0 - alpha - c * (2.0 * beta + gamma * c)) / 4.0
 
 
 def _well_depth(spec: QuenchSpec) -> float:

@@ -127,28 +127,10 @@ class TestOtoc:
         manifest = read_json(out / "manifest.json")
         assert manifest["command"] == "spectra"
 
-    def test_spectra_neither_runs_nor_counts_the_double_well_scan(
-            self, tmp_path, capsys):
-        # 10**8 double-well times need about 6 GiB of series and detector
-        # work, which otoc refuses; spectra never writes a verdict, so it
-        # neither runs that work nor counts it
-        cfg = write_config(tmp_path, "[echo]\ndw_tau_points = 100000000\n")
-        default, wide = tmp_path / "default", tmp_path / "wide"
-        assert main(["spectra", "--out", str(default)]) == 0
-        assert main(["spectra", "--out", str(wide), "--config", cfg]) == 0
-        assert (wide / "spectra.csv").read_bytes() \
-            == (default / "spectra.csv").read_bytes()
-        capsys.readouterr()
-        assert main(["otoc", "--out", str(tmp_path / "otoc"),
-                     "--config", cfg]) == 2
-        assert "mode budget" in capsys.readouterr().err
-        assert not (tmp_path / "otoc").exists()
-
-
     @pytest.mark.parametrize("points", [160, 1000])
     def test_even_grid_finds_the_flat_bottomed_well(self, tmp_path, points):
-        # tau = 1/2 is not sampled; the two samples that straddle it are
-        # equal by symmetry, and that flat bottom is the well's minimum
+        # an even dw_tau_points would leave tau = 1/2 unsampled; the verdict
+        # is the closed-form depth, so it samples nothing and reads the same
         out = tmp_path / "otoc"
         cfg = write_config(tmp_path, f"[echo]\ndw_tau_points = {points}\n")
         assert main(["otoc", "--out", str(out), "--config", cfg]) == 0
@@ -158,7 +140,7 @@ class TestOtoc:
                             1.2: "double_well"}
         for entry in results:
             assert (entry["classification"] == "double_well") \
-                == (entry["margin"] > 0.0)
+                == (entry["margin"] >= 0.0)
 
     def test_complex_spectra_abs_is_pythons_abs(self, tmp_path):
         # product fidelity spectra have imaginary parts, where np.abs can
@@ -181,7 +163,18 @@ class TestOtoc:
             assert entry["depth"] == depth
             assert entry["margin"] == depth - eps_dw
             assert (entry["classification"] == "double_well") \
-                == (entry["margin"] > 0.0)
+                == (entry["margin"] >= 0.0)
+
+    def test_depth_at_the_threshold_is_a_double_well(self, tmp_path):
+        # the verdict is depth >= eps_dw: a threshold equal to the depth
+        # leaves a margin of exactly 0.0, and that reads double_well
+        depth = otoc.double_well_depth(0.0, 1.2, 30)
+        out = tmp_path / "otoc"
+        assert main(["otoc", "--out", str(out), "--n", "30", "--gf", "1.2",
+                     "--dw-threshold", repr(depth)]) == 0
+        [entry] = read_json(out / "doublewell.json")["results"]
+        assert depth > 0.0 and entry["margin"] == 0.0
+        assert entry["classification"] == "double_well"
 
     @pytest.mark.parametrize("command", ["otoc", "spectra"])
     def test_mean_path_holds_no_mode_matrix_and_no_dft(self, tmp_path,
@@ -200,22 +193,22 @@ class TestOtoc:
 
     def test_verdicts_match_the_literal_dft_path(self):
         # A_1 as the order-1 DFT of the 64-angle magnetization surface at
-        # 161 normalized times, the literal path, on a 0.05 grid of fields
-        e, eps_dw = cli.DEFAULTS["echo"], cli.DEFAULTS["sweep"]["dw_threshold"]
-        taus = np.linspace(0.0, 1.0, e["dw_tau_points"])
+        # 161 normalized times, the literal path, on a 0.05 grid of fields;
+        # the detector reads it within 0.4 of t_c, as criterion 07 does
+        eps_dw = cli.DEFAULTS["sweep"]["dw_threshold"]
+        taus = np.linspace(0.0, 1.0, 161)
         kinds = set()
         for g_i in (0.0, 0.5, -0.3):
             for g_f in np.round(np.arange(0.05, 2.5, 0.05), 2):
                 spec = quench.QuenchSpec(g_i, g_f, 30)
-                config = otoc.EchoConfig(spec, taus, n_phi=e["n_phi"],
+                config = otoc.EchoConfig(spec, taus, n_phi=64,
                                          time_mode="normalized")
                 a1 = np.real(otoc.coherence_series(otoc.spectrum_dynamics(
                     config, "magnetization", 1), 1))
-                literal = otoc.double_well_detector(taus, a1, 0.5,
-                                                    e["dw_window"], eps_dw)
-                well = cli._well(spec, e, eps_dw)
+                literal = otoc.double_well_detector(taus, a1, 0.5, 0.4, eps_dw)
+                well = cli._well(spec, eps_dw)
                 assert well["classification"] == literal, (g_i, g_f)
-                assert (well["margin"] > 0.0) == (literal == "double_well")
+                assert (well["margin"] >= 0.0) == (literal == "double_well")
                 kinds.add(literal)
         assert kinds == {"single_well", "double_well"}
 
@@ -227,8 +220,8 @@ class TestOtoc:
                                                eps_dw):
         # one field's work: the job, with the scan's one count taken before
         # it, then under otoc (eps_dw given) the parent's double-well entry,
-        # which validate_config counted.  The job returns m(t) and, under
-        # product, the fidelity surface, and nothing else
+        # whose mode geometry that count holds.  The job returns m(t) and,
+        # under product, the fidelity surface, and nothing else
         e = dict(cli.DEFAULTS["echo"], aggregation=aggregation)
         spec = quench.QuenchSpec(0.0, 1.2, n)
         ts = np.linspace(0.0, 5.0, n_t)
@@ -246,7 +239,7 @@ class TestOtoc:
                 if eps_dw is not None:     # beside the job's result
                     tracemalloc.reset_peak()
                     held = tracemalloc.get_traced_memory()[0]
-                    cli._well(spec, e, eps_dw)
+                    cli._well(spec, eps_dw)
                     well_peak = tracemalloc.get_traced_memory()[1] - held
             finally:
                 tracemalloc.stop()
@@ -254,34 +247,21 @@ class TestOtoc:
         assert m.shape == (n_t,)
         assert (fidelity is None) == (aggregation == "mean")
         if eps_dw is not None:
-            assert well_peak <= quench._working_set(0, e["dw_tau_points"], 0, 4)
+            assert well_peak <= counted[0]
 
-    @pytest.mark.parametrize("points", [160, 100_000])
+    @pytest.mark.parametrize("n", [160, 100_000])
     @pytest.mark.parametrize("g_f", [0.5, 1.2])
-    def test_well_holds_no_more_than_its_count(self, points, g_f):
-        # the parent's double-well series, counted once in validate_config
-        e = dict(cli.DEFAULTS["echo"], dw_tau_points=points)
-        spec = quench.QuenchSpec(0.0, g_f, 30)
+    def test_well_holds_no_more_than_its_count(self, n, g_f):
+        # the parent's double-well entry is the closed-form depth: its mode
+        # geometry alone, the count double_well_depth checks
+        spec = quench.QuenchSpec(0.0, g_f, n)
         tracemalloc.start()
         try:
-            cli._well(spec, e, cli.DEFAULTS["sweep"]["dw_threshold"])
+            cli._well(spec, cli.DEFAULTS["sweep"]["dw_threshold"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= quench._working_set(0, points, 0, 4)
-
-    def test_refused_double_well_grid_starts_no_pool(self, tmp_path, capsys,
-                                                     monkeypatch):
-        # 3 fields x 5601 modes x 500 times reach POOL_MIN_CELLS; 10**8
-        # double-well times are refused before any grid or pool
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
-        cfg = write_config(tmp_path, "[quench]\nn = 5600\n"
-                                     "[echo]\ndw_tau_points = 100000000\n")
-        out = tmp_path / "out"
-        assert main(["otoc", "--config", cfg, "--out", str(out)]) == 2
-        assert "mode budget" in capsys.readouterr().err
-        assert not out.exists()
+        assert peak <= quench._working_set(spec.n_distinct, 0, 0)
 
 
 class TestOracleCompare:
@@ -1262,7 +1242,6 @@ class TestResourceAndRangeGuards:
     @pytest.mark.parametrize("command, section, key", [
         ("rate-function", "quench", "t_points"),
         ("otoc", "quench", "t_points"),
-        ("otoc", "echo", "dw_tau_points"),
         ("spectra", "quench", "t_points"),
     ])
     @pytest.mark.parametrize("size", [10 ** 9, 10 ** 400])
@@ -1289,10 +1268,14 @@ class TestResourceAndRangeGuards:
         ("rate-function", "[echo]\ndw_tau_points = 200000000\n"),
         ("heatmap", "[quench]\nt_points = 40000000\n"),
         ("spectra", "[echo]\ndw_tau_points = 200000000\n"),
+        ("otoc", "[echo]\ndw_tau_points = 200000000\n"),
+        ("otoc", "[echo]\ndw_tau_points = 3\ndw_window = 0.05\n"),
     ])
     def test_grid_a_command_never_builds_is_not_counted(self, tmp_path,
                                                         command, config):
-        # each grid alone is over the mode budget (1.6 GB and 4.2 GB)
+        # each grid alone is over the mode budget (1.6 GB and 4.2 GB).  No
+        # command builds the double-well grid: dw_tau_points and dw_window
+        # are accepted and unused, so no value of them changes an artifact
         default, sized = tmp_path / "default", tmp_path / "sized"
         assert main([command, "--out", str(default)]) == 0
         assert main([command, "--out", str(sized),
@@ -1330,7 +1313,7 @@ class TestResourceAndRangeGuards:
 
     @given(st.sampled_from(sorted(cli.COMMANDS)), st.fixed_dictionaries(
         {}, optional={key: huge_size(low) for key, low in LEAST.items()}))
-    # the surfaces' scan fits, and so does the longer double-well series
+    # the surfaces' scan fits; the unused dw_tau_points is never counted
     @example("otoc", {"quench.t_points": 2000, "echo.dw_tau_points": 3000,
                       "echo.n_phi": 64})
     # the schedule fits, its replay check does not

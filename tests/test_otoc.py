@@ -329,6 +329,19 @@ class TestDoubleWellDetector:
         edge = np.minimum(ts, 1.0)
         assert otoc.double_well_detector(ts, 2.0 - edge, 1.0, 1.0) == "single_well"
 
+    @pytest.mark.parametrize("points", [160, 1000])
+    def test_even_grid_finds_the_flat_bottomed_well(self, points):
+        # an even grid leaves tau = 1/2 unsampled: the two samples of A_1
+        # that straddle it are equal by symmetry, a flat bottom of two
+        taus = np.linspace(0.0, 1.0, points)
+        cfg = otoc.EchoConfig(quench.QuenchSpec(0.0, 1.2, 30), taus, n_phi=5,
+                              time_mode="normalized")
+        a1 = np.real(otoc.coherence_series(
+            otoc.spectrum_dynamics(cfg, "magnetization", 1), 1))
+        middle = points // 2
+        assert a1[middle - 1] == a1[middle] == a1[middle - 2:middle + 2].min()
+        assert otoc.double_well_detector(taus, a1, 0.5, 0.4) == "double_well"
+
     def test_window_range_guard(self):
         ts = np.linspace(0, 2, 51)
         with pytest.raises(WindowRangeError):
@@ -687,7 +700,8 @@ class TestMeanClosedForms:
            st.sampled_from(["paper", "abc"]))
     def test_depth_is_the_densely_sampled_well(self, g_i, g_f, n, grid):
         # A_1 from the literal DFT path at 2001 normalized times: its
-        # maximum over its value at tau = 1/2, the well's bottom
+        # maximum over its value at tau = 1/2, the well's bottom, and the
+        # detector's verdict on it against the closed one, depth >= eps_dw
         spec = quench.QuenchSpec(g_i, g_f, n, grid)
         taus = np.linspace(0.0, 1.0, 2001)
         cfg = otoc.EchoConfig(spec, taus, n_phi=5, time_mode="normalized")
@@ -701,7 +715,16 @@ class TestMeanClosedForms:
         depth = otoc.double_well_depth(g_i, g_f, n, grid)
         sampled = a1.max() - a1[1000]
         assert depth >= 0.0 and sampled - 1e-14 <= depth <= sampled + 1e-6
-        assert np.max(np.abs(otoc._well_series(spec, taus) - a1)) <= 1e-14
+        alpha, beta, gamma = otoc._well_moments(spec)
+        c = np.cos(2.0 * np.pi * taus)
+        quadratic = (1.0 - alpha - 2.0 * beta * c - gamma * c * c) / 4.0
+        assert np.max(np.abs(quadratic - a1)) <= 1e-14
+        closed = depth >= otoc.DW_THRESHOLD
+        literal = otoc.double_well_detector(taus, a1, 0.5, 0.4) == "double_well"
+        if abs(depth - otoc.DW_THRESHOLD) > 1e-6:
+            assert literal == closed
+        else:   # the samples may miss the top by up to 1e-6, never overshoot
+            assert closed or not literal
 
     def test_well_opens_near_the_root_of_gamma_minus_beta(self):
         # at g_i = 0 gamma - beta changes sign at g_f* = 0.8165 (N = 2000)
