@@ -20,12 +20,14 @@ file, taken from the bytes as they are written.  Identical configurations
 give byte-identical files for one numpy build at one CPU dispatch level
 (across levels only numeric cells move, by a few ulp: README); floats
 print in shortest round-trip form, and the run time goes only to stderr.
-Files appear atomically (temp + rename); a failed write removes its temp file.
+Files appear atomically (temp + rename), each directory once its first piece
+exists; a failed write removes its temp file.
 
-The final fields run in this process unless the planned work (fields x grid
-size x time samples per field) reaches ``POOL_MIN_CELLS``; then in a process
-pool of one worker per usable CPU, at most one per field.  No option picks
-the path, and the artifacts do not depend on it.
+``heatmap`` (each field's map built as the writer reaches its block) and
+``pulse-schedule`` never pool.  The other commands run their final fields in
+this process unless the planned work (fields x grid size x time samples per
+field) reaches ``POOL_MIN_CELLS``, then in a pool of one worker per usable
+CPU, at most one per field.  No option picks the path or changes an artifact.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -53,6 +55,7 @@ import contextlib
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -302,20 +305,21 @@ def _table_text(columns: list[str], blocks, fmt: str):
     a time, from an iterable of blocks.  A block is a list of arrays (or
     scalars) that broadcast together, and its rows are the C-order cells of
     the broadcast: ``np.broadcast_arrays`` makes views only, so no key
-    column is built whole.  A block may be empty.  It holds one block, one
-    chunk's text, and per column the previous chunk's distinct values and
-    their texts (``_cells``' carry, dropped with its block) at a time.
-    Rows and lines are joined with ``str.join``.  csv would write a row of
-    one empty field as ``""``; every table here has at least two columns,
-    so no row is one field.
+    column is built whole.  A block may be empty.  Each block is built only
+    once the one before is dropped, the first before the header; one block,
+    one chunk's text and each column's ``_cells`` carry are held at a time.
+    csv would write a row of one empty field as ``""``; every table here
+    has at least two columns, so no row is one field.
     """
+    blocks = iter(blocks)
+    block = next(blocks, None)
     if fmt == "csv":
         head, row_sep, cell_sep, tail = "", "\n", ",", "\n"
         yield ",".join(map(_quote, columns)) + "\n"
     else:
         head, row_sep, cell_sep, tail = "[", "], [", ", ", "]"
         yield f'{{"columns": {json.dumps(columns)}, "rows": ['
-    for block in blocks:
+    while block is not None:
         block = np.broadcast_arrays(*block)
         carries = [[] for _ in block]
         for start in range(0, block[0].size, CHUNK_ROWS):
@@ -324,6 +328,7 @@ def _table_text(columns: list[str], blocks, fmt: str):
                 for col, carry in zip(block, carries)]))) + tail
             head = "" if fmt == "csv" else ", ["
         del block, carries      # released before the next block is built
+        block = next(blocks, None)
     if fmt == "json":
         yield "]}\n"
 
@@ -332,11 +337,13 @@ def _atomic_write(path: str, pieces) -> tuple[str, str]:
     """Write an iterable of text pieces to ``path`` through a temp file;
     return the file's name and the sha256 of the bytes written.
 
-    The output directory is made at the first artifact, so a refused
-    request leaves none.  The temp file is renamed into place when every
-    piece is written; on any failure it is removed, leaving no partial file.
+    The output directory is made once the first artifact's first piece
+    exists, so a refused request leaves none.  The temp file is renamed
+    into place when every piece is written; on any failure it is removed.
     """
     outdir, tmp = os.path.dirname(path), f"{path}.tmp"
+    pieces = iter(pieces)
+    pieces = itertools.chain([next(pieces, "")], pieces)
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
@@ -396,8 +403,8 @@ def _usable_cpus() -> int:
 
 
 def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
-    """``fn`` of each final field's QuenchSpec on ``n`` sites, pooled from
-    POOL_MIN_CELLS fields x ``grid_size`` (default: modes) x ``samples``."""
+    """Each final field's per-time result ``fn(spec)`` on ``n`` sites, pooled
+    from POOL_MIN_CELLS fields x ``grid_size`` (default: modes) x ``samples``."""
     specs = [quench.QuenchSpec(q["g_i"], g_f, n, q["grid"]) for g_f in q["g_f"]]
     cells = len(specs) * (grid_size or specs[0].n_modes) * samples
     workers = min(_usable_cpus(), len(specs))
@@ -408,7 +415,7 @@ def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-field jobs (module level so a process pool can pickle them)
+# per-field jobs (_fan_out's at module level, so its pool can pickle them)
 
 def _job_otoc(spec, ts, e: dict):
     """One field's mode moment m(t) after the scan's one count, and under
@@ -490,14 +497,14 @@ def cmd_rate_function(resolved: dict) -> None:
 
 def cmd_heatmap(resolved: dict) -> None:
     q, out = resolved["quench"], resolved["outputs"]
-    maps = _fan_out(functools.partial(quench.return_probability_map,
-                                      n_t=q["tau_points"]), q, q["n"],
-                    q["tau_points"])
-    blocks = ([g_f, ks[:, None], taus, probs]
-              for g_f, (ks, taus, probs) in zip(q["g_f"], maps))
+
+    def block(g_f):     # built as the writer reaches it, dropped once written
+        ks, taus, probs = quench.return_probability_map(
+            quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"]), q["tau_points"])
+        return [g_f, ks[:, None], taus, probs]
     written = [_write_table(out["out"], "return_prob",
                             ["g_f", "k", "t_over_t0", "probability"],
-                            blocks, out["format"])]
+                            map(block, q["g_f"]), out["format"])]
     _write_manifest(out["out"], "heatmap", resolved, written)
 
 
@@ -591,16 +598,17 @@ def cmd_oracle_compare(resolved: dict) -> None:
 
 def cmd_pulse_schedule(resolved: dict) -> None:
     q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
-    results = _fan_out(functools.partial(_job_pulse, constant=s["pulse_constant"],
-                                         n_t=s["n_t"]), q, q["n"], s["n_t"])
+    # every field before any file: a later g_f can refuse the pulse constant
+    scheds, deviations = zip(*(_job_pulse(
+        quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"]), s["pulse_constant"],
+        s["n_t"]) for g_f in q["g_f"]))
     keys = ("k", "axis_angle", "rabi_rate")
     blocks = ([g_f, *(sched[key][:, None] for key in keys),
                np.arange(s["n_t"]), sched.durations, sched.idle[:, None]]
-              for g_f, (sched, _) in zip(q["g_f"], results))
+              for g_f, sched in zip(q["g_f"], scheds))
     written = [_write_table(out["out"], "schedule",
                             ["g_f", *keys, "duration_index", "duration", "idle"],
                             blocks, out["format"])]
-    deviations = [deviation for _, deviation in results]
     written.append(_write_json(out["out"], "replay_check.json", {
         "per_g_f": [{"g_f": g_f, "max_deviation": deviation}
                     for g_f, deviation in zip(q["g_f"], deviations)],

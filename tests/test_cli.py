@@ -677,8 +677,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("argv", [
         ["rate-function", "--n", "12", "--gf", "0.8,1.2,1.5"],
-        ["otoc", "--n", "8", "--gf", "1.2,0.5", "--nphi", "8"],
-        ["pulse-schedule", "--n", "6", "--gf", "1.0,1.2,-0.5", "--nt", "5"]],
+        ["otoc", "--n", "8", "--gf", "1.2,0.5", "--nphi", "8"]],
         ids=lambda argv: argv[0])
     def test_pooled_and_serial_runs_write_the_same_files(self, tmp_path,
                                                          monkeypatch, argv):
@@ -754,6 +753,20 @@ class TestFieldPool:
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["heatmap", "pulse-schedule"])
+    @pytest.mark.parametrize("n, code", [(40, 0), (10 ** 8, 2)])
+    def test_per_mode_commands_never_pool(self, tmp_path, monkeypatch,
+                                          command, n, code):
+        # each field's result holds a row per mode: heatmap streams its maps
+        # to the writer and pulse-schedule builds its schedules here, however
+        # large the planned work; a refused size leaves no directory
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        out = tmp_path / "out"
+        assert main([command, "--n", str(n), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
 
     def test_one_usable_cpu_runs_in_process(self, tmp_path, monkeypatch):
         # the affinity set counts, not the CPUs installed
@@ -1352,16 +1365,18 @@ class TestResourceAndRangeGuards:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, n, bound", [
-        ("heatmap", 2500, 2.5), ("pulse-schedule", 2483, 2.5),
+        ("heatmap", 2500, 1.25), ("pulse-schedule", 2483, 2.5),
         ("otoc", 1827, 1.05)])
     def test_whole_command_peak_at_an_admitted_size(self, tmp_path, command,
                                                    n, bound, fmt):
         # 3 default fields in process at 8 MiB: heatmap and pulse-schedule
         # at the largest n their guards admit; otoc's peak is one block's
         # surfaces and chunk text, the same up to its largest admitted n,
-        # 3615.  The command holds every field's result (for otoc, m(t)
-        # alone) and one chunk's text; a key column built whole, or every
-        # field's surfaces held at once, would break the bound
+        # 3615.  heatmap holds one field's map, built as the writer reaches
+        # its block, and pulse-schedule and otoc every field's result (for
+        # otoc, m(t) alone), each with one chunk's text; a key column built
+        # whole, or every field's maps or surfaces held at once, would
+        # break the bound
         budget = 8 * 2 ** 20
         with mock.patch.object(quench, "MODE_BUDGET_BYTES", budget), \
                 mock.patch.object(cli, "_usable_cpus", lambda: 1), \
@@ -1375,6 +1390,19 @@ class TestResourceAndRangeGuards:
                 tracemalloc.stop()
         assert code == 0, err.getvalue()
         assert peak <= bound * budget
+
+    @pytest.mark.parametrize("argv, message", [
+        # a gapless initial mode, refused as heatmap's first map is built
+        (["heatmap", "--gi", "1.0"], "gapless"),
+        # the first field's rates fit; the second's overflow
+        (["pulse-schedule", "--pulse-constant", "1e308", "--gf", "0.5,1.5"],
+         "out of the float range")], ids=["heatmap-gi", "pulse-second-field"])
+    def test_refusal_while_a_field_is_built_leaves_no_directory(
+            self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_path_that_is_a_file_is_refused(self, tmp_path, capsys):
         taken = tmp_path / "taken"
