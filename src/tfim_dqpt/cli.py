@@ -27,7 +27,11 @@ exists; a failed write removes its temp file.
 ``pulse-schedule`` never pool.  The other commands run their final fields in
 this process unless the planned work (fields x grid size x time samples per
 field) reaches ``POOL_MIN_CELLS``, then in a pool of one worker per usable
-CPU, at most one per field.  No option picks the path or changes an artifact.
+CPU, at most one per field.  ``oracle-compare``'s grid size is its sector's
+orbit states where the sector is dense, else the 2^n register.  Each job's
+budget check runs in ``validate_config`` too, so a refused size exits before
+any pool, and only a run that pools imports ``multiprocessing``.  No option
+picks the path or changes an artifact.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -57,7 +61,6 @@ import functools
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
@@ -174,20 +177,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
     resolved = copy.deepcopy(DEFAULTS)
     # the oracle correspondence needs anti-periodic momenta, so that command
     # defaults to abc; an explicit --grid paper is the negative control
-    command = getattr(args, "command", None)
-    if command == "oracle-compare":
+    if args.command == "oracle-compare":
         resolved["quench"]["grid"] = "abc"
-    ini = load_config_file(args.config) if getattr(args, "config", None) else {}
+    ini = load_config_file(args.config) if args.config else {}
     for section, values in ini.items():
         resolved[section].update(values)
     for section, key, _ in FLAGS.values():
-        raw = getattr(args, f"{section}.{key}", None)
+        raw = getattr(args, f"{section}.{key}")
         if raw is not None:
             resolved[section][key] = _coerce(section, key, raw)
-    _require(command != "oracle-compare" or "n" not in ini.get("quench", {})
-             and getattr(args, "quench.n", None) is None, "quench.n",
+    _require(args.command != "oracle-compare" or "n" not in ini.get("quench", {})
+             and getattr(args, "quench.n") is None, "quench.n",
              "oracle-compare sizes its chain by oracle.n_oracle; leave it unset")
-    validate_config(resolved, command)
+    validate_config(resolved, args.command)
     return resolved
 
 
@@ -238,6 +240,11 @@ def validate_config(resolved: dict, command: str | None) -> None:
              "must be 'periodic' or 'open'")
     _require(out["format"] in ("csv", "json"), "outputs.format",
              "must be 'csv' or 'json'")
+    # each fanned-out job's own check, so a refused size starts no pool
+    if command == "rate-function":
+        quench._require_rate_budget(spec, t_points)
+    elif command in ("otoc", "spectra"):
+        otoc._require_scan_budget(spec, t_points, e["n_phi"])
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +417,7 @@ def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
     workers = min(_usable_cpus(), len(specs))
     if workers <= 1 or cells < POOL_MIN_CELLS:
         return [fn(spec) for spec in specs]
+    import multiprocessing      # about 10 ms, paid only by a run that pools
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(fn, specs)
 
@@ -570,10 +578,13 @@ def cmd_oracle_compare(resolved: dict) -> None:
     ts = np.linspace(0.0, q["t_max"], 100)
     phis = otoc._phi_grid(8)
     echo_ts = np.linspace(0.0, q["t_max"], 10)
-    # the 2^n register is sampled at each rate time and (phi, t) echo cell
+    # each rate time and (phi, t) echo cell samples a dense sector's orbit
+    # states (every ring to N = 14), else the 2^n register (Chebyshev)
+    states = chain._orbits(n, o["bc"])[1].size
     results = _fan_out(functools.partial(_job_compare, bc=o["bc"], ts=ts,
-                                         phis=phis, echo_ts=echo_ts),
-                       q, n, ts.size + phis.size * echo_ts.size, 2 ** n)
+                                         phis=phis, echo_ts=echo_ts), q, n,
+                       ts.size + phis.size * echo_ts.size,
+                       states if states < 2 ** chain.DENSE_LIMIT else 2 ** n)
     # per field: the rate rows (no phi), then fidelity and magnetization
     # over (phi, t)
     keys = [("rate_function", "", ts), ("fidelity", phis[:, None], echo_ts),
@@ -634,19 +645,19 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file")
-    for flag, (section, key, text) in FLAGS.items():
-        common.add_argument(flag, dest=f"{section}.{key}",
-                            metavar=f"{section}.{key}", help=text)
     parser = argparse.ArgumentParser(
-        prog="tfim-dqpt",
+        prog="tfim-dqpt", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Quench, echo, and pulse-schedule sweeps for the "
-                    "transverse-field Ising chain")
+                    "transverse-field Ising chain",
+        epilog="commands:\n" + "".join(f"  {name:<16}{text}\n"
+                                       for name, (_, text) in COMMANDS.items()))
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=text)
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--config", help="INI config file")
+    for flag, (section, key, text) in FLAGS.items():
+        parser.add_argument(flag, dest=f"{section}.{key}",
+                            metavar=f"{section}.{key}", help=text)
     return parser
 
 

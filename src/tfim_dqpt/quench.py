@@ -278,6 +278,12 @@ def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     return spec._grid(), probs[spec._distinct_index()]
 
 
+def _require_rate_budget(spec: QuenchSpec, n_t: int) -> None:
+    """Refuse a rate function over the mode budget: its slabs and output."""
+    _require_budget(_working_set(spec.n_distinct, n_t, 1),
+                    f"{spec.n_modes} modes x {n_t} times")
+
+
 def rate_function(spec: QuenchSpec, t):
     """Loschmidt rate function f(t) = -(1/N) sum_k log |G_k(t)|^2.
 
@@ -287,8 +293,7 @@ def rate_function(spec: QuenchSpec, t):
     (modes, n_t) array is held.  Scalar or array t.
     """
     ts = np.asarray(t, dtype=float)
-    _require_budget(_working_set(spec.n_distinct, ts.size, 1),
-                    f"{spec.n_modes} modes x {ts.size} times")
+    _require_rate_budget(spec, ts.size)
     weights = spec._multiplicity()
     f = np.empty(ts.size)
     for start, logs in _blocks(spec, np.atleast_1d(ts)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -25,6 +26,7 @@ from hypothesis import example, given, strategies as st
 
 from tfim_dqpt import cli, otoc, quench, su2
 from tfim_dqpt.cli import main
+from tfim_dqpt.errors import ResourceGuardError
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
 
@@ -588,6 +590,24 @@ class TestFlags:
         assert len(set(keys)) == len(keys)
         assert all(key in cli.DEFAULTS[section] for section, key in keys)
 
+    def test_help_names_every_command(self):
+        # one help page; each command's line is its COMMANDS help, which
+        # python -OO keeps (it strips docstrings)
+        with contextlib.redirect_stdout(io.StringIO()) as text, \
+                pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        lines = [line.split(None, 1) for line in text.getvalue().splitlines()]
+        for name, (_, help_text) in cli.COMMANDS.items():
+            assert [name, help_text] in lines, name
+
+    def test_flags_may_come_before_the_command(self, tmp_path):
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["--out", str(before), "--n", "12", "rate-function"]) == 0
+        assert main(["rate-function", "--n", "12", "--out", str(after)]) == 0
+        for name in ("rate_function.csv", "critical_times.json"):
+            assert (before / name).read_bytes() == (after / name).read_bytes()
+
     @given(st.sampled_from(sorted(cli.FLAGS)).flatmap(flag_and_raw))
     @example(("--grid", "foo"))
     @example(("--n", "3.0"))
@@ -724,10 +744,10 @@ class TestFieldPool:
         (["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6",
           "--format", "json"], "", 4),
         (["rate-function", "--n", "10000"], "", 3),
-        (["oracle-compare"], "[oracle]\nn_oracle = 14\n", 3),
+        # the open N = 14 sector (4160 states) runs Chebyshev on the register
         (["oracle-compare", "--tolerance", "1"],
          "[oracle]\nn_oracle = 14\nbc = open\n", 3)],
-        ids=["rate-large-n", "rate-n10000", "oracle-n14", "oracle-n14-open"])
+        ids=["rate-large-n", "rate-n10000", "oracle-n14-open"])
     def test_large_work_is_pooled(self, tmp_path, monkeypatch, argv, config,
                                   fields):
         # more CPUs than fields: one worker per field
@@ -744,8 +764,10 @@ class TestFieldPool:
         # otoc-sweep workload, and the oracle at n_oracle = 12 its oracle-n12
         *[([command], "") for command in cli.COMMANDS],
         (["oracle-compare"], "[oracle]\nn_oracle = 12\n"),
+        # the ring N = 14 sector takes the dense eigensystem on 362 states
+        (["oracle-compare"], "[oracle]\nn_oracle = 14\n"),
         (["pulse-schedule", "--n", "3000", "--gf", "1.0,1.2"], "")],
-        ids=[*cli.COMMANDS, "oracle-n12", "pulse-n3000"])
+        ids=[*cli.COMMANDS, "oracle-n12", "oracle-n14", "pulse-n3000"])
     def test_small_work_runs_in_process(self, tmp_path, monkeypatch, argv,
                                         config):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
@@ -767,6 +789,25 @@ class TestFieldPool:
         out = tmp_path / "out"
         assert main([command, "--n", str(n), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("command", ["rate-function", "otoc", "spectra"])
+    def test_refused_size_starts_no_pool(self, tmp_path, monkeypatch, capsys,
+                                         command):
+        # 3 fields x 10**8 modes plan a pool, but validate_config makes the
+        # job's own check first: the job's message, exit 2, no directory
+        spec = quench.QuenchSpec(0.0, 1.2, 10 ** 8)
+        ts = np.linspace(0.0, 5.0, 500)
+        job = (functools.partial(quench.rate_function, spec, ts)
+               if command == "rate-function" else functools.partial(
+                   cli._job_otoc, spec, ts, cli.DEFAULTS["echo"]))
+        with pytest.raises(ResourceGuardError) as refused:
+            job()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        out = tmp_path / "out"
+        assert main([command, "--n", str(10 ** 8), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {refused.value}\n"
+        assert not out.exists()
 
     def test_one_usable_cpu_runs_in_process(self, tmp_path, monkeypatch):
         # the affinity set counts, not the CPUs installed
@@ -843,6 +884,22 @@ def test_commands_load_no_scipy(tmp_path):
             f"    print(command, code, {LOADED_SCIPY})\n")
     lines = run_python(code).splitlines()
     assert lines == [f"{command} 0 []" for command in commands]
+
+
+def test_only_a_pooled_run_loads_multiprocessing(tmp_path):
+    # no command pools at its defaults, so none imports multiprocessing (and
+    # socket, selectors, signal and array with it); rate-large-n pools
+    runs = [[command] for command in cli.COMMANDS]
+    runs.append(["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6"])
+    code = (f"import sys; from tfim_dqpt import cli\n"
+            f"cli._usable_cpus = lambda: 64\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    code = cli.main([*argv, '--out', "
+            f"{str(tmp_path)!r} + '/' + str(i)])\n"
+            f"    print(argv[0], code, 'multiprocessing' in sys.modules)\n")
+    lines = run_python(code).splitlines()
+    assert lines == [*(f"{command} 0 False" for command in cli.COMMANDS),
+                     "rate-function 0 True"]
 
 
 @pytest.mark.parametrize("n_oracle, bc", [(12, "periodic"), (14, "periodic"),
