@@ -149,8 +149,7 @@ class ChainOperator:
     def _build(self):
         """The dimension and the (values, (rows, cols)) entries of H."""
         states = np.arange(2 ** self.n)
-        rows = np.concatenate([states] + [states ^ ((1 << i) | (1 << j))
-                                          for i, j in self.bonds])
+        rows = np.concatenate([states, *_bond_flips(self.n, self.bonds)])
         cols = np.tile(states, len(self.bonds) + 1)
         values = np.concatenate([
             (-self.coupling * self.g) * (self.n - 2.0 * _popcount(states, self.n)),
@@ -396,28 +395,29 @@ def _xx_spectrum(n: int, bonds) -> np.ndarray:
     """Eigenvalues of sum_bonds sigma^x sigma^x in the x product basis."""
     states = np.arange(2 ** n)
     anti = np.zeros_like(states)    # each anti-aligned bond counts -1, not +1
-    for bond in bonds:
-        i, j = (su2._require_int("bond site", site, 0, n - 1) for site in bond)
+    for i, j in bonds:
         anti += ((states >> i) ^ (states >> j)) & 1
     return len(bonds) - 2.0 * anti
 
 
-def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Normalized fast Walsh-Hadamard transform (z basis <-> x basis).
+def _require_register(state, n) -> tuple[np.ndarray, int]:
+    """(state, n) if n is a size in [1, MAX_SPINS] and state a finite
+    register of shape (2^n,)."""
+    n = su2._require_int("n", n, 1, MAX_SPINS, ResourceGuardError)
+    state = su2._require_finite("state", state, complex)
+    if state.shape != (2 ** n,):
+        raise ConfigurationError(
+            f"state shape {state.shape} does not match {n} spins ({2 ** n},)")
+    return state, n
 
-    Acts along axis 0, so a (dim, b) block transforms column by column.
-    """
-    out = vec.astype(complex)
-    size = out.shape[0]
-    h = 1
-    while h < size:
-        out = out.reshape((-1, 2 * h) + vec.shape[1:])
-        a = out[:, :h].copy()
-        b = out[:, h:].copy()
-        out[:, :h] = a + b
-        out[:, h:] = a - b
-        h *= 2
-    return out.reshape(vec.shape) / np.sqrt(size)
+
+def _bond_flips(n: int, bonds) -> list[np.ndarray]:
+    """z ^ (2^i ^ 2^j) for every z basis state, per bond (i, j): sigma^x_i
+    sigma^x_j takes amplitudes psi to psi[flips], and a self-bond to psi."""
+    sites = [[su2._require_int("bond site", site, 0, n - 1) for site in bond]
+             for bond in bonds]
+    states = np.arange(2 ** n)
+    return [states ^ ((1 << i) ^ (1 << j)) for i, j in sites]
 
 
 def register_rotation_x(state: np.ndarray, phi: float, n: int,
@@ -426,18 +426,24 @@ def register_rotation_x(state: np.ndarray, phi: float, n: int,
 
     Rotates every Jordan-Wigner momentum mode of the g = 0 chain by phi
     about x.  Note this is not exp(-i phi S_x): the register x operator
-    maps to the bond correlator, not to the collective spin.
+    maps to the bond correlator, not to the collective spin.  The bond
+    terms commute, so the rotation is the product over bonds of
+    cos(phi/4) - i sin(phi/4) sigma^x_i sigma^x_j, each a bit flip.
     """
-    phi = su2._require_finite("phi", phi)
-    phases = np.exp(-0.25j * phi * _xx_spectrum(n, bonds))
-    return _fwht(phases * _fwht(state))
+    phi = float(su2._require_finite("phi", phi))
+    state, n = _require_register(state, n)
+    rotated = state.copy()      # a new array, also for an empty bond list
+    cos, sin = np.cos(0.25 * phi), np.sin(0.25 * phi)
+    for flips in _bond_flips(n, bonds):
+        rotated = cos * rotated - 1.0j * sin * rotated[flips]
+    return rotated
 
 
 def bond_correlator(state: np.ndarray, n: int, bonds) -> float:
     """<state| (1/2) sum_bonds sigma^x sigma^x |state> / N."""
-    tilde = _fwht(state)
-    lam = _xx_spectrum(n, bonds)
-    return float(0.5 * np.real(np.vdot(tilde, lam * tilde)) / n)
+    state, n = _require_register(state, n)
+    return float((0.5 / n) * sum(np.vdot(state, state[flips]).real
+                                 for flips in _bond_flips(n, bonds)))
 
 
 def _require_quench_fields(g_i: float) -> None:

@@ -236,7 +236,7 @@ def validate_config(resolved: dict, command: str | None) -> None:
         _require(np.isfinite(s[key]) and s[key] > 0, f"sweep.{key}",
                  "must be finite and positive")
     su2._require_int("oracle.n_oracle", o["n_oracle"], 2, chain.MAX_SPINS)
-    _require(o["bc"] in ("periodic", "open"), "oracle.bc",
+    _require(o["bc"] in chain.BOUNDARY_CONDITIONS, "oracle.bc",
              "must be 'periodic' or 'open'")
     _require(out["format"] in ("csv", "json"), "outputs.format",
              "must be 'csv' or 'json'")

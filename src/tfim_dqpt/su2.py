@@ -74,7 +74,7 @@ def _require_int(name, value, least, most=None, error=ConfigurationError) -> int
 
 def pauli_dot(d) -> np.ndarray:
     """Return d . sigma as a 2x2 complex matrix."""
-    d = np.asarray(d, dtype=float)
+    d = _require_finite("d", d)
     return d[0] * SIGMA_X + d[1] * SIGMA_Y + d[2] * SIGMA_Z
 
 
@@ -130,5 +130,9 @@ def expect_sx(a) -> float:
 
 
 def is_unitary(u, tol: float = 1e-12) -> bool:
-    u = np.asarray(u, dtype=complex)
+    """True if u is a square matrix with max |u^dagger u - I| <= tol."""
+    u = _require_finite("u", u, complex)
+    tol = float(_require_finite("tol", tol))
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        return False
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,13 @@ def plus_state(n):
     return np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
 
 
+def site_x(n, i):
+    """sigma^x on site i (bit i of the z index) as a Kronecker product."""
+    factors = [np.eye(2)] * n
+    factors[n - 1 - i] = su2.SIGMA_X.real
+    return functools.reduce(np.kron, factors)
+
+
 def reference_evolution(op, vec, t):
     """exp(-iHt) vec from scipy's expm_multiply on the CSR form of H."""
     return expm_multiply(-1.0j * t * op._matrix(), vec)
@@ -100,7 +109,9 @@ class TestChainOperator:
         sector = chain._SymmetricSector(n, g, bc=bc, coupling=0.5)
         h = chain.ChainOperator(n, g, bc=bc, coupling=0.5).dense()
         members = sector.orbit[:, None] == np.arange(sector.dim)
-        p = chain._fwht(members / np.sqrt(sector.sizes)).real
+        hadamard = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])
+                                              / np.sqrt(2.0)] * n)
+        p = hadamard @ members / np.sqrt(sector.sizes)
         assert np.max(np.abs(p.T @ p - np.eye(sector.dim))) < 1e-12
         # the sweeps start from e_0
         assert np.max(np.abs(p[:, 0] - chain.even_cat_state(n))) < 1e-15
@@ -353,6 +364,21 @@ class TestRegisterRotation:
         assert np.max(np.abs(once - chain.register_rotation_x(vec, 1.8, 6, bonds))) \
             < 1e-12
 
+    @given(st.integers(1, 5), angles, st.data(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_bond_flips_match_kronecker_exponential(self, n, phi, data, seed):
+        # any bond list, with a repeated bond and a self-bond, which is the
+        # identity: sigma^x_i sigma^x_i = 1, not a flip of spin i
+        site = st.integers(0, n - 1)
+        bonds = data.draw(st.lists(st.tuples(site, site), min_size=1, max_size=6))
+        bonds += [bonds[0], (data.draw(site),) * 2]
+        xx = sum(site_x(n, i) @ site_x(n, j) for i, j in bonds)
+        vec = random_register(np.random.default_rng(seed), n)
+        got = chain.register_rotation_x(vec, phi, n, bonds)
+        assert np.max(np.abs(got - expm(-0.25j * phi * xx) @ vec)) < 1e-10
+        assert chain.bond_correlator(vec, n, bonds) == pytest.approx(
+            0.5 * np.vdot(vec, xx @ vec).real / n, abs=1e-12)
+
     @given(st.integers(1, 8), st.data())
     def test_xx_spectrum_counts_bond_signs(self, n, data):
         # bit for bit the float sum of s_i s_j, any bond list
@@ -367,7 +393,7 @@ class TestRegisterRotation:
 
     @pytest.mark.parametrize("bond", [(0, 4), (-1, 0), (0.5, 1)])
     def test_bond_sites_off_the_chain_are_refused(self, bond):
-        # a shift past the chain's bits would read spin 0 for any such site
+        # a site off the chain has no bit of the register index to flip
         with pytest.raises(ConfigurationError):
             chain.register_rotation_x(plus_state(4), 0.3, 4, [bond])
         with pytest.raises(ConfigurationError):

@@ -16,3 +16,13 @@ def test_public_names_resolve(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_package_exports_every_layer_name():
+    # each name is declared public once, in its layer; the package adds
+    # only its version
+    package = importlib.import_module("tfim_dqpt")
+    layers = [importlib.import_module(f"tfim_dqpt.{layer}")
+              for layer in ("errors", "su2", "quench", "otoc", "chain")]
+    union = [name for layer in layers for name in layer.__all__]
+    assert package.__all__ == union + ["__version__"]

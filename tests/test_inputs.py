@@ -28,6 +28,7 @@ LIVE = tq.pulse_schedule(SPEC, n_t=4)[1]
 IDLE = tq.pulse_schedule(tq.QuenchSpec(0.0, 1.0, 8), n_t=4)[0]  # k = 0, g_f = 1
 D = [1.0, 0.5, 0.0]
 EYE = np.eye(2)
+BONDS = [(0, 1), (1, 2)]
 TAUS = np.linspace(0.0, 1.0, 11)
 WELL = 1.0 - np.cos(2.0 * np.pi * TAUS) ** 2
 
@@ -51,6 +52,10 @@ ROUTES = {
         "g_i": lambda x: tq.QuenchSpec(x, 1.2, 8),
         "g_f": lambda x: tq.QuenchSpec(0.0, x, 8),
         "n": lambda x: tq.QuenchSpec(0.0, 1.2, x),
+    },
+    "bond_correlator": {
+        "state": lambda x: tq.bond_correlator(np.r_[x, np.ones(15)], 4, BONDS),
+        "n": lambda x: tq.bond_correlator(np.ones(16), x, BONDS),
     },
     "bloch_vector": {
         "g": lambda x: tq.bloch_vector(x, 0.3),
@@ -137,12 +142,19 @@ ROUTES = {
     "ground_state": {
         "d": lambda x: tq.ground_state([x, 0.5, 0.0]),
     },
+    "is_unitary": {
+        "u": lambda x: tq.is_unitary(np.diag([x, 1.0])),
+        "tol": lambda x: tq.is_unitary(EYE, tol=x),
+    },
     "loschmidt_mode": {
         "k": lambda x: tq.loschmidt_mode(SPEC, x, 1.0),
         "t": lambda x: tq.loschmidt_mode(SPEC, 0.3, [1.0, x]),
     },
     "magnetization_otoc": {
         "config": lambda x: tq.magnetization_otoc(tq.EchoConfig(SPEC, [x])),
+    },
+    "mode_probabilities": {
+        "t": lambda x: tq.mode_probabilities(SPEC, [1.0, x]),
     },
     "mqc_components": {
         "scan": lambda x: tq.mqc_components(np.r_[x, np.ones(7)], 1),
@@ -166,6 +178,9 @@ ROUTES = {
         "t": lambda x: tq.otoc_general(EYE, EYE, D, x, [1.0, 0.0]),
         "psi0": lambda x: tq.otoc_general(EYE, EYE, D, 1.0, [x, 1.0]),
     },
+    "pauli_dot": {
+        "d": lambda x: tq.pauli_dot([x, 0.5, 0.0]),
+    },
     "pulse_schedule": {
         "c": lambda x: tq.pulse_schedule(SPEC, c=x),
         "n_t": lambda x: tq.pulse_schedule(SPEC, n_t=x),
@@ -178,6 +193,12 @@ ROUTES = {
         "g_i": lambda x: tq.rate_function_ed(4, x, 1.2, 1.0),
         "g_f": lambda x: tq.rate_function_ed(4, 0.0, x, 1.0),
         "t": lambda x: tq.rate_function_ed(4, 0.0, 1.2, [1.0, x]),
+    },
+    "register_rotation_x": {
+        "state": lambda x: tq.register_rotation_x(
+            np.r_[x, np.ones(15)], 1.0, 4, BONDS),
+        "phi": lambda x: tq.register_rotation_x(np.ones(16), x, 4, BONDS),
+        "n": lambda x: tq.register_rotation_x(np.ones(16), 1.0, x, BONDS),
     },
     "replay_unitary": {
         "duration": lambda x: tq.replay_unitary(LIVE, x),
@@ -202,12 +223,14 @@ SIZES = {"n", "n_phi", "n_t", "n_max", "n_points", "m_max", "m"}
 # the least value each integer route admits
 LEAST = {
     "ChainOperator-n": 2, "EchoConfig-n_phi": 3, "MqcSpectrum-m_max": 0,
-    "QuenchSpec-n": 2, "coherence_series-m": -1, "critical_times-n_max": 0,
+    "QuenchSpec-n": 2, "bond_correlator-n": 1, "coherence_series-m": -1,
+    "critical_times-n_max": 0,
     "default_time_grid-n_points": 2, "double_well_depth-n": 2,
     "echo_chain-n": 2, "echo_scan_chain-n": 2, "even_cat_state-n": 1,
     "mqc_components-m_max": 0, "mqc_spectrum-m_max": 0, "mqc_spectrum_ed-n": 2,
     "mqc_spectrum_ed-m_max": 0, "mqc_spectrum_ed-n_phi": 9,
     "pulse_schedule-n_t": 2, "rate_function_ed-n": 2,
+    "register_rotation_x-n": 1,
     "return_probability_map-n_t": 2, "spectrum_dynamics-m_max": 0,
 }
 # value objects hold no array sized by a huge integer, so they keep it; the
@@ -222,8 +245,8 @@ GRIDS = {
         lambda n: tq.EchoConfig(SPEC, [0.0], n_phi=n).phi_values,
 }
 # arguments that take no number of their own
-NON_NUMERIC = {"spec", "op", "entry", "bc", "grid_mode", "aggregation",
-               "time_mode", "observable", "convention"}
+NON_NUMERIC = {"spec", "op", "entry", "bc", "bonds", "grid_mode",
+               "aggregation", "time_mode", "observable", "convention"}
 
 
 def _public_callables() -> dict:

@@ -58,6 +58,12 @@ class TestEvolutionUnitary:
     def test_unitarity(self, d, t):
         assert su2.is_unitary(su2.evolution_unitary(d, t), tol=1e-12)
 
+    @pytest.mark.parametrize("u", [np.ones((2, 3)), np.array([1.0, 0.0]),
+                                   np.float64(1.0)],
+                             ids=["rectangular", "vector", "scalar"])
+    def test_a_non_square_array_is_not_unitary(self, u):
+        assert su2.is_unitary(u) is False
+
 
 class TestRotationX:
     def test_zero_angle(self):
