@@ -27,11 +27,11 @@ exists; a failed write removes its temp file.
 ``pulse-schedule`` never pool.  The other commands run their final fields in
 this process unless the planned work (fields x grid size x time samples per
 field) reaches ``POOL_MIN_CELLS``, then in a pool of one worker per usable
-CPU, at most one per field.  ``oracle-compare``'s grid size is its sector's
-orbit states where the sector is dense, else the 2^n register.  Each job's
-budget check runs in ``validate_config`` too, so a refused size exits before
-any pool, and only a run that pools imports ``multiprocessing``.  No option
-picks the path or changes an artifact.
+CPU, at most one per field.  ``oracle-compare``'s grid size is its ring
+sector's orbit states.  Each job's budget check runs in ``validate_config``
+too, so a refused size exits before any pool, and only a run that pools
+imports ``multiprocessing``.  No option picks the path or changes an
+artifact.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -49,7 +49,7 @@ and JSON share that one text path; CSV fields follow csv's QUOTE_MINIMAL
 rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
-3 numerical failure.
+3 any other simulator error (a safety net).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from . import __version__, chain, otoc, quench, su2
 from .errors import (
     ConfigurationError,
     NoDqptError,
-    NumericalFailureError,
     SimulatorError,
     ToleranceFailure,
     UndefinedExpressionError,
@@ -235,9 +234,9 @@ def validate_config(resolved: dict, command: str | None) -> None:
     for key in ("dw_threshold", "pulse_constant"):
         _require(np.isfinite(s[key]) and s[key] > 0, f"sweep.{key}",
                  "must be finite and positive")
-    su2._require_int("oracle.n_oracle", o["n_oracle"], 2, chain.MAX_SPINS)
-    _require(o["bc"] in chain.BOUNDARY_CONDITIONS, "oracle.bc",
-             "must be 'periodic' or 'open'")
+    su2._require_int("oracle.n_oracle", o["n_oracle"], 2, chain.MAX_RING)
+    _require(o["bc"] == "periodic", "oracle.bc",
+             f"must be 'periodic', the only chain modelled; got {o['bc']!r}")
     _require(out["format"] in ("csv", "json"), "outputs.format",
              "must be 'csv' or 'json'")
     # each fanned-out job's own check, so a refused size starts no pool
@@ -469,11 +468,11 @@ def _job_pulse(spec, constant: float, n_t: int):
     return sched, float(max(drift, diag, off))
 
 
-def _job_compare(spec, bc: str, ts, phis, echo_ts):
+def _job_compare(spec, ts, phis, echo_ts):
     rate_gap = np.abs(quench.rate_function(spec, ts) - chain.rate_function_ed(
-        spec.n, spec.g_i, spec.g_f, ts, bc=bc))
+        spec.n, spec.g_i, spec.g_f, ts))
     m, fid = _job_otoc(spec, echo_ts, {"n_phi": phis.size, "aggregation": "product"})
-    fid_ed, mag_ed = chain.echo_scan_chain(spec.n, spec.g_f, echo_ts, phis, bc=bc)
+    fid_ed, mag_ed = chain.echo_scan_chain(spec.n, spec.g_f, echo_ts, phis)
     return rate_gap, np.abs(fid_ed - fid), np.abs(
         mag_ed - otoc._mean_surface(m, phis.size, "magnetization"))
 
@@ -578,13 +577,11 @@ def cmd_oracle_compare(resolved: dict) -> None:
     ts = np.linspace(0.0, q["t_max"], 100)
     phis = otoc._phi_grid(8)
     echo_ts = np.linspace(0.0, q["t_max"], 10)
-    # each rate time and (phi, t) echo cell samples a dense sector's orbit
-    # states (every ring to N = 14), else the 2^n register (Chebyshev)
-    states = chain._orbits(n, o["bc"])[1].size
-    results = _fan_out(functools.partial(_job_compare, bc=o["bc"], ts=ts,
-                                         phis=phis, echo_ts=echo_ts), q, n,
+    # each rate time and (phi, t) echo cell samples the sector's orbit states
+    results = _fan_out(functools.partial(_job_compare, ts=ts, phis=phis,
+                                         echo_ts=echo_ts), q, n,
                        ts.size + phis.size * echo_ts.size,
-                       states if states < 2 ** chain.DENSE_LIMIT else 2 ** n)
+                       chain._orbits(n)[1].size)
     # per field: the rate rows (no phi), then fidelity and magnetization
     # over (phi, t)
     keys = [("rate_function", "", ts), ("fidelity", phis[:, None], echo_ts),
@@ -672,9 +669,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except SimulatorError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all simulator modules.
 
-Configuration-type errors map to CLI exit code 2, numerical failures to 3.
+Configuration-type errors map to CLI exit code 2, a tolerance failure to 1;
+any other SimulatorError reaching the CLI exits 3.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ __all__ = [
     "UndefinedExpressionError",
     "NoDqptError",
     "WindowRangeError",
-    "NumericalFailureError",
     "ToleranceFailure",
 ]
 
@@ -54,20 +54,6 @@ class NoDqptError(ConfigurationError):
 
 class WindowRangeError(ConfigurationError):
     """A detector window falls outside the sampled time range."""
-
-
-class NumericalFailureError(SimulatorError):
-    """An iterative numerical scheme failed to converge.
-
-    Attributes
-    ----------
-    residual : float or None
-        The achieved residual estimate at the point of failure.
-    """
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ToleranceFailure(SimulatorError):

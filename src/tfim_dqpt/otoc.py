@@ -133,10 +133,6 @@ class MqcSpectrum:
             raise IndexError(f"order {m} outside |m| <= {self.m_max}")
         return complex(self.components[int(m) + self.m_max])
 
-    @property
-    def orders(self) -> np.ndarray:
-        return np.arange(-self.m_max, self.m_max + 1)
-
 
 def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     """Echoed mode state U(-d_f, t) R_x(phi) U(d_f, t) |psi0>.

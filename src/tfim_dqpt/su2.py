@@ -72,9 +72,17 @@ def _require_int(name, value, least, most=None, error=ConfigurationError) -> int
     return int(value)
 
 
+def _require_bloch(d) -> np.ndarray:
+    """``d`` as an array if it is a finite Bloch vector of shape (3,)."""
+    arr = _require_finite("d", d)
+    if arr.shape != (3,):
+        raise InvalidArgumentError(f"d must have shape (3,), got {arr.shape}")
+    return arr
+
+
 def pauli_dot(d) -> np.ndarray:
     """Return d . sigma as a 2x2 complex matrix."""
-    d = _require_finite("d", d)
+    d = _require_bloch(d)
     return d[0] * SIGMA_X + d[1] * SIGMA_Y + d[2] * SIGMA_Z
 
 
@@ -83,7 +91,7 @@ def evolution_unitary(d, t: float) -> np.ndarray:
 
     For |d| = 0 the limit is the identity, returned exactly.
     """
-    d = _require_finite("d", d)
+    d = _require_bloch(d)
     t = float(_require_finite("t", t))
     mag = float(np.sqrt(d @ d))
     if mag == 0.0:
@@ -105,7 +113,7 @@ def ground_state(d) -> np.ndarray:
     so results are reproducible across platforms.  |d| = 0 is degenerate
     and raises; callers must treat gapless modes explicitly.
     """
-    d = _require_finite("d", d)
+    d = _require_bloch(d)
     mag = float(np.sqrt(d @ d))
     if mag == 0.0:
         raise GaplessModeError("ground_state undefined for |d| = 0 (degenerate mode)")

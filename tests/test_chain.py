@@ -3,20 +3,19 @@
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import jv
 
 from tfim_dqpt import chain, otoc, quench, su2
 from tfim_dqpt.errors import (
     AliasingError,
     ConfigurationError,
     InvalidArgumentError,
-    NumericalFailureError,
     ResourceGuardError,
 )
 
@@ -25,25 +24,21 @@ T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
 fields = st.floats(0.05, 2.0)
 times = st.floats(0.0, 5.0)
 angles = st.floats(0.0, 2.0 * np.pi)
-boundaries = st.sampled_from(["periodic", "open"])
-# the literal register below 2^DENSE_LIMIT states (eigensystem) and from
-# there on (Chebyshev, N >= 10); odd N have orbits of mixed size in the
-# periodic sector
-dense_sizes = st.integers(3, 9)
-chebyshev_sizes = st.sampled_from([10, 11, 12])
+# rings whose literal register is served too (up to N = 10); odd N have
+# orbits of mixed size in the sector
+ring_sizes = st.integers(3, 10)
 
 
-def burnside_orbits(n, bc):
-    """Orbits of the 2^N x strings under the flip, the mirror and, on the
-    ring, the translations: the mean over the group of its fixed strings.
+def burnside_orbits(n):
+    """Orbits of the 2^N x strings under the flip, the mirror and the ring
+    translations: the mean over the group of its fixed strings.
 
     A site permutation with c cycles fixes 2^c strings; composed with the
     flip it fixes 2^c when every cycle has even length, else none.
     """
     sites = np.arange(n)
-    perms = [sites, sites[::-1]]
-    if bc == "periodic":
-        perms = [np.roll(perm, shift) for perm in perms for shift in range(n)]
+    perms = [np.roll(perm, shift) for perm in (sites, sites[::-1])
+             for shift in range(n)]
     fixed = 0
     for perm in perms:
         lengths, seen = [], set()
@@ -76,38 +71,38 @@ def site_x(n, i):
 
 
 def reference_evolution(op, vec, t):
-    """exp(-iHt) vec from scipy's expm_multiply on the CSR form of H."""
-    return expm_multiply(-1.0j * t * op._matrix(), vec)
+    """exp(-iHt) vec from scipy's expm_multiply on the dense form of H."""
+    return expm_multiply(-1.0j * t * op.dense(), vec)
 
 
 class TestChainOperator:
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(5)
-        for g, bc in [(0.0, "periodic"), (1.2, "periodic"), (0.7, "open")]:
-            op = chain.ChainOperator(5, g, bc=bc)
+        for g in (0.0, 1.2, 0.7):
+            op = chain.ChainOperator(5, g)
             vec = random_register(rng, 5)
             assert np.max(np.abs(op.apply(vec) - op.dense() @ vec)) < 1e-12
 
-    @given(boundaries, fields, st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
-    def test_block_apply_matches_dense_columns(self, bc, g, width, seed):
+    @given(fields, st.integers(1, 5), st.integers(0, 2 ** 31 - 1))
+    def test_block_apply_matches_dense_columns(self, g, width, seed):
+        # apply sums H's entries itself, for real and complex blocks alike
         rng = np.random.default_rng(seed)
-        op = chain.ChainOperator(5, g, bc=bc, coupling=0.5)
+        op = chain.ChainOperator(5, g, coupling=0.5)
         block = rng.normal(size=(32, width)) + 1j * rng.normal(size=(32, width))
         expected = np.stack([op.dense() @ col for col in block.T], axis=1)
         assert np.max(np.abs(op.apply(block) - expected)) < 1e-12
         assert np.max(np.abs(op.apply(block.real) - op.dense() @ block.real)) < 1e-12
         assert np.max(np.abs(op.apply(block[:, 0]) - expected[:, 0])) < 1e-12
 
-    @given(st.integers(2, 10), boundaries, fields, st.integers(1, 3),
+    @given(st.integers(2, 10), fields, st.integers(1, 3),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_even_sector_is_restriction_of_register(self, n, bc, g, width,
-                                                    seed):
+    def test_even_sector_is_restriction_of_register(self, n, g, width, seed):
         # P takes the x-basis orbit states to the z basis of the register:
         # P^dagger H P is the sector matrix, and H P = P (P^dagger H P)
         # says that H keeps the sector
-        sector = chain._SymmetricSector(n, g, bc=bc, coupling=0.5)
-        h = chain.ChainOperator(n, g, bc=bc, coupling=0.5).dense()
+        sector = chain._SymmetricSector(n, g, coupling=0.5)
+        h = chain.ChainOperator(n, g, coupling=0.5).dense()
         members = sector.orbit[:, None] == np.arange(sector.dim)
         hadamard = functools.reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])
                                               / np.sqrt(2.0)] * n)
@@ -125,20 +120,17 @@ class TestChainOperator:
         assert np.max(np.abs(sector.apply(block[:, 0]) - restricted @ block[:, 0])) \
             < 1e-12
 
-    @pytest.mark.parametrize("n, bc, dim", [(12, "periodic", 122),
-                                            (14, "periodic", 362),
-                                            (11, "open", 528),
-                                            (12, "open", 1056)])
-    def test_sector_dimensions(self, n, bc, dim):
-        # orbits under flip x mirror, and translations on the ring: every
-        # ring and the open chain up to N = 11 stay below the dense limit
-        assert chain._SymmetricSector(n, 1.0, bc=bc).dim == dim \
-            == burnside_orbits(n, bc)
+    @pytest.mark.parametrize("n, dim", [(12, 122), (14, 362), (16, 1162)])
+    def test_sector_dimensions(self, n, dim):
+        # orbits under flip x mirror x translations: every ring up to N = 16
+        # stays below the dense limit, and N = 17 is past it
+        assert chain._SymmetricSector(n, 1.0).dim == dim == burnside_orbits(n)
+        assert dim < 2 ** chain.DENSE_LIMIT <= burnside_orbits(chain.MAX_RING + 1)
 
     def test_fields_share_one_orbit_build(self):
         chain._orbits.cache_clear()
         chain._oracle_operator.cache_clear()
-        first, second = (chain._oracle_operator(8, g, "periodic") for g in (0.5, 1.2))
+        first, second = (chain._oracle_operator(8, g) for g in (0.5, 1.2))
         assert chain._orbits.cache_info().misses == 1
         assert first.orbit is second.orbit and first.lam is second.lam
         assert not first.lam.flags.writeable
@@ -150,18 +142,34 @@ class TestChainOperator:
         assert np.vdot(u, op.apply(v)) == pytest.approx(
             np.conj(np.vdot(v, op.apply(u))), abs=1e-10)
 
-    def test_norm_bound_dominates_spectrum(self):
-        op = chain.ChainOperator(6, 1.2, coupling=0.5)
-        energies, _ = op.eigensystem()
-        assert np.max(np.abs(energies)) <= op.norm_bound() + 1e-12
-
     def test_size_guards(self):
         with pytest.raises(ResourceGuardError):
             chain.ChainOperator(15, 1.0)
         with pytest.raises(ResourceGuardError):
             chain.ChainOperator(1, 1.0)
         with pytest.raises(ResourceGuardError):
-            chain.ChainOperator(11, 1.0).dense()
+            chain.ChainOperator(11, 1.0)
+        with pytest.raises(ResourceGuardError):
+            chain._SymmetricSector(chain.MAX_RING + 1, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: chain.ChainOperator(11, 1.2),
+        lambda: chain.echo_chain(11, 1.2, 1.0, 1.0),
+        lambda: chain._SymmetricSector(17, 1.2),
+        lambda: chain.rate_function_ed(17, 0.0, 1.2, 1.0),
+        lambda: chain.echo_scan_chain(17, 1.2, [1.0], [1.0]),
+        lambda: chain.mqc_spectrum_ed(17, 1.2, 1.0),
+    ], ids=["register-11", "echo_chain-11", "sector-17", "rate_function_ed-17",
+            "echo_scan_chain-17", "mqc_spectrum_ed-17"])
+    def test_past_the_dense_limit_is_refused_before_building(self, call):
+        # the literal register from N = 11 (2048 states) and the ring sector
+        # from N = 17 (2056): no state list, orbit table or matrix is made
+        built = AssertionError("built")
+        with mock.patch.object(np, "arange", side_effect=built), \
+                mock.patch.object(chain, "_orbits", side_effect=built), \
+                mock.patch.object(np.linalg, "eigh", side_effect=built), \
+                pytest.raises(ResourceGuardError):
+            call()
 
     @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 4.5])
     def test_non_integer_size_is_refused(self, n):
@@ -176,18 +184,15 @@ class TestChainOperator:
 
     def test_argument_guards(self):
         with pytest.raises(ConfigurationError):
-            chain.ChainOperator(4, 1.0, bc="twisted")
-        with pytest.raises(ConfigurationError):
             chain.ChainOperator(4, np.nan)
-        # the register and the sector both take default_bonds(n, bc)
+        # the register and the sector both take the ring's default_bonds(n);
+        # neither takes a bond list or a boundary condition
         for kind in (chain.ChainOperator, chain._SymmetricSector):
-            with pytest.raises(TypeError):
-                kind(4, 1.0, bonds=[(0, 1)])
-            assert kind(4, 1.0, bc="open").bonds == chain.default_bonds(4, "open")
-
-    def test_open_chain_has_one_less_bond(self):
-        assert len(chain.default_bonds(6, "periodic")) == 6
-        assert len(chain.default_bonds(6, "open")) == 5
+            for keyword in ({"bonds": [(0, 1)]}, {"bc": "open"}):
+                with pytest.raises(TypeError):
+                    kind(4, 1.0, **keyword)
+            assert kind(4, 1.0).bonds == chain.default_bonds(4)
+        assert len(chain.default_bonds(6)) == 6
 
 
 class TestStates:
@@ -225,7 +230,7 @@ class TestStates:
 class TestEvolveChain:
     def test_zero_time(self):
         rng = np.random.default_rng(8)
-        for n in (6, 10):                   # eigensystem, Chebyshev
+        for n in (6, 10):           # up to the largest register served
             vec = random_register(rng, n)
             op = chain.ChainOperator(n, 1.2)
             assert np.max(np.abs(chain.evolve_chain(vec, op, 0.0) - vec)) < 1e-12
@@ -237,7 +242,7 @@ class TestEvolveChain:
         out = chain.evolve_chain(psi, op, 0.9)
         assert np.max(np.abs(out - np.exp(1.0j * 8 * 0.9) * psi)) < 1e-12
 
-    @pytest.mark.parametrize("n", [8, 10, 11, 12])
+    @pytest.mark.parametrize("n", [8, 9, 10])
     def test_matches_expm_multiply(self, n):
         rng = np.random.default_rng(9)
         vec = random_register(rng, n)
@@ -245,94 +250,30 @@ class TestEvolveChain:
         got = chain.evolve_chain(vec, op, 2.7)
         assert np.max(np.abs(got - reference_evolution(op, vec, 2.7))) < 1e-12
 
-    @pytest.mark.parametrize("n, bc, sector, dense", [
-        (9, "periodic", False, True), (10, "periodic", False, False),
-        (12, "open", True, False), (12, "periodic", True, True)])
-    def test_one_rule_by_states(self, monkeypatch, n, bc, sector, dense):
-        # the eigensystem below 2^DENSE_LIMIT states and Chebyshev from
-        # there on, for the literal register (512, 1024 states) as for
-        # the symmetric sectors (1056 open, 122 periodic)
+    @pytest.mark.parametrize("n, sector", [(9, False), (10, False), (12, True),
+                                           (16, True)])
+    def test_one_rule_by_states(self, monkeypatch, n, sector):
+        # the eigensystem at every dimension served, for the literal
+        # register (512, 1024 states) as for the ring sectors (122, 1162)
         kind = chain._SymmetricSector if sector else chain.ChainOperator
-        op = kind(n, 1.2, bc=bc, coupling=0.5)
+        op = kind(n, 1.2, coupling=0.5)
         calls = []
         eigensystem = chain.ChainOperator.eigensystem
         monkeypatch.setattr(chain.ChainOperator, "eigensystem",
                             lambda self: calls.append(self.dim) or eigensystem(self))
         vec = np.eye(op.dim, 1)[:, 0]
         got = chain.evolve_chain(vec, op, 0.7)
-        assert (calls == [op.dim]) == dense
+        assert calls == [op.dim]
         assert np.max(np.abs(got - reference_evolution(op, vec, 0.7))) < 1e-12
 
     def test_large_register_round_trip(self):
         rng = np.random.default_rng(10)
-        vec = random_register(rng, 12)
-        op = chain.ChainOperator(12, 1.2, coupling=0.5)
+        vec = random_register(rng, 10)
+        op = chain.ChainOperator(10, 1.2, coupling=0.5)
         fwd = chain.evolve_chain(vec, op, 1.8)
         assert abs(np.linalg.norm(fwd) - 1.0) < 1e-9
         back = chain.evolve_chain(fwd, op, -1.8)
         assert np.max(np.abs(back - vec)) < 1e-9
-
-    def test_truncation_failure_reports_residual(self):
-        # |tau| = 12.1 * 830 = 10043 lies within the orders computed but
-        # past the term budget
-        op = chain.ChainOperator(11, 1.2, coupling=0.5)
-        assert chain.CHEBYSHEV_TERMS < op.norm_bound() * 830.0 \
-            < chain.CHEBYSHEV_TERMS + 50
-        with pytest.raises(NumericalFailureError) as err:
-            chain.evolve_chain(plus_state(11), op, 830.0)
-        assert err.value.residual is not None and err.value.residual > 0
-
-    def test_coefficient_range_does_not_move_cutoff(self):
-        # the cutoff from jv over the orders the tail needs equals the
-        # cutoff from jv over all CHEBYSHEV_TERMS + 50 orders
-        taus = np.concatenate([np.linspace(-500.0, 500.0, 201),
-                               [0.0, 1e-3, -0.4, 2.7, -17.3, 90.1]])
-        for tau in taus:
-            weights = 2.0 * np.abs(jv(np.arange(10050), tau))
-            weights[0] *= 0.5
-            tails = np.cumsum(weights[::-1])[::-1]
-            full = int(np.flatnonzero(tails <= 1e-12)[0])
-            assert chain._chebyshev_coefficients(tau).size - 1 == full, tau
-
-    @given(st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300, 6.3e-279,
-                            9999.5, -9990.0])
-           | st.floats(-1e-6, 1e-6) | st.floats(-1e4, 1e4),
-           st.integers(1, 64))
-    @settings(max_examples=60, deadline=None)
-    def test_bessel_recurrence_matches_jv(self, tau, short):
-        # scipy's jv is the oracle for the recurrence; the cutoff and the
-        # failure past CHEBYSHEV_TERMS must come out as from jv
-        reference = jv(np.arange(10050), tau)
-        # jv itself is off by up to 1.1e-13 near |tau| = 1e4 (measured
-        # against a 50-digit recurrence), by less than 1e-13 below 5000
-        tol = 1e-13 * max(1.0, abs(tau) / 5000.0)
-        got = chain._bessel_j(10050, tau)
-        assert np.all(np.isfinite(got))
-        assert np.max(np.abs(got - reference)) <= tol
-        # fewer orders than |tau|: the recurrence must still start past it
-        assert np.max(np.abs(chain._bessel_j(short, tau) - reference[:short])) \
-            <= tol
-        weights = 2.0 * np.abs(reference)
-        weights[0] *= 0.5
-        below = np.flatnonzero(np.cumsum(weights[::-1])[::-1] <= 1e-12)
-        if below.size and below[0] <= 10000:
-            coeffs = chain._chebyshev_coefficients(tau)
-            assert coeffs.size - 1 == below[0]
-            assert np.max(np.abs(coeffs - reference[:coeffs.size])) <= tol
-        else:
-            with pytest.raises(NumericalFailureError):
-                chain._chebyshev_coefficients(tau)
-
-    def test_argument_past_computed_orders_is_refused(self):
-        # the weights peak near order |tau|; from CHEBYSHEV_TERMS + 50 on
-        # no computed order can hold the tail
-        with pytest.raises(NumericalFailureError):
-            chain._chebyshev_coefficients(10051.0)
-        with pytest.raises(NumericalFailureError):
-            chain._chebyshev_coefficients(-1e33)
-        op = chain.ChainOperator(11, 1.2, coupling=0.5)
-        with pytest.raises(NumericalFailureError):
-            chain.evolve_chain(plus_state(11), op, 1e33)
 
     def test_argument_guards(self):
         op = chain.ChainOperator(4, 1.0)
@@ -345,7 +286,7 @@ class TestEvolveChain:
 class TestRegisterRotation:
     def test_matches_matrix_exponential(self):
         rng = np.random.default_rng(12)
-        bonds = chain.default_bonds(4, "periodic")
+        bonds = chain.default_bonds(4)
         xx = -chain.ChainOperator(4, 0.0, coupling=1.0).dense()  # +sum xx
         vec = random_register(rng, 4)
         for phi in (0.3, np.pi, 5.1):
@@ -355,7 +296,7 @@ class TestRegisterRotation:
 
     def test_zero_angle_and_additivity(self):
         rng = np.random.default_rng(13)
-        bonds = chain.default_bonds(6, "periodic")
+        bonds = chain.default_bonds(6)
         vec = random_register(rng, 6)
         assert np.max(np.abs(chain.register_rotation_x(vec, 0.0, 6, bonds)
                              - vec)) < 1e-12
@@ -399,8 +340,18 @@ class TestRegisterRotation:
         with pytest.raises(ConfigurationError):
             chain.bond_correlator(plus_state(4), 4, [bond])
 
+    @pytest.mark.parametrize("state", [np.ones(8), np.ones(32), np.ones((16, 1))],
+                             ids=["short", "long", "column"])
+    def test_register_of_the_wrong_shape_is_refused(self, state):
+        # a register of 4 spins has shape (16,)
+        bonds = chain.default_bonds(4)
+        with pytest.raises(ConfigurationError, match=r"does not match 4 spins"):
+            chain.register_rotation_x(state, 0.3, 4, bonds)
+        with pytest.raises(ConfigurationError, match=r"does not match 4 spins"):
+            chain.bond_correlator(state, 4, bonds)
+
     def test_bond_correlator_values(self):
-        bonds = chain.default_bonds(6, "periodic")
+        bonds = chain.default_bonds(6)
         plus = plus_state(6)
         assert chain.bond_correlator(plus, 6, bonds) == pytest.approx(0.5, abs=1e-12)
         z0 = np.zeros(64, dtype=complex)
@@ -425,10 +376,6 @@ class TestRateFunctionEd:
                                 - quench.rate_function(spec, ts)))
             assert gap < 1e-6
 
-    def test_open_chain_runs(self):
-        vals = chain.rate_function_ed(6, 0.0, 1.2, np.linspace(0, 4, 9), bc="open")
-        assert np.all(vals >= -1e-12)
-
     def test_initial_field_guard(self):
         with pytest.raises(ConfigurationError):
             chain.rate_function_ed(6, 0.5, 1.2, 1.0)
@@ -437,45 +384,30 @@ class TestRateFunctionEd:
         out = chain.rate_function_ed(4, 0.0, 1.2, 1.3)
         assert isinstance(out, float)
 
-    # open N = 8 and 11 read the eigenbasis, open N = 12 the Chebyshev engine
     @pytest.mark.parametrize("n", [8, 11, 12])
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_time_is_refused(self, n, bad):
         for t in (bad, [0.0, bad]):
             with pytest.raises(InvalidArgumentError):
-                chain.rate_function_ed(n, 0.0, 1.2, t, bc="open")
+                chain.rate_function_ed(n, 0.0, 1.2, t)
 
-    @given(dense_sizes | chebyshev_sizes, fields,
-           st.lists(times, min_size=1, max_size=3), boundaries)
+    @given(ring_sizes, fields, st.lists(times, min_size=1, max_size=3))
     @settings(max_examples=16, deadline=None)
-    def test_even_sector_matches_full_register(self, n, g, ts, bc):
-        # the sector sweep against the literal full-register evolution
-        op = chain.ChainOperator(n, g, bc=bc, coupling=0.5)
+    def test_even_sector_matches_full_register(self, n, g, ts):
+        # the sector sweep against the literal full-register evolution and
+        # against scipy's exponential of the register's dense form
+        op = chain.ChainOperator(n, g, coupling=0.5)
         psi = chain.even_cat_state(n)
-        literal = [abs(np.vdot(psi, chain.evolve_chain(psi, op, t))) ** 2
-                   for t in ts]
-        probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts, bc=bc))
-        assert np.max(np.abs(probs - literal)) < 1e-12
+        probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts))
+        for evolve in (functools.partial(chain.evolve_chain, op=op),
+                       functools.partial(reference_evolution, op)):
+            literal = [abs(np.vdot(psi, evolve(psi, t=t))) ** 2 for t in ts]
+            assert np.max(np.abs(probs - literal)) < 1e-12
 
-    # open chains from N = 12 have >= 2^DENSE_LIMIT sector states (1056)
-    @given(st.sampled_from([12, 13]), fields,
-           st.lists(times, min_size=1, max_size=3))
-    @settings(max_examples=6, deadline=None)
-    def test_chebyshev_sizes_match_expm_multiply(self, n, g, ts):
-        op = chain.ChainOperator(n, g, bc="open", coupling=0.5)
-        psi = chain.even_cat_state(n)
-        reference = [abs(np.vdot(psi, reference_evolution(op, psi, t))) ** 2
-                     for t in ts]
-        probs = np.exp(-0.5 * n * chain.rate_function_ed(n, 0.0, g, ts,
-                                                         bc="open"))
-        assert np.max(np.abs(probs - reference)) < 1e-12
-
-    @pytest.mark.parametrize("n, bc, dense", [
-        (10, "open", True), (11, "open", True), (12, "periodic", True),
-        (12, "open", False)])
-    def test_one_rule_by_states(self, monkeypatch, n, bc, dense):
-        # the eigensystem below 2^DENSE_LIMIT sector states (272 and 528
-        # open, 122 periodic) and one engine call from there on (1056)
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_one_rule_by_states(self, monkeypatch, n):
+        # every ring sector (30, 122 and 1162 states) sums its amplitude over
+        # the eigensystem itself, without the evolution engine
         calls = []
         evolve_block = chain._evolve_block
         eigensystem = chain.ChainOperator.eigensystem
@@ -483,8 +415,37 @@ class TestRateFunctionEd:
                             calls.append("evolve") or evolve_block(*args))
         monkeypatch.setattr(chain.ChainOperator, "eigensystem", lambda self:
                             calls.append("eigensystem") or eigensystem(self))
-        chain.rate_function_ed(n, 0.0, 1.2, [0.4, 1.3], bc=bc)
-        assert calls == (["eigensystem"] if dense else ["evolve"])
+        chain.rate_function_ed(n, 0.0, 1.2, [0.4, 1.3])
+        assert calls == ["eigensystem"]
+
+    def test_amplitude_floor_is_reported(self, monkeypatch):
+        # a Loschmidt probability under the floor warns and is clamped to
+        # it; the others are left as they are
+        ts = np.linspace(0.0, 2.0 * T_C_12, 9)
+        exact = chain.rate_function_ed(6, 0.0, 1.2, ts)
+        monkeypatch.setattr(chain, "AMPLITUDE_FLOOR", 0.5)
+        with pytest.warns(RuntimeWarning, match="floor"):
+            clamped = chain.rate_function_ed(6, 0.0, 1.2, ts)
+        under = np.exp(-3.0 * exact) < 0.5
+        assert under.any() and not under.all()
+        assert np.array_equal(clamped[~under], exact[~under])
+        assert np.all(clamped[under] == -(2.0 / 6) * np.log(0.5))
+
+
+def test_largest_ring_matches_momentum_model():
+    # the ring N = 16 sector (1162 states), rate and echo, against the
+    # momentum model on the abc grid
+    ts = np.linspace(0.0, 5.0, 11)
+    phis = 2.0 * np.pi * np.arange(4) / 4
+    spec = quench.QuenchSpec(0.0, 1.2, 16, "abc")
+    rate = chain.rate_function_ed(16, 0.0, 1.2, ts)
+    assert np.max(np.abs(rate - quench.rate_function(spec, ts))) <= 1e-12
+    fid, mag = chain.echo_scan_chain(16, 1.2, ts[::5], phis)
+    fid_mom = otoc.fidelity_otoc(
+        otoc.EchoConfig(spec, ts[::5], n_phi=4, aggregation="product"))
+    mag_mom = otoc.magnetization_otoc(otoc.EchoConfig(spec, ts[::5], n_phi=4))
+    assert np.max(np.abs(fid - fid_mom)) <= 1e-12
+    assert np.max(np.abs(mag - mag_mom)) <= 1e-12
 
 
 class TestEchoChain:
@@ -516,31 +477,20 @@ class TestEchoChain:
 
 class TestEchoScanChain:
     @staticmethod
-    def check_against_literal(n, g, ts, phis, bc="periodic"):
-        fid, mag = chain.echo_scan_chain(n, g, ts, phis, bc=bc)
+    def check_against_literal(n, g, ts, phis):
+        fid, mag = chain.echo_scan_chain(n, g, ts, phis)
         assert fid.shape == mag.shape == (len(phis), len(ts))
         for i, phi in enumerate(phis):
             for j, t in enumerate(ts):
-                fid_lit, mag_lit = chain.echo_chain(n, g, t, phi, bc=bc)
+                fid_lit, mag_lit = chain.echo_chain(n, g, t, phi)
                 assert abs(fid[i, j] - fid_lit) < 1e-12
                 assert abs(mag[i, j] - mag_lit) < 1e-12
 
-    @given(dense_sizes, fields, st.lists(times, min_size=1, max_size=3),
-           st.lists(angles, min_size=1, max_size=3), boundaries)
-    @settings(max_examples=25)
-    def test_matches_echo_chain_dense(self, n, g, ts, phis, bc):
-        self.check_against_literal(n, g, ts, phis, bc)
-
-    # the open N = 12 chain runs the sector's Chebyshev path too
-    @given(chebyshev_sizes, fields, st.lists(times, min_size=1, max_size=2),
-           st.lists(angles, min_size=1, max_size=3), boundaries)
-    @settings(max_examples=6, deadline=None)
-    def test_matches_echo_chain_chebyshev(self, n, g, ts, phis, bc):
-        self.check_against_literal(n, g, ts, phis, bc)
-
-    def test_open_chain_matches_echo_chain(self):
-        self.check_against_literal(6, 1.2, [0.7, 2.9], [0.4, 3.3], bc="open")
-        self.check_against_literal(12, 0.6, [1.9], [2.2], bc="open")
+    @given(ring_sizes, fields, st.lists(times, min_size=1, max_size=3),
+           st.lists(angles, min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_echo_chain_dense(self, n, g, ts, phis):
+        self.check_against_literal(n, g, ts, phis)
 
     def test_nonfinite_inputs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -641,7 +591,7 @@ class TestTranslationInvariance:
         # the readouts that take a bond list: any order and orientation
         rng = np.random.default_rng(15)
         vec = random_register(rng, 6)
-        bonds = chain.default_bonds(6, "periodic")
+        bonds = chain.default_bonds(6)
         turned = [(j, i) for i, j in reversed(bonds)]
         assert np.max(np.abs(chain.register_rotation_x(vec, 0.9, 6, bonds)
                              - chain.register_rotation_x(vec, 0.9, 6, turned))) < 1e-14

@@ -297,7 +297,7 @@ class TestOracleCompare:
                                                  monkeypatch, seed):
         # differences in quarters, each block's below its own drawn cap, so
         # the largest is tied; NaN rows never count
-        def job(spec, bc, ts, phis, echo_ts):
+        def job(spec, ts, phis, echo_ts):
             rng = np.random.default_rng([seed, round(10 * spec.g_f)])
             gaps = [rng.integers(0, rng.integers(1, 5), shape) / 4.0
                     for shape in (ts.shape, *2 * [(phis.size, echo_ts.size)])]
@@ -541,6 +541,19 @@ class TestFormatsAndConfig:
         assert main(["rate-function", "--out", str(tmp_path), "--config",
                      str(tmp_path / "nope.ini")]) == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("n = 8\n", "malformed config file"),
+        ("[quench]\nn\n", "malformed config file"),
+        ("[lattice]\nn = 8\n", "unknown config section [lattice]")],
+        ids=["no-section", "no-value", "unknown-section"])
+    def test_unreadable_config_is_refused(self, tmp_path, capsys, text,
+                                          message):
+        out = tmp_path / "out"
+        assert main(["rate-function", "--out", str(out), "--config",
+                     write_config(tmp_path, text)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 # a valid string for each flag's key; the equivalence test also draws
 # near misses and arbitrary text for every key but outputs.out, which it
@@ -744,10 +757,10 @@ class TestFieldPool:
         (["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6",
           "--format", "json"], "", 4),
         (["rate-function", "--n", "10000"], "", 3),
-        # the open N = 14 sector (4160 states) runs Chebyshev on the register
-        (["oracle-compare", "--tolerance", "1"],
-         "[oracle]\nn_oracle = 14\nbc = open\n", 3)],
-        ids=["rate-large-n", "rate-n10000", "oracle-n14-open"])
+        # 41 fields of the ring N = 16 sector: 41 x 1162 states x 180 samples
+        (["oracle-compare", "--gf", ",".join(["1.2"] * 41)],
+         "[oracle]\nn_oracle = 16\n", 41)],
+        ids=["rate-large-n", "rate-n10000", "oracle-n16-41-fields"])
     def test_large_work_is_pooled(self, tmp_path, monkeypatch, argv, config,
                                   fields):
         # more CPUs than fields: one worker per field
@@ -865,25 +878,26 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_does_not_load_scipy_sparse():
-    # chain computes its Bessel weights itself and builds the sparse
-    # Hamiltonian on demand; importing scipy up front would add its import
-    # time to every CLI run
+    # the package runs on numpy alone
     for module in ("tfim_dqpt", "tfim_dqpt.cli"):
         assert run_python(f"import sys, {module}; print({LOADED_SCIPY})") \
             == "[]", module
 
 
 def test_commands_load_no_scipy(tmp_path):
-    # only the open-chain register oracle beyond DENSE_LIMIT needs scipy.sparse
-    commands = ["rate-function", "heatmap", "otoc", "spectra",
-                "pulse-schedule", "oracle-compare"]
+    # every command at its defaults, and the oracle on the largest ring
+    # sector (1162 states), runs on numpy alone
+    config = write_config(tmp_path, "[oracle]\nn_oracle = 16\n"
+                                    "[quench]\nt_max = 1.0\n")
+    runs = [[command] for command in cli.COMMANDS]
+    runs.append(["oracle-compare", "--gf", "1.2", "--config", config])
     code = (f"import sys; from tfim_dqpt.cli import main\n"
-            f"for i, command in enumerate({commands!r}):\n"
-            f"    code = main([command, '--out', "
+            f"for i, argv in enumerate({runs!r}):\n"
+            f"    code = main([*argv, '--out', "
             f"{str(tmp_path)!r} + '/' + str(i)])\n"
-            f"    print(command, code, {LOADED_SCIPY})\n")
+            f"    print(argv[0], code, {LOADED_SCIPY})\n")
     lines = run_python(code).splitlines()
-    assert lines == [f"{command} 0 []" for command in commands]
+    assert lines == [f"{argv[0]} 0 []" for argv in runs]
 
 
 def test_only_a_pooled_run_loads_multiprocessing(tmp_path):
@@ -900,28 +914,6 @@ def test_only_a_pooled_run_loads_multiprocessing(tmp_path):
     lines = run_python(code).splitlines()
     assert lines == [*(f"{command} 0 False" for command in cli.COMMANDS),
                      "rate-function 0 True"]
-
-
-@pytest.mark.parametrize("n_oracle, bc", [(12, "periodic"), (14, "periodic"),
-                                         (11, "open"), (12, "open")])
-def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
-    # every periodic sector and the open one up to N = 11 (528 states) take
-    # the dense eigensystem; the open chain from N = 12 (1056 states) runs
-    # Chebyshev on a sparse matrix (its rows are the documented mismatch,
-    # so the tolerance is loose)
-    config = write_config(tmp_path, f"[oracle]\nn_oracle = {n_oracle}\n"
-                                    f"bc = {bc}\n[quench]\nt_max = 1.0\n")
-    code = ("import sys; from tfim_dqpt.cli import main\n"
-            f"code = main(['oracle-compare', '--gf', '1.2', '--tolerance', '1', "
-            f"'--config', {config!r}, '--out', "
-            f"{str(tmp_path / 'out')!r}])\n"
-            f"print(code, {LOADED_SCIPY})\n")
-    code, loaded = run_python(code).split(" ", 1)
-    assert code == "0"
-    if bc == "open" and n_oracle >= 12:
-        assert "'scipy.sparse'" in loaded
-    else:
-        assert loaded == "[]"
 
 
 def reference_fmt(value) -> str:
@@ -1369,6 +1361,23 @@ class TestResourceAndRangeGuards:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: quench.n: ")
         assert "oracle.n_oracle" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ("[oracle]\nbc = open\n", "oracle.bc: must be 'periodic'"),
+        ("[oracle]\nn_oracle = 17\n", "oracle.n_oracle must be an integer in "
+                                        "[2, 16], got 17")],
+        ids=["open-chain", "ring-17"])
+    def test_oracle_past_the_ring_sector_is_refused(self, tmp_path, capsys,
+                                                    monkeypatch, config, key):
+        # open chains are not modelled, and the ring N = 17 sector (2056
+        # states) is past the dense limit: exit 2 before any field runs
+        monkeypatch.setattr(cli, "_fan_out", lambda *args, **kwargs:
+                            pytest.fail("_fan_out ran on a refused config"))
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--out", str(out), "--config",
+                     write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {key}")
         assert not out.exists()
 
     def test_oracle_initial_field_is_refused_before_any_field_runs(

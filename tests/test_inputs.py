@@ -245,7 +245,7 @@ GRIDS = {
         lambda n: tq.EchoConfig(SPEC, [0.0], n_phi=n).phi_values,
 }
 # arguments that take no number of their own
-NON_NUMERIC = {"spec", "op", "entry", "bc", "bonds", "grid_mode",
+NON_NUMERIC = {"spec", "op", "entry", "bonds", "grid_mode",
                "aggregation", "time_mode", "observable", "convention"}
 
 
@@ -320,3 +320,16 @@ def test_grid_over_the_mode_budget_is_refused(grid):
 def test_zero_state_is_refused(call):
     with pytest.raises(InvalidArgumentError):
         call()
+
+
+@pytest.mark.parametrize("d", [[1.0, 2.0], [0.0, 0.0, 1.0, 5.0], [[1.0, 0.0, 0.0]],
+                               1.0], ids=["2", "4", "1x3", "scalar"])
+@pytest.mark.parametrize("call", [
+    tq.pauli_dot,
+    lambda d: tq.evolution_unitary(d, 1.0),
+    tq.ground_state,
+], ids=["pauli_dot", "evolution_unitary", "ground_state"])
+def test_bloch_vector_of_wrong_shape_is_refused(call, d):
+    # a Bloch vector has shape (3,): no entry is dropped or read past
+    with pytest.raises(InvalidArgumentError, match=r"shape \(3,\)"):
+        call(d)

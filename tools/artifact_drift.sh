@@ -7,10 +7,10 @@
 # working tree's src/ and once from the src/ of commit BASE (extracted with
 # git archive), and compares the sha256 sums of every artifact except
 # manifest.json, which records the output path.  FLAGs (for example
-# --n 20000, or --config FILE with --tolerance 1 for an oracle whose rows
-# are a documented mismatch) are passed to every subcommand, except that
-# oracle-compare, which refuses quench.n, is skipped in both trees when the
-# FLAGs set it (for example --n 2000, or an INI file's [quench] n).  For each
+# --n 20000, or --config FILE for a larger ring oracle) are passed to
+# every subcommand, except that oracle-compare, which refuses quench.n, is
+# skipped in both trees when the FLAGs set it (for example --n 2000, or an
+# INI file's [quench] n).  For each
 # artifact that differs, tools/artifact_diff.py prints the largest absolute
 # difference over its numeric cells, or "layout changed".  Exits 1 when an
 # artifact differs and tfim_dqpt.__version__ (the manifest's
