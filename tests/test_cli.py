@@ -900,6 +900,20 @@ def test_commands_load_no_scipy(tmp_path):
     assert lines == [f"{argv[0]} 0 []" for argv in runs]
 
 
+@pytest.mark.parametrize("n_oracle, bc", [(12, "periodic"), (14, "periodic")])
+def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
+    # open chains are refused, so no oracle loads scipy: each ring sector,
+    # with oracle.bc spelled out, runs on numpy alone at the default tolerance
+    config = write_config(tmp_path, f"[oracle]\nn_oracle = {n_oracle}\n"
+                                    f"bc = {bc}\n[quench]\nt_max = 1.0\n")
+    code = ("import sys; from tfim_dqpt.cli import main\n"
+            f"code = main(['oracle-compare', '--gf', '1.2', "
+            f"'--config', {config!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            f"print(code, {LOADED_SCIPY})\n")
+    assert run_python(code) == "0 []"
+
+
 def test_only_a_pooled_run_loads_multiprocessing(tmp_path):
     # no command pools at its defaults, so none imports multiprocessing (and
     # socket, selectors, signal and array with it); rate-large-n pools
