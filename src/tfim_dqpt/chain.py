@@ -220,8 +220,10 @@ def even_cat_state(n: int) -> np.ndarray:
 
 def _evolve_block(op: ChainOperator, block: np.ndarray, ts) -> np.ndarray:
     """exp(-iHt) block for every t in ts, shape (dim, b, n_t): the one
-    evolution engine of this module, through the cached eigenbasis."""
+    evolution engine of this module, through the cached eigenbasis.  A
+    phase E t past the float range raises InvalidArgumentError."""
     energies, vectors = op.eigensystem()
+    su2._require_phase(energies, ts)
     phases = np.exp(-1.0j * np.outer(energies, np.asarray(ts, dtype=float)))
     amps = (vectors.conj().T @ block)[:, :, None] * phases[:, None, :]
     return np.tensordot(vectors, amps, axes=1)
@@ -290,12 +292,12 @@ def bond_correlator(state: np.ndarray, n: int, bonds) -> float:
                                  for flips in _bond_flips(n, bonds)))
 
 
-def _require_quench_fields(g_i: float) -> None:
-    su2._require_finite("g_i", g_i)
+def _require_quench_fields(g_i: float, name: str = "g_i") -> None:
+    su2._require_finite(name, g_i)
     if g_i != 0.0:
         raise ConfigurationError(
-            "g_i must be 0 for the oracle (closed-form |+>^N initial state); "
-            "general g_i would need a many-body ground-state solve")
+            f"{name} must be 0 for the oracle (closed-form |+>^N initial "
+            "state); general g_i would need a many-body ground-state solve")
 
 
 @lru_cache(maxsize=ORACLE_CACHE)
@@ -310,12 +312,13 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t) -> np.ndarray | float:
     psi_e is the even-parity cat state and J = ORACLE_COUPLING, so this
     equals the momentum-module rate_function on the abc grid (see the
     module docstring for the factor 2/N).  Scalar or array t; non-finite
-    times raise InvalidArgumentError.
+    times, and phases E t past the float range, raise InvalidArgumentError.
     """
     _require_quench_fields(g_i)
     ts = np.atleast_1d(su2._require_finite("t", t))
     op = _oracle_operator(n, float(g_f))
     energies, vectors = op.eigensystem()
+    su2._require_phase(energies, ts)
     # the cat state e_0 is the first orbit state
     amps = np.exp(-1.0j * np.outer(ts, energies)) @ np.abs(vectors[0]) ** 2
     probs = np.abs(amps) ** 2

@@ -10,9 +10,10 @@ oracle-compare  compare.csv; exit 1 when any difference beats the tolerance
 pulse-schedule  schedule.csv + replay_check.json
 
 Configuration is DEFAULTS, then the INI file (``--config``), then flags.
-Each flag in ``FLAGS`` sets one INI key and is collected as a plain string;
-``_coerce`` parses it and ``validate_config`` (with the model constructors
-it calls) checks it, exactly as for the same string in the INI file.
+``KEYS`` holds each key once: its default, its rule, its flag (if any) and
+its help, which ``--help`` shows with the rule's text.  A flag's value is
+collected as a plain string; ``_coerce`` parses it and ``validate_config``
+checks it by the key's rule, exactly as for the same string in the INI file.
 
 Every run writes ``manifest.json`` holding the fully resolved configuration
 (defaults included), the artifact version, and a sha256 checksum per output
@@ -61,6 +62,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -76,73 +78,71 @@ from .errors import (
     UndefinedExpressionError,
 )
 
-__all__ = ["main", "build_parser", "resolve_config", "DEFAULTS"]
+__all__ = ["main", "build_parser", "resolve_config", "DEFAULTS", "KEYS"]
 
-DEFAULTS = {
-    "quench": {
-        "g_i": 0.0,
-        "g_f": [0.5, 0.8, 1.2],
-        "n": 30,
-        "grid": "paper",
-        "t_max": 5.0,
-        "t_points": 500,
-        "tau_points": 201,
-    },
-    "echo": {
-        "n_phi": 64,
-        "aggregation": "mean",
-        "m_max": 3,
-        # unused since 0.16.0; kept so INI files that set them still run
-        "dw_tau_points": 161,
-        "dw_window": 0.4,
-    },
-    "sweep": {
-        "tolerance": 1e-6,
-        "dw_threshold": otoc.DW_THRESHOLD,
-        "pulse_constant": 1.0,
-        "n_t": 100,
-    },
-    "oracle": {
-        "n_oracle": 8,
-        "bc": "periodic",
-    },
-    "outputs": {
-        "out": "out",
-        "format": "csv",
-    },
-}
+_POSITIVE = (lambda value: math.isfinite(value) and value > 0, "a finite float > 0")
 
-# flag -> (section, key, help).  argparse only collects each value as a
-# string; _coerce parses it and validate_config checks it, as for an INI value
-FLAGS = {
-    "--out": ("outputs", "out", "output directory"),
-    "--format": ("outputs", "format", "tabular artifact format: csv or json"),
-    "--gf": ("quench", "g_f", "comma-separated final fields"),
-    "--gi": ("quench", "g_i", "initial field"),
-    "--n": ("quench", "n", "momentum grid size, an integer >= 2; oracle-compare "
-            "refuses it and sizes its chain by oracle.n_oracle"),
-    "--grid": ("quench", "grid", "momentum grid convention: paper or abc"),
-    "--aggregation": ("echo", "aggregation", "fidelity over modes: mean or product"),
-    "--nphi": ("echo", "n_phi", "rotation angles, an integer >= max(3, 2 m_max + 1)"),
-    "--tolerance": ("sweep", "tolerance", "oracle comparison tolerance, > 0"),
-    "--dw-threshold": ("sweep", "dw_threshold", "double-well threshold, finite, > 0"),
-    "--pulse-constant": ("sweep", "pulse_constant", "Rabi constant C, finite, > 0"),
-    "--nt": ("sweep", "n_t", "pulse durations per mode, an integer >= 2"),
-}
+# One row per key: (section, key, default, rule, flag or None, help).  A rule
+# is an integer range (least, most or None), a tuple of the allowed words, or
+# a test of the value and its text.  _coerce parses a value as its default's
+# type (the final fields as comma-separated floats), validate_config applies
+# the rule, and argparse only collects each flag's value as a string.
+KEYS = (
+    ("quench", "g_i", 0.0, (math.isfinite, "a finite float"), "--gi", "initial field"),
+    ("quench", "g_f", [0.5, 0.8, 1.2], (lambda fields: bool(fields) and all(
+        map(math.isfinite, fields)), "comma-separated finite floats, at least one"),
+     "--gf", "final fields"),
+    ("quench", "n", 30, (2, None), "--n",
+     "momentum grid size; oracle-compare refuses it"),
+    ("quench", "grid", "paper", quench.GRID_MODES, "--grid",
+     "momentum grid convention"),
+    ("quench", "t_max", 5.0, _POSITIVE, None, "last time of the t grid"),
+    ("quench", "t_points", 500, (2, None), None, "times in the t grid"),
+    ("quench", "tau_points", 201, (2, None), None, "heatmap times t/t0 in [0, 2]"),
+    ("echo", "n_phi", 64, (3, None), "--nphi",
+     "rotation angles, at least 2 echo.m_max + 1"),
+    ("echo", "aggregation", "mean", otoc.AGGREGATIONS, "--aggregation",
+     "fidelity over modes"),
+    ("echo", "m_max", 3, (0, None), None, "largest coherence order written"),
+    ("echo", "dw_tau_points", 161, (3, None), None, "unused since 0.16.0"),
+    ("echo", "dw_window", 0.4, (lambda value: 0 < value <= 0.5,
+                                "a float in (0, 0.5]"), None, "unused since 0.16.0"),
+    ("sweep", "tolerance", 1e-6, (lambda value: value > 0, "a float > 0"),
+     "--tolerance", "oracle comparison tolerance"),
+    ("sweep", "dw_threshold", otoc.DW_THRESHOLD, _POSITIVE, "--dw-threshold",
+     "double-well threshold eps_dw"),
+    ("sweep", "pulse_constant", 1.0, _POSITIVE, "--pulse-constant", "Rabi constant C"),
+    ("sweep", "n_t", 100, (2, None), "--nt", "pulse durations per mode"),
+    ("oracle", "n_oracle", 8, (2, chain.MAX_RING), None, "ring size of oracle-compare"),
+    ("oracle", "bc", "periodic", ("periodic",), None,
+     "boundary condition; only the ring is modelled"),
+    ("outputs", "out", "out", (lambda path: True, "a path"), "--out",
+     "output directory, made at the first artifact"),
+    ("outputs", "format", "csv", ("csv", "json"), "--format",
+     "tabular artifact format"),
+)
+DEFAULTS = {section: {key: default for where, key, default, *_ in KEYS
+                      if where == section}
+            for section in dict.fromkeys(row[0] for row in KEYS)}
+
+
+def _allowed(rule) -> str:
+    """The text of what a KEYS rule admits."""
+    if isinstance(rule[0], int):
+        return su2._int_range(*rule)
+    if isinstance(rule[0], str):
+        return " or ".join(map(repr, rule))
+    return rule[1]
 
 
 def _coerce(section: str, key: str, raw: str):
-    """A flag's or an INI value's string as the type of its default; the
-    final fields are comma-separated floats."""
+    """A flag's or an INI value's string as the type of its default (int,
+    float or str); the final fields are comma-separated floats."""
     default = DEFAULTS[section][key]
     try:
         if isinstance(default, list):
             return [float(part) for part in raw.split(",") if part.strip()]
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigurationError(
             f"{section}.{key}: cannot parse {raw!r}") from exc
@@ -181,8 +181,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     ini = load_config_file(args.config) if args.config else {}
     for section, values in ini.items():
         resolved[section].update(values)
-    for section, key, _ in FLAGS.values():
-        raw = getattr(args, f"{section}.{key}")
+    for section, key, *_, flag, _ in KEYS:
+        raw = getattr(args, f"{section}.{key}") if flag else None
         if raw is not None:
             resolved[section][key] = _coerce(section, key, raw)
     _require(args.command != "oracle-compare" or "n" not in ini.get("quench", {})
@@ -198,48 +198,28 @@ def _require(condition: bool, field: str, message: str) -> None:
 
 
 def validate_config(resolved: dict, command: str | None) -> None:
-    """Every key of ``resolved``, and the time grids ``command`` builds."""
+    """Every key of ``resolved`` by its KEYS rule, the keys that bound one
+    another, and the time grids and per-field jobs ``command`` plans."""
+    for section, key, _, rule, *_ in KEYS:
+        name, value = f"{section}.{key}", resolved[section][key]
+        if isinstance(rule[0], int):
+            su2._require_int(name, value, *rule)
+        else:
+            _require(value in rule if isinstance(rule[0], str) else rule[0](value),
+                     name, f"must be {_allowed(rule)}, got {value!r}")
     q, e = resolved["quench"], resolved["echo"]
-    s, o = resolved["sweep"], resolved["oracle"]
-    out = resolved["outputs"]
-    _require(len(q["g_f"]) > 0, "quench.g_f", "must be a nonempty list")
-    _require(q["grid"] in quench.GRID_MODES, "quench.grid",
-             f"must be one of {quench.GRID_MODES}, got {q['grid']!r}")
-    # the model's own checks; each message starts with the field it names
-    section = "quench"
-    try:
-        for g_f in q["g_f"]:
-            spec = quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"])
-        if command == "oracle-compare":
-            chain._require_quench_fields(q["g_i"])
-        section = "echo"
-        otoc.EchoConfig(spec, [0.0], n_phi=e["n_phi"],
-                        aggregation=e["aggregation"])
-        otoc.require_resolvable(e["n_phi"], e["m_max"])
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{section}.{exc}") from exc
-    _require(np.isfinite(q["t_max"]) and q["t_max"] > 0, "quench.t_max",
-             "must be finite and positive")
-    for section, key, least in (("quench", "t_points", 2), ("sweep", "n_t", 2),
-                                ("quench", "tau_points", 2),
-                                ("echo", "dw_tau_points", 3)):
-        su2._require_int(f"{section}.{key}", resolved[section][key], least)
+    _require(e["n_phi"] >= 2 * e["m_max"] + 1, "echo.n_phi",
+             f"{e['n_phi']} angles cannot resolve echo.m_max = {e['m_max']}; "
+             f"need at least {2 * e['m_max'] + 1}")
+    if command == "oracle-compare":
+        chain._require_quench_fields(q["g_i"], "quench.g_i")
     # the t grid and its rate columns, for the commands that build them,
     # before any grid, pool or library guard
     t_points = q["t_points"] if command in ("rate-function", "otoc", "spectra") else 0
     quench._require_budget(8 * t_points * (1 + 4 * len(q["g_f"])),
                            f"time grids of {t_points} points")
-    _require(0 < e["dw_window"] <= 0.5, "echo.dw_window", "must be in (0, 0.5]")
-    _require(s["tolerance"] > 0, "sweep.tolerance", "must be positive")
-    for key in ("dw_threshold", "pulse_constant"):
-        _require(np.isfinite(s[key]) and s[key] > 0, f"sweep.{key}",
-                 "must be finite and positive")
-    su2._require_int("oracle.n_oracle", o["n_oracle"], 2, chain.MAX_RING)
-    _require(o["bc"] == "periodic", "oracle.bc",
-             f"must be 'periodic', the only chain modelled; got {o['bc']!r}")
-    _require(out["format"] in ("csv", "json"), "outputs.format",
-             "must be 'csv' or 'json'")
     # each fanned-out job's own check, so a refused size starts no pool
+    spec = quench.QuenchSpec(q["g_i"], q["g_f"][0], q["n"], q["grid"])
     if command == "rate-function":
         quench._require_rate_budget(spec, t_points)
     elif command in ("otoc", "spectra"):
@@ -652,9 +632,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS, metavar="command",
                         help="one of the commands below")
     parser.add_argument("--config", help="INI config file")
-    for flag, (section, key, text) in FLAGS.items():
-        parser.add_argument(flag, dest=f"{section}.{key}",
-                            metavar=f"{section}.{key}", help=text)
+    for section, key, _, rule, flag, text in KEYS:
+        if flag:
+            parser.add_argument(flag, dest=f"{section}.{key}",
+                                metavar=f"{section}.{key}",
+                                help=f"{text} ({_allowed(rule)})")
     return parser
 
 

@@ -217,11 +217,14 @@ def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
     phase is |d_f| t, or pi tau for normalized times tau = t/t0.  Slabs are
     C-contiguous, a row of all modes per time; those of equal width share
     one buffer, and the last ends at the grid's end, overlapping the one before.
+    A time whose largest phase is past the float range raises
+    InvalidArgumentError, as a non-finite time does.
     """
     su2._require_finite("t", grid)
     ks = spec._momenta(np.arange(spec.n_distinct))
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f, ks)
     rate = np.full_like(n_f, np.pi) if normalized else n_f
+    su2._require_phase(rate, grid)
     c2 = overlap * overlap
     s2, width = 1.0 - c2, min(max(BLOCK, SLAB_CELLS // rate.size), grid.size)
     slab = np.empty((width, rate.size))
@@ -258,12 +261,14 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
     """Per-mode Loschmidt amplitude G_k(t); scalar or array in t.
 
     Gapless final modes (|d_f| = 0) do not evolve, so G_k = 1 there.
-    Non-finite k or times raise InvalidArgumentError.
+    Non-finite k or times, or a phase |d_f| t past the float range, raise
+    InvalidArgumentError.
     """
     t = su2._require_finite("t", t)
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f,
                                   np.array([float(su2._require_finite("k", k))]))
     n_f, overlap = float(n_f[0]), float(overlap[0])
+    su2._require_phase(n_f, t)
     g = np.cos(n_f * t) + 1.0j * overlap * np.sin(n_f * t)
     return g if t.ndim else complex(g)
 

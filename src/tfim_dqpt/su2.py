@@ -62,14 +62,29 @@ def _is_integral(value) -> bool:
     return isinstance(value, (int, np.integer)) or float(value).is_integer()
 
 
+def _int_range(least, most=None) -> str:
+    """The text of the integers in [least, most], no upper end if most is None."""
+    span = f">= {least}" if most is None else f"in [{least}, {most}]"
+    return f"an integer {span}"
+
+
 def _require_int(name, value, least, most=None, error=ConfigurationError) -> int:
     """``value`` as an int if it is integral and in [least, most] (no upper
     end if most is None); otherwise ``error`` naming ``name`` and the range."""
-    span = f">= {least}" if most is None else f"in [{least}, {most}]"
     if not (least <= value and (most is None or value <= most)
             and _is_integral(value)):
-        raise error(f"{name} must be an integer {span}, got {value}")
+        raise error(f"{name} must be {_int_range(least, most)}, got {value}")
     return int(value)
+
+
+def _require_phase(rates, times) -> None:
+    """InvalidArgumentError naming t unless the largest phase |rate| |t|
+    of finite ``rates`` and ``times`` is a finite float."""
+    # Python floats overflow to inf without numpy's RuntimeWarning
+    t = float(np.abs(times).max(initial=0.0))
+    if not np.isfinite(float(np.abs(rates).max(initial=0.0)) * t):
+        raise InvalidArgumentError(
+            f"t must keep every phase finite, got |t| up to {t}")
 
 
 def _require_bloch(d) -> np.ndarray:
@@ -89,11 +104,13 @@ def pauli_dot(d) -> np.ndarray:
 def evolution_unitary(d, t: float) -> np.ndarray:
     """Propagator exp(-i (d . sigma) t) in closed form.
 
-    For |d| = 0 the limit is the identity, returned exactly.
+    For |d| = 0 the limit is the identity, returned exactly.  A phase
+    |d| t past the float range raises InvalidArgumentError.
     """
     d = _require_bloch(d)
     t = float(_require_finite("t", t))
     mag = float(np.sqrt(d @ d))
+    _require_phase(mag, t)
     if mag == 0.0:
         return IDENTITY_2.copy()
     phase = mag * t

@@ -562,6 +562,18 @@ def test_non_finite_time_or_angle_is_refused(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("huge", [1e308, -1e308])
+@pytest.mark.parametrize("label", ["evolve_chain", "echo_chain-t",
+                                   "echo_scan_chain-t", "mqc_spectrum_ed",
+                                   "rate_function_ed"])
+def test_time_past_the_phase_range_is_refused(label, huge):
+    # a finite time whose phases E t overflow would give NaN readouts
+    with pytest.raises(InvalidArgumentError, match="t must keep every phase finite"):
+        NON_FINITE_CALLS[label](huge)
+    inside = NON_FINITE_CALLS[label](huge * 1e-8)
+    assert np.all(np.isfinite(getattr(inside, "components", inside)))
+
+
 # every field that enters a model, the mode model's included
 NON_FINITE_FIELDS = {
     "QuenchSpec-g_i": lambda x: quench.QuenchSpec(x, 1.2, 8),

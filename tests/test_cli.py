@@ -555,6 +555,8 @@ class TestFormatsAndConfig:
         assert not out.exists()
 
 
+# flag -> (section, key), from the rows of cli.KEYS that have a flag
+FLAGS = {flag: (section, key) for section, key, *_, flag, _ in cli.KEYS if flag}
 # a valid string for each flag's key; the equivalence test also draws
 # near misses and arbitrary text for every key but outputs.out, which it
 # keeps inside a temporary directory
@@ -588,6 +590,34 @@ def flag_and_raw(flag: str):
     return st.tuples(st.just(flag), values)
 
 
+def key_and_raw(row):
+    """A KEYS row's name and a near miss or arbitrary text for it; for
+    outputs.out one that stays inside the directory it is joined to."""
+    values = st.one_of(NEAR_MISSES, ANY_TEXT)
+    if row[:2] == ("outputs", "out"):
+        values = values.filter(lambda raw: "/" not in raw
+                               and raw not in (".", ".."))
+    return st.tuples(st.just(f"{row[0]}.{row[1]}"), values)
+
+
+def assert_names_key(lines: list[str], name: str) -> None:
+    """Each refusal line but a mode-budget one names ``name`` first; the one
+    cross-key rule, n_phi >= 2 m_max + 1, names echo.n_phi first and then
+    echo.m_max."""
+    for line in lines:
+        if "mode budget" in line:
+            continue
+        first = re.match(r"configuration error: ([\w.]+)[: ]", line)
+        assert first, line
+        assert first[1] == name or (first[1], name) == (
+            "echo.n_phi", "echo.m_max") and name in line, line
+
+
+def manifest_only(resolved):
+    """A command that only writes its manifest: the resolved config."""
+    cli._write_manifest(resolved["outputs"]["out"], "otoc", resolved, [])
+
+
 class TestFlags:
     def test_each_flag_is_listed_once_with_its_key(self):
         for command in cli.COMMANDS:
@@ -595,12 +625,12 @@ class TestFlags:
                     pytest.raises(SystemExit):
                 main([command, "--help"])
             lines = text.getvalue().splitlines()
-            for flag, (section, key, _) in cli.FLAGS.items():
+            for flag, (section, key) in FLAGS.items():
                 listed = [line for line in lines
                           if line.split()[:2] == [flag, f"{section}.{key}"]]
                 assert len(listed) == 1, (command, flag)
-        keys = [(section, key) for section, key, _ in cli.FLAGS.values()]
-        assert len(set(keys)) == len(keys)
+        keys = list(FLAGS.values())
+        assert len(set(keys)) == len(keys) == len(FLAGS)
         assert all(key in cli.DEFAULTS[section] for section, key in keys)
 
     def test_help_names_every_command(self):
@@ -621,20 +651,17 @@ class TestFlags:
         for name in ("rate_function.csv", "critical_times.json"):
             assert (before / name).read_bytes() == (after / name).read_bytes()
 
-    @given(st.sampled_from(sorted(cli.FLAGS)).flatmap(flag_and_raw))
+    @given(st.sampled_from(sorted(FLAGS)).flatmap(flag_and_raw))
     @example(("--grid", "foo"))
     @example(("--n", "3.0"))
     @example(("--gf", "-0.5,1.2"))
     @example(("--dw-threshold", "inf"))
+    @example(("--n", "10" * 40))        # a mode-budget refusal
     def test_flag_and_ini_key_are_one_rule(self, drawn):
         # the same string as a flag and as an INI value: the same exit code,
         # stderr and resolved config; the command only writes its manifest
         flag, raw = drawn
-        section, key, _ = cli.FLAGS[flag]
-
-        def manifest_only(resolved):
-            cli._write_manifest(resolved["outputs"]["out"], "otoc", resolved, [])
-
+        section, key = FLAGS[flag]
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.dict(cli.COMMANDS, {"otoc": (manifest_only, "")}):
             out, out_flag = os.path.join(tmp, "out"), []
@@ -659,8 +686,8 @@ class TestFlags:
         code, lines, config = runs[0]
         assert code in (0, 2) and (code == 0) == (config is not None)
         if code == 2:
-            assert lines == [line for line in lines
-                             if line.startswith(f"configuration error: {section}.")]
+            assert lines
+            assert_names_key(lines, f"{section}.{key}")
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_flags_and_ini_write_the_same_files(self, tmp_path, command):
@@ -672,7 +699,7 @@ class TestFlags:
             del flags["--n"]
         sections = {}
         for flag, raw in flags.items():
-            section, key, _ = cli.FLAGS[flag]
+            section, key = FLAGS[flag]
             sections.setdefault(section, []).append(f"{key} = {raw}\n")
         cfg = write_config(tmp_path, "".join(
             f"[{section}]\n" + "".join(lines)
@@ -685,6 +712,59 @@ class TestFlags:
                           for path in out.iterdir()})
             shutil.rmtree(out)
         assert files[0] == files[1] and "manifest.json" in files[0]
+
+
+class TestKeys:
+    @given(st.sampled_from(sorted(cli.COMMANDS)),
+           st.sampled_from(cli.KEYS).flatmap(key_and_raw))
+    @example("otoc", ("echo.m_max", "-1"))
+    @example("otoc", ("echo.m_max", "40"))
+    @example("otoc", ("echo.n_phi", "5"))
+    @example("rate-function", ("quench.g_f", "-inf"))
+    @example("oracle-compare", ("quench.g_i", "0.5"))
+    @example("oracle-compare", ("quench.n", "30"))
+    @example("heatmap", ("oracle.bc", "open"))
+    def test_every_refusal_names_its_key(self, command, drawn):
+        # one key set in the INI file, every other at its default: a refusal
+        # names that key first, whichever key it is and whatever command
+        name, raw = drawn
+        section, key = name.split(".")
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(cli.COMMANDS, {command: (manifest_only, "")}):
+            out = os.path.join(tmp, "out")
+            out_flag = ["--out", out]
+            if name == "outputs.out":
+                raw = out = os.path.join(out, raw)
+                out_flag = []
+            ini = Path(tmp) / "key.ini"
+            ini.write_text(f"[{section}]\n{key} = {raw}\n", encoding="utf-8")
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([command, "--config", str(ini), *out_flag])
+            assert code in (0, 2)
+            assert (code == 0) == os.path.exists(os.path.join(out, "manifest.json"))
+        lines = [line for line in err.getvalue().splitlines()
+                 if not line.startswith("completed in")]
+        assert bool(lines) == (code == 2)
+        assert_names_key(lines, name)
+
+    def test_readme_table_is_the_table(self):
+        # README's key table holds each KEYS row: its flag, its default as
+        # INI text, the rule's text and the help, row for row
+        def ini_text(default):
+            if isinstance(default, list):
+                return ",".join(map(str, default))
+            return str(default)
+
+        expected = ["| INI key | flag | default | allowed values | meaning |",
+                    "| --- | --- | --- | --- | --- |"]
+        expected += [f"| `{section}.{key}` | {f'`{flag}`' if flag else 'INI only'} "
+                     f"| `{ini_text(default)}` | {cli._allowed(rule)} | {text} |"
+                     for section, key, default, rule, flag, text in cli.KEYS]
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8").splitlines()
+        start = lines.index(expected[0])
+        assert lines[start:start + len(expected)] == expected
+        assert not lines[start + len(expected)].startswith("|")
 
 
 class TestDeterminism:
@@ -831,6 +911,14 @@ class TestFieldPool:
         monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
         assert main(["rate-function", "--n", "12",
                      "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("count, usable", [(8, 8), (None, 1)])
+    def test_cpu_count_where_there_is_no_affinity_set(self, monkeypatch,
+                                                      count, usable):
+        # os.cpu_count() may return None: then one CPU
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._usable_cpus() == usable
 
     def test_worker_count_is_not_an_option(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1272,6 +1360,18 @@ class TestResourceAndRangeGuards:
         assert "quench.t_max" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["rate-function", "otoc",
+                                         "oracle-compare"])
+    def test_time_past_the_phase_range_is_refused(self, tmp_path, capsys,
+                                                  command):
+        # t_max = 1e308 is a finite float, but the phases |d_f| t are not:
+        # refused where they are formed, before any NaN row is written
+        cfg = write_config(tmp_path, "[quench]\nt_max = 1e308\n")
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--config", cfg]) == 2
+        assert "t must keep every phase finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, config, field", [
         (["--gi", "nan"], "", "quench.g_i"),
         (["--n", "1"], "", "quench.n"),
@@ -1280,6 +1380,8 @@ class TestResourceAndRangeGuards:
         ([], "[quench]\ngrid = foo\n", "quench.grid"),
         (["--dw-threshold", "inf"], "", "sweep.dw_threshold"),
         ([], "[sweep]\ndw_threshold = inf\n", "sweep.dw_threshold"),
+        (["--gf=0.5,-inf"], "", "quench.g_f"),
+        ([], "[echo]\nm_max = -1\n", "echo.m_max"),
     ])
     def test_invalid_model_value_is_refused(self, tmp_path, capsys, argv,
                                             config, field):

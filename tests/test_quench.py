@@ -208,6 +208,23 @@ class TestRateFunction:
         first_peak = ts[interior[is_max][0]]
         assert abs(first_peak - T_C_12) <= ts[1] - ts[0]
 
+    @pytest.mark.parametrize("call", [
+        lambda t: quench.rate_function(quench.QuenchSpec(0.0, 1.2, 30), t),
+        lambda t: quench.rate_function(quench.QuenchSpec(0.0, 1.2, 30), [0.0, t]),
+        lambda t: quench.mode_probabilities(quench.QuenchSpec(0.0, 1.2, 8), [t])[1],
+        lambda t: otoc.fidelity_otoc(otoc.EchoConfig(
+            quench.QuenchSpec(0.0, 1.2, 8), [t])),
+        lambda t: quench.loschmidt_mode(quench.QuenchSpec(0.0, 1.2, 8), 3.0,
+                                        [0.0, t]),
+    ], ids=["rate-scalar", "rate-grid", "mode-probabilities", "echo",
+            "loschmidt-mode"])
+    def test_time_past_the_phase_range_is_refused(self, call):
+        # 1e308 is finite, but |d_f| t is not: no NaN comes back
+        with pytest.raises(InvalidArgumentError,
+                           match="t must keep every phase finite"):
+            call(1e308)
+        assert np.all(np.isfinite(call(1e300)))
+
     def test_hamiltonian_sign_invariance(self):
         """H -> -H leaves every |G_k| unchanged."""
         spec = quench.QuenchSpec(0.3, 1.4, 10)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tfim_dqpt import su2
+from tfim_dqpt import otoc, su2
 from tfim_dqpt.errors import GaplessModeError, InvalidArgumentError
 
 from conftest import expm_oracle
@@ -23,6 +23,19 @@ class TestEvolutionUnitary:
     def test_full_period_is_minus_identity(self):
         u = su2.evolution_unitary([1.0, 0.0, 0.0], np.pi)
         assert np.allclose(u, -np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: su2.evolution_unitary([2.0, 0.5, 0.0], t),
+        lambda t: otoc.echo_state([2.0, 0.5, 0.0], t, 1.0),
+        lambda t: otoc.otoc_general(np.eye(2), np.eye(2), [2.0, 0.5, 0.0], t,
+                                    [1.0, 0.0]),
+    ], ids=["evolution_unitary", "echo_state", "otoc_general"])
+    def test_time_past_the_phase_range_is_refused(self, call):
+        # 1e308 is finite, but |d| t is not: the literal oracles return no NaN
+        with pytest.raises(InvalidArgumentError,
+                           match="t must keep every phase finite"):
+            call(1e308)
+        assert np.all(np.isfinite(call(1e300)))
 
     def test_quarter_period_y_axis(self):
         # |d| t = 0.66332 * 2.3680 is within 6e-5 of pi/2
