@@ -5,14 +5,16 @@ literal ring Hamiltonian
 
     H(g) = -J [ sum_i sigma^x_i sigma^x_{i+1} + g sum_i sigma^z_i ],
 
-with site N the site 0, on the z basis states.  Every evolution goes
-through ``_evolve_block`` on the operator's dense eigensystem, under one
-rule (``_require_dense``): a dimension below 2^DENSE_LIMIT (2048 states)
-whose eigensystems fit the mode budget is served, and any other is
-refused with ResourceGuardError before anything is built.  So the literal
-2^N register evolves up to N = 10, and the symmetric sector of the sweeps
-reaches rings up to N = 16 (1162 states; N = 17 has 2056).  Open chains
-are not modelled.  The module runs on numpy alone.
+with site N the site 0 and J = ORACLE_COUPLING, on the z basis states.
+An operator builds H as one dense matrix on demand and keeps only its
+eigensystem.  Every evolution goes through ``_evolve_block`` on that
+eigensystem, under one rule (``_require_dense``): a dimension below
+2^DENSE_LIMIT (2048 states) whose eigensystems fit the mode budget is
+served, and any other is refused with ResourceGuardError before anything
+is built.  So the literal 2^N register evolves up to N = 10, and the
+symmetric sector of the sweeps reaches rings up to N = 16 (1162 states;
+N = 17 has 2056).  Open chains are not modelled.  The module runs on
+numpy alone.
 
 ``ChainOperator``, ``evolve_chain``, ``echo_chain``,
 ``register_rotation_x`` and ``bond_correlator`` are the literal paths:
@@ -43,7 +45,7 @@ against them.  The sweeps (``rate_function_ed``, ``echo_scan_chain``,
 Correspondence conventions (the energy/parity bridge to the momentum
 module, all covered by tests):
 
-* J = 1/2 for oracle comparisons (``ORACLE_COUPLING``): the chain
+* J = ORACLE_COUPLING = 1/2, the one coupling modelled: the chain
   quasiparticle energy is then exactly the per-mode |d(k)| of the
   momentum model, whose Bloch Hamiltonian absorbs a factor 2 from the
   fermion +-k pairing.
@@ -114,9 +116,9 @@ def default_bonds(n: int) -> tuple[tuple[int, int], ...]:
 
 def _require_dense(dim: int) -> int:
     """``dim`` if its dense eigensystem is served: below 2^DENSE_LIMIT
-    states, with 2 dim^2 floats (the dense form and its eigenvectors) for
-    each of the ORACLE_CACHE eigensystems the oracle may hold at once
-    within the mode budget; otherwise ResourceGuardError."""
+    states, with 2 dim^2 floats (the eigenvectors kept and the dense form
+    built on demand) for each of the ORACLE_CACHE eigensystems the oracle
+    may hold at once within the mode budget; otherwise ResourceGuardError."""
     if dim >= 2 ** DENSE_LIMIT:
         raise ResourceGuardError(
             f"the dense eigensystem serves fewer than {2 ** DENSE_LIMIT} "
@@ -127,42 +129,33 @@ def _require_dense(dim: int) -> int:
 
 
 class ChainOperator:
-    """H(g) = -J (sum_{default_bonds(n)} xx + g sum_i z) on the 2^N z basis states."""
+    """H(g) = -J (sum_{default_bonds(n)} xx + g sum_i z), J = ORACLE_COUPLING,
+    on the 2^N z basis states.  ``dense()`` builds H at each call; the
+    eigensystem, once asked for, is what the operator keeps."""
 
-    def __init__(self, n: int, g: float, coupling: float = 1.0):
-        n = su2._require_int("n", n, 2, MAX_RING, ResourceGuardError)
-        su2._require_finite("g", g)
-        su2._require_finite("coupling", coupling)
-        self.n = n
-        self.g = float(g)
-        self.coupling = float(coupling)
-        self.bonds = default_bonds(n)
-        self.dim, self._entries = self._build()
+    def __init__(self, n: int, g: float):
+        self.n = su2._require_int("n", n, 2, MAX_RING, ResourceGuardError)
+        self.g = float(su2._require_finite("g", g))
+        self.bonds = default_bonds(self.n)
+        self.dim = _require_dense(self._size())
         self._eig = None
 
-    def _build(self):
-        """The dimension and the (values, (rows, cols)) entries of H."""
-        states = np.arange(_require_dense(2 ** self.n))
-        rows = np.concatenate([states, *_bond_flips(self.n, self.bonds)])
-        cols = np.tile(states, len(self.bonds) + 1)
-        values = np.concatenate([
-            (-self.coupling * self.g) * (self.n - 2.0 * _popcount(states, self.n)),
-            np.full(len(self.bonds) * states.size, -self.coupling)])
-        return states.size, (values, (rows, cols))
+    def _size(self) -> int:
+        """The number of basis states, taken before any matrix is built."""
+        return 2 ** self.n
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        """H @ vec for one state (dim,) or a block of states (dim, b),
-        summed entry by entry."""
-        vec = np.asarray(vec)
-        values, (rows, cols) = self._entries
-        out = np.zeros(vec.shape, dtype=np.result_type(values, vec))
-        np.add.at(out, rows, (values * vec[cols].T).T)
-        return out
+        """H @ vec for one state (dim,) or a block of states (dim, b)."""
+        return self.dense() @ vec
 
     def dense(self) -> np.ndarray:
+        """H summed from zeros: the diagonal, then each bond's bit flips."""
+        states = np.arange(self.dim)
         h = np.zeros((self.dim, self.dim))
-        values, index = self._entries
-        np.add.at(h, index, values)
+        h[states, states] += (-ORACLE_COUPLING * self.g) * (
+            self.n - 2.0 * _popcount(states, self.n))
+        for flips in _bond_flips(self.n, self.bonds):
+            h[flips, states] += -ORACLE_COUPLING
         return h
 
     def eigensystem(self):
@@ -178,7 +171,7 @@ def _orbits(n: int):
 
     (orbit of each x, orbit sizes, lambda per orbit, flips) for the bonds
     ``default_bonds(n)``, orbits by smallest member; flipping spin i of
-    that member of orbit a lands in orbit flips[a * n + i].  Shared, so read-only.
+    that member of orbit a lands in orbit flips[a, i].  Shared, so read-only.
     """
     states = np.arange(2 ** n)
     mask = states[-1]
@@ -190,23 +183,29 @@ def _orbits(n: int):
             canonical = np.minimum(canonical, np.minimum(turned, turned ^ mask))
     reps, orbit, sizes = np.unique(canonical, return_inverse=True, return_counts=True)
     lam = _xx_spectrum(n, default_bonds(n))[reps]
-    flips = orbit[reps[:, None] ^ (1 << np.arange(n))].ravel()
+    flips = orbit[reps[:, None] ^ (1 << np.arange(n))]
     for array in (orbit, sizes, lam, flips):
         array.setflags(write=False)
     return orbit, sizes, lam, flips
 
 
 class _SymmetricSector(ChainOperator):
-    """H(g) on the x-basis orbit states of ``_orbits(n)``, whose ``orbit``,
-    ``sizes`` and ``lam`` it keeps; orbit 0 is that of |0...0>, the cat state."""
+    """H(g) on the x-basis orbit states of ``_orbits(n)``, whose four
+    tables it keeps; orbit 0 is that of |0...0>, the cat state."""
 
-    def _build(self):
-        self.orbit, self.sizes, self.lam, flips = _orbits(self.n)
-        diagonal = np.arange(_require_dense(self.sizes.size))
-        cols = np.repeat(diagonal, self.n)
-        ratio = self.sizes[cols] / self.sizes[flips]
-        values = -self.coupling * np.concatenate([self.lam, self.g * np.sqrt(ratio)])
-        return diagonal.size, (values, (np.r_[diagonal, flips], np.r_[diagonal, cols]))
+    def _size(self) -> int:
+        self.orbit, self.sizes, self.lam, self.flips = _orbits(self.n)
+        return self.sizes.size
+
+    def dense(self) -> np.ndarray:
+        """H summed from zeros: -J lambda, then each spin's flip targets."""
+        orbits = np.arange(self.dim)
+        h = np.zeros((self.dim, self.dim))
+        h[orbits, orbits] += -ORACLE_COUPLING * self.lam
+        for targets in self.flips.T:
+            h[targets, orbits] += -ORACLE_COUPLING * (
+                self.g * np.sqrt(self.sizes / self.sizes[targets]))
+        return h
 
 
 def even_cat_state(n: int) -> np.ndarray:
@@ -302,8 +301,7 @@ def _require_quench_fields(g_i: float, name: str = "g_i") -> None:
 
 @lru_cache(maxsize=ORACLE_CACHE)
 def _oracle_operator(n: int, g: float, sector: bool = True) -> ChainOperator:
-    kind = _SymmetricSector if sector else ChainOperator
-    return kind(n, g, coupling=ORACLE_COUPLING)
+    return (_SymmetricSector if sector else ChainOperator)(n, g)
 
 
 def rate_function_ed(n: int, g_i: float, g_f: float, t) -> np.ndarray | float:
@@ -315,7 +313,7 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t) -> np.ndarray | float:
     times, and phases E t past the float range, raise InvalidArgumentError.
     """
     _require_quench_fields(g_i)
-    ts = np.atleast_1d(su2._require_finite("t", t))
+    ts = np.atleast_1d(su2._require_dims("t", t, 1))
     op = _oracle_operator(n, float(g_f))
     energies, vectors = op.eigensystem()
     su2._require_phase(energies, ts)
@@ -356,8 +354,8 @@ def echo_scan_chain(n: int, g_f: float, ts, phis) -> tuple[np.ndarray, np.ndarra
     magnetization evolves the n_phi rotated states of each t back as one
     block (see the module docstring).
     """
-    ts = np.atleast_1d(su2._require_finite("ts", ts))
-    phis = np.atleast_1d(su2._require_finite("phis", phis))
+    ts = np.atleast_1d(su2._require_dims("ts", ts, 1))
+    phis = np.atleast_1d(su2._require_dims("phis", phis, 1))
     op = _oracle_operator(n, float(g_f))
     # the cat state e_0 is the first column of the identity
     forward = _evolve_block(op, np.eye(op.dim, 1), ts)[:, 0, :]

@@ -116,7 +116,7 @@ KEYS = (
     ("oracle", "n_oracle", 8, (2, chain.MAX_RING), None, "ring size of oracle-compare"),
     ("oracle", "bc", "periodic", ("periodic",), None,
      "boundary condition; only the ring is modelled"),
-    ("outputs", "out", "out", (lambda path: True, "a path"), "--out",
+    ("outputs", "out", "out", (lambda path: path != "", "a nonempty path"), "--out",
      "output directory, made at the first artifact"),
     ("outputs", "format", "csv", ("csv", "json"), "--format",
      "tabular artifact format"),

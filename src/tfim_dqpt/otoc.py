@@ -97,7 +97,7 @@ class EchoConfig:
             raise ConfigurationError(
                 f"time_mode must be one of {TIME_MODES}, got {self.time_mode!r}")
         n_phi = su2._require_int("n_phi", self.n_phi, 3)
-        grid = np.atleast_1d(su2._require_finite("time_grid", self.time_grid))
+        grid = np.atleast_1d(su2._require_dims("time_grid", self.time_grid, 1))
         if grid.size == 0:
             raise ConfigurationError("time_grid must be nonempty")
         object.__setattr__(self, "time_grid", grid)
@@ -281,7 +281,7 @@ def mqc_components(scan, m_max: int) -> np.ndarray:
     order m.  N_phi >= 2 m_max + 1 is required; orders past N_phi/2 (the
     ``product`` fidelity has them) fold onto these.
     """
-    scan = su2._require_finite("scan", scan)
+    scan = su2._require_dims("scan", scan, 2, 1)
     n_phi = scan.shape[0]
     require_resolvable(n_phi, m_max)
     phis = _phi_grid(n_phi)

@@ -275,7 +275,7 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 
 def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """(k grid, |G_k(t)|^2 matrix of shape (n_k, n_t)) for the spec's grid."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ts = np.atleast_1d(su2._require_dims("t", t, 1))
     # the distinct matrix and its slabs, then its copy onto the grid
     _require_budget(_working_set(spec.n_distinct, ts.size, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {ts.size} times")
@@ -297,7 +297,7 @@ def rate_function(spec: QuenchSpec, t):
     weighted logs, one slab row, are summed pairwise.  Slab by slab, so no
     (modes, n_t) array is held.  Scalar or array t.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = su2._require_dims("t", t, 1)
     _require_rate_budget(spec, ts.size)
     weights = spec._multiplicity()
     f = np.empty(ts.size)

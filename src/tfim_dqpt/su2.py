@@ -49,6 +49,16 @@ def _require_finite(name, value, dtype=float):
     return arr
 
 
+def _require_dims(name, value, most: int, least: int = 0) -> np.ndarray:
+    """``value`` as a finite float array of ``least`` to ``most``
+    dimensions; otherwise InvalidArgumentError naming ``name``."""
+    arr = _require_finite(name, value)
+    if not least <= arr.ndim <= most:
+        raise InvalidArgumentError(
+            f"{name} must have {least} to {most} dimensions, got shape {arr.shape}")
+    return arr
+
+
 def _require_state(name, value) -> np.ndarray:
     """``value`` as a complex state vector if it is finite and nonzero."""
     arr = _require_finite(name, value, complex)

@@ -531,6 +531,25 @@ class TestFormatsAndConfig:
                      "--n", "10"]) == 0
         assert read_json(out2 / "manifest.json")["config"]["quench"]["n"] == 10
 
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_empty_output_path_is_refused_before_any_field(
+            self, tmp_path, monkeypatch, capsys, source):
+        # outputs.out is a nonempty path: the config path refuses "" before
+        # any field runs or any directory is made
+        argv = (["rate-function", "--out", ""] if source == "flag" else
+                ["rate-function", "--config",
+                 write_config(tmp_path, "[outputs]\nout =\n")])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        fields = []
+        monkeypatch.setattr(quench, "rate_function",
+                            lambda *args, **kwargs: fields.append(args))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: outputs.out: must be a nonempty path")
+        assert fields == [] and not any(work.iterdir())
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = write_config(tmp_path, "[quench]\nwavelength = 3\n")
         assert main(["rate-function", "--out", str(tmp_path), "--config",

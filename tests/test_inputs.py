@@ -37,7 +37,6 @@ ROUTES = {
     "ChainOperator": {
         "n": lambda x: tq.ChainOperator(x, 1.2),
         "g": lambda x: tq.ChainOperator(4, x),
-        "coupling": lambda x: tq.ChainOperator(4, 1.2, coupling=x),
     },
     "EchoConfig": {
         "time_grid": lambda x: tq.EchoConfig(SPEC, [0.0, x]),
@@ -333,3 +332,31 @@ def test_bloch_vector_of_wrong_shape_is_refused(call, d):
     # a Bloch vector has shape (3,): no entry is dropped or read past
     with pytest.raises(InvalidArgumentError, match=r"shape \(3,\)"):
         call(d)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("t", lambda t: tq.rate_function(SPEC, t)),
+    ("t", lambda t: tq.mode_probabilities(SPEC, t)),
+    ("time_grid", lambda t: tq.EchoConfig(SPEC, t)),
+    ("t", lambda t: tq.rate_function_ed(4, 0.0, 1.2, t)),
+    ("ts", lambda t: tq.echo_scan_chain(4, 1.2, t, [1.0])),
+    ("phis", lambda t: tq.echo_scan_chain(4, 1.2, [1.0], t)),
+], ids=["rate_function", "mode_probabilities", "EchoConfig", "rate_function_ed",
+        "echo_scan_chain-ts", "echo_scan_chain-phis"])
+def test_time_grid_of_two_dimensions_is_refused(name, call):
+    # times and angles are a scalar or 1-D: none is flattened or broadcast
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{name} must have 0 to 1 dimensions, got shape \(2, 2\)"):
+        call(np.ones((2, 2)))
+
+
+def test_loschmidt_mode_keeps_the_shape_of_its_times():
+    times = np.ones((2, 2))
+    assert tq.loschmidt_mode(SPEC, 0.3, times).shape == (2, 2)
+
+
+@pytest.mark.parametrize("scan", [1.0, np.ones((8, 2, 2))], ids=["scalar", "3-D"])
+def test_scan_of_wrong_dimension_is_refused(scan):
+    # a phi scan is one signal (N_phi,) or one column per time (N_phi, n_t)
+    with pytest.raises(InvalidArgumentError, match="scan must have 1 to 2 dimensions"):
+        tq.mqc_components(scan, 1)
