@@ -135,7 +135,7 @@ class ChainOperator:
 
     def __init__(self, n: int, g: float):
         self.n = su2._require_int("n", n, 2, MAX_RING, ResourceGuardError)
-        self.g = float(su2._require_finite("g", g))
+        self.g = float(su2._require_dims("g", g, 0))
         self.bonds = default_bonds(self.n)
         self.dim = _require_dense(self._size())
         self._eig = None
@@ -232,7 +232,7 @@ def evolve_chain(state: np.ndarray, op: ChainOperator, t: float) -> np.ndarray:
     if state.shape != (op.dim,):
         raise ConfigurationError(
             f"state dimension {state.shape} does not match operator ({op.dim},)")
-    t = float(su2._require_finite("t", t))
+    t = float(su2._require_dims("t", t, 0))
     return _evolve_block(op, state[:, None], [t])[:, 0, 0]
 
 
@@ -275,7 +275,7 @@ def register_rotation_x(state: np.ndarray, phi: float, n: int,
     terms commute, so the rotation is the product over bonds of
     cos(phi/4) - i sin(phi/4) sigma^x_i sigma^x_j, each a bit flip.
     """
-    phi = float(su2._require_finite("phi", phi))
+    phi = float(su2._require_dims("phi", phi, 0))
     state, n = _require_register(state, n)
     rotated = state.copy()      # a new array, also for an empty bond list
     cos, sin = np.cos(0.25 * phi), np.sin(0.25 * phi)
@@ -292,7 +292,7 @@ def bond_correlator(state: np.ndarray, n: int, bonds) -> float:
 
 
 def _require_quench_fields(g_i: float, name: str = "g_i") -> None:
-    su2._require_finite(name, g_i)
+    su2._require_dims(name, g_i, 0)
     if g_i != 0.0:
         raise ConfigurationError(
             f"{name} must be 0 for the oracle (closed-form |+>^N initial "
@@ -314,7 +314,7 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t) -> np.ndarray | float:
     """
     _require_quench_fields(g_i)
     ts = np.atleast_1d(su2._require_dims("t", t, 1))
-    op = _oracle_operator(n, float(g_f))
+    op = _oracle_operator(n, float(su2._require_dims("g_f", g_f, 0)))
     energies, vectors = op.eigensystem()
     su2._require_phase(energies, ts)
     # the cat state e_0 is the first orbit state
@@ -335,7 +335,7 @@ def echo_chain(n: int, g_f: float, t: float, phi: float) -> tuple[float, float]:
     the product- and mean-aggregated momentum-module observables on the
     abc grid (see the module docstring for why the raw overlap is squared).
     """
-    op = _oracle_operator(n, float(g_f), sector=False)
+    op = _oracle_operator(n, float(su2._require_dims("g_f", g_f, 0)), sector=False)
     psi = even_cat_state(n)
     forward = evolve_chain(psi, op, t)
     rotated = register_rotation_x(forward, phi, op.n, op.bonds)
@@ -356,7 +356,7 @@ def echo_scan_chain(n: int, g_f: float, ts, phis) -> tuple[np.ndarray, np.ndarra
     """
     ts = np.atleast_1d(su2._require_dims("ts", ts, 1))
     phis = np.atleast_1d(su2._require_dims("phis", phis, 1))
-    op = _oracle_operator(n, float(g_f))
+    op = _oracle_operator(n, float(su2._require_dims("g_f", g_f, 0)))
     # the cat state e_0 is the first column of the identity
     forward = _evolve_block(op, np.eye(op.dim, 1), ts)[:, 0, :]
     rotations = np.exp(-0.25j * np.outer(op.lam, phis))
@@ -382,8 +382,8 @@ def mqc_spectrum_ed(n: int, g_f: float, t: float, m_max: int | None = None,
     if n_phi is None:
         n_phi = max(2 * n + 1, 64)
     require_resolvable(n_phi, m_max)
-    t = float(su2._require_finite("t", t))
-    op = _oracle_operator(n, float(g_f))
+    t = float(su2._require_dims("t", t, 0))
+    op = _oracle_operator(n, float(su2._require_dims("g_f", g_f, 0)))
     quench._require_budget(quench._working_set(op.dim, n_phi, 4), f"{n_phi} angles")
     phis = _phi_grid(n_phi)
     weights = np.abs(_evolve_block(op, np.eye(op.dim, 1), [t])[:, 0, 0]) ** 2

@@ -25,14 +25,16 @@ Files appear atomically (temp + rename), each directory once its first piece
 exists; a failed write removes its temp file.
 
 ``heatmap`` (each field's map built as the writer reaches its block) and
-``pulse-schedule`` never pool.  The other commands run their final fields in
+``pulse-schedule`` never fork.  The other commands run their final fields in
 this process unless the planned work (fields x grid size x time samples per
-field) reaches ``POOL_MIN_CELLS``, then in a pool of one worker per usable
-CPU, at most one per field.  ``oracle-compare``'s grid size is its ring
-sector's orbit states.  Each job's budget check runs in ``validate_config``
-too, so a refused size exits before any pool, and only a run that pools
-imports ``multiprocessing``.  No option picks the path or changes an
-artifact.
+field) reaches ``POOL_MIN_CELLS``, then in one participant per usable CPU,
+at most one per field: this process runs one strided share of the fields
+while a forked child runs each other share and pipes its pickled results
+back (``_fork_join``).  Fields fork on Linux only; elsewhere they run in this
+process.  ``oracle-compare``'s grid size is its ring sector's orbit states.
+Each job's budget check runs in ``validate_config`` too, so a refused size
+exits before any fork.  No run imports the standard library's process-pool
+module, and no option picks the path or changes an artifact.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -64,6 +66,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import sys
 import time
 
@@ -214,11 +217,11 @@ def validate_config(resolved: dict, command: str | None) -> None:
     if command == "oracle-compare":
         chain._require_quench_fields(q["g_i"], "quench.g_i")
     # the t grid and its rate columns, for the commands that build them,
-    # before any grid, pool or library guard
+    # before any grid, fork or library guard
     t_points = q["t_points"] if command in ("rate-function", "otoc", "spectra") else 0
     quench._require_budget(8 * t_points * (1 + 4 * len(q["g_f"])),
                            f"time grids of {t_points} points")
-    # each fanned-out job's own check, so a refused size starts no pool
+    # each fanned-out job's own check, so a refused size forks no child
     spec = quench.QuenchSpec(q["g_i"], q["g_f"][0], q["n"], q["grid"])
     if command == "rate-function":
         quench._require_rate_budget(spec, t_points)
@@ -376,8 +379,9 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
     })
 
 
-# planned cells (fields x grid size x time samples per field) from which a
-# process pool pays for its start-up; the measured crossover is in CHANGES.md
+# planned cells (fields x grid size x time samples per field) from which the
+# fields fork: the process pool's measured crossover (CHANGES.md), not yet
+# measured again for the cheaper fork
 POOL_MIN_CELLS = 2 ** 23
 
 
@@ -389,20 +393,83 @@ def _usable_cpus() -> int:
 
 
 def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
-    """Each final field's per-time result ``fn(spec)`` on ``n`` sites, pooled
-    from POOL_MIN_CELLS fields x ``grid_size`` (default: modes) x ``samples``."""
+    """Each final field's per-time result ``fn(spec)`` on ``n`` sites, forked
+    on Linux from POOL_MIN_CELLS fields x ``grid_size`` (default: modes) x
+    ``samples``."""
     specs = [quench.QuenchSpec(q["g_i"], g_f, n, q["grid"]) for g_f in q["g_f"]]
     cells = len(specs) * (grid_size or specs[0].n_modes) * samples
     workers = min(_usable_cpus(), len(specs))
-    if workers <= 1 or cells < POOL_MIN_CELLS:
+    if workers <= 1 or cells < POOL_MIN_CELLS or sys.platform != "linux":
         return [fn(spec) for spec in specs]
-    import multiprocessing      # about 10 ms, paid only by a run that pools
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(fn, specs)
+    return _fork_join(fn, specs, workers)
+
+
+def _run_share(fn, specs: list, share: int, workers: int):
+    """(results, failure) of the fields ``specs[share::workers]`` in order;
+    failure is None, or (field index, error) of the first that raised."""
+    results = []
+    for index in range(share, len(specs), workers):
+        try:
+            results.append(fn(specs[index]))
+        except Exception as exc:
+            return results, (index, exc)
+    return results, None
+
+
+def _fork_join(fn, specs: list, workers: int) -> list:
+    """``[fn(spec) for spec in specs]`` in ``workers`` participants.
+
+    A forked child runs each share s >= 1 and pickles its ``_run_share``
+    outcome into a pipe; this process runs share 0, then reads each pipe to
+    EOF and reaps its child.  The lowest-index failing field's error is
+    raised, as in a serial run; a child that ends with no outcome fails at
+    its first field.  Any child still running on the way out is killed.
+    """
+    running, pipes = [], []
+    try:
+        for share in range(1, workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:     # the child never returns into the caller
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_run_share(fn, specs, share, workers), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            running.append(pid)
+            pipes.append(open(read, "rb"))
+        outcomes = [_run_share(fn, specs, 0, workers)]
+        for share, (pid, pipe) in enumerate(zip(running[:], pipes), 1):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code == 0:
+                outcomes.append(pickle.loads(data))
+                continue
+            fields = ", ".join(str(spec.g_f) for spec in specs[share::workers])
+            ended = f"signal {-code}" if code < 0 else f"exit code {code}"
+            outcomes.append(([], (share, SimulatorError(
+                f"the worker for g_f = {fields} ended with no result ({ended})"))))
+        failures = [failure for _, failure in outcomes if failure]
+        if failures:
+            raise min(failures)[1]      # field indices differ: never compares errors
+        return [outcomes[i % workers][0][i // workers] for i in range(len(specs))]
+    finally:
+        if running:
+            import signal
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 # ---------------------------------------------------------------------------
-# per-field jobs (_fan_out's at module level, so its pool can pickle them)
+# per-field jobs (_fan_out's)
 
 def _job_otoc(spec, ts, e: dict):
     """One field's mode moment m(t) after the scan's one count, and under
@@ -651,7 +718,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except SimulatorError as exc:  # pragma: no cover - safety net
+    except SimulatorError as exc:  # a dead worker, else a safety net
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(f"completed in {time.perf_counter() - started:.3f} s",

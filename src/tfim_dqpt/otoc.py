@@ -293,7 +293,8 @@ def mqc_components(scan, m_max: int) -> np.ndarray:
 def mqc_spectrum(signal, m_max: int) -> MqcSpectrum:
     """MQC spectrum of one real phi-scan signal (see ``mqc_components``)."""
     return MqcSpectrum(m_max=m_max,
-                       components=mqc_components(np.ravel(signal), m_max))
+                       components=mqc_components(
+                           su2._require_dims("signal", signal, 1, 1), m_max))
 
 
 def spectrum_dynamics(config: EchoConfig, observable: str,
@@ -355,7 +356,7 @@ def double_well_detector(times, values, t_c: float, window: float,
     times = su2._require_finite("times", times)
     values = su2._require_finite("values", values)
     for name, value in (("t_c", t_c), ("window", window), ("eps_dw", eps_dw)):
-        su2._require_finite(name, value)
+        su2._require_dims(name, value, 0)
     if times.ndim != 1 or times.shape != values.shape or times.size < 3:
         raise ConfigurationError("series must be 1-D with at least 3 samples")
     lo, hi = t_c - window, t_c + window

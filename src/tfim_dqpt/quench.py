@@ -106,7 +106,8 @@ class QuenchSpec:
     grid_mode: str = "paper"
 
     def __post_init__(self):
-        su2._require_finite("g_i and g_f", (self.g_i, self.g_f))
+        su2._require_dims("g_i", self.g_i, 0)
+        su2._require_dims("g_f", self.g_f, 0)
         n = su2._require_int("n", self.n, 2)
         if self.grid_mode not in GRID_MODES:
             raise ConfigurationError(
@@ -150,7 +151,7 @@ class QuenchSpec:
 
 def bloch_vector(g: float, k: float) -> np.ndarray:
     """Mode Bloch vector d(g, k) = (1 - g cos k, g sin k, 0)."""
-    g, k = su2._require_finite("g and k", (g, k))
+    g, k = su2._require_dims("g", g, 0), su2._require_dims("k", k, 0)
     return np.array([1.0 - g * np.cos(k), g * np.sin(k), 0.0])
 
 
@@ -266,7 +267,7 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
     """
     t = su2._require_finite("t", t)
     n_f, overlap = _mode_geometry(spec.g_i, spec.g_f,
-                                  np.array([float(su2._require_finite("k", k))]))
+                                  np.array([float(su2._require_dims("k", k, 0))]))
     n_f, overlap = float(n_f[0]), float(overlap[0])
     su2._require_phase(n_f, t)
     g = np.cos(n_f * t) + 1.0j * overlap * np.sin(n_f * t)
@@ -314,7 +315,8 @@ def critical_momentum(g_i: float, g_f: float) -> float | None:
     Returns None when |argument| >= 1 (no zero crossing exists).  At k* the
     old and new Bloch vectors are exactly orthogonal.
     """
-    su2._require_finite("g_i and g_f", (g_i, g_f))
+    su2._require_dims("g_i", g_i, 0)
+    su2._require_dims("g_f", g_f, 0)
     if g_i + g_f == 0.0:
         raise UndefinedExpressionError(
             "critical momentum undefined for g_i + g_f = 0")
@@ -339,7 +341,8 @@ def critical_times(g_i: float, g_f: float, n_max: int = 3) -> np.ndarray:
 
 def dqpt_predicate(g_i: float, g_f: float) -> bool:
     """True iff the quench crosses the critical field: (1-|g_i|)(1-|g_f|) < 0."""
-    su2._require_finite("g_i and g_f", (g_i, g_f))
+    su2._require_dims("g_i", g_i, 0)
+    su2._require_dims("g_f", g_f, 0)
     return (1.0 - abs(g_i)) * (1.0 - abs(g_f)) < 0.0
 
 
@@ -372,7 +375,7 @@ def pulse_schedule(spec: QuenchSpec, c: float = 1.0,
     final modes are ``idle``, with zero axis, rate and durations.  Refuses a
     constant for which a rate or its period is not a finite float.
     """
-    if su2._require_finite("c", c) <= 0.0:
+    if su2._require_dims("c", c, 0) <= 0.0:
         raise ConfigurationError(
             f"pulse constant must be finite and > 0, got {c}")
     n_t = su2._require_int("n_t", n_t, 2)
@@ -410,7 +413,7 @@ def replay_unitary(entry, duration: float) -> np.ndarray:
     phase; idle records replay as the identity.  The literal per-record
     oracle of the closed-form replay check.
     """
-    duration = float(su2._require_finite("duration", duration))
+    duration = float(su2._require_dims("duration", duration, 0))
     if entry.idle:
         return np.eye(2, dtype=complex)
     theta = entry.rabi_rate * duration

@@ -118,7 +118,7 @@ def evolution_unitary(d, t: float) -> np.ndarray:
     |d| t past the float range raises InvalidArgumentError.
     """
     d = _require_bloch(d)
-    t = float(_require_finite("t", t))
+    t = float(_require_dims("t", t, 0))
     mag = float(np.sqrt(d @ d))
     _require_phase(mag, t)
     if mag == 0.0:
@@ -129,7 +129,7 @@ def evolution_unitary(d, t: float) -> np.ndarray:
 
 def rotation_x(phi: float) -> np.ndarray:
     """Spin rotation exp(-i sigma_x phi / 2) about the x axis."""
-    phi = float(_require_finite("phi", phi))
+    phi = float(_require_dims("phi", phi, 0))
     half = 0.5 * phi
     return np.cos(half) * IDENTITY_2 - 1.0j * np.sin(half) * SIGMA_X
 
@@ -167,7 +167,7 @@ def expect_sx(a) -> float:
 def is_unitary(u, tol: float = 1e-12) -> bool:
     """True if u is a square matrix with max |u^dagger u - I| <= tol."""
     u = _require_finite("u", u, complex)
-    tol = float(_require_finite("tol", tol))
+    tol = float(_require_dims("tol", tol, 0))
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)

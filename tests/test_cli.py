@@ -8,13 +8,14 @@ import functools
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,9 +27,11 @@ from hypothesis import example, given, strategies as st
 
 from tfim_dqpt import cli, otoc, quench, su2
 from tfim_dqpt.cli import main
-from tfim_dqpt.errors import ResourceGuardError
+from tfim_dqpt.errors import InvalidArgumentError, ResourceGuardError
 
 T_C_12 = np.pi / (2.0 * np.sqrt(0.44))
+FORKS_HERE = pytest.mark.skipif(sys.platform != "linux",
+                                reason="fields fork on Linux only")
 
 
 def read_csv(path: Path):
@@ -807,6 +810,7 @@ class TestDeterminism:
         self.rerun_identical(tmp_path, ["otoc", "--n", "8", "--gf", "1.2",
                                         "--config", cfg])
 
+    @FORKS_HERE
     @pytest.mark.parametrize("argv", [
         ["rate-function", "--n", "12", "--gf", "0.8,1.2,1.5"],
         ["otoc", "--n", "8", "--gf", "1.2,0.5", "--nphi", "8"]],
@@ -814,19 +818,19 @@ class TestDeterminism:
     def test_pooled_and_serial_runs_write_the_same_files(self, tmp_path,
                                                          monkeypatch, argv):
         # both runs write to one --out path, so manifest.json must match too
-        pools = []
-        pool = multiprocessing.Pool
-        monkeypatch.setattr(multiprocessing, "Pool", lambda **kwargs: (
-            pools.append(kwargs["processes"]) or pool(**kwargs)))
+        forks = []
+        fork_join = cli._fork_join
+        monkeypatch.setattr(cli, "_fork_join", lambda fn, specs, workers: (
+            forks.append(workers) or fork_join(fn, specs, workers)))
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
         out, pooled = tmp_path / "run", tmp_path / "pooled"
         assert main([*argv, "--out", str(out)]) == 0
-        assert pools == [2]
+        assert forks == [2]
         shutil.move(out, pooled)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 2 ** 62)
         assert main([*argv, "--out", str(out)]) == 0
-        assert pools == [2]
+        assert forks == [2]
         names = sorted(p.name for p in out.iterdir())
         assert names == sorted(p.name for p in pooled.iterdir())
         assert "manifest.json" in names
@@ -834,21 +838,58 @@ class TestDeterminism:
             assert (pooled / name).read_bytes() == (out / name).read_bytes(), name
 
 
-class PoolStarted(Exception):
-    """Raised by a stand-in pool in place of starting any worker."""
+class ForkStarted(Exception):
+    """Raised by a stand-in ``_fork_join`` in place of forking any child."""
 
 
-def pool_started(processes):
-    raise PoolStarted(processes)
+def fork_started(fn, specs, workers):
+    raise ForkStarted(workers)
 
 
-def pool_refused(*args, **kwargs):
-    raise AssertionError("a process pool was started")
+def fork_refused(*args, **kwargs):
+    raise AssertionError("fields were forked")
+
+
+def record_forks(monkeypatch) -> list:
+    """The pid of every child that ``os.fork`` starts from this process."""
+    parent, pids, fork = os.getpid(), [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if os.getpid() == parent:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids) -> None:
+    # a child that is running, or a zombie, is still this process's child
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Fail the block, rather than hang, once it runs ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFieldPool:
     """Fields run in this process unless the planned work reaches
-    POOL_MIN_CELLS; then in one worker per usable CPU, at most one per field.
+    POOL_MIN_CELLS; then in one participant per usable CPU, at most one per
+    field: this process runs one share and a forked child each other share.
     """
 
     @pytest.mark.parametrize("argv, config, fields", [
@@ -860,14 +901,15 @@ class TestFieldPool:
         (["oracle-compare", "--gf", ",".join(["1.2"] * 41)],
          "[oracle]\nn_oracle = 16\n", 41)],
         ids=["rate-large-n", "rate-n10000", "oracle-n16-41-fields"])
+    @FORKS_HERE
     def test_large_work_is_pooled(self, tmp_path, monkeypatch, argv, config,
                                   fields):
-        # more CPUs than fields: one worker per field
+        # more CPUs than fields: one participant per field
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(multiprocessing, "Pool", pool_started)
+        monkeypatch.setattr(cli, "_fork_join", fork_started)
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
-        with pytest.raises(PoolStarted) as started:
+        with pytest.raises(ForkStarted) as started:
             main([*argv, "--out", str(tmp_path / "out")])
         assert started.value.args == (fields,)
 
@@ -883,7 +925,7 @@ class TestFieldPool:
     def test_small_work_runs_in_process(self, tmp_path, monkeypatch, argv,
                                         config):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
@@ -897,7 +939,7 @@ class TestFieldPool:
         # large the planned work; a refused size leaves no directory
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         out = tmp_path / "out"
         assert main([command, "--n", str(n), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
@@ -905,7 +947,7 @@ class TestFieldPool:
     @pytest.mark.parametrize("command", ["rate-function", "otoc", "spectra"])
     def test_refused_size_starts_no_pool(self, tmp_path, monkeypatch, capsys,
                                          command):
-        # 3 fields x 10**8 modes plan a pool, but validate_config makes the
+        # 3 fields x 10**8 modes plan a fork, but validate_config makes the
         # job's own check first: the job's message, exit 2, no directory
         spec = quench.QuenchSpec(0.0, 1.2, 10 ** 8)
         ts = np.linspace(0.0, 5.0, 500)
@@ -915,7 +957,7 @@ class TestFieldPool:
         with pytest.raises(ResourceGuardError) as refused:
             job()
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         out = tmp_path / "out"
         assert main([command, "--n", str(10 ** 8), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {refused.value}\n"
@@ -927,9 +969,120 @@ class TestFieldPool:
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(multiprocessing, "Pool", pool_refused)
+        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         assert main(["rate-function", "--n", "12",
                      "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_fields_fork_on_linux_only(self, tmp_path, monkeypatch, platform):
+        # elsewhere a run that plans a fork runs its fields in process
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "_fork_join", fork_refused)
+        assert main(["rate-function", "--n", "12",
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @FORKS_HERE
+    def test_killed_child_fails_the_command(self, tmp_path, monkeypatch,
+                                            capsys):
+        # a child killed mid-run sends no result: exit 3 at once, naming its
+        # field, and no child left behind
+        forked = record_forks(monkeypatch)
+        parent, rate = os.getpid(), quench.rate_function
+
+        def rate_or_die(spec, t):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rate(spec, t)
+
+        monkeypatch.setattr(quench, "rate_function", rate_or_die)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        out = tmp_path / "out"
+        with within(10):
+            code = main(["rate-function", "--n", "12", "--gf", "0.5,0.8,1.2",
+                         "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the worker for g_f = 0.8 ended with no result "
+            f"(signal {int(signal.SIGKILL)})\n")
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert not out.exists()
+
+    @FORKS_HERE
+    def test_refusal_in_a_child_share_matches_a_serial_run(
+            self, tmp_path, monkeypatch, capsys):
+        # at t = 1e308 only g_f = 2.0's phases overflow, in the child's share
+        config = write_config(tmp_path, "[quench]\nt_max = 1e308\n")
+        out = tmp_path / "out"
+        argv = ["rate-function", "--n", "12", "--gf", "0.5,2.0",
+                "--config", config, "--out", str(out)]
+        forked = record_forks(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        assert main(argv) == 2
+        forked_err = capsys.readouterr().err
+        assert len(forked) == 1 and not out.exists()
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 2 ** 62)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == forked_err == (
+            "configuration error: t must keep every phase finite, got |t| "
+            "up to 1e+308\n")
+        assert len(forked) == 1 and not out.exists()
+        assert_reaped(forked)
+
+    @FORKS_HERE
+    @pytest.mark.parametrize("fields, reported", [
+        # field 1 fails in the child after field 2 has failed in this process
+        ("0.5,2.0,3.0", "2.0"),
+        # field 0 fails in this process, field 1 in the child
+        ("3.0,2.0", "3.0")], ids=["child-lower", "parent-lower"])
+    def test_lowest_failing_field_is_reported(self, tmp_path, monkeypatch,
+                                              capsys, fields, reported):
+        forked = record_forks(monkeypatch)
+        parent, rate = os.getpid(), quench.rate_function
+
+        def refuse_from_two(spec, t):
+            if spec.g_f >= 2.0:
+                if os.getpid() != parent:
+                    time.sleep(0.3)     # the child's error comes last
+                raise InvalidArgumentError(f"refused g_f = {spec.g_f}")
+            return rate(spec, t)
+
+        monkeypatch.setattr(quench, "rate_function", refuse_from_two)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        argv = ["rate-function", "--n", "12", "--gf", fields,
+                "--out", str(tmp_path / "out")]
+        for least in (0, 2 ** 62):      # forked, then in process
+            monkeypatch.setattr(cli, "POOL_MIN_CELLS", least)
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"configuration error: refused g_f = {reported}\n")
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert not (tmp_path / "out").exists()
+
+    @FORKS_HERE
+    def test_interrupt_kills_every_child(self, tmp_path, monkeypatch):
+        # Ctrl-C in this process's own share, while each child would run a
+        # minute more: no child is left running
+        forked = record_forks(monkeypatch)
+        parent = os.getpid()
+
+        def interrupt_or_stall(spec, t):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(quench, "rate_function", interrupt_or_stall)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        with within(10), pytest.raises(KeyboardInterrupt):
+            main(["rate-function", "--n", "12", "--out", str(tmp_path / "out")])
+        assert len(forked) == 2
+        assert_reaped(forked)
 
     @pytest.mark.parametrize("count, usable", [(8, 8), (None, 1)])
     def test_cpu_count_where_there_is_no_affinity_set(self, monkeypatch,
@@ -1021,9 +1174,9 @@ def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
     assert run_python(code) == "0 []"
 
 
-def test_only_a_pooled_run_loads_multiprocessing(tmp_path):
-    # no command pools at its defaults, so none imports multiprocessing (and
-    # socket, selectors, signal and array with it); rate-large-n pools
+def test_no_run_imports_multiprocessing(tmp_path):
+    # every command at its defaults in process, and rate-large-n forked:
+    # none imports multiprocessing (and socket, selectors and array with it)
     runs = [[command] for command in cli.COMMANDS]
     runs.append(["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6"])
     code = (f"import sys; from tfim_dqpt import cli\n"
@@ -1034,7 +1187,7 @@ def test_only_a_pooled_run_loads_multiprocessing(tmp_path):
             f"    print(argv[0], code, 'multiprocessing' in sys.modules)\n")
     lines = run_python(code).splitlines()
     assert lines == [*(f"{command} 0 False" for command in cli.COMMANDS),
-                     "rate-function 0 True"]
+                     "rate-function 0 False"]
 
 
 def reference_fmt(value) -> str:

@@ -217,6 +217,21 @@ ROUTES = {
     },
 }
 
+# arguments that are one number (a field, a time, an angle, a tolerance)
+SCALARS = [
+    "ChainOperator-g", "QuenchSpec-g_i", "QuenchSpec-g_f", "bloch_vector-g",
+    "bloch_vector-k", "critical_momentum-g_i", "critical_momentum-g_f",
+    "critical_times-g_i", "critical_times-g_f", "default_time_grid-g_i",
+    "default_time_grid-g_f", "double_well_depth-g_i", "double_well_depth-g_f",
+    "double_well_detector-t_c", "double_well_detector-window",
+    "double_well_detector-eps_dw", "dqpt_predicate-g_i", "dqpt_predicate-g_f",
+    "echo_chain-g_f", "echo_chain-t", "echo_chain-phi", "echo_scan_chain-g_f",
+    "echo_state-t", "echo_state-phi", "evolution_unitary-t", "evolve_chain-t",
+    "is_unitary-tol", "loschmidt_mode-k", "mqc_spectrum_ed-g_f",
+    "mqc_spectrum_ed-t", "otoc_general-t", "pulse_schedule-c",
+    "rate_function_ed-g_i", "rate_function_ed-g_f", "register_rotation_x-phi",
+    "replay_unitary-duration", "replay_unitary-duration-idle", "rotation_x-phi",
+]
 # sizes and orders: integers, which may be refused by their own range rule
 SIZES = {"n", "n_phi", "n_t", "n_max", "n_points", "m_max", "m"}
 # the least value each integer route admits
@@ -350,9 +365,27 @@ def test_time_grid_of_two_dimensions_is_refused(name, call):
         call(np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("route", SCALARS)
+def test_scalar_given_as_an_array_is_refused(route):
+    # a valid value in a one-entry array: refused by the argument's name,
+    # never a bare numpy or Python error, nor read as its one entry
+    name, label = route.split("-", 1)
+    with pytest.raises(InvalidArgumentError, match=rf"^{label.split('-')[0]} "
+                       r"must have 0 to 0 dimensions, got shape \(1,\)"):
+        ROUTES[name][label]([0.5])
+
+
 def test_loschmidt_mode_keeps_the_shape_of_its_times():
     times = np.ones((2, 2))
     assert tq.loschmidt_mode(SPEC, 0.3, times).shape == (2, 2)
+
+
+@pytest.mark.parametrize("signal", [1.0, np.ones((8, 2))], ids=["scalar", "2-D"])
+def test_signal_of_wrong_dimension_is_refused(signal):
+    # one phi scan: a (N_phi, n_t) matrix is not read as N_phi x n_t angles
+    with pytest.raises(InvalidArgumentError,
+                       match="signal must have 1 to 1 dimensions"):
+        tq.mqc_spectrum(signal, 1)
 
 
 @pytest.mark.parametrize("scan", [1.0, np.ones((8, 2, 2))], ids=["scalar", "3-D"])
