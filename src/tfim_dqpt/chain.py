@@ -315,6 +315,8 @@ def rate_function_ed(n: int, g_i: float, g_f: float, t) -> np.ndarray | float:
     _require_quench_fields(g_i)
     ts = np.atleast_1d(su2._require_dims("t", t, 1))
     op = _oracle_operator(n, float(su2._require_dims("g_f", g_f, 0)))
+    # the phases over (times, states), complex, and their exponentials
+    quench._require_budget(quench._working_set(op.dim, ts.size, 4), f"{ts.size} times")
     energies, vectors = op.eigensystem()
     su2._require_phase(energies, ts)
     # the cat state e_0 is the first orbit state
@@ -357,6 +359,13 @@ def echo_scan_chain(n: int, g_f: float, ts, phis) -> tuple[np.ndarray, np.ndarra
     ts = np.atleast_1d(su2._require_dims("ts", ts, 1))
     phis = np.atleast_1d(su2._require_dims("phis", phis, 1))
     op = _oracle_operator(n, float(su2._require_dims("g_f", g_f, 0)))
+    # over (states, times): the forward states, their phases and evolution,
+    # and six (n_phi, n_t) surfaces and temporaries; over (states, angles):
+    # the rotations and each time's block of rotated states in flight
+    quench._require_budget(
+        quench._working_set(op.dim, ts.size, 6, 6 * phis.size)
+        + quench._working_set(op.dim, phis.size, 10),
+        f"{phis.size} angles x {ts.size} times")
     # the cat state e_0 is the first column of the identity
     forward = _evolve_block(op, np.eye(op.dim, 1), ts)[:, 0, :]
     rotations = np.exp(-0.25j * np.outer(op.lam, phis))

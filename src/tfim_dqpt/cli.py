@@ -25,16 +25,16 @@ Files appear atomically (temp + rename), each directory once its first piece
 exists; a failed write removes its temp file.
 
 ``heatmap`` (each field's map built as the writer reaches its block) and
-``pulse-schedule`` never fork.  The other commands run their final fields in
-this process unless the planned work (fields x grid size x time samples per
-field) reaches ``POOL_MIN_CELLS``, then in one participant per usable CPU,
-at most one per field: this process runs one strided share of the fields
-while a forked child runs each other share and pipes its pickled results
-back (``_fork_join``).  Fields fork on Linux only; elsewhere they run in this
-process.  ``oracle-compare``'s grid size is its ring sector's orbit states.
-Each job's budget check runs in ``validate_config`` too, so a refused size
-exits before any fork.  No run imports the standard library's process-pool
-module, and no option picks the path or changes an artifact.
+``pulse-schedule`` never fork.  The other commands run their final fields on
+one path, ``_fork_join`` with k participants: this process runs one strided
+share of the fields while a forked child runs each other share and pipes its
+pickled results back.  k is one per usable CPU, at most one per field, once
+the planned work (fields x grid size x time samples per field) reaches
+``POOL_MIN_CELLS`` on Linux; otherwise k = 1, and the fields run in this
+process with nothing forked.  ``oracle-compare``'s grid size is its ring
+sector's orbit states.  Each job's budget check runs in ``validate_config``
+too, so a refused size exits before any fork.  No run imports the standard
+library's process-pool module, and no option picks k or changes an artifact.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -227,6 +227,10 @@ def validate_config(resolved: dict, command: str | None) -> None:
         quench._require_rate_budget(spec, t_points)
     elif command in ("otoc", "spectra"):
         otoc._require_scan_budget(spec, t_points, e["n_phi"])
+        # product holds every field's fidelity surface until it is written
+        fields = len(q["g_f"]) if e["aggregation"] == "product" else 0
+        quench._require_budget(8 * fields * e["n_phi"] * t_points, f"{fields} product "
+                               f"surfaces of {e['n_phi']} angles x {t_points} times")
 
 
 # ---------------------------------------------------------------------------
@@ -385,45 +389,39 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
 POOL_MIN_CELLS = 2 ** 23
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where there is one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
-    """Each final field's per-time result ``fn(spec)`` on ``n`` sites, forked
-    on Linux from POOL_MIN_CELLS fields x ``grid_size`` (default: modes) x
-    ``samples``."""
+    """Each final field's per-time result ``fn(spec)`` on ``n`` sites, from
+    ``_fork_join`` in one participant below POOL_MIN_CELLS fields x ``grid_size``
+    (default: modes) x ``samples`` or off Linux, else min(usable CPUs, fields)."""
     specs = [quench.QuenchSpec(q["g_i"], g_f, n, q["grid"]) for g_f in q["g_f"]]
     cells = len(specs) * (grid_size or specs[0].n_modes) * samples
-    workers = min(_usable_cpus(), len(specs))
-    if workers <= 1 or cells < POOL_MIN_CELLS or sys.platform != "linux":
-        return [fn(spec) for spec in specs]
+    workers = 1
+    if cells >= POOL_MIN_CELLS and sys.platform == "linux":
+        workers = min(len(os.sched_getaffinity(0)), len(specs))
     return _fork_join(fn, specs, workers)
 
 
-def _run_share(fn, specs: list, share: int, workers: int):
-    """(results, failure) of the fields ``specs[share::workers]`` in order;
-    failure is None, or (field index, error) of the first that raised."""
-    results = []
+def _run_share(fn, specs: list, share: int, workers: int) -> dict:
+    """{field index: result} of the fields ``specs[share::workers]`` in
+    order, up to the first that raised, whose entry is its error."""
+    outcomes = {}
     for index in range(share, len(specs), workers):
         try:
-            results.append(fn(specs[index]))
+            outcomes[index] = fn(specs[index])
         except Exception as exc:
-            return results, (index, exc)
-    return results, None
+            return {**outcomes, index: exc}
+    return outcomes
 
 
 def _fork_join(fn, specs: list, workers: int) -> list:
     """``[fn(spec) for spec in specs]`` in ``workers`` participants.
 
     A forked child runs each share s >= 1 and pickles its ``_run_share``
-    outcome into a pipe; this process runs share 0, then reads each pipe to
-    EOF and reaps its child.  The lowest-index failing field's error is
-    raised, as in a serial run; a child that ends with no outcome fails at
-    its first field.  Any child still running on the way out is killed.
+    outcomes into a pipe; this process runs share 0 (with one participant,
+    every field), then reads each pipe to EOF and reaps its child.  The first
+    error in field order is raised, as in a serial run; a child that ends with
+    no outcome fails at its first field.  Any child still running on the way
+    out is killed.
     """
     running, pipes = [], []
     try:
@@ -442,22 +440,22 @@ def _fork_join(fn, specs: list, workers: int) -> list:
             os.close(write)
             running.append(pid)
             pipes.append(open(read, "rb"))
-        outcomes = [_run_share(fn, specs, 0, workers)]
+        outcomes = _run_share(fn, specs, 0, workers)
         for share, (pid, pipe) in enumerate(zip(running[:], pipes), 1):
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             running.remove(pid)
             if code == 0:
-                outcomes.append(pickle.loads(data))
+                outcomes.update(pickle.loads(data))
                 continue
             fields = ", ".join(str(spec.g_f) for spec in specs[share::workers])
             ended = f"signal {-code}" if code < 0 else f"exit code {code}"
-            outcomes.append(([], (share, SimulatorError(
-                f"the worker for g_f = {fields} ended with no result ({ended})"))))
-        failures = [failure for _, failure in outcomes if failure]
-        if failures:
-            raise min(failures)[1]      # field indices differ: never compares errors
-        return [outcomes[i % workers][0][i // workers] for i in range(len(specs))]
+            outcomes[share] = SimulatorError(
+                f"the worker for g_f = {fields} ended with no result ({ended})")
+        for index in sorted(outcomes):      # a share stops at its error
+            if isinstance(outcomes[index], Exception):
+                raise outcomes[index]
+        return [outcomes[index] for index in range(len(specs))]
     finally:
         if running:
             import signal
@@ -587,20 +585,21 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
             out["out"], "otoc_surface",
             ["g_f", "phi", "t", "fidelity", "magnetization"], blocks,
             out["format"]))
-    observables = np.array(["fidelity", "magnetization"])[:, None, None]
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
-    # over (observable, t, m)
-    spectra = (np.stack([(otoc._mean_spectra(m, e["m_max"], "fidelity")
-                          if fid is None else otoc.mqc_components(fid, e["m_max"])).T,
-                         otoc._mean_spectra(m, e["m_max"], "magnetization").T])
-               for m, fid in results)
-    blocks = ([g_f, observables, ts[:, None], orders, c.real, c.imag,
-               # Python's abs() bit for bit; np.abs differs in the last bit
-               np.hypot(c.real, c.imag)]
-              for g_f, c in zip(q["g_f"], spectra))
-    written.append(_write_table(
+
+    def spectra(g_f, observable, m, scan):  # over (t, m), built as it is written
+        c = (otoc._mean_spectra(m, e["m_max"], observable) if scan is None
+             else otoc.mqc_components(scan, e["m_max"])).T
+        # Python's abs() bit for bit; np.abs differs in the last bit
+        return [g_f, observable, ts[:, None], orders, c.real, c.imag,
+                np.hypot(c.real, c.imag)]
+    written.append(_write_table(   # a block per field and observable
         out["out"], "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
-        blocks, out["format"]))
+        itertools.starmap(spectra, ((g_f, observable, m, scan)
+                                    for g_f, (m, fid) in zip(q["g_f"], results)
+                                    for observable, scan in (("fidelity", fid),
+                                                             ("magnetization", None)))),
+        out["format"]))
     if not spectra_only:
         payload = {
             "detector": {

@@ -264,12 +264,12 @@ def require_resolvable(n_phi: int, m_max: int) -> None:
     """AliasingError unless n_phi angles resolve the orders |m| <= m_max."""
     if not (su2._is_integral(n_phi) and su2._is_integral(m_max)
             and m_max >= 0):
-        raise InvalidArgumentError(f"N_phi = {n_phi} and m_max = {m_max} "
+        raise InvalidArgumentError(f"n_phi = {n_phi} and m_max = {m_max} "
                                    "must be integers, m_max >= 0")
     if n_phi < 2 * m_max + 1:
         raise AliasingError(
-            f"N_phi = {n_phi} cannot resolve m_max = {m_max}; "
-            f"need N_phi >= {2 * m_max + 1}")
+            f"n_phi = {n_phi} cannot resolve m_max = {m_max}; "
+            f"need n_phi >= {2 * m_max + 1}")
 
 
 def mqc_components(scan, m_max: int) -> np.ndarray:

@@ -164,6 +164,22 @@ class TestChainOperator:
                 pytest.raises(ResourceGuardError):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: chain.rate_function_ed(16, 0.0, 1.2, np.zeros(10 ** 6)),
+        lambda: chain.echo_scan_chain(16, 1.2, np.zeros(10 ** 6), [1.0]),
+        lambda: chain.echo_scan_chain(16, 1.2, [1.0], np.zeros(10 ** 6)),
+    ], ids=["rate_function_ed-times", "echo_scan_chain-times",
+            "echo_scan_chain-angles"])
+    def test_sweep_over_the_budget_is_refused_before_it_is_allocated(self,
+                                                                      call):
+        # 10**6 points on the ring N = 16 sector (1162 states): the phases
+        # alone would take 17 GiB; neither they nor any rotation is formed
+        formed = AssertionError("formed")
+        with mock.patch.object(np, "outer", side_effect=formed), \
+                mock.patch.object(np, "exp", side_effect=formed), \
+                pytest.raises(ResourceGuardError, match="mode budget"):
+            call()
+
     @pytest.mark.parametrize("n", [np.nan, np.inf, -np.inf, 4.5])
     def test_non_integer_size_is_refused(self, n):
         with pytest.raises(ResourceGuardError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import functools
 import hashlib
@@ -818,19 +819,15 @@ class TestDeterminism:
     def test_pooled_and_serial_runs_write_the_same_files(self, tmp_path,
                                                          monkeypatch, argv):
         # both runs write to one --out path, so manifest.json must match too
-        forks = []
-        fork_join = cli._fork_join
-        monkeypatch.setattr(cli, "_fork_join", lambda fn, specs, workers: (
-            forks.append(workers) or fork_join(fn, specs, workers)))
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        usable_cpus(monkeypatch, 2)
+        ks = fork_join_ks(monkeypatch)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
         out, pooled = tmp_path / "run", tmp_path / "pooled"
         assert main([*argv, "--out", str(out)]) == 0
-        assert forks == [2]
         shutil.move(out, pooled)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 2 ** 62)
         assert main([*argv, "--out", str(out)]) == 0
-        assert forks == [2]
+        assert ks == [2, 1]
         names = sorted(p.name for p in out.iterdir())
         assert names == sorted(p.name for p in pooled.iterdir())
         assert "manifest.json" in names
@@ -846,8 +843,19 @@ def fork_started(fn, specs, workers):
     raise ForkStarted(workers)
 
 
-def fork_refused(*args, **kwargs):
-    raise AssertionError("fields were forked")
+def usable_cpus(monkeypatch, count: int) -> None:
+    """``count`` CPUs in this process's affinity set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def fork_join_ks(monkeypatch) -> list:
+    """The participant count k of every ``_fork_join`` call, each then run
+    as it is: k = 1 runs the fields in this process."""
+    ks, fork_join = [], cli._fork_join
+    monkeypatch.setattr(cli, "_fork_join", lambda fn, specs, k: (
+        ks.append(k) or fork_join(fn, specs, k)))
+    return ks
 
 
 def record_forks(monkeypatch) -> list:
@@ -887,9 +895,10 @@ def within(seconds: int):
 
 
 class TestFieldPool:
-    """Fields run in this process unless the planned work reaches
-    POOL_MIN_CELLS; then in one participant per usable CPU, at most one per
-    field: this process runs one share and a forked child each other share.
+    """Fields run in ``_fork_join`` with k participants: k = 1, this process
+    alone, unless the planned work reaches POOL_MIN_CELLS on Linux; then one
+    per usable CPU, at most one per field: this process runs one share and a
+    forked child each other share.
     """
 
     @pytest.mark.parametrize("argv, config, fields", [
@@ -905,7 +914,7 @@ class TestFieldPool:
     def test_large_work_is_pooled(self, tmp_path, monkeypatch, argv, config,
                                   fields):
         # more CPUs than fields: one participant per field
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        usable_cpus(monkeypatch, 64)
         monkeypatch.setattr(cli, "_fork_join", fork_started)
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
@@ -924,11 +933,12 @@ class TestFieldPool:
         ids=[*cli.COMMANDS, "oracle-n12", "oracle-n14", "pulse-n3000"])
     def test_small_work_runs_in_process(self, tmp_path, monkeypatch, argv,
                                         config):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(cli, "_fork_join", fork_refused)
+        usable_cpus(monkeypatch, 64)
+        ks = fork_join_ks(monkeypatch)
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert ks == ([] if argv[0] in ("heatmap", "pulse-schedule") else [1])
 
     @pytest.mark.parametrize("command", ["heatmap", "pulse-schedule"])
     @pytest.mark.parametrize("n, code", [(40, 0), (10 ** 8, 2)])
@@ -937,12 +947,13 @@ class TestFieldPool:
         # each field's result holds a row per mode: heatmap streams its maps
         # to the writer and pulse-schedule builds its schedules here, however
         # large the planned work; a refused size leaves no directory
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        usable_cpus(monkeypatch, 64)
+        ks = fork_join_ks(monkeypatch)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         out = tmp_path / "out"
         assert main([command, "--n", str(n), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
+        assert ks == []
 
     @pytest.mark.parametrize("command", ["rate-function", "otoc", "spectra"])
     def test_refused_size_starts_no_pool(self, tmp_path, monkeypatch, capsys,
@@ -956,32 +967,33 @@ class TestFieldPool:
                    cli._job_otoc, spec, ts, cli.DEFAULTS["echo"]))
         with pytest.raises(ResourceGuardError) as refused:
             job()
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-        monkeypatch.setattr(cli, "_fork_join", fork_refused)
+        usable_cpus(monkeypatch, 64)
+        ks = fork_join_ks(monkeypatch)
         out = tmp_path / "out"
         assert main([command, "--n", str(10 ** 8), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"configuration error: {refused.value}\n"
-        assert not out.exists()
+        assert not out.exists() and ks == []
 
     def test_one_usable_cpu_runs_in_process(self, tmp_path, monkeypatch):
         # the affinity set counts, not the CPUs installed
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                            raising=False)
+        usable_cpus(monkeypatch, 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        ks = fork_join_ks(monkeypatch)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         assert main(["rate-function", "--n", "12",
                      "--out", str(tmp_path / "out")]) == 0
+        assert ks == [1]
 
     @pytest.mark.parametrize("platform", ["darwin", "win32"])
     def test_fields_fork_on_linux_only(self, tmp_path, monkeypatch, platform):
         # elsewhere a run that plans a fork runs its fields in process
         monkeypatch.setattr(sys, "platform", platform)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+        usable_cpus(monkeypatch, 64)
+        ks = fork_join_ks(monkeypatch)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
-        monkeypatch.setattr(cli, "_fork_join", fork_refused)
         assert main(["rate-function", "--n", "12",
                      "--out", str(tmp_path / "out")]) == 0
+        assert ks == [1]
 
     @FORKS_HERE
     def test_killed_child_fails_the_command(self, tmp_path, monkeypatch,
@@ -997,7 +1009,7 @@ class TestFieldPool:
             return rate(spec, t)
 
         monkeypatch.setattr(quench, "rate_function", rate_or_die)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
         out = tmp_path / "out"
         with within(10):
@@ -1020,7 +1032,7 @@ class TestFieldPool:
         argv = ["rate-function", "--n", "12", "--gf", "0.5,2.0",
                 "--config", config, "--out", str(out)]
         forked = record_forks(monkeypatch)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
         assert main(argv) == 2
         forked_err = capsys.readouterr().err
@@ -1052,7 +1064,7 @@ class TestFieldPool:
             return rate(spec, t)
 
         monkeypatch.setattr(quench, "rate_function", refuse_from_two)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        usable_cpus(monkeypatch, 2)
         argv = ["rate-function", "--n", "12", "--gf", fields,
                 "--out", str(tmp_path / "out")]
         for least in (0, 2 ** 62):      # forked, then in process
@@ -1077,20 +1089,12 @@ class TestFieldPool:
             time.sleep(60)
 
         monkeypatch.setattr(quench, "rate_function", interrupt_or_stall)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        usable_cpus(monkeypatch, 3)
         monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
         with within(10), pytest.raises(KeyboardInterrupt):
             main(["rate-function", "--n", "12", "--out", str(tmp_path / "out")])
         assert len(forked) == 2
         assert_reaped(forked)
-
-    @pytest.mark.parametrize("count, usable", [(8, 8), (None, 1)])
-    def test_cpu_count_where_there_is_no_affinity_set(self, monkeypatch,
-                                                      count, usable):
-        # os.cpu_count() may return None: then one CPU
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: count)
-        assert cli._usable_cpus() == usable
 
     def test_worker_count_is_not_an_option(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1103,6 +1107,9 @@ class TestFieldPool:
         assert "sweep.threads" in capsys.readouterr().err
         assert not out.exists()
 
+
+# spectra of 601 orders on as many angles
+M_MAX_300 = "[echo]\nm_max = 300\nn_phi = 601\n"
 
 # the least valid value of each size the refusal sweep draws
 LEAST = {"quench.n": 2, "quench.t_points": 2, "quench.tau_points": 2,
@@ -1161,7 +1168,7 @@ def test_commands_load_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("n_oracle, bc", [(12, "periodic"), (14, "periodic")])
-def test_only_the_large_open_oracle_loads_scipy(tmp_path, n_oracle, bc):
+def test_ring_oracle_with_bc_spelled_out_loads_no_scipy(tmp_path, n_oracle, bc):
     # open chains are refused, so no oracle loads scipy: each ring sector,
     # with oracle.bc spelled out, runs on numpy alone at the default tolerance
     config = write_config(tmp_path, f"[oracle]\nn_oracle = {n_oracle}\n"
@@ -1179,8 +1186,8 @@ def test_no_run_imports_multiprocessing(tmp_path):
     # none imports multiprocessing (and socket, selectors and array with it)
     runs = [[command] for command in cli.COMMANDS]
     runs.append(["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6"])
-    code = (f"import sys; from tfim_dqpt import cli\n"
-            f"cli._usable_cpus = lambda: 64\n"
+    code = (f"import os, sys; from tfim_dqpt import cli\n"
+            f"os.sched_getaffinity = lambda pid: set(range(64))\n"
             f"for i, argv in enumerate({runs!r}):\n"
             f"    code = cli.main([*argv, '--out', "
             f"{str(tmp_path)!r} + '/' + str(i)])\n"
@@ -1701,7 +1708,8 @@ class TestResourceAndRangeGuards:
                        for section, lines in sections.items())
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(quench, "MODE_BUDGET_BYTES", 4 * 2 ** 20), \
-                mock.patch.object(cli, "_usable_cpus", lambda: 1), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0},
+                                  create=True), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             out = os.path.join(tmp, "out")
             config = write_config(Path(tmp), text)
@@ -1718,11 +1726,16 @@ class TestResourceAndRangeGuards:
                 assert code == 0, err.getvalue()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("command, n, bound", [
-        ("heatmap", 2500, 1.25), ("pulse-schedule", 2483, 2.5),
-        ("otoc", 1827, 1.05)])
-    def test_whole_command_peak_at_an_admitted_size(self, tmp_path, command,
-                                                   n, bound, fmt):
+    @pytest.mark.parametrize("argv, config, bound", [
+        (["heatmap", "--n", "2500"], "", 1.25),
+        (["pulse-schedule", "--n", "2483"], "", 2.5),
+        (["otoc", "--n", "1827"], "", 1.05),
+        (["spectra", "--gf", "1.2"], M_MAX_300, 1.5),
+        (["spectra", "--gf", "1.2", "--aggregation", "product"], M_MAX_300, 2.5)],
+        ids=["heatmap-2500-1.25", "pulse-schedule-2483-2.5", "otoc-1827-1.05",
+             "spectra-m300-mean", "spectra-m300-product"])
+    def test_whole_command_peak_at_an_admitted_size(self, tmp_path, argv,
+                                                   config, bound, fmt):
         # 3 default fields in process at 8 MiB: heatmap and pulse-schedule
         # at the largest n their guards admit; otoc's peak is one block's
         # surfaces and chunk text, the same up to its largest admitted n,
@@ -1730,20 +1743,51 @@ class TestResourceAndRangeGuards:
         # its block, and pulse-schedule and otoc every field's result (for
         # otoc, m(t) alone), each with one chunk's text; a key column built
         # whole, or every field's maps or surfaces held at once, would
-        # break the bound
+        # break the bound.  spectra at m_max = 300 writes one field's 601
+        # orders x 500 times, 4.8 MB of complex numbers per observable: one
+        # observable's are built at a time, as the writer reaches them
+        # (1.31x; both stacked read 2.32x), and product's DFT holds its
+        # kernel and its product besides (2.13x; stacked, 2.90x)
         budget = 8 * 2 ** 20
+        if config:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
         with mock.patch.object(quench, "MODE_BUDGET_BYTES", budget), \
-                mock.patch.object(cli, "_usable_cpus", lambda: 1), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0},
+                                  create=True), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             tracemalloc.start()
             try:
-                code = main([command, "--n", str(n), "--format", fmt,
+                code = main([*argv, "--format", fmt,
                              "--out", str(tmp_path / "out")])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert code == 0, err.getvalue()
         assert peak <= bound * budget
+
+    def test_every_product_surface_is_counted_up_front(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # product holds each field's (n_phi, n_t) fidelity surface until it
+        # is written: at 601 angles x 500 times, 3 fields fit an 8 MiB
+        # budget (7.2 MB); 20 (48 MB) exit 2 before any field runs
+        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 8 * 2 ** 20)
+        ks = fork_join_ks(monkeypatch)
+        resolved = copy.deepcopy(cli.DEFAULTS)
+        resolved["echo"].update(n_phi=601, aggregation="product")
+        cli.validate_config(resolved, "otoc")
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["otoc", "--aggregation", "product", "--nphi", "601",
+                         "--gf", ",".join(["1.2"] * 20), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2 ** 20
+        assert capsys.readouterr().err.startswith(
+            "configuration error: 20 product surfaces of 601 angles x 500 "
+            "times need 48,080,000 bytes, over the 8,388,608-byte mode budget")
+        assert not out.exists() and ks == []
 
     @pytest.mark.parametrize("argv, message", [
         # a gapless initial mode, refused as heatmap's first map is built
