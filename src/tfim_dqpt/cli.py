@@ -226,11 +226,13 @@ def validate_config(resolved: dict, command: str | None) -> None:
     if command == "rate-function":
         quench._require_rate_budget(spec, t_points)
     elif command in ("otoc", "spectra"):
-        otoc._require_scan_budget(spec, t_points, e["n_phi"])
-        # product holds every field's fidelity surface until it is written
-        fields = len(q["g_f"]) if e["aggregation"] == "product" else 0
-        quench._require_budget(8 * fields * e["n_phi"] * t_points, f"{fields} product "
-                               f"surfaces of {e['n_phi']} angles x {t_points} times")
+        otoc._require_scan_budget(spec, t_points, e["n_phi"], e["aggregation"])
+        if e["aggregation"] == "product":   # each field's surface until written,
+            fields = len(q["g_f"])          # then its spectra's DFT
+            quench._require_budget(8 * fields * e["n_phi"] * t_points,
+                                   f"{fields} product surfaces of {e['n_phi']} "
+                                   f"angles x {t_points} times")
+            otoc._require_dft_budget(e["n_phi"], e["m_max"], t_points)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +474,10 @@ def _fork_join(fn, specs: list, workers: int) -> list:
 def _job_otoc(spec, ts, e: dict):
     """One field's mode moment m(t) after the scan's one count, and under
     ``product`` its fidelity surface (else None); the parent forms the rest."""
-    otoc._require_scan_budget(spec, ts.size, e["n_phi"])
-    config = otoc.EchoConfig(spec, ts, n_phi=e["n_phi"],
-                             aggregation=e["aggregation"])
-    m = otoc._mode_moment(config)
-    return m, (otoc._product_fidelity(config)
-               if e["aggregation"] == "product" else None)
+    otoc._require_scan_budget(spec, ts.size, e["n_phi"], e["aggregation"])
+    config = otoc.EchoConfig(spec, ts, e["n_phi"], e["aggregation"])
+    return otoc._mode_moment(config), (otoc._product_fidelity(config)
+                                      if config.aggregation == "product" else None)
 
 
 def _job_pulse(spec, constant: float, n_t: int):

@@ -13,16 +13,15 @@ dhat_i of dhat_i rotated by 2|d_f| t about dhat_f (P_k = |G_k|^2 of
 ``quench``): per mode F_k = cos^2(phi/2) + sin^2(phi/2) n^2 and
 M_k = (cos phi + 2 sin^2(phi/2) n^2)/2.  Under ``mean`` aggregation both
 surfaces are linear in cos phi with one coefficient, the mode moment
-m(t) = <n_k^2>, streamed from ``quench._blocks`` like the rate function:
-I_0 = (1 + m)/2, A_0 = m/2, I_+-1 = A_+-1 = (1 - m)/4, and every other
-order is 0.  The ``product`` fidelity multiplies each slab's mode factors
-into its surface; its orders reach the grid size, and its DFT on n_phi
-angles folds those past n_phi/2 onto the low ones (README).  Every surface
-is even in phi, and exactly so: its phi coefficients are built once per
-distinct angle (``_phi_coefficients``), so rows phi_j and 2pi - phi_j are
-bitwise equal.  No path holds a (modes, n_t) array.  ``echo_state`` (the
-literal three-factor sequence), ``mqc_components`` and
-``spectrum_dynamics`` (the DFT of the surfaces) stay as the test oracles.
+m(t) = <n_k^2>, a weighted row sum (``quench._mode_sums``) like the rate
+function: I_0 = (1 + m)/2, A_0 = m/2, I_+-1 = A_+-1 = (1 - m)/4, and every
+other order is 0.  The ``product`` fidelity multiplies in one factor row per
+distinct mode of the mode-major matrix (``quench._probabilities``); its
+orders reach the grid size, and its DFT on n_phi angles folds those past
+n_phi/2 onto the low ones (README).  Every surface is built on the
+n_phi//2 + 1 distinct angles and unfolded (``_phi_coefficients``), so it is
+exactly even: rows phi_j and 2pi - phi_j are bitwise equal.  ``echo_state``,
+``mqc_components`` and ``spectrum_dynamics`` stay as the test oracles.
 
 Time grids come in two interpretations.  ``absolute`` evolves every mode
 to the same time t.  ``normalized`` reads grid values as tau = t/t0 with
@@ -145,36 +144,25 @@ def echo_state(d_f, t: float, phi: float, psi0=X_PLUS) -> np.ndarray:
     return backward @ (rotation_x(phi) @ (forward @ su2._require_state("psi0", psi0)))
 
 
-def _require_scan_budget(spec: QuenchSpec, n_t: int, n_phi: int) -> None:
-    """Refuse an echo scan over the mode budget: its slabs, and three
-    (n_phi, n_t) surfaces (two finished, or a running product, and their
-    temporaries)."""
-    quench._require_budget(
-        quench._working_set(spec.n_distinct, n_t, 1, 3 * n_phi),
+def _require_scan_budget(spec: QuenchSpec, n_t: int, n_phi: int, aggregation: str):
+    """Refuse an echo scan over the mode budget: its slabs (and ``product``'s
+    matrix), and three (n_phi, n_t) surfaces or their product's temporaries."""
+    quench._require_budget(quench._working_set(
+        spec.n_distinct, n_t, 1 + (aggregation == "product"), 3 * n_phi),
         f"{n_phi} angles x {n_t} times over {spec.n_modes} modes")
 
 
-def _squared_n(config: EchoConfig):
-    """(start, n^2 = (2 P_k - 1)^2 over (slab times, distinct modes)), slab
-    by slab, in ``quench._blocks``' time-major buffer."""
-    for start, n in quench._blocks(config.spec, config.time_grid,
-                                   config.time_mode == "normalized"):
-        n *= 2.0
-        n -= 1.0
-        n *= n
-        yield start, n
+def _n_squared(p: np.ndarray) -> np.ndarray:
+    """|G_k|^2 = P to n^2 = (2 P - 1)^2, in place."""
+    p *= 2.0
+    p -= 1.0
+    return np.multiply(p, p, out=p)
 
 
 def _mode_moment(config: EchoConfig) -> np.ndarray:
-    """m(t) = <n_k^2>, the grid mean of n^2: each time's weighted modes, one
-    contiguous slab row, summed pairwise.  Unguarded: callers check the scan."""
-    weights = config.spec._multiplicity()
-    m = np.empty(config.time_grid.size)
-    for start, n2 in _squared_n(config):
-        n2 *= weights
-        m[start:start + n2.shape[0]] = n2.sum(axis=1)
-    m /= weights.sum()
-    return m
+    """m(t) = <n_k^2>, the grid mean of n^2.  Unguarded: callers check it."""
+    return quench._mode_sums(config.spec, config.time_grid, _n_squared,
+                             config.time_mode == "normalized") / config.spec.n_modes
 
 
 def _phi_grid(n_phi: int) -> np.ndarray:
@@ -184,25 +172,23 @@ def _phi_grid(n_phi: int) -> np.ndarray:
 
 
 def _phi_coefficients(n_phi: int):
-    """(cos^2(phi/2), sin^2(phi/2), cos phi) over ``_phi_grid`` as (n_phi, 1)
-    columns, computed once per distinct angle: all three are even in phi
-    (mod 2pi), so row j holds the values of angle min(j, n_phi - j).  Rows
-    j and n_phi - j of every surface made from them are bitwise equal."""
-    phis = _phi_grid(n_phi)[:n_phi // 2 + 1]
+    """(cos^2(phi/2), sin^2(phi/2), cos phi) as columns over the n_phi//2 + 1
+    distinct angles, and the fold j -> min(j, n_phi - j) onto ``_phi_grid``:
+    all three are even in phi (mod 2pi), so unfolded rows j and n_phi - j are equal."""
+    phis = _phi_grid(n_phi)[:n_phi // 2 + 1, None]
     j = np.arange(n_phi)
-    fold = np.minimum(j, n_phi - j)[:, None]
-    return (np.cos(phis / 2.0)[fold] ** 2, np.sin(phis / 2.0)[fold] ** 2,
-            np.cos(phis)[fold])
+    return (np.cos(phis / 2.0) ** 2, np.sin(phis / 2.0) ** 2, np.cos(phis),
+            np.minimum(j, n_phi - j))
 
 
 def _mean_surface(m: np.ndarray, n_phi: int, observable: str):
     """A ``mean`` surface over (phi, t) from its mode moment m: the fidelity
     cos^2(phi/2) + sin^2(phi/2) m, or the magnetization
     (cos phi + 2 sin^2(phi/2) m)/2, on n_phi angles."""
-    cos2, sin2, cos = _phi_coefficients(n_phi)
+    cos2, sin2, cos, fold = _phi_coefficients(n_phi)
     if observable == "fidelity":
-        return cos2 + sin2 * m
-    return 0.5 * (cos + 2.0 * sin2 * m)
+        return (cos2 + sin2 * m)[fold]
+    return (0.5 * (cos + 2.0 * sin2 * m))[fold]
 
 
 def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
@@ -220,16 +206,15 @@ def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
 
 
 def _product_fidelity(config: EchoConfig) -> np.ndarray:
-    """The ``product`` fidelity surface: each slab column's mode factors
-    multiplied in, in ascending k.  Unguarded: callers check the scan."""
-    cos2, sin2, _ = _phi_coefficients(config.n_phi)
-    fids = np.empty((config.n_phi, config.time_grid.size))
-    for start, n2 in _squared_n(config):
-        block = fids[:, start:start + n2.shape[0]]
-        block.fill(1.0)         # the last slab overlaps its predecessor
-        for row, weight in zip(n2.T, config.spec._multiplicity()):
-            block *= (cos2 + sin2 * row) ** weight
-    return fids
+    """The ``product`` fidelity surface: each distinct mode's factor row
+    multiplied in, in ascending k, on the distinct angles, then unfolded."""
+    cos2, sin2, _, fold = _phi_coefficients(config.n_phi)
+    n2 = _n_squared(quench._probabilities(config.spec, config.time_grid,
+                                          config.time_mode == "normalized"))
+    fids = np.ones((cos2.shape[0], config.time_grid.size))
+    for row, weight in zip(n2, config.spec._multiplicity()):
+        fids *= (cos2 + sin2 * row) ** weight
+    return fids[fold]
 
 
 def fidelity_otoc(config: EchoConfig) -> np.ndarray:
@@ -240,7 +225,8 @@ def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     mode's factor raised to its multiplicity; ``mean`` averages them.  The
     phi = 0 column is identically 1: unitary reversal is exact in simulation.
     """
-    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
+    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi,
+                         config.aggregation)
     if config.aggregation == "product":
         return _product_fidelity(config)
     return _mean_surface(_mode_moment(config), config.n_phi, "fidelity")
@@ -256,7 +242,7 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
         raise ConfigurationError(
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
-    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi)
+    _require_scan_budget(config.spec, config.time_grid.size, config.n_phi, "mean")
     return _mean_surface(_mode_moment(config), config.n_phi, "magnetization")
 
 
@@ -272,21 +258,29 @@ def require_resolvable(n_phi: int, m_max: int) -> None:
             f"need n_phi >= {2 * m_max + 1}")
 
 
+def _require_dft_budget(n_phi: int, m_max: int, n_t: int) -> None:
+    """Refuse a DFT of n_t columns it cannot resolve, or whose complex kernel,
+    its temporary, the scan's complex copy and product pass the mode budget."""
+    require_resolvable(n_phi, m_max)
+    orders = 2 * m_max + 1
+    quench._require_budget(16 * (2 * orders * n_phi + (n_phi + orders) * n_t)
+                           + quench._working_set(0, n_t, 0), f"the DFT of {n_phi} "
+                           f"angles x {n_t} times to {orders} orders")
+
+
 def mqc_components(scan, m_max: int) -> np.ndarray:
     """Discrete Fourier components of a real phi scan, column by column.
 
     component(m) = (1/N_phi) sum_j scan(phi_j) exp(-i m phi_j) on the
     uniform grid phi_j = 2 pi j / N_phi, for a (N_phi,) signal or every
     column of a (N_phi, n_t) matrix; row m + m_max of the result holds
-    order m.  N_phi >= 2 m_max + 1 is required; orders past N_phi/2 (the
-    ``product`` fidelity has them) fold onto these.
+    order m.  Needs N_phi >= 2 m_max + 1 and its arrays within the mode budget;
+    orders past N_phi/2 (the ``product`` fidelity has them) fold onto these.
     """
     scan = su2._require_dims("scan", scan, 2, 1)
     n_phi = scan.shape[0]
-    require_resolvable(n_phi, m_max)
-    phis = _phi_grid(n_phi)
-    orders = np.arange(-m_max, m_max + 1)
-    kernel = np.exp(-1.0j * np.outer(orders, phis))
+    _require_dft_budget(n_phi, m_max, scan.size // n_phi)
+    kernel = np.exp(-1.0j * np.outer(np.arange(-m_max, m_max + 1), _phi_grid(n_phi)))
     return kernel @ scan / n_phi
 
 
@@ -303,7 +297,7 @@ def spectrum_dynamics(config: EchoConfig, observable: str,
     if observable not in OBSERVABLES:
         raise ConfigurationError(
             f"observable must be one of {OBSERVABLES}, got {observable!r}")
-    require_resolvable(config.n_phi, m_max)
+    _require_dft_budget(config.n_phi, m_max, config.time_grid.size)
     surface = fidelity_otoc if observable == "fidelity" else magnetization_otoc
     return [MqcSpectrum(m_max=int(m_max), components=column)
             for column in mqc_components(surface(config), m_max).T]

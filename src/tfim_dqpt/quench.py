@@ -27,11 +27,12 @@ a time.  On a uniform grid (``np.linspace`` over its ends) at least four
 slabs long, angle addition gives cos at T + r h from cos/sin tables of the
 slab starts T and offsets r h: with BLOCK-wide slabs, about 2 (n_t/BLOCK +
 BLOCK) transcendentals per mode.  Other grids take one ``np.cos`` per cell.
-``rate_function`` (and the ``mean`` echo, in ``otoc``) sums each slab row,
-one time's modes, pairwise; ``_probabilities`` fills the (n_k', n_t) matrix
-for the heatmap and ``mode_probabilities``.  Each guarded call checks,
-before its first allocation, one count (``_working_set``) of all it holds,
-and refuses a count over ``MODE_BUDGET_BYTES`` with ``ResourceGuardError``.
+Two kernels read the slabs: ``_mode_sums``, each time's weighted modes
+summed pairwise (rate function, ``mean`` echo), and ``_probabilities``, the
+mode-major (n_k', n_t) matrix (heatmap, ``mode_probabilities``, ``product``
+echo).  Each guarded call checks, before its first allocation, one count
+(``_working_set``) of all it holds, and refuses a count over
+``MODE_BUDGET_BYTES`` with ``ResourceGuardError``.
 
 ``pulse_schedule`` writes the drive of every grid mode as one record array
 (fields ``k``, ``axis_angle``, ``rabi_rate``, ``durations`` (n_t,) and
@@ -248,6 +249,17 @@ def _blocks(spec: QuenchSpec, grid: np.ndarray, normalized: bool = False):
         yield start, np.minimum(np.add(slab, c2, out=slab), 1.0, out=slab)
 
 
+def _mode_sums(spec: QuenchSpec, grid: np.ndarray, transform, normalized: bool = False):
+    """Per time, the grid sum of transform(|G_k|^2), transformed in place and
+    weighted slab by slab, each row summed pairwise.  Unguarded."""
+    weights, sums = spec._multiplicity(), np.empty(grid.size)
+    for start, slab in _blocks(spec, grid, normalized):
+        transform(slab)
+        slab *= weights             # not slab @ weights: BLAS-independent sum
+        sums[start:start + slab.shape[0]] = np.sum(slab, axis=1)
+    return sums
+
+
 def _probabilities(spec: QuenchSpec, grid: np.ndarray,
                    normalized: bool = False) -> np.ndarray:
     """|G_k|^2 over (distinct modes, n_t), filled with each time-major slab's
@@ -256,6 +268,17 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
     for start, slab in _blocks(spec, grid, normalized):
         probs[:, start:start + slab.shape[0]] = slab.T
     return probs
+
+
+def _grid_probabilities(spec: QuenchSpec, n_t: int, grid=None):
+    """(k grid, times, |G_k|^2 over (n_k, n_t)), the distinct matrix and its
+    slabs and grid copy counted first; times ``grid``, else n_t taus in [0, 2]."""
+    _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
+                    f"{spec.n_modes} modes x {n_t} times")
+    if normalized := grid is None:
+        grid = np.linspace(0.0, 2.0, n_t)
+    probs = _probabilities(spec, grid, normalized)[spec._distinct_index()]
+    return spec._grid(), grid, probs
 
 
 def loschmidt_mode(spec: QuenchSpec, k: float, t):
@@ -277,11 +300,7 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """(k grid, |G_k(t)|^2 matrix of shape (n_k, n_t)) for the spec's grid."""
     ts = np.atleast_1d(su2._require_dims("t", t, 1))
-    # the distinct matrix and its slabs, then its copy onto the grid
-    _require_budget(_working_set(spec.n_distinct, ts.size, 2, spec.n_modes),
-                    f"{spec.n_modes} modes x {ts.size} times")
-    probs = _probabilities(spec, ts)
-    return spec._grid(), probs[spec._distinct_index()]
+    return _grid_probabilities(spec, ts.size, ts)[::2]
 
 
 def _require_rate_budget(spec: QuenchSpec, n_t: int) -> None:
@@ -291,21 +310,13 @@ def _require_rate_budget(spec: QuenchSpec, n_t: int) -> None:
 
 
 def rate_function(spec: QuenchSpec, t):
-    """Loschmidt rate function f(t) = -(1/N) sum_k log |G_k(t)|^2.
-
-    The sum runs over the spec's momentum grid (N+1 terms in "paper" grid
-    mode, still divided by N), weighting each distinct mode; each time's
-    weighted logs, one slab row, are summed pairwise.  Slab by slab, so no
-    (modes, n_t) array is held.  Scalar or array t.
-    """
+    """Loschmidt rate function f(t) = -(1/N) sum_k log |G_k(t)|^2, scalar or
+    array t: a ``_mode_sums`` over the spec's momentum grid (N+1 terms in
+    "paper" grid mode, still divided by N)."""
     ts = su2._require_dims("t", t, 1)
     _require_rate_budget(spec, ts.size)
-    weights = spec._multiplicity()
-    f = np.empty(ts.size)
-    for start, logs in _blocks(spec, np.atleast_1d(ts)):
-        np.log(np.maximum(logs, AMPLITUDE_FLOOR, out=logs), out=logs)
-        logs *= weights             # not logs @ weights: BLAS-independent sum
-        f[start:start + logs.shape[0]] = -np.sum(logs, axis=1) / spec.n
+    f = -_mode_sums(spec, np.atleast_1d(ts), lambda p: np.log(
+        np.maximum(p, AMPLITUDE_FLOOR, out=p), out=p)) / spec.n
     return f if ts.ndim else float(f[0])
 
 
@@ -353,12 +364,7 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     t0 = pi/|d_f(k)|, matching how the mode sweeps are displayed; gapless
     final modes give a row of ones.  Returns (k grid, tau grid, matrix).
     """
-    n_t = su2._require_int("n_t", n_t, 2)
-    _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
-                    f"{spec.n_modes} modes x {n_t} times")   # before the grid
-    taus = np.linspace(0.0, 2.0, n_t)
-    probs = _probabilities(spec, taus, normalized=True)
-    return spec._grid(), taus, probs[spec._distinct_index()]
+    return _grid_probabilities(spec, su2._require_int("n_t", n_t, 2))
 
 
 def pulse_schedule(spec: QuenchSpec, c: float = 1.0,

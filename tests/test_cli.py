@@ -1108,8 +1108,10 @@ class TestFieldPool:
         assert not out.exists()
 
 
-# spectra of 601 orders on as many angles
+# spectra of 601 orders on as many angles; under product, whose DFT is
+# counted, of 301, which an 8 MiB budget admits
 M_MAX_300 = "[echo]\nm_max = 300\nn_phi = 601\n"
+M_MAX_150 = "[echo]\nm_max = 150\nn_phi = 301\n"
 
 # the least valid value of each size the refusal sweep draws
 LEAST = {"quench.n": 2, "quench.t_points": 2, "quench.tau_points": 2,
@@ -1731,9 +1733,9 @@ class TestResourceAndRangeGuards:
         (["pulse-schedule", "--n", "2483"], "", 2.5),
         (["otoc", "--n", "1827"], "", 1.05),
         (["spectra", "--gf", "1.2"], M_MAX_300, 1.5),
-        (["spectra", "--gf", "1.2", "--aggregation", "product"], M_MAX_300, 2.5)],
+        (["spectra", "--gf", "1.2", "--aggregation", "product"], M_MAX_150, 1.6)],
         ids=["heatmap-2500-1.25", "pulse-schedule-2483-2.5", "otoc-1827-1.05",
-             "spectra-m300-mean", "spectra-m300-product"])
+             "spectra-m300-mean", "spectra-m150-product"])
     def test_whole_command_peak_at_an_admitted_size(self, tmp_path, argv,
                                                    config, bound, fmt):
         # 3 default fields in process at 8 MiB: heatmap and pulse-schedule
@@ -1746,8 +1748,9 @@ class TestResourceAndRangeGuards:
         # break the bound.  spectra at m_max = 300 writes one field's 601
         # orders x 500 times, 4.8 MB of complex numbers per observable: one
         # observable's are built at a time, as the writer reaches them
-        # (1.31x; both stacked read 2.32x), and product's DFT holds its
-        # kernel and its product besides (2.13x; stacked, 2.90x)
+        # (1.31x; both stacked read 2.32x).  product's DFT, counted up
+        # front, holds its kernel and its product besides: at m_max = 150
+        # on 301 angles, which it admits, 1.42x (json 1.46x)
         budget = 8 * 2 ** 20
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
@@ -1787,6 +1790,23 @@ class TestResourceAndRangeGuards:
         assert capsys.readouterr().err.startswith(
             "configuration error: 20 product surfaces of 601 angles x 500 "
             "times need 48,080,000 bytes, over the 8,388,608-byte mode budget")
+        assert not out.exists() and ks == []
+
+    def test_product_spectra_dft_is_counted_up_front(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # one field's scan at 10001 angles x 50 times fits the 1 GiB budget
+        # (12 MB), but its DFT to m_max = 5000 would build a 1.6 GB complex
+        # kernel: the run exits 2 before any field runs, and no kernel forms
+        ks = fork_join_ks(monkeypatch)
+        monkeypatch.setattr(np, "exp", mock.Mock(side_effect=AssertionError))
+        config = write_config(tmp_path, "[echo]\nm_max = 5000\nn_phi = 10001\n"
+                              "aggregation = product\n[quench]\nt_points = 50\n"
+                              "g_f = 1.2\n")
+        out = tmp_path / "out"
+        assert main(["spectra", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the DFT of 10001 angles x 50 "
+                              "times to 10001 orders need") and "mode budget" in err
         assert not out.exists() and ks == []
 
     @pytest.mark.parametrize("argv, message", [

@@ -27,6 +27,12 @@ def echo_config(g_f, times, **kw):
     return otoc.EchoConfig(spec, np.asarray(times, dtype=float), **kw)
 
 
+finite_fields = st.floats(-2.5, 2.5, allow_nan=False) \
+    | st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.2])
+time_lists = st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1,
+                      max_size=5)
+
+
 class TestEchoState:
     def test_zero_angle_is_identity_echo(self):
         d = quench.bloch_vector(1.2, 0.9)
@@ -91,6 +97,37 @@ class TestFidelityOtoc:
         mean = otoc.fidelity_otoc(echo_config(1.2, ts, aggregation="mean"))
         assert np.all(prod <= mean ** 0 * mean.clip(0, 1) + 1e-12)
         assert np.all(prod <= mean + 1e-12)
+
+    @example(0.0, 1.2, 30, "paper", "absolute", 16, 5, 5.0, True)
+    @example(-0.4, -1.0, 7, "abc", "normalized", 3, 2, 2.0, False)
+    @given(finite_fields, finite_fields, st.integers(2, 200),
+           st.sampled_from(["paper", "abc"]),
+           st.sampled_from(["absolute", "normalized"]), st.integers(3, 40),
+           st.integers(2, 60), st.floats(0.1, 8.0), st.booleans())
+    def test_product_is_the_ordered_product_of_mode_factors(
+            self, g_i, g_f, n, grid, time_mode, n_phi, n_t, t_max, uniform):
+        # the byte contract of the product surface: every cell is 1.0 times
+        # each distinct mode's closed-form factor (cos^2(phi/2) +
+        # sin^2(phi/2) n^2) ** multiplicity, in ascending k, with the angle
+        # coefficients of phi_j taken at min(j, n_phi - j)
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        ts = np.linspace(0.0, t_max, n_t)
+        if not uniform:
+            ts = ts * ts / t_max
+        cfg = otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation="product",
+                              time_mode=time_mode)
+        try:
+            surface = otoc._product_fidelity(cfg)
+        except GaplessModeError:
+            return
+        j = np.arange(n_phi)
+        half = otoc._phi_grid(n_phi)[np.minimum(j, n_phi - j), None] / 2.0
+        cos2, sin2 = np.cos(half) ** 2, np.sin(half) ** 2
+        n2 = 2.0 * quench._probabilities(spec, ts, time_mode == "normalized") - 1.0
+        n2 *= n2
+        factors = [(cos2 + sin2 * row) ** weight
+                   for row, weight in zip(n2, spec._multiplicity())]
+        assert surface.tobytes() == np.multiply.reduce(np.stack(factors)).tobytes()
 
 
 class TestMagnetizationOtoc:
@@ -620,12 +657,6 @@ class TestClosedFormEcho:
             otoc.magnetization_otoc(cfg)
 
 
-finite_fields = st.floats(-2.5, 2.5, allow_nan=False) \
-    | st.sampled_from([-1.0, 0.0, 0.5, 1.0, 1.2])
-time_lists = st.lists(st.floats(0.0, 8.0, allow_nan=False), min_size=1,
-                      max_size=5)
-
-
 class TestMeanClosedForms:
     """The closed forms in the mode moment m(t) and the product's 3-tap
     spectrum, against the DFT of the literal surfaces."""
@@ -821,6 +852,43 @@ class TestMqcComponents:
             otoc.mqc_components(np.ones(7), -1)
         with pytest.raises(InvalidArgumentError):
             otoc.mqc_spectrum(np.ones(9), 3.5)
+
+    @pytest.mark.parametrize("call", [
+        lambda: otoc.mqc_components(np.ones((10001, 50)), 5000),
+        lambda: otoc.spectrum_dynamics(echo_config(1.2, np.ones(50), n_phi=10001),
+                                       "fidelity", 5000)],
+        ids=["mqc_components", "spectrum_dynamics"])
+    def test_dft_over_the_budget_is_refused_before_its_kernel(self, call):
+        # 10001 angles to m_max = 5000 over 50 times: the complex kernel
+        # alone would take 1.6 GB; neither it, its exponent nor (from a
+        # config) the scan is formed
+        formed = AssertionError("formed")
+        with mock.patch.object(np, "exp", side_effect=formed), \
+                mock.patch.object(np, "outer", side_effect=formed), \
+                mock.patch.object(otoc, "fidelity_otoc", side_effect=formed), \
+                pytest.raises(ResourceGuardError, match="mode budget"):
+            call()
+
+    @pytest.mark.parametrize("n_phi, m_max, n_t", [
+        (3, 0, 1), (64, 3, 500), (601, 300, 50), (101, 50, 2000)])
+    def test_peak_is_at_most_its_count(self, n_phi, m_max, n_t):
+        # the kernel and its temporary, the scan's complex copy and the
+        # product, with the scan itself held by the caller
+        scan = np.ones((n_phi, n_t))
+        counted, guard = [], quench._require_budget
+
+        def recording(need, what):
+            counted.append(need)
+            guard(need, what)
+
+        with mock.patch.object(quench, "_require_budget", recording):
+            tracemalloc.start()
+            try:
+                otoc.mqc_components(scan, m_max)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(counted) == 1 and peak <= counted[0]
 
     def test_spectrum_dynamics_refuses_aliasing_before_the_scan(self):
         cfg = otoc.EchoConfig(quench.QuenchSpec(0.0, 1.2, 10 ** 8), [1.0],
