@@ -45,11 +45,16 @@ and ``echo.dw_window`` are still accepted and checked, and change nothing.
 
 Tables are written one block at a time: one final field's arrays (and
 scalars) that broadcast together, whose rows are the C-order cells of the
-broadcast, so no key column is ever built whole.  Each chunk of rows is
-texted column by column, each distinct value once per pair of adjacent
-chunks of a block, and rows and lines are joined with ``str.join``.  CSV
-and JSON share that one text path; CSV fields follow csv's QUOTE_MINIMAL
-rule.
+broadcast, so no key column is ever built whole.  A block is texted by its
+shape, as (leading rows, last axis): a key column constant along the last
+axis (g_f, phi, k, t of the spectra) once per leading row, a column constant
+across the rows (the times, the orders) once per block, and every other
+column once per distinct row, so a row equal to one of its own chunk or of
+the chunk before (a surface's phi_j and 2 pi - phi_j) and a column equal to
+an earlier one (spectra's abs where im is 0) are texted once.  Each leading
+row's lines are one ``str.join`` with the row's key text inside the
+separator.  CSV and JSON share that one text path; CSV fields follow csv's
+QUOTE_MINIMAL rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 any other simulator error (a safety net).
@@ -227,12 +232,9 @@ def validate_config(resolved: dict, command: str | None) -> None:
         quench._require_rate_budget(spec, t_points)
     elif command in ("otoc", "spectra"):
         otoc._require_scan_budget(spec, t_points, e["n_phi"], e["aggregation"])
-        if e["aggregation"] == "product":   # each field's surface until written,
-            fields = len(q["g_f"])          # then its spectra's DFT
-            quench._require_budget(8 * fields * e["n_phi"] * t_points,
-                                   f"{fields} product surfaces of {e['n_phi']} "
-                                   f"angles x {t_points} times")
-            otoc._require_dft_budget(e["n_phi"], e["m_max"], t_points)
+        if e["aggregation"] == "product":   # every field's surface is held
+            otoc._require_dft_budget(       # while each spectra's DFT runs
+                e["n_phi"], e["m_max"], t_points, len(q["g_f"]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,54 +257,126 @@ def _quote(text: str) -> str:
     return text
 
 
-def _cells(column: np.ndarray, fmt: str, carry: list) -> list[str]:
-    """One chunk of a column as CSV or JSON cell text.
+def _cells(column: np.ndarray, fmt: str) -> list[str]:
+    """A 1-D array as CSV or JSON cell text.
 
     Each distinct value is turned into text once and the texts are indexed
-    back through ``np.unique``.  ``carry`` is empty at a block's first chunk
-    and then holds the previous chunk's sorted distinct values and their
-    texts: a value ``np.searchsorted`` finds there takes its text from it,
-    and ``carry`` is replaced by this chunk's.  Floats print in shortest
-    round-trip form with -0.0 made 0.0 (``NaN``/``Infinity`` in JSON, as
-    ``json.dumps`` writes them); bools print as 1/0 in CSV; strings are
-    quoted as csv or ``json.dumps`` would quote them.
+    back through ``np.unique``.  Floats print in shortest round-trip form
+    with -0.0 made 0.0 (``NaN``/``Infinity`` in JSON, as ``json.dumps``
+    writes them); bools print as 1/0 in CSV; strings are quoted as csv or
+    ``json.dumps`` would quote them.
     """
     as_json, kind = fmt == "json", column.dtype.kind
     # + 0.0 canonicalizes negative zero; np.unique joins every NaN
     levels, codes = np.unique(column + 0.0 if kind == "f" else column,
                               return_inverse=True)
-    texts = np.empty(levels.size, dtype=object)
-    new = np.ones(levels.size, dtype=bool)
-    if carry:
-        known, known_texts = carry
-        at = np.minimum(np.searchsorted(known, levels), known.size - 1)
-        new = known[at] != levels           # NaN is never found: it is new
-        texts[~new] = known_texts[at[~new]]
-    fresh = levels[new]
     if kind == "b":
         words = ("false", "true") if as_json else ("0", "1")
-        texts[new] = [words[value] for value in fresh.tolist()]
+        texts = [words[value] for value in levels.tolist()]
     elif kind == "U":
-        texts[new] = list(map(json.dumps if as_json else _quote, fresh.tolist()))
+        texts = list(map(json.dumps if as_json else _quote, levels.tolist()))
     elif kind == "f":
-        texts[new] = list(map(repr, fresh.tolist()))
-        if as_json and not np.isfinite(fresh).all():
+        texts = list(map(repr, levels.tolist()))
+        if as_json and not np.isfinite(levels).all():
             names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-            texts[new] = [names.get(text, text) for text in texts[new]]
+            texts = [names.get(text, text) for text in texts]
     else:
-        texts[new] = list(map(str, fresh.tolist()))
-    carry[:] = levels, texts
-    return texts[codes].tolist()
+        texts = list(map(str, levels.tolist()))
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _row_cells(rows: np.ndarray, fmt: str, known):
+    """The cell texts of each row of a 2-D chunk, and the ``known`` of the
+    next chunk: this chunk's distinct rows and their texts.
+
+    A row bytewise equal to an earlier row of the chunk, or to a row of
+    ``known`` (the previous chunk's, or None), takes that row's texts; one
+    ``_cells`` call texts every other row.
+    """
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1]
+    keys = rows.view(np.dtype((np.void, width * rows.itemsize))).ravel()
+    if known is None or known[0].dtype != keys.dtype:
+        known = keys[:0], []
+    old, old_texts = known
+    distinct, first, inverse = np.unique(np.concatenate([old, keys]),
+                                         return_index=True, return_inverse=True)
+    fresh = first >= old.size
+    flat = _cells(rows[first[fresh] - old.size].ravel(), fmt)
+    new_texts = (flat[at:at + width] for at in range(0, len(flat), width))
+    texts = [next(new_texts) if new else old_texts[at]
+             for new, at in zip(fresh.tolist(), first.tolist())]
+    inverse = inverse[old.size:]
+    here = np.zeros(distinct.size, dtype=bool)
+    here[inverse] = True
+    return (list(map(texts.__getitem__, inverse.tolist())),
+            (distinct[here], list(itertools.compress(texts, here.tolist()))))
+
+
+def _block_rows(block: list, row_sep: str, cell_sep: str, fmt: str):
+    """The text of one broadcast block, as a list of row texts per chunk.
+
+    The block is viewed as (leading rows, last axis).  A column constant
+    along the last axis is texted once per leading row, and the run of
+    such columns that opens the table is each row's prefix.  A column
+    constant across the leading rows is texted once per block (both: one
+    text), unless its rows are split.  Every other column goes through
+    ``_row_cells``, or takes the texts of an equal earlier column of the
+    chunk.  A chunk is as many whole rows as fit in CHUNK_ROWS lines, or
+    one piece of a longer row, and each of its rows is one ``str.join``
+    with the prefix inside the separator.
+    """
+    shape = block[0].shape
+    width = shape[-1] if shape else 1
+    if not block[0].size:
+        return
+    height = block[0].size // width
+    views = [column.reshape(height, width) for column in block]
+    along = [width == 1 or view.strides[1] == 0 for view in views]
+    once = {c: _cells(view[0, :1] if along[c] else view[0], fmt)
+            for c, view in enumerate(views) if (height == 1 or view.strides[0] == 0)
+            and (along[c] or width <= CHUNK_ROWS)}
+    # the prefix: the opening columns constant along the last axis, but
+    # never every column, so each line has a rest
+    lead = min(next((c for c, flat in enumerate(along) if not flat), len(views)),
+               len(views) - 1)
+    known, per = [None] * len(views), max(1, CHUNK_ROWS // width)
+    for top in range(0, height, per):
+        for left in range(0, width, CHUNK_ROWS):
+            chunk = [view[top:top + per, left:left + CHUNK_ROWS] for view in views]
+            count, span = chunk[0].shape
+            texts, done = [], []
+            for c, values in enumerate(chunk):
+                if c in once:
+                    texts.append(once[c] * count if along[c] else once[c])
+                elif along[c]:
+                    texts.append(_cells(values[:, 0], fmt))
+                else:
+                    equal = next((d for d in done if values.dtype == chunk[d].dtype
+                                  and np.array_equal(values, chunk[d])), None)
+                    if equal is None:
+                        done.append(c)
+                        text, known[c] = _row_cells(values, fmt, known[c])
+                    else:
+                        text, known[c] = texts[equal], known[equal]
+                    texts.append(text)
+            prefixes = map(cell_sep.join, zip(*texts[:lead], itertools.repeat("")))
+            rests = [map(itertools.repeat, texts[c], itertools.repeat(span))
+                     if along[c] else itertools.repeat(texts[c], count)
+                     if c in once else texts[c] for c in range(lead, len(views))]
+            yield [prefix + (row_sep + prefix).join(map(cell_sep.join, zip(*parts)))
+                   for prefix, parts in zip(prefixes, zip(*rests))]
 
 
 def _table_text(columns: list[str], blocks, fmt: str):
-    """The text of a table, yielded one chunk of at most CHUNK_ROWS rows at
-    a time, from an iterable of blocks.  A block is a list of arrays (or
-    scalars) that broadcast together, and its rows are the C-order cells of
-    the broadcast: ``np.broadcast_arrays`` makes views only, so no key
-    column is built whole.  A block may be empty.  Each block is built only
-    once the one before is dropped, the first before the header; one block,
-    one chunk's text and each column's ``_cells`` carry are held at a time.
+    """The text of a table, yielded one chunk at a time, from an iterable
+    of blocks.  A block is a list of arrays (or scalars) that broadcast
+    together to at most two axes, and its rows are the C-order cells of the
+    broadcast: ``np.broadcast_arrays`` makes views only, so no key column
+    is built whole.  A block may be empty.  ``_block_rows`` texts each
+    block by its shape.  Each block is built only once the one before is
+    dropped, the first before the header; one block, one chunk's text and
+    each column's previous-chunk rows (``_row_cells``) are held at a time.
     csv would write a row of one empty field as ``""``; every table here
     has at least two columns, so no row is one field.
     """
@@ -315,14 +389,13 @@ def _table_text(columns: list[str], blocks, fmt: str):
         head, row_sep, cell_sep, tail = "[", "], [", ", ", "]"
         yield f'{{"columns": {json.dumps(columns)}, "rows": ['
     while block is not None:
-        block = np.broadcast_arrays(*block)
-        carries = [[] for _ in block]
-        for start in range(0, block[0].size, CHUNK_ROWS):
-            yield head + row_sep.join(map(cell_sep.join, zip(*[
-                _cells(col.flat[start:start + CHUNK_ROWS], fmt, carry)
-                for col, carry in zip(block, carries)]))) + tail
+        for rows in _block_rows(np.broadcast_arrays(*block), row_sep, cell_sep,
+                                fmt):
+            rows[0] = head + rows[0]    # copies of one row, not of the chunk
+            rows[-1] += tail
+            yield row_sep.join(rows)
             head = "" if fmt == "csv" else ", ["
-        del block, carries      # released before the next block is built
+        del block               # released before the next block is built
         block = next(blocks, None)
     if fmt == "json":
         yield "]}\n"

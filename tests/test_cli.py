@@ -1109,9 +1109,10 @@ class TestFieldPool:
 
 
 # spectra of 601 orders on as many angles; under product, whose DFT is
-# counted, of 301, which an 8 MiB budget admits
+# counted with the surfaces, of 301 at 400 times, which an 8 MiB budget
+# admits (at 500 times it does not)
 M_MAX_300 = "[echo]\nm_max = 300\nn_phi = 601\n"
-M_MAX_150 = "[echo]\nm_max = 150\nn_phi = 301\n"
+M_MAX_150 = "[echo]\nm_max = 150\nn_phi = 301\n[quench]\nt_points = 400\n"
 
 # the least valid value of each size the refusal sweep draws
 LEAST = {"quench.n": 2, "quench.t_points": 2, "quench.tau_points": 2,
@@ -1258,6 +1259,24 @@ def str_then_floats(data, at: int, cut: int):
     return [first, [column[cut:] for column in data]], rows
 
 
+def texted(monkeypatch) -> list:
+    """The values of every ``_cells`` call from now on, one list per call."""
+    inputs, cells = [], cli._cells
+
+    def recording(column, *args):
+        inputs.append(column.tolist())
+        return cells(column, *args)
+
+    monkeypatch.setattr(cli, "_cells", recording)
+    return inputs
+
+
+def cells_of(inputs: list, values) -> int:
+    """The cells of the recorded ``_cells`` calls that text only ``values``."""
+    values = set(np.ravel(values).tolist())
+    return sum(len(cells) for cells in inputs if cells and set(cells) <= values)
+
+
 def written_table(columns, blocks, fmt: str, chunk: int) -> bytes:
     """The bytes ``_write_table`` writes for ``blocks`` in chunks of
     ``chunk`` rows."""
@@ -1359,9 +1378,9 @@ class TestColumnarWriter:
            st.data())
     def test_values_repeated_across_chunks_equal_per_cell_reference(
             self, chunk, fmt, data):
-        # each column draws from a few values, so a chunk finds most of its
-        # values in the carry of the chunk before and misses some; NaN, +-inf
-        # and +-0.0 sit on both sides of a chunk edge in each block.  Column
+        # each column draws from a few values, so most values of a chunk
+        # were in the chunk before and some were not; NaN, +-inf and +-0.0
+        # sit on both sides of a chunk edge in each block.  Column
         # "phi" is the str scalar "" in the first block and floats in the
         # second, as compare writes it
         n = data.draw(st.integers(4 * chunk, 8 * chunk))
@@ -1384,23 +1403,68 @@ class TestColumnarWriter:
             == reference_table(columns, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_adjacent_chunks_format_each_value_once(self, monkeypatch, fmt):
-        # the second chunk of a block repeats the first's floats, as the
-        # rows 2pi - phi_j of an echo surface repeat the rows phi_j, so
-        # only the first chunk calls repr; a new block starts afresh
-        formatted = []
+    @pytest.mark.parametrize("chunk, n", [(3, 3), (12, 4), (12, 6)])
+    def test_mirrored_rows_are_texted_once(self, monkeypatch, chunk, n, fmt):
+        # rows j and n - j of the "f" block are equal, as the rows phi_j and
+        # 2pi - phi_j of an echo surface are: each distinct row is texted
+        # once, whether its mirror is in its own chunk or the next
+        inputs = texted(monkeypatch)
+        f = -1.0 - np.arange(3 * n).reshape(n, 3) / 7.0
+        f = f[np.minimum(np.arange(n), -np.arange(n) % n)]
+        block = [np.arange(n)[:, None] / 4.0, np.arange(3.0), f]
+        written = written_table(["phi", "t", "f"], [block], fmt, chunk)
+        assert cells_of(inputs, f) == 3 * (n // 2 + 1)
+        assert written == written_table(["phi", "t", "f"], [[
+            np.repeat(block[0], 3), np.tile(block[1], n), f.ravel()]], fmt, chunk)
 
-        def counting(value):
-            formatted.append(value)
-            return repr(value)
+    def test_only_the_previous_chunks_rows_are_held(self, monkeypatch):
+        # 9 distinct rows of 3 cells in chunks of 2 rows: each chunk looks
+        # its rows up among the previous chunk's 2 rows, never among all
+        # the rows texted before
+        held, row_cells = [], cli._row_cells
 
-        values = np.array([0.1, -0.0, 1.0 / 3.0, np.inf, 2.0])
-        block = [np.r_[values, values[::-1]], np.arange(10)]
-        monkeypatch.setattr(cli, "repr", counting, raising=False)
-        written = written_table(["a", "b"], [block, block], fmt, 5)
-        assert len(formatted) == 2 * values.size
-        rows = [row for columns in (block, block) for row in zip(*columns)]
-        assert written == reference_table(["a", "b"], rows, fmt)
+        def recording(rows, fmt, known):
+            held.append(0 if known is None else len(known[1]))
+            return row_cells(rows, fmt, known)
+
+        monkeypatch.setattr(cli, "_row_cells", recording)
+        f = np.arange(27.0).reshape(9, 3)
+        written = written_table(["k", "f"], [[np.arange(9)[:, None], f]], "csv", 6)
+        assert held == [0, 2, 2, 2, 2]
+        assert written == reference_table(
+            ["k", "f"], list(zip(np.repeat(np.arange(9), 3), f.ravel())), "csv")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_scalar_key_column_is_texted_once_per_block(self, monkeypatch, fmt):
+        # a block of 4 rows of 2 cells is 4 chunks of 3 cells, but its
+        # scalar g_f and observable are each texted once, as one cell
+        inputs = texted(monkeypatch)
+        blocks = [[g_f, "fidelity", np.arange(4.0)[:, None], np.arange(2),
+                   np.arange(8.0).reshape(4, 2) + 10 + g_f]
+                  for g_f in (0.625, 1.375)]
+        columns = ["g_f", "observable", "t", "m", "re"]
+        written = written_table(columns, blocks, fmt, 3)
+        assert [cells for cells in inputs if len(cells) == 1
+                and cells[0] in (0.625, 1.375, "fidelity")] \
+            == [[0.625], ["fidelity"], [1.375], ["fidelity"]]
+        assert sum(0.625 in cells or 1.375 in cells for cells in inputs) == 2
+        rows = [row for block in blocks for row in zip(*(
+            np.broadcast_to(column, (4, 2)).ravel() for column in block))]
+        assert written == reference_table(columns, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_equal_column_is_texted_once(self, monkeypatch, fmt):
+        # "abs" equals "re" cell for cell, as spectra's abs equals re where
+        # im is 0: it takes re's texts; "im" is texted on its own
+        inputs = texted(monkeypatch)
+        re_ = np.linspace(0.5, 0.9, 12).reshape(4, 3)
+        block = [np.arange(4)[:, None], np.arange(3), re_, -re_, re_.copy()]
+        columns = ["t", "m", "re", "im", "abs"]
+        written = written_table(columns, [block], fmt, 3)
+        assert cells_of(inputs, re_) == cells_of(inputs, -re_) == re_.size
+        rows = list(zip(*(np.broadcast_to(column, (4, 3)).ravel()
+                          for column in block)))
+        assert written == reference_table(columns, rows, fmt)
 
     @given(st.lists(st.sampled_from(sorted(COLUMN_POOLS)), min_size=2,
                     max_size=5),
@@ -1411,8 +1475,11 @@ class TestColumnarWriter:
     def test_broadcast_blocks_equal_materialized_columns(
             self, kinds, sizes, chunk, fmt, data):
         # a block's rows are the C-order cells of its broadcast columns:
-        # 0-d, (a, 1), (1, b) or (a, b), with a or b possibly 0
-        columns = [f"c{i}" for i in range(len(kinds))]
+        # 0-d, (a, 1), (1, b) or (a, b), with a or b possibly 0.  Rows j and
+        # a - j of a column may be equal, as on an echo surface, and the last
+        # column may be a copy of an earlier one, as spectra's abs of re
+        twin = data.draw(st.sampled_from([None, *range(len(kinds))]))
+        columns = [f"c{i}" for i in range(len(kinds) + (twin is not None))]
         blocks, materialized = [], []
         for a, b in sizes:
             block = []
@@ -1424,7 +1491,12 @@ class TestColumnarWriter:
                     max_size=int(np.prod(shape))))
                 values = np.array([pool[j] for j in picks],
                                   dtype=kind).reshape(shape)
+                if values.ndim and data.draw(st.booleans()):    # mirrored rows
+                    rows = np.arange(values.shape[0])
+                    values = values[np.minimum(rows, -rows % values.shape[0])]
                 block.append(values.item() if values.ndim == 0 else values)
+            if twin is not None:
+                block.append(copy.copy(block[twin]))
             shape = np.broadcast_shapes(*map(np.shape, block))
             blocks.append(block)
             materialized.append([np.broadcast_to(column, shape).ravel()
@@ -1438,11 +1510,11 @@ class TestColumnarWriter:
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, fmt):
         calls = []
 
-        def failing(column, fmt, carry):
+        def failing(column, fmt):
             calls.append(1)
             if len(calls) > 2:         # the second chunk of two columns
                 raise MemoryError("simulated")
-            return cells(column, fmt, carry)
+            return cells(column, fmt)
 
         cells = cli._cells
         monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
@@ -1749,8 +1821,9 @@ class TestResourceAndRangeGuards:
         # orders x 500 times, 4.8 MB of complex numbers per observable: one
         # observable's are built at a time, as the writer reaches them
         # (1.31x; both stacked read 2.32x).  product's DFT, counted up
-        # front, holds its kernel and its product besides: at m_max = 150
-        # on 301 angles, which it admits, 1.42x (json 1.46x)
+        # front with the surfaces held beside it, holds its kernel and its
+        # product besides: at m_max = 150 on 301 angles x 400 times, which
+        # it admits (7.9 MB counted), 1.35x (json 1.42x)
         budget = 8 * 2 ** 20
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
@@ -1771,11 +1844,13 @@ class TestResourceAndRangeGuards:
     def test_every_product_surface_is_counted_up_front(self, tmp_path, capsys,
                                                        monkeypatch):
         # product holds each field's (n_phi, n_t) fidelity surface until it
-        # is written: at 601 angles x 500 times, 3 fields fit an 8 MiB
-        # budget (7.2 MB); 20 (48 MB) exit 2 before any field runs
+        # is written: at 601 angles x 500 times, one field's surface and
+        # spectra's DFT fit an 8 MiB budget (7.6 MB); 20 fields (53 MB)
+        # exit 2 before any field runs
         monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 8 * 2 ** 20)
         ks = fork_join_ks(monkeypatch)
         resolved = copy.deepcopy(cli.DEFAULTS)
+        resolved["quench"]["g_f"] = [1.2]
         resolved["echo"].update(n_phi=601, aggregation="product")
         cli.validate_config(resolved, "otoc")
         out = tmp_path / "out"
@@ -1788,9 +1863,35 @@ class TestResourceAndRangeGuards:
             tracemalloc.stop()
         assert code == 2 and peak < 2 ** 20
         assert capsys.readouterr().err.startswith(
-            "configuration error: 20 product surfaces of 601 angles x 500 "
-            "times need 48,080,000 bytes, over the 8,388,608-byte mode budget")
+            "configuration error: the DFT of 601 angles x 500 times to 7 orders "
+            "and 20 product surfaces need 53,291,264 bytes, over the "
+            "8,388,608-byte mode budget")
         assert not out.exists() and ks == []
+
+    @pytest.mark.parametrize("fields", [1, 6])
+    def test_product_surfaces_and_dft_are_counted_together(
+            self, tmp_path, capsys, monkeypatch, fields):
+        # every field's surface is held while each spectra's DFT runs: at
+        # m_max = 150 on 301 angles x 500 times, 6 fields' surfaces (7.2 MB)
+        # and the DFT (7.9 MB) each fit an 8 MiB budget, but not together,
+        # nor does one surface with the DFT (9.1 MB): exit 2 before any
+        # field runs, with no directory
+        monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 8 * 2 ** 20)
+        ks = fork_join_ks(monkeypatch)
+        config = write_config(tmp_path, M_MAX_150.replace("400", "500"))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["spectra", "--aggregation", "product", "--config", config,
+                         "--gf", ",".join(["1.2"] * fields), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 2 ** 20
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: the DFT of 301 angles x 500 "
+                              f"times to 301 orders and {fields} product surface")
+        assert "mode budget" in err and not out.exists() and ks == []
 
     def test_product_spectra_dft_is_counted_up_front(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -1806,7 +1907,8 @@ class TestResourceAndRangeGuards:
         assert main(["spectra", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: the DFT of 10001 angles x 50 "
-                              "times to 10001 orders need") and "mode budget" in err
+                              "times to 10001 orders and 1 product surface need")
+        assert "mode budget" in err
         assert not out.exists() and ks == []
 
     @pytest.mark.parametrize("argv, message", [
