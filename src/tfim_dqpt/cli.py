@@ -44,17 +44,20 @@ depth against ``sweep.dw_threshold`` (depth >= eps_dw); ``echo.dw_tau_points``
 and ``echo.dw_window`` are still accepted and checked, and change nothing.
 
 Tables are written one block at a time: one final field's arrays (and
-scalars) that broadcast together, whose rows are the C-order cells of the
-broadcast, so no key column is ever built whole.  A block is texted by its
-shape, as (leading rows, last axis): a key column constant along the last
-axis (g_f, phi, k, t of the spectra) once per leading row, a column constant
-across the rows (the times, the orders) once per block, and every other
-column once per distinct row, so a row equal to one of its own chunk or of
-the chunk before (a surface's phi_j and 2 pi - phi_j) and a column equal to
-an earlier one (spectra's abs where im is 0) are texted once.  Each leading
-row's lines are one ``str.join`` with the row's key text inside the
-separator.  CSV and JSON share that one text path; CSV fields follow csv's
-QUOTE_MINIMAL rule.
+scalars), whose rows are the C-order cells of their broadcast, viewed as
+(leading rows, last axis), so no key column is ever built whole.  The keys
+(g_f, phi, k, t of the spectra), the columns constant along the last axis
+that open the block, are texted once per leading row.  A block may carry a
+fold, which maps each leading row to a row of its value columns, given then
+on their distinct rows only: an echo surface's angles phi_j and 2 pi - phi_j
+share one row, and so do the heatmap's modes k and 2 pi - k.  Each value row
+is texted once, its cell texts held for this chunk and the next, and each
+leading row's lines are one ``str.join`` with its key text inside the
+separator.  A value column constant across the rows (the times, the
+orders; spectra's im under ``mean``, the scalar 0.0) is texted once per
+block, and one passed as an earlier column's object (spectra's abs under
+``mean``, which is re) takes its texts.  CSV and JSON share that one text
+path; CSV fields follow csv's QUOTE_MINIMAL rule.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 any other simulator error (a safety net).
@@ -285,98 +288,80 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
     return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _row_cells(rows: np.ndarray, fmt: str, known):
-    """The cell texts of each row of a 2-D chunk, and the ``known`` of the
-    next chunk: this chunk's distinct rows and their texts.
+def _block_rows(block: list, fold, row_sep: str, cell_sep: str, fmt: str):
+    """The text of one block, as a list of row texts per chunk.
 
-    A row bytewise equal to an earlier row of the chunk, or to a row of
-    ``known`` (the previous chunk's, or None), takes that row's texts; one
-    ``_cells`` call texts every other row.
+    The block is viewed as (leading rows, last axis).  Its keys, the columns
+    constant along the last axis that open it (never every column), are
+    texted per leading row as its prefix.  Leading row i takes row
+    ``fold[i]`` of the value columns (row i without a fold), whose cells
+    are texted once and held for this chunk and the next.  A value
+    column constant across rows is texted once per block unless its rows are
+    split, and one that is an earlier one's object takes its texts.  A chunk
+    is as many whole rows as fit in CHUNK_ROWS lines, or one piece of a
+    longer row; each row is one ``str.join`` with the prefix inside the
+    separator.
     """
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1]
-    keys = rows.view(np.dtype((np.void, width * rows.itemsize))).ravel()
-    if known is None or known[0].dtype != keys.dtype:
-        known = keys[:0], []
-    old, old_texts = known
-    distinct, first, inverse = np.unique(np.concatenate([old, keys]),
-                                         return_index=True, return_inverse=True)
-    fresh = first >= old.size
-    flat = _cells(rows[first[fresh] - old.size].ravel(), fmt)
-    new_texts = (flat[at:at + width] for at in range(0, len(flat), width))
-    texts = [next(new_texts) if new else old_texts[at]
-             for new, at in zip(fresh.tolist(), first.tolist())]
-    inverse = inverse[old.size:]
-    here = np.zeros(distinct.size, dtype=bool)
-    here[inverse] = True
-    return (list(map(texts.__getitem__, inverse.tolist())),
-            (distinct[here], list(itertools.compress(texts, here.tolist()))))
-
-
-def _block_rows(block: list, row_sep: str, cell_sep: str, fmt: str):
-    """The text of one broadcast block, as a list of row texts per chunk.
-
-    The block is viewed as (leading rows, last axis).  A column constant
-    along the last axis is texted once per leading row, and the run of
-    such columns that opens the table is each row's prefix.  A column
-    constant across the leading rows is texted once per block (both: one
-    text), unless its rows are split.  Every other column goes through
-    ``_row_cells``, or takes the texts of an equal earlier column of the
-    chunk.  A chunk is as many whole rows as fit in CHUNK_ROWS lines, or
-    one piece of a longer row, and each of its rows is one ``str.join``
-    with the prefix inside the separator.
-    """
-    shape = block[0].shape
-    width = shape[-1] if shape else 1
-    if not block[0].size:
+    along = [np.shape(column)[-1:] in ((), (1,)) for column in block]
+    lead = min(along.index(False) if False in along else len(block), len(block) - 1)
+    shape = np.broadcast_shapes(*map(np.shape, block if fold is None else block[lead:]))
+    width, rows = (shape[-1], math.prod(shape[:-1])) if shape else (1, 1)
+    fold = np.arange(rows) if fold is None else fold
+    if not (fold.size and rows * width):
         return
-    height = block[0].size // width
-    views = [column.reshape(height, width) for column in block]
-    along = [width == 1 or view.strides[1] == 0 for view in views]
+    keys = [np.broadcast_to(column, (fold.size, 1))[:, 0] for column in block[:lead]]
+    values = [np.broadcast_to(column, (rows, width)) for column in block[lead:]]
+    along = along[lead:]
+    twin = [next(d for d in range(c + 1) if block[lead + d] is block[lead + c])
+            for c in range(len(values))]
+    key_once = {c: _cells(view[:1], fmt) for c, view in enumerate(keys)
+                if fold.size == 1 or view.strides[0] == 0}
     once = {c: _cells(view[0, :1] if along[c] else view[0], fmt)
-            for c, view in enumerate(views) if (height == 1 or view.strides[0] == 0)
+            for c, view in enumerate(values)
+            if twin[c] == c and (rows == 1 or not view.strides[0])
             and (along[c] or width <= CHUNK_ROWS)}
-    # the prefix: the opening columns constant along the last axis, but
-    # never every column, so each line has a rest
-    lead = min(next((c for c, flat in enumerate(along) if not flat), len(views)),
-               len(views) - 1)
-    known, per = [None] * len(views), max(1, CHUNK_ROWS // width)
-    for top in range(0, height, per):
+    held, per = {}, max(1, CHUNK_ROWS // width)
+    for top in range(0, fold.size, per):
+        index = fold[top:top + per].tolist()
+        key_texts = [key_once[c] * len(index) if c in key_once
+                     else _cells(view[top:top + per], fmt)
+                     for c, view in enumerate(keys)]
+        prefixes = list(map(cell_sep.join, zip(*key_texts, [""] * len(index))))
         for left in range(0, width, CHUNK_ROWS):
-            chunk = [view[top:top + per, left:left + CHUNK_ROWS] for view in views]
-            count, span = chunk[0].shape
-            texts, done = [], []
-            for c, values in enumerate(chunk):
-                if c in once:
-                    texts.append(once[c] * count if along[c] else once[c])
+            span = min(CHUNK_ROWS, width - left)
+            here = {d: held.get(d) for d in index}
+            new = [d for d, cells in here.items() if cells is None]
+            parts = []
+            for c, view in enumerate(values):
+                if twin[c] < c:
+                    parts.append(parts[twin[c]])
                 elif along[c]:
-                    texts.append(_cells(values[:, 0], fmt))
+                    texts = (once[c] * len(new) if c in once
+                             else _cells(view[new, 0], fmt))
+                    parts.append([[text] * span for text in texts])
+                elif c in once:
+                    parts.append([once[c]] * len(new))
                 else:
-                    equal = next((d for d in done if values.dtype == chunk[d].dtype
-                                  and np.array_equal(values, chunk[d])), None)
-                    if equal is None:
-                        done.append(c)
-                        text, known[c] = _row_cells(values, fmt, known[c])
-                    else:
-                        text, known[c] = texts[equal], known[equal]
-                    texts.append(text)
-            prefixes = map(cell_sep.join, zip(*texts[:lead], itertools.repeat("")))
-            rests = [map(itertools.repeat, texts[c], itertools.repeat(span))
-                     if along[c] else itertools.repeat(texts[c], count)
-                     if c in once else texts[c] for c in range(lead, len(views))]
-            yield [prefix + (row_sep + prefix).join(map(cell_sep.join, zip(*parts)))
-                   for prefix, parts in zip(prefixes, zip(*rests))]
+                    texts = _cells(view[new, left:left + span].ravel(), fmt)
+                    parts.append([texts[at:at + span]
+                                  for at in range(0, len(texts), span)])
+            here.update(zip(new, zip(*parts)))
+            held = here if width <= CHUNK_ROWS else {}  # no piece of a split row
+            yield [prefix + (row_sep + prefix).join(map(cell_sep.join, zip(*here[d])))
+                   for prefix, d in zip(prefixes, index)]
 
 
 def _table_text(columns: list[str], blocks, fmt: str):
     """The text of a table, yielded one chunk at a time, from an iterable
     of blocks.  A block is a list of arrays (or scalars) that broadcast
     together to at most two axes, and its rows are the C-order cells of the
-    broadcast: ``np.broadcast_arrays`` makes views only, so no key column
-    is built whole.  A block may be empty.  ``_block_rows`` texts each
-    block by its shape.  Each block is built only once the one before is
+    broadcast (``np.broadcast_to`` makes views only, so no key column is
+    built whole), or a pair (list, fold) whose value columns broadcast on
+    their own rows and whose keys take ``fold``'s length (``_block_rows``).
+    A block may be empty.  Each block is built only once the one before is
     dropped, the first before the header; one block, one chunk's text and
-    each column's previous-chunk rows (``_row_cells``) are held at a time.
+    the cell texts of this chunk's and the previous chunk's value rows are
+    held at a time.
     csv would write a row of one empty field as ``""``; every table here
     has at least two columns, so no row is one field.
     """
@@ -389,13 +374,13 @@ def _table_text(columns: list[str], blocks, fmt: str):
         head, row_sep, cell_sep, tail = "[", "], [", ", ", "]"
         yield f'{{"columns": {json.dumps(columns)}, "rows": ['
     while block is not None:
-        for rows in _block_rows(np.broadcast_arrays(*block), row_sep, cell_sep,
-                                fmt):
+        block, fold = block if isinstance(block, tuple) else (block, None)
+        for rows in _block_rows(block, fold, row_sep, cell_sep, fmt):
             rows[0] = head + rows[0]    # copies of one row, not of the chunk
             rows[-1] += tail
             yield row_sep.join(rows)
             head = "" if fmt == "csv" else ", ["
-        del block               # released before the next block is built
+        del block, fold         # released before the next block is built
         block = next(blocks, None)
     if fmt == "json":
         yield "]}\n"
@@ -591,8 +576,9 @@ def _job_compare(spec, ts, phis, echo_ts):
         spec.n, spec.g_i, spec.g_f, ts))
     m, fid = _job_otoc(spec, echo_ts, {"n_phi": phis.size, "aggregation": "product"})
     fid_ed, mag_ed = chain.echo_scan_chain(spec.n, spec.g_f, echo_ts, phis)
-    return rate_gap, np.abs(fid_ed - fid), np.abs(
-        mag_ed - otoc._mean_surface(m, phis.size, "magnetization"))
+    fold = otoc._phi_fold(phis.size)
+    return rate_gap, np.abs(fid_ed - fid[fold]), np.abs(
+        mag_ed - otoc._mean_surface(m, phis.size, "magnetization")[fold])
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +610,9 @@ def cmd_heatmap(resolved: dict) -> None:
     q, out = resolved["quench"], resolved["outputs"]
 
     def block(g_f):     # built as the writer reaches it, dropped once written
-        ks, taus, probs = quench.return_probability_map(
-            quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"]), q["tau_points"])
-        return [g_f, ks[:, None], taus, probs]
+        spec = quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"])
+        taus, probs = quench._grid_probabilities(spec, q["tau_points"])
+        return [g_f, spec._grid()[:, None], taus, probs], spec._distinct_index()
     written = [_write_table(out["out"], "return_prob",
                             ["g_f", "k", "t_over_t0", "probability"],
                             map(block, q["g_f"]), out["format"])]
@@ -647,12 +633,12 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
     results = _fan_out(functools.partial(_job_otoc, ts=ts, e=e), q, q["n"],
                        ts.size)
-    phis = otoc._phi_grid(e["n_phi"])
+    phis, fold = otoc._phi_grid(e["n_phi"]), otoc._phi_fold(e["n_phi"])
     written = []
-    if not spectra_only:
-        blocks = ([g_f, phis[:, None], ts,
-                   otoc._mean_surface(m, phis.size, "fidelity") if fid is None else fid,
-                   otoc._mean_surface(m, phis.size, "magnetization")]
+    if not spectra_only:    # each surface on its distinct angles, with its fold
+        blocks = (([g_f, phis[:, None], ts, otoc._mean_surface(
+                    m, phis.size, "fidelity") if fid is None else fid,
+                    otoc._mean_surface(m, phis.size, "magnetization")], fold)
                   for g_f, (m, fid) in zip(q["g_f"], results))
         written.append(_write_table(
             out["out"], "otoc_surface",
@@ -661,8 +647,10 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
 
     def spectra(g_f, observable, m, scan):  # over (t, m), built as it is written
-        c = (otoc._mean_spectra(m, e["m_max"], observable) if scan is None
-             else otoc.mqc_components(scan, e["m_max"])).T
+        if scan is None:    # im is +0.0 and re >= 0, so abs is re bit for bit
+            re = otoc._mean_spectra(m, e["m_max"], observable).T
+            return [g_f, observable, ts[:, None], orders, re, 0.0, re]
+        c = otoc.mqc_components(scan[fold], e["m_max"]).T
         # Python's abs() bit for bit; np.abs differs in the last bit
         return [g_f, observable, ts[:, None], orders, c.real, c.imag,
                 np.hypot(c.real, c.imag)]

@@ -19,8 +19,10 @@ other order is 0.  The ``product`` fidelity multiplies in one factor row per
 distinct mode of the mode-major matrix (``quench._probabilities``); its
 orders reach the grid size, and its DFT on n_phi angles folds those past
 n_phi/2 onto the low ones (README).  Every surface is built on the
-n_phi//2 + 1 distinct angles and unfolded (``_phi_coefficients``), so it is
-exactly even: rows phi_j and 2pi - phi_j are bitwise equal.  ``echo_state``,
+n_phi//2 + 1 distinct angles (``_phi_coefficients``), and ``_phi_fold``
+maps each angle phi_j to its row min(j, n_phi - j): the CLI writes the
+distinct rows with that fold, and the public surfaces are unfolded by it,
+so rows phi_j and 2pi - phi_j are bitwise equal.  ``echo_state``,
 ``mqc_components`` and ``spectrum_dynamics`` stay as the test oracles.
 
 Time grids come in two interpretations.  ``absolute`` evolves every mode
@@ -173,48 +175,51 @@ def _phi_grid(n_phi: int) -> np.ndarray:
 
 def _phi_coefficients(n_phi: int):
     """(cos^2(phi/2), sin^2(phi/2), cos phi) as columns over the n_phi//2 + 1
-    distinct angles, and the fold j -> min(j, n_phi - j) onto ``_phi_grid``:
-    all three are even in phi (mod 2pi), so unfolded rows j and n_phi - j are equal."""
+    distinct angles: all three are even in phi (mod 2pi)."""
     phis = _phi_grid(n_phi)[:n_phi // 2 + 1, None]
-    j = np.arange(n_phi)
-    return (np.cos(phis / 2.0) ** 2, np.sin(phis / 2.0) ** 2, np.cos(phis),
-            np.minimum(j, n_phi - j))
+    return np.cos(phis / 2.0) ** 2, np.sin(phis / 2.0) ** 2, np.cos(phis)
+
+
+def _phi_fold(n_phi: int) -> np.ndarray:
+    """The distinct angle min(j, n_phi - j) of each angle phi_j."""
+    return np.minimum(np.arange(n_phi), n_phi - np.arange(n_phi))
 
 
 def _mean_surface(m: np.ndarray, n_phi: int, observable: str):
-    """A ``mean`` surface over (phi, t) from its mode moment m: the fidelity
-    cos^2(phi/2) + sin^2(phi/2) m, or the magnetization
-    (cos phi + 2 sin^2(phi/2) m)/2, on n_phi angles."""
-    cos2, sin2, cos, fold = _phi_coefficients(n_phi)
+    """A ``mean`` surface over (distinct phi, t) from its mode moment m: the
+    fidelity cos^2(phi/2) + sin^2(phi/2) m, or the magnetization
+    (cos phi + 2 sin^2(phi/2) m)/2."""
+    cos2, sin2, cos = _phi_coefficients(n_phi)
     if observable == "fidelity":
-        return (cos2 + sin2 * m)[fold]
-    return (0.5 * (cos + 2.0 * sin2 * m))[fold]
+        return cos2 + sin2 * m
+    return 0.5 * (cos + 2.0 * sin2 * m)
 
 
 def _mean_spectra(m: np.ndarray, m_max: int, observable: str) -> np.ndarray:
-    """``mqc_components`` of a ``mean`` surface, in closed form from m.
+    """The real part of ``mqc_components`` of a ``mean`` surface, in closed
+    form from m; every imaginary part is exactly +0.0.
 
     Both surfaces are a + b cos phi with b = (1 - m)/2, a = (1 + m)/2
     (fidelity) or m/2 (magnetization): order 0 is a, orders +-1 are b/2,
-    and every other order and every imaginary part is exactly +0.0.
+    and every other order is exactly +0.0.
     """
-    comps = np.zeros((2 * m_max + 1, m.size), dtype=complex)
-    comps[m_max].real = (1.0 + m) / 2.0 if observable == "fidelity" else m / 2.0
+    comps = np.zeros((2 * m_max + 1, m.size))
+    comps[m_max] = (1.0 + m) / 2.0 if observable == "fidelity" else m / 2.0
     if m_max:
-        comps[m_max - 1].real = comps[m_max + 1].real = (1.0 - m) / 4.0
+        comps[m_max - 1] = comps[m_max + 1] = (1.0 - m) / 4.0
     return comps
 
 
 def _product_fidelity(config: EchoConfig) -> np.ndarray:
-    """The ``product`` fidelity surface: each distinct mode's factor row
-    multiplied in, in ascending k, on the distinct angles, then unfolded."""
-    cos2, sin2, _, fold = _phi_coefficients(config.n_phi)
+    """The ``product`` fidelity surface on the distinct angles: each distinct
+    mode's factor row multiplied in, in ascending k."""
+    cos2, sin2, _ = _phi_coefficients(config.n_phi)
     n2 = _n_squared(quench._probabilities(config.spec, config.time_grid,
                                           config.time_mode == "normalized"))
     fids = np.ones((cos2.shape[0], config.time_grid.size))
     for row, weight in zip(n2, config.spec._multiplicity()):
         fids *= (cos2 + sin2 * row) ** weight
-    return fids[fold]
+    return fids
 
 
 def fidelity_otoc(config: EchoConfig) -> np.ndarray:
@@ -227,9 +232,9 @@ def fidelity_otoc(config: EchoConfig) -> np.ndarray:
     """
     _require_scan_budget(config.spec, config.time_grid.size, config.n_phi,
                          config.aggregation)
-    if config.aggregation == "product":
-        return _product_fidelity(config)
-    return _mean_surface(_mode_moment(config), config.n_phi, "fidelity")
+    surface = (_product_fidelity(config) if config.aggregation == "product"
+               else _mean_surface(_mode_moment(config), config.n_phi, "fidelity"))
+    return surface[_phi_fold(config.n_phi)]
 
 
 def magnetization_otoc(config: EchoConfig) -> np.ndarray:
@@ -243,7 +248,8 @@ def magnetization_otoc(config: EchoConfig) -> np.ndarray:
             "magnetization_otoc requires mean aggregation; "
             "product of intensive observables is not defined")
     _require_scan_budget(config.spec, config.time_grid.size, config.n_phi, "mean")
-    return _mean_surface(_mode_moment(config), config.n_phi, "magnetization")
+    fold = _phi_fold(config.n_phi)
+    return _mean_surface(_mode_moment(config), config.n_phi, "magnetization")[fold]
 
 
 def require_resolvable(n_phi: int, m_max: int) -> None:

@@ -271,14 +271,13 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
 
 
 def _grid_probabilities(spec: QuenchSpec, n_t: int, grid=None):
-    """(k grid, times, |G_k|^2 over (n_k, n_t)), the distinct matrix and its
-    slabs and grid copy counted first; times ``grid``, else n_t taus in [0, 2]."""
+    """(times, |G_k|^2 over (distinct modes, n_t)), the matrix, its slabs and
+    a grid copy counted first; times ``grid``, else n_t taus in [0, 2]."""
     _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {n_t} times")
     if normalized := grid is None:
         grid = np.linspace(0.0, 2.0, n_t)
-    probs = _probabilities(spec, grid, normalized)[spec._distinct_index()]
-    return spec._grid(), grid, probs
+    return grid, _probabilities(spec, grid, normalized)
 
 
 def loschmidt_mode(spec: QuenchSpec, k: float, t):
@@ -300,7 +299,8 @@ def loschmidt_mode(spec: QuenchSpec, k: float, t):
 def mode_probabilities(spec: QuenchSpec, t) -> tuple[np.ndarray, np.ndarray]:
     """(k grid, |G_k(t)|^2 matrix of shape (n_k, n_t)) for the spec's grid."""
     ts = np.atleast_1d(su2._require_dims("t", t, 1))
-    return _grid_probabilities(spec, ts.size, ts)[::2]
+    probs = _grid_probabilities(spec, ts.size, ts)[1][spec._distinct_index()]
+    return spec._grid(), probs
 
 
 def _require_rate_budget(spec: QuenchSpec, n_t: int) -> None:
@@ -364,7 +364,9 @@ def return_probability_map(spec: QuenchSpec, n_t: int):
     t0 = pi/|d_f(k)|, matching how the mode sweeps are displayed; gapless
     final modes give a row of ones.  Returns (k grid, tau grid, matrix).
     """
-    return _grid_probabilities(spec, su2._require_int("n_t", n_t, 2))
+    taus, probs = _grid_probabilities(spec, su2._require_int("n_t", n_t, 2))
+    probs = probs[spec._distinct_index()]
+    return spec._grid(), taus, probs
 
 
 def pulse_schedule(spec: QuenchSpec, c: float = 1.0,

@@ -8,6 +8,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -24,7 +25,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tfim_dqpt import cli, otoc, quench, su2
 from tfim_dqpt.cli import main
@@ -1405,34 +1406,52 @@ class TestColumnarWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk, n", [(3, 3), (12, 4), (12, 6)])
     def test_mirrored_rows_are_texted_once(self, monkeypatch, chunk, n, fmt):
-        # rows j and n - j of the "f" block are equal, as the rows phi_j and
-        # 2pi - phi_j of an echo surface are: each distinct row is texted
-        # once, whether its mirror is in its own chunk or the next
+        # the "f" block is given on its n // 2 + 1 distinct rows with the
+        # fold min(j, n - j), as an echo surface is: each distinct row is
+        # texted once, whether its mirror is in its own chunk or the next
         inputs = texted(monkeypatch)
-        f = -1.0 - np.arange(3 * n).reshape(n, 3) / 7.0
-        f = f[np.minimum(np.arange(n), -np.arange(n) % n)]
+        f = -1.0 - np.arange(3 * (n // 2 + 1)).reshape(-1, 3) / 7.0
+        fold = np.minimum(np.arange(n), -np.arange(n) % n)
         block = [np.arange(n)[:, None] / 4.0, np.arange(3.0), f]
-        written = written_table(["phi", "t", "f"], [block], fmt, chunk)
-        assert cells_of(inputs, f) == 3 * (n // 2 + 1)
+        written = written_table(["phi", "t", "f"], [(block, fold)], fmt, chunk)
+        assert cells_of(inputs, f) == f.size
         assert written == written_table(["phi", "t", "f"], [[
-            np.repeat(block[0], 3), np.tile(block[1], n), f.ravel()]], fmt, chunk)
+            np.repeat(block[0], 3), np.tile(block[1], n), f[fold].ravel()]],
+            fmt, chunk)
 
     def test_only_the_previous_chunks_rows_are_held(self, monkeypatch):
-        # 9 distinct rows of 3 cells in chunks of 2 rows: each chunk looks
-        # its rows up among the previous chunk's 2 rows, never among all
-        # the rows texted before
-        held, row_cells = [], cli._row_cells
+        # 4 distinct rows of 3 cells, folded as 0 1 | 2 1 | 3 0 in chunks of
+        # 2 rows: row 1 is taken from the chunk before, but row 0, two
+        # chunks back, is texted again
+        inputs = texted(monkeypatch)
+        f = 10.0 + np.arange(12.0).reshape(4, 3)
+        fold = np.array([0, 1, 2, 1, 3, 0])
+        written = written_table(["k", "t", "f"], [(
+            [-1.0 - np.arange(6)[:, None], np.arange(3.0), f], fold)], "csv", 6)
+        assert [cells for cells in inputs if set(cells) <= set(f.ravel())] \
+            == [f[[0, 1]].ravel().tolist(), f[[2]].ravel().tolist(),
+                f[[3, 0]].ravel().tolist()]
+        assert written == reference_table(["k", "t", "f"], list(zip(
+            np.repeat(-1.0 - np.arange(6), 3), np.tile(np.arange(3.0), 6),
+            f[fold].ravel())), "csv")
 
-        def recording(rows, fmt, known):
-            held.append(0 if known is None else len(known[1]))
-            return row_cells(rows, fmt, known)
-
-        monkeypatch.setattr(cli, "_row_cells", recording)
-        f = np.arange(27.0).reshape(9, 3)
-        written = written_table(["k", "f"], [[np.arange(9)[:, None], f]], "csv", 6)
-        assert held == [0, 2, 2, 2, 2]
-        assert written == reference_table(
-            ["k", "f"], list(zip(np.repeat(np.arange(9), 3), f.ravel())), "csv")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_heatmap_mirrored_mode_rows_are_texted_once(self, tmp_path,
+                                                        monkeypatch, fmt):
+        # modes k and 2 pi - k reach the writer as one distinct row: 7 grid
+        # modes at N = 6 are 4 rows of 5 probabilities per field
+        inputs = texted(monkeypatch)
+        config = write_config(tmp_path, "[quench]\ntau_points = 5\n")
+        out = tmp_path / "out"
+        assert main(["heatmap", "--n", "6", "--gf", "1.2", "--config", config,
+                     "--format", fmt, "--out", str(out)]) == 0
+        spec = quench.QuenchSpec(0.0, 1.2, 6)
+        ks, taus, probs = quench.return_probability_map(spec, 5)
+        assert cells_of(inputs, probs) == 4 * 5
+        rows = list(zip(itertools.repeat(1.2), np.repeat(ks, 5),
+                        np.tile(taus, 7), probs.ravel()))
+        assert (out / f"return_prob.{fmt}").read_bytes() == reference_table(
+            ["g_f", "k", "t_over_t0", "probability"], rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_scalar_key_column_is_texted_once_per_block(self, monkeypatch, fmt):
@@ -1454,14 +1473,17 @@ class TestColumnarWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_equal_column_is_texted_once(self, monkeypatch, fmt):
-        # "abs" equals "re" cell for cell, as spectra's abs equals re where
-        # im is 0: it takes re's texts; "im" is texted on its own
+        # "abs" is the object "re", as spectra's abs is under mean: it takes
+        # re's texts; "copy" equals re but is texted on its own, and the
+        # scalar "im" is texted once for the block
         inputs = texted(monkeypatch)
         re_ = np.linspace(0.5, 0.9, 12).reshape(4, 3)
-        block = [np.arange(4)[:, None], np.arange(3), re_, -re_, re_.copy()]
-        columns = ["t", "m", "re", "im", "abs"]
+        block = [np.arange(4.0)[:, None] + 10, np.arange(3), re_, 0.0, re_,
+                 re_.copy()]
+        columns = ["t", "m", "re", "im", "abs", "copy"]
         written = written_table(columns, [block], fmt, 3)
-        assert cells_of(inputs, re_) == cells_of(inputs, -re_) == re_.size
+        assert cells_of(inputs, re_) == 2 * re_.size
+        assert inputs.count([0.0]) == 1
         rows = list(zip(*(np.broadcast_to(column, (4, 3)).ravel()
                           for column in block)))
         assert written == reference_table(columns, rows, fmt)
@@ -1477,7 +1499,9 @@ class TestColumnarWriter:
         # a block's rows are the C-order cells of its broadcast columns:
         # 0-d, (a, 1), (1, b) or (a, b), with a or b possibly 0.  Rows j and
         # a - j of a column may be equal, as on an echo surface, and the last
-        # column may be a copy of an earlier one, as spectra's abs of re
+        # column may be an earlier one or a copy of it, as spectra's abs is
+        # re.  A block may carry a fold, leading row i taking row fold[i] of
+        # each value column with rows: it writes its unfolded columns
         twin = data.draw(st.sampled_from([None, *range(len(kinds))]))
         columns = [f"c{i}" for i in range(len(kinds) + (twin is not None))]
         blocks, materialized = [], []
@@ -1496,11 +1520,25 @@ class TestColumnarWriter:
                     values = values[np.minimum(rows, -rows % values.shape[0])]
                 block.append(values.item() if values.ndim == 0 else values)
             if twin is not None:
-                block.append(copy.copy(block[twin]))
-            shape = np.broadcast_shapes(*map(np.shape, block))
+                block.append(block[twin] if data.draw(st.booleans())
+                             else copy.copy(block[twin]))
+            unfolded, leading = block, []
+            if data.draw(st.booleans()):    # its leading rows are the fold's
+                along = [np.shape(column)[-1:] in ((), (1,)) for column in block]
+                lead = min(along.index(False) if False in along else len(block),
+                           len(block) - 1)
+                ranked = [np.ndim(column) == 2 and len(column) == a
+                          for column in block[lead:]]
+                fold = np.array(data.draw(st.lists(
+                    st.integers(0, max(a - 1, 0) if any(ranked) else 0),
+                    min_size=a, max_size=a)), dtype=np.intp)
+                unfolded = block[:lead] + [column[fold] if rows else column
+                                           for column, rows in zip(block[lead:], ranked)]
+                block, leading = (block, fold), [(a, 1)]
+            shape = np.broadcast_shapes(*map(np.shape, unfolded), *leading)
             blocks.append(block)
             materialized.append([np.broadcast_to(column, shape).ravel()
-                                 for column in block])
+                                 for column in unfolded])
         written = written_table(columns, blocks, fmt, chunk)
         assert written == written_table(columns, materialized, fmt, chunk)
         rows = [row for block in materialized for row in zip(*block)]
@@ -1601,6 +1639,87 @@ class TestColumnarWriter:
         for _, _, _, _, re_, im_, abs_ in read_json(
                 tmp_path / "otoc" / "j" / "spectra.json")["rows"]:
             assert abs_ == abs(complex(re_, im_))
+
+
+# fields at and near 0 and +-1, and up to 1e6
+DRAWN_FIELDS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, -1.0 + 1e-12,
+                                1e-300, 0.5, 1.2, 1e6, -1e6]) \
+    | st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def drawn_config(data, command: str) -> str:
+    """The INI text of a small configuration of ``command``, drawn from
+    every value class the commands take, refused ones among them."""
+    n_phi = data.draw(st.integers(3, 24))
+    fields = data.draw(st.lists(DRAWN_FIELDS, min_size=1, max_size=3))
+    sections = {
+        # the oracle refuses g_i != 0
+        "quench": {"g_i": data.draw(st.just(0.0) | DRAWN_FIELDS),
+                   "g_f": ",".join(map(repr, fields)),
+                   "grid": data.draw(st.sampled_from(quench.GRID_MODES)),
+                   "t_max": 10.0 ** data.draw(st.floats(-9.0, 4.0)),
+                   "t_points": data.draw(st.integers(2, 20)),
+                   "tau_points": data.draw(st.integers(2, 10))},
+        "echo": {"n_phi": n_phi,
+                 "m_max": data.draw(st.integers(0, n_phi // 2)),  # even: refused
+                 "aggregation": data.draw(st.sampled_from(otoc.AGGREGATIONS))},
+        "sweep": {"n_t": data.draw(st.integers(2, 6))},
+        "oracle": {"n_oracle": data.draw(st.integers(2, 6))}}
+    if command != "oracle-compare":        # it refuses quench.n
+        sections["quench"]["n"] = data.draw(st.integers(2, 30))
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n"
+                                             for key, value in keys.items())
+                   for section, keys in sections.items())
+
+
+class TestDrawnConfigs:
+    """The real commands on small drawn configurations, in both formats, in
+    one participant and forced to fork."""
+
+    def run(self, argv, out, forks: bool):
+        affinity = set(range(2 if forks else 1))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: affinity,
+                               create=True), \
+                mock.patch.object(cli, "POOL_MIN_CELLS", 0 if forks else 2 ** 62), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([*argv, "--out", str(out)])
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_every_command_on_drawn_configs(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = [command, "--config", write_config(tmp, drawn_config(data, command))]
+            runs = {}
+            for fmt, forks in (("csv", False), ("json", False), ("csv", True)):
+                out = tmp / "out"
+                runs[fmt, forks] = *self.run([*argv, "--format", fmt], out, forks), \
+                    out.exists() and shutil.move(out, tmp / f"{fmt}-{forks}")
+            (code, err, serial), (_, _, as_json), (fork_code, fork_err, forked) \
+                = runs.values()
+            assert code in (0, 1, 2) and fork_code == code, err
+            if code == 2:
+                assert err.startswith("configuration error: ")
+                assert err.count("\n") == 1 and fork_err == err
+                assert not (serial or as_json or forked)
+                return
+            for out in (Path(serial), Path(as_json)):
+                checksums = read_json(out / "manifest.json")["checksums"]
+                assert checksums == {path.name: hashlib.sha256(
+                    path.read_bytes()).hexdigest() for path in out.iterdir()
+                    if path.name != "manifest.json"}
+            for path in Path(serial).iterdir():
+                assert path.read_bytes() == (Path(forked) / path.name).read_bytes()
+                if path.suffix == ".csv":
+                    header, rows = read_csv(path)
+                    payload = read_json(Path(as_json) / f"{path.stem}.json")
+                    assert payload["columns"] == header
+                    assert rows == [[reference_fmt(cell) for cell in row]
+                                    for row in payload["rows"]]
+                elif path.name != "manifest.json":
+                    assert path.read_bytes() == (Path(as_json) / path.name).read_bytes()
 
 
 class TestResourceAndRangeGuards:

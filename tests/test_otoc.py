@@ -117,7 +117,7 @@ class TestFidelityOtoc:
         cfg = otoc.EchoConfig(spec, ts, n_phi=n_phi, aggregation="product",
                               time_mode=time_mode)
         try:
-            surface = otoc._product_fidelity(cfg)
+            surface = otoc.fidelity_otoc(cfg)
         except GaplessModeError:
             return
         j = np.arange(n_phi)
@@ -128,6 +128,9 @@ class TestFidelityOtoc:
         factors = [(cos2 + sin2 * row) ** weight
                    for row, weight in zip(n2, spec._multiplicity())]
         assert surface.tobytes() == np.multiply.reduce(np.stack(factors)).tobytes()
+        # the job's surface is its distinct rows, j <= n_phi // 2
+        assert otoc._product_fidelity(cfg).tobytes() \
+            == surface[:n_phi // 2 + 1].tobytes()
 
 
 class TestMagnetizationOtoc:
@@ -688,6 +691,31 @@ class TestMeanClosedForms:
             assert np.all(off == 0.0) and not np.signbit(off).any()
             assert np.all(closed.imag == 0.0) \
                 and not np.signbit(closed.imag).any()
+
+    @example(0.0, 1.2, 30, "paper", np.log10(5.0), 500, 3)
+    @example(0.0, 1.0, 2, "paper", 4.0, 2, 0)
+    @given(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-12, -1.0 + 1e-12, 1e-300,
+                            1e6, -1e6]) | st.floats(-1e6, 1e6, allow_nan=False),
+           st.sampled_from([0.0, 1.0, -1.0, 1.0 - 1e-12, 1e6])
+           | st.floats(-1e6, 1e6, allow_nan=False),
+           st.integers(2, 400), st.sampled_from(["paper", "abc"]),
+           st.floats(-9.0, 4.0), st.integers(2, 64), st.integers(0, 5))
+    def test_mean_spectra_have_no_negative_cell(self, g_i, g_f, n, grid,
+                                                exponent, n_t, m_max):
+        # the CLI writes a mean spectrum's abs as its re, and its im as the
+        # scalar +0.0: that is Python's abs() of each cell only while no re
+        # is below +0.0 (m stays in [0, 1]) nor -0.0, and hypot(re, +0.0)
+        # is then re bit for bit
+        spec = quench.QuenchSpec(g_i, g_f, n, grid)
+        cfg = otoc.EchoConfig(spec, np.linspace(0.0, 10.0 ** exponent, n_t))
+        try:
+            m = otoc._mode_moment(cfg)
+        except GaplessModeError:
+            return
+        for observable in otoc.OBSERVABLES:
+            re = otoc._mean_spectra(m, m_max, observable)
+            assert not np.signbit(re).any()
+            assert np.hypot(re, 0.0).tobytes() == re.tobytes()
 
     @example(0.0, 1.2, 30, "paper", "absolute", [0.0, 1.0], 1)
     @example(0.0, -1.0, 7, "abc", "normalized", [0.5, 1.5], 0)
