@@ -2,7 +2,7 @@
 # Artifact drift against a base commit.
 #
 # Usage: tools/artifact_drift.sh BASE [FLAG ...]
-#        tools/artifact_drift.sh BASE --corpus [CORPUS]
+#        tools/artifact_drift.sh BASE --corpus
 #
 # Runs every subcommand, in csv and in json, once from the working tree's
 # src/ and once from the src/ of commit BASE (extracted once, with git
@@ -11,9 +11,9 @@
 # --n 20000, or --config FILE for a larger ring oracle) are passed to
 # every subcommand, except that oracle-compare, which refuses quench.n, is
 # skipped in both trees when the FLAGs set it (for example --n 2000, or an
-# INI file's [quench] n).  With --corpus, every configuration of CORPUS
-# (default tools/drift_corpus.ini: its flags, its INI text and the
-# commands it runs) is checked in turn, and one line per configuration
+# INI file's [quench] n).  With --corpus, every configuration of
+# tools/drift_corpus.ini (its flags, its INI text and the commands it
+# runs) is checked in turn, and one line per configuration
 # names it and its verdict.  For each artifact that differs,
 # tools/artifact_diff.py prints the largest absolute difference over its
 # numeric cells, or "layout changed".  A configuration fails when an
@@ -25,8 +25,8 @@
 # configuration fails.
 set -euo pipefail
 
-if [ $# -lt 1 ]; then
-    echo "usage: $0 BASE [FLAG ...] | $0 BASE --corpus [CORPUS]" >&2
+if [ $# -lt 1 ] || { [ "${2-}" = --corpus ] && [ $# -ne 2 ]; }; then
+    echo "usage: $0 BASE [FLAG ...] | $0 BASE --corpus" >&2
     exit 2
 fi
 base=$1
@@ -82,10 +82,10 @@ for name, digest in sorted(json.load(open(sys.argv[1]))["checksums"].items()):
     done
 }
 
-# drift NAME: run `commands` with `flags` in both trees into $work/NAME and
+# drift NAME: run `commands` with `flags` in both trees into $work/cfg/NAME and
 # print one line, the verdict; return 1 when the configuration fails
 drift() {
-    local name=$1 out=$work/$1 files changed
+    local name=$1 out=$work/cfg/$1 files changed
     # oracle-compare sizes its chain by oracle.n_oracle and exits 2 on quench.n
     if [[ " ${commands[*]} " == *" oracle-compare "* ]] \
         && PYTHONPATH="$root/src" python - ${flags[@]+"${flags[@]}"} <<'PY'
@@ -105,7 +105,7 @@ PY
         done
         commands=("${kept[@]}")
     fi
-    mkdir "$out"
+    mkdir -p "$out"
     if ! run "$work/base/src" "$out/base" || ! run "$root/src" "$out/head"; then
         echo "$name: FAILED, a command or a manifest check failed"
         return 1
@@ -140,7 +140,7 @@ fi
 # one line per configuration: its name, its commands and its flags (with
 # --config and its INI file written under $work/ini), shell-quoted
 mkdir "$work/ini"
-listing=$(python - "${2:-$root/tools/drift_corpus.ini}" "$work/ini" "${all[*]}" <<'PY'
+listing=$(python - "$root/tools/drift_corpus.ini" "$work/ini" "${all[*]}" <<'PY'
 import configparser, os, shlex, sys
 
 corpus, ini_dir, every = sys.argv[1:]
