@@ -24,17 +24,32 @@ print in shortest round-trip form, and the run time goes only to stderr.
 Files appear atomically (temp + rename), each directory once its first piece
 exists; a failed write removes its temp file.
 
-``heatmap`` (each field's map built as the writer reaches its block) and
-``pulse-schedule`` never fork.  The other commands run their final fields on
-one path, ``_fork_join`` with k participants: this process runs one strided
-share of the fields while a forked child runs each other share and pipes its
-pickled results back.  k is one per usable CPU, at most one per field, once
-the planned work (fields x grid size x time samples per field) reaches
-``POOL_MIN_CELLS`` on Linux; otherwise k = 1, and the fields run in this
-process with nothing forked.  ``oracle-compare``'s grid size is its ring
-sector's orbit states.  Each job's budget check runs in ``validate_config``
-too, so a refused size exits before any fork.  No run imports the standard
-library's process-pool module, and no option picks k or changes an artifact.
+``heatmap`` (each field's map built with its table block) and
+``pulse-schedule`` never fork their fields.  The other commands run their
+final fields on one path, ``_fork_join`` with k participants: this process
+runs one strided share of the fields while a forked child runs each other
+share and pipes its pickled results back.  k is one per usable CPU, at
+most one per field, once the planned work (fields x grid size x time
+samples per field) reaches ``POOL_MIN_CELLS`` on Linux; otherwise k = 1,
+and the fields run in this process with nothing forked.
+``oracle-compare``'s grid size is its ring sector's orbit states.  Each
+job's budget check (and ``heatmap``'s map count) runs in
+``validate_config`` too, so a refused size exits before any fork.  No run
+imports the standard library's process-pool module, and no option picks k
+or changes an artifact.
+
+Every command then hands its artifacts, in write order, to one writer,
+``_write``, which texts the tables on the same ``_fork_join``.  Their
+blocks are split into contiguous ranges of about equal planned values
+(``_Table.plan``), one per participant; k is one per usable CPU, at most
+one per block, once the planned values reach ``WRITER_MIN_VALUES`` on
+Linux, else 1.  Each participant builds and texts only its own blocks,
+and holds one block and one chunk's text at a time: a forked child writes
+its range's text into one anonymous temp file (a spool) per table it
+touches and pipes back only its outcome, and this process writes the
+first range straight into its tables' temp files, then appends the spools
+in order.  At the ``otoc`` defaults on 2 CPUs, this process texts the
+surfaces of fields 1-2 and a child field 3's and every spectra block.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -69,6 +84,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import gc
 import hashlib
 import itertools
 import json
@@ -76,7 +92,9 @@ import math
 import os
 import pickle
 import sys
+import tempfile
 import time
+import typing
 
 import numpy as np
 
@@ -229,10 +247,13 @@ def validate_config(resolved: dict, command: str | None) -> None:
     t_points = q["t_points"] if command in ("rate-function", "otoc", "spectra") else 0
     quench._require_budget(8 * t_points * (1 + 4 * len(q["g_f"])),
                            f"time grids of {t_points} points")
-    # each fanned-out job's own check, so a refused size forks no child
+    # each fanned-out job's (and heatmap block's) own check, so a refused
+    # size forks no child
     spec = quench.QuenchSpec(q["g_i"], q["g_f"][0], q["n"], q["grid"])
     if command == "rate-function":
         quench._require_rate_budget(spec, t_points)
+    elif command == "heatmap":
+        quench._require_map_budget(spec, q["tau_points"])
     elif command in ("otoc", "spectra"):
         otoc._require_scan_budget(spec, t_points, e["n_phi"], e["aggregation"])
         if e["aggregation"] == "product":   # every field's surface is held
@@ -288,25 +309,39 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
     return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _block_rows(block: list, fold, row_sep: str, cell_sep: str, fmt: str):
-    """The text of one block, as a list of row texts per chunk.
-
-    The block is viewed as (leading rows, last axis).  Its keys, the columns
-    constant along the last axis that open it (never every column), are
-    texted per leading row as its prefix.  Leading row i takes row
-    ``fold[i]`` of the value columns (row i without a fold), whose cells
-    are texted once and held for this chunk and the next.  A value
-    column constant across rows is texted once per block unless its rows are
-    split, and one that is an earlier one's object takes its texts.  A chunk
-    is as many whole rows as fit in CHUNK_ROWS lines, or one piece of a
-    longer row; each row is one ``str.join`` with the prefix inside the
-    separator.
-    """
+def _layout(block: list, fold):
+    """A block viewed as (leading rows, last axis): which columns are
+    constant along the last axis, the count of keys (those of them that
+    open it, never every column), the (rows, width) its value columns
+    broadcast to, and its fold (each leading row its own row without one)."""
     along = [np.shape(column)[-1:] in ((), (1,)) for column in block]
     lead = min(along.index(False) if False in along else len(block), len(block) - 1)
     shape = np.broadcast_shapes(*map(np.shape, block if fold is None else block[lead:]))
-    width, rows = (shape[-1], math.prod(shape[:-1])) if shape else (1, 1)
-    fold = np.arange(rows) if fold is None else fold
+    rows, width = (math.prod(shape[:-1]), shape[-1]) if shape else (1, 1)
+    return along, lead, rows, width, np.arange(rows) if fold is None else fold
+
+
+def _planned(block) -> int:
+    """The values a block plans to text: the sizes of its columns before
+    broadcasting, or 0 when it has no rows."""
+    block, fold = block if isinstance(block, tuple) else (block, None)
+    *_, rows, width, fold = _layout(block, fold)
+    return sum(map(np.size, block)) if fold.size and rows * width else 0
+
+
+def _block_rows(block: list, fold, row_sep: str, cell_sep: str, fmt: str):
+    """The text of one block, as a list of row texts per chunk.
+
+    The block's keys (``_layout``) are texted per leading row as its
+    prefix.  Leading row i takes row ``fold[i]`` of the value columns,
+    whose cells are texted once and held for this chunk and the next.  A
+    value column constant across rows is texted once per block unless its
+    rows are split, and one that is an earlier one's object takes its
+    texts.  A chunk is as many whole rows as fit in CHUNK_ROWS lines, or one
+    piece of a longer row; each row is one ``str.join`` with the prefix
+    inside the separator.
+    """
+    along, lead, rows, width, fold = _layout(block, fold)
     if not (fold.size and rows * width):
         return
     keys = [np.broadcast_to(column, (fold.size, 1))[:, 0] for column in block[:lead]]
@@ -351,29 +386,56 @@ def _block_rows(block: list, fold, row_sep: str, cell_sep: str, fmt: str):
                    for prefix, d in zip(prefixes, index)]
 
 
-def _table_text(columns: list[str], blocks, fmt: str):
-    """The text of a table, yielded one chunk at a time, from an iterable
-    of blocks.  A block is a list of arrays (or scalars) that broadcast
-    together to at most two axes, and its rows are the C-order cells of the
-    broadcast (``np.broadcast_to`` makes views only, so no key column is
-    built whole), or a pair (list, fold) whose value columns broadcast on
-    their own rows and whose keys take ``fold``'s length (``_block_rows``).
-    A block may be empty.  Each block is built only once the one before is
-    dropped, the first before the header; one block, one chunk's text and
-    the cell texts of this chunk's and the previous chunk's value rows are
-    held at a time.
-    csv would write a row of one empty field as ``""``; every table here
-    has at least two columns, so no row is one field.
+class _Table(typing.NamedTuple):
+    """A table artifact, ``stem.csv`` or ``stem.json``, of blocks of
+    broadcast columns (``_block_rows``).  Block i is ``build(i)``, built only
+    by the participant that texts it, and ``plan[i]`` its ``_planned``
+    count, known before it is built: 0 exactly when it has no rows."""
+
+    stem: str
+    columns: list
+    plan: list
+    build: typing.Callable
+
+
+def _table(stem: str, columns: list, blocks) -> _Table:
+    """A _Table of blocks that are built already."""
+    blocks = list(blocks)
+    return _Table(stem, columns, list(map(_planned, blocks)), blocks.__getitem__)
+
+
+def _frame(columns: list, fmt: str) -> tuple[str, str]:
+    """A table's text before its rows and after them; the JSON layout is
+    ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
+    sorted keys would write it."""
+    if fmt == "csv":
+        return ",".join(map(_quote, columns)) + "\n", ""
+    return f'{{"columns": {json.dumps(columns)}, "rows": [', "]}\n"
+
+
+def _table_text(table: _Table, lo: int, hi: int, fmt: str):
+    """The rows of blocks lo..hi-1 of ``table``, yielded one chunk at a
+    time, exactly as one participant texting every block writes them.
+
+    ``_write`` calls it once per participant and table: this process for
+    the first range of blocks, into the table's temp file, and each forked
+    child for a later range, into its spool for the table (an anonymous
+    ``tempfile.TemporaryFile``).  So the frame around the texts of
+    consecutive ranges is the table's text byte for byte: each CSV row ends
+    its own line, and a JSON range opens with ``[`` when no earlier block of
+    the table plans a row, else with ``, [``.  Each block is built only once
+    the one before is dropped; one block, one chunk's text and the cell
+    texts of this chunk's and the previous chunk's value rows are held at a
+    time.  csv would write a row of one empty field as ``""``; every table
+    here has at least two columns, so no row is one field.
     """
-    blocks = iter(blocks)
-    block = next(blocks, None)
     if fmt == "csv":
         head, row_sep, cell_sep, tail = "", "\n", ",", "\n"
-        yield ",".join(map(_quote, columns)) + "\n"
     else:
-        head, row_sep, cell_sep, tail = "[", "], [", ", ", "]"
-        yield f'{{"columns": {json.dumps(columns)}, "rows": ['
-    while block is not None:
+        head = ", [" if any(table.plan[:lo]) else "["
+        row_sep, cell_sep, tail = "], [", ", ", "]"
+    for index in range(lo, hi):
+        block = table.build(index)
         block, fold = block if isinstance(block, tuple) else (block, None)
         for rows in _block_rows(block, fold, row_sep, cell_sep, fmt):
             rows[0] = head + rows[0]    # copies of one row, not of the chunk
@@ -381,50 +443,54 @@ def _table_text(columns: list[str], blocks, fmt: str):
             yield row_sep.join(rows)
             head = "" if fmt == "csv" else ", ["
         del block, fold         # released before the next block is built
-        block = next(blocks, None)
-    if fmt == "json":
-        yield "]}\n"
+
+
+class _Sink:
+    """A file written through ``path.tmp``, with the sha256 of the bytes
+    written so far; ``commit`` renames it into place, ``discard`` removes
+    the temp file.  Opening one makes the output directory."""
+
+    def __init__(self, path: str):
+        outdir = os.path.dirname(path)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"outputs.out: cannot make {outdir!r}: {exc.strerror}") from exc
+        self.path, self.digest = path, hashlib.sha256()
+        self.handle = open(f"{path}.tmp", "wb")
+
+    def write(self, data: bytes) -> None:
+        self.digest.update(data)
+        self.handle.write(data)
+
+    def commit(self) -> tuple[str, str]:
+        """The file's name and sha256, once it is in place."""
+        self.handle.close()
+        os.replace(f"{self.path}.tmp", self.path)
+        return os.path.basename(self.path), self.digest.hexdigest()
+
+    def discard(self) -> None:
+        self.handle.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(f"{self.path}.tmp")
 
 
 def _atomic_write(path: str, pieces) -> tuple[str, str]:
-    """Write an iterable of text pieces to ``path`` through a temp file;
-    return the file's name and the sha256 of the bytes written.
-
-    The output directory is made once the first artifact's first piece
-    exists, so a refused request leaves none.  The temp file is renamed
-    into place when every piece is written; on any failure it is removed.
-    """
-    outdir, tmp = os.path.dirname(path), f"{path}.tmp"
+    """Write an iterable of text pieces to ``path`` through a ``_Sink``
+    opened once the first piece exists, so a refused request makes no
+    directory; return the file's name and sha256."""
     pieces = iter(pieces)
     pieces = itertools.chain([next(pieces, "")], pieces)
+    sink = _Sink(path)
     try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(
-            f"outputs.out: cannot make {outdir!r}: {exc.strerror}") from exc
-    digest = hashlib.sha256()
-    try:
-        with open(tmp, "wb") as handle:
-            for data in map(str.encode, pieces):
-                digest.update(data)
-                handle.write(data)
-                del data        # not held while the next piece is built
-        os.replace(tmp, path)
+        for data in map(str.encode, pieces):
+            sink.write(data)
+            del data        # not held while the next piece is built
+        return sink.commit()
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        sink.discard()
         raise
-    return os.path.basename(path), digest.hexdigest()
-
-
-def _write_table(outdir: str, stem: str, columns: list[str], blocks,
-                 fmt: str) -> tuple[str, str]:
-    """Write blocks of broadcast columns as ``stem.csv`` or
-    ``stem.json``, chunk by chunk from ``_table_text``; the JSON layout is
-    ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
-    sorted keys would write it.  Returns the name and its sha256."""
-    return _atomic_write(os.path.join(outdir, f"{stem}.{fmt}"),
-                         _table_text(columns, blocks, fmt))
 
 
 def _write_json(outdir: str, name: str, payload) -> tuple[str, str]:
@@ -443,27 +509,115 @@ def _write_manifest(outdir: str, command: str, resolved: dict,
     })
 
 
-# planned cells (fields x grid size x time samples per field) from which the
-# fields fork: the process pool's measured crossover (CHANGES.md), not yet
-# measured again for the cheaper fork
+def _write(resolved: dict, command: str, artifacts: list) -> None:
+    """Write ``artifacts`` in order, then ``manifest.json``.
+
+    An artifact is a ``_Table`` or a pair (name, a function of no argument
+    that returns its JSON payload).  The tables' blocks are split into
+    contiguous ranges (module docstring) texted in ``_fork_join``.  A spool
+    is a ``tempfile.TemporaryFile``, opened before the fork and nameless,
+    so none is left on any way out.  Once every range is texted, each table
+    takes its spools in order, in pieces of at most 1 MiB, and is renamed
+    into place; every byte is hashed as it is written.
+    """
+    outdir, fmt = resolved["outputs"]["out"], resolved["outputs"]["format"]
+    tables = [artifact for artifact in artifacts if isinstance(artifact, _Table)]
+    blocks = [(t, i) for t, table in enumerate(tables)
+              for i in range(len(table.plan))]
+    planned = np.cumsum([0, *(tables[t].plan[i] for t, i in blocks)])
+    workers = _participants(planned[-1], WRITER_MIN_VALUES, len(blocks))
+    # the s-th cut at the block edge nearest s/k of the planned values
+    cuts = sorted({0, len(blocks), *(
+        int(np.abs(planned - planned[-1] * s / workers).argmin())
+        for s in range(1, workers))})
+    shares = list(zip(cuts, cuts[1:])) or [(0, 0)]
+    sinks, spools = {}, {}
+
+    def sink(t: int) -> _Sink:
+        """Table t's file, opened with the head of its text at its first piece."""
+        if t not in sinks:
+            sinks[t] = _Sink(os.path.join(outdir, f"{tables[t].stem}.{fmt}"))
+            sinks[t].write(_frame(tables[t].columns, fmt)[0].encode())
+        return sinks[t]
+
+    def text(share: tuple) -> None:     # a child has a spool for each table
+        for t, run in itertools.groupby(range(*share), lambda j: blocks[j][0]):
+            run = [blocks[j][1] for j in run]
+            spool = spools.get((share, t))
+            for data in map(str.encode,
+                            _table_text(tables[t], run[0], run[-1] + 1, fmt)):
+                (sink(t) if spool is None else spool).write(data)
+                del data        # not held while the next chunk is built
+            if spool is not None:
+                spool.flush()
+
+    try:
+        for share in shares[1:]:
+            for t in {blocks[j][0] for j in range(*share)}:
+                spools[share, t] = tempfile.TemporaryFile()
+        _fork_join(text, shares, len(shares), lambda shares: "table blocks "
+                   + ", ".join(f"{lo + 1}-{hi}" for lo, hi in shares))
+        written, order = [], iter(range(len(tables)))
+        for artifact in artifacts:
+            if not isinstance(artifact, _Table):
+                name, payload = artifact
+                written.append(_write_json(outdir, name, payload()))
+                continue
+            t = next(order)
+            for spool in (spools[share, t] for share in shares[1:]
+                          if (share, t) in spools):
+                spool.seek(0)
+                for data in iter(functools.partial(spool.read, 2 ** 20), b""):
+                    sink(t).write(data)
+            sink(t).write(_frame(artifact.columns, fmt)[1].encode())
+            written.append(sinks[t].commit())
+            del sinks[t]
+        _write_manifest(outdir, command, resolved, written)
+    finally:
+        for unwritten in sinks.values():
+            unwritten.discard()
+        for spool in spools.values():
+            spool.close()
+
+
+# The fork-join thresholds, from cold alternated pairs, forked against one
+# participant, each pair between two parallelism probes (a CPU-bound loop
+# alone, then two forked copies of it at once: 0.8-2.1x as long), on 2
+# vCPUs (Xeon, CPython 3.11, numpy 2.4, BLAS on one thread).
+# POOL_MIN_CELLS is the planned cells (fields x grid size x time samples
+# per field) from which the fields fork: rate-function --n 20000 with 4
+# fields in json (4.0e7 cells) ran 121 ms forked against 218 ms, faster in
+# 7 of 8 pairs, at 387 against 385 ms of CPU.  WRITER_MIN_VALUES is the
+# planned values (_Table.plan) from which the tables fork: otoc at
+# t_points = 100, 200, 300 and 500 (29k, 58k, 88k and 146k values) ran 26
+# against 30 ms (8 of 8, +12 ms of CPU), 59 against 78 ms (7 of 10), 71
+# against 93 ms (10 of 10) and 91 against 128 ms (8 of 8, 274 against 282
+# ms of CPU).
 POOL_MIN_CELLS = 2 ** 23
+WRITER_MIN_VALUES = 2 ** 16
+
+
+def _participants(planned: int, least: int, most: int) -> int:
+    """The k of a fork-join: one per usable CPU (the affinity set, not the
+    CPUs installed), at most ``most`` and at least one, once ``planned``
+    reaches ``least`` on Linux; else 1."""
+    if planned >= least and sys.platform == "linux":
+        return max(1, min(len(os.sched_getaffinity(0)), most))
+    return 1
 
 
 def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:
     """Each final field's per-time result ``fn(spec)`` on ``n`` sites, from
-    ``_fork_join`` in one participant below POOL_MIN_CELLS fields x ``grid_size``
-    (default: modes) x ``samples`` or off Linux, else min(usable CPUs, fields)."""
+    ``_fork_join`` with ``_participants`` of the planned fields x
+    ``grid_size`` (default: modes) x ``samples`` against POOL_MIN_CELLS."""
     specs = [quench.QuenchSpec(q["g_i"], g_f, n, q["grid"]) for g_f in q["g_f"]]
     cells = len(specs) * (grid_size or specs[0].n_modes) * samples
-    workers = 1
-    if cells >= POOL_MIN_CELLS and sys.platform == "linux":
-        workers = min(len(os.sched_getaffinity(0)), len(specs))
-    return _fork_join(fn, specs, workers)
+    return _fork_join(fn, specs, _participants(cells, POOL_MIN_CELLS, len(specs)))
 
 
 def _run_share(fn, specs: list, share: int, workers: int) -> dict:
-    """{field index: result} of the fields ``specs[share::workers]`` in
-    order, up to the first that raised, whose entry is its error."""
+    """{index: result} of ``specs[share::workers]`` in order, up to the
+    first that raised, whose entry is its error."""
     outcomes = {}
     for index in range(share, len(specs), workers):
         try:
@@ -473,17 +627,20 @@ def _run_share(fn, specs: list, share: int, workers: int) -> dict:
     return outcomes
 
 
-def _fork_join(fn, specs: list, workers: int) -> list:
+def _fork_join(fn, specs: list, workers: int, name=lambda specs: "g_f = " + ", ".join(
+        str(spec.g_f) for spec in specs)) -> list:
     """``[fn(spec) for spec in specs]`` in ``workers`` participants.
 
     A forked child runs each share s >= 1 and pickles its ``_run_share``
     outcomes into a pipe; this process runs share 0 (with one participant,
-    every field), then reads each pipe to EOF and reaps its child.  The first
-    error in field order is raised, as in a serial run; a child that ends with
-    no outcome fails at its first field.  Any child still running on the way
-    out is killed.
+    every spec), then reads each pipe to EOF and reaps its child.  The first
+    error in spec order is raised, as in a serial run; a child that ends with
+    no outcome fails at its first spec, with a message naming its specs by
+    ``name``.  Any child still running on the way out is killed.
     """
     running, pipes = [], []
+    if workers > 1:     # so that no collection in either process writes to
+        gc.freeze()     # the objects they share, copying their pages
     try:
         for share in range(1, workers):
             read, write = os.pipe()
@@ -508,10 +665,10 @@ def _fork_join(fn, specs: list, workers: int) -> list:
             if code == 0:
                 outcomes.update(pickle.loads(data))
                 continue
-            fields = ", ".join(str(spec.g_f) for spec in specs[share::workers])
             ended = f"signal {-code}" if code < 0 else f"exit code {code}"
             outcomes[share] = SimulatorError(
-                f"the worker for g_f = {fields} ended with no result ({ended})")
+                f"the worker for {name(specs[share::workers])} ended with no "
+                f"result ({ended})")
         for index in sorted(outcomes):      # a share stops at its error
             if isinstance(outcomes[index], Exception):
                 raise outcomes[index]
@@ -524,6 +681,8 @@ def _fork_join(fn, specs: list, workers: int) -> list:
                 os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+        if workers > 1:
+            gc.unfreeze()
 
 
 # ---------------------------------------------------------------------------
@@ -585,38 +744,40 @@ def _job_compare(spec, ts, phis, echo_ts):
 # subcommands
 
 def cmd_rate_function(resolved: dict) -> None:
-    q, out = resolved["quench"], resolved["outputs"]
+    q = resolved["quench"]
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
     series = _fan_out(functools.partial(quench.rate_function, t=ts), q, q["n"],
                       ts.size)
-    written = [_write_table(out["out"], "rate_function", ["g_f", "t", "f"],
-                            ([g_f, ts, f] for g_f, f in zip(q["g_f"], series)),
-                            out["format"])]
-    analytic = []
-    for g_f in q["g_f"]:
-        try:
-            t_c = [float(x) for x in quench.critical_times(q["g_i"], g_f, n_max=2)]
-        except (NoDqptError, UndefinedExpressionError):
-            t_c = []
-        analytic.append({"g_f": g_f,
-                         "dqpt": quench.dqpt_predicate(q["g_i"], g_f),
-                         "critical_times": t_c})
-    written.append(_write_json(out["out"], "critical_times.json",
-                               {"g_i": q["g_i"], "series": analytic}))
-    _write_manifest(out["out"], "rate-function", resolved, written)
+
+    def analytic():
+        results = []
+        for g_f in q["g_f"]:
+            try:
+                t_c = [float(x) for x in quench.critical_times(q["g_i"], g_f, n_max=2)]
+            except (NoDqptError, UndefinedExpressionError):
+                t_c = []
+            results.append({"g_f": g_f,
+                            "dqpt": quench.dqpt_predicate(q["g_i"], g_f),
+                            "critical_times": t_c})
+        return {"g_i": q["g_i"], "series": results}
+    _write(resolved, "rate-function", [
+        _table("rate_function", ["g_f", "t", "f"],
+               ([g_f, ts, f] for g_f, f in zip(q["g_f"], series))),
+        ("critical_times.json", analytic)])
 
 
 def cmd_heatmap(resolved: dict) -> None:
-    q, out = resolved["quench"], resolved["outputs"]
+    q = resolved["quench"]
+    specs = [quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"]) for g_f in q["g_f"]]
 
-    def block(g_f):     # built as the writer reaches it, dropped once written
-        spec = quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"])
-        taus, probs = quench._grid_probabilities(spec, q["tau_points"])
-        return [g_f, spec._grid()[:, None], taus, probs], spec._distinct_index()
-    written = [_write_table(out["out"], "return_prob",
-                            ["g_f", "k", "t_over_t0", "probability"],
-                            map(block, q["g_f"]), out["format"])]
-    _write_manifest(out["out"], "heatmap", resolved, written)
+    def block(i):       # built as its texter reaches it, dropped once texted
+        taus, probs = quench._grid_probabilities(specs[i], q["tau_points"])
+        return ([specs[i].g_f, specs[i]._grid()[:, None], taus, probs],
+                specs[i]._distinct_index())
+    _write(resolved, "heatmap", [_Table(
+        "return_prob", ["g_f", "k", "t_over_t0", "probability"],
+        [1 + spec.n_modes + (1 + spec.n_distinct) * q["tau_points"]
+         for spec in specs], block)])
 
 
 def _well(spec, eps_dw: float) -> dict:
@@ -628,25 +789,26 @@ def _well(spec, eps_dw: float) -> dict:
 
 
 def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
-    q, e = resolved["quench"], resolved["echo"]
-    s, out = resolved["sweep"], resolved["outputs"]
+    q, e, s = resolved["quench"], resolved["echo"], resolved["sweep"]
     ts = np.linspace(0.0, q["t_max"], q["t_points"])
     results = _fan_out(functools.partial(_job_otoc, ts=ts, e=e), q, q["n"],
                        ts.size)
     phis, fold = otoc._phi_grid(e["n_phi"]), otoc._phi_fold(e["n_phi"])
-    written = []
-    if not spectra_only:    # each surface on its distinct angles, with its fold
-        blocks = (([g_f, phis[:, None], ts, otoc._mean_surface(
-                    m, phis.size, "fidelity") if fid is None else fid,
-                    otoc._mean_surface(m, phis.size, "magnetization")], fold)
-                  for g_f, (m, fid) in zip(q["g_f"], results))
-        written.append(_write_table(
-            out["out"], "otoc_surface",
-            ["g_f", "phi", "t", "fidelity", "magnetization"], blocks,
-            out["format"]))
     orders = np.arange(-e["m_max"], e["m_max"] + 1)
+    n_t, rows, n_m = ts.size, phis.size // 2 + 1, orders.size
 
-    def spectra(g_f, observable, m, scan):  # over (t, m), built as it is written
+    def surface(i):     # on its distinct angles, with its fold
+        m, fid = results[i]
+        return [q["g_f"][i], phis[:, None], ts, otoc._mean_surface(
+            m, phis.size, "fidelity") if fid is None else fid,
+            otoc._mean_surface(m, phis.size, "magnetization")], fold
+
+    # a block per field and observable, over (t, m)
+    pairs = [(g_f, observable, m, scan) for g_f, (m, fid) in zip(q["g_f"], results)
+             for observable, scan in (("fidelity", fid), ("magnetization", None))]
+
+    def spectra(i):
+        g_f, observable, m, scan = pairs[i]
         if scan is None:    # im is +0.0 and re >= 0, so abs is re bit for bit
             re = otoc._mean_spectra(m, e["m_max"], observable).T
             return [g_f, observable, ts[:, None], orders, re, 0.0, re]
@@ -654,15 +816,9 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
         # Python's abs() bit for bit; np.abs differs in the last bit
         return [g_f, observable, ts[:, None], orders, c.real, c.imag,
                 np.hypot(c.real, c.imag)]
-    written.append(_write_table(   # a block per field and observable
-        out["out"], "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
-        itertools.starmap(spectra, ((g_f, observable, m, scan)
-                                    for g_f, (m, fid) in zip(q["g_f"], results)
-                                    for observable, scan in (("fidelity", fid),
-                                                             ("magnetization", None)))),
-        out["format"]))
-    if not spectra_only:
-        payload = {
+
+    def doublewell():
+        return {
             "detector": {
                 "series": "order-1 magnetization coherence, normalized time",
                 "t_c_normalized": 0.5,
@@ -672,14 +828,22 @@ def cmd_otoc(resolved: dict, spectra_only: bool = False) -> None:
                 q["g_i"], g_f, q["n"], q["grid"]), s["dw_threshold"])}
                         for g_f in q["g_f"]],
         }
-        written.append(_write_json(out["out"], "doublewell.json", payload))
-    _write_manifest(out["out"], "spectra" if spectra_only else "otoc",
-                    resolved, written)
+    # each block's planned values: its columns' sizes (_planned)
+    spectra_table = _Table(
+        "spectra", ["g_f", "observable", "t", "m", "re", "im", "abs"],
+        [2 + n_t + n_m + (2 * n_t * n_m + 1 if scan is None else 3 * n_t * n_m)
+         for *_, scan in pairs], spectra)
+    if spectra_only:
+        _write(resolved, "spectra", [spectra_table])
+    else:
+        _write(resolved, "otoc", [
+            _Table("otoc_surface", ["g_f", "phi", "t", "fidelity", "magnetization"],
+                   [1 + phis.size + n_t + 2 * rows * n_t] * len(results), surface),
+            spectra_table, ("doublewell.json", doublewell)])
 
 
 def cmd_oracle_compare(resolved: dict) -> None:
-    q, s = resolved["quench"], resolved["sweep"]
-    o, out = resolved["oracle"], resolved["outputs"]
+    q, s, o = resolved["quench"], resolved["sweep"], resolved["oracle"]
     n = o["n_oracle"]
     ts = np.linspace(0.0, q["t_max"], 100)
     phis = otoc._phi_grid(8)
@@ -695,10 +859,8 @@ def cmd_oracle_compare(resolved: dict) -> None:
             ("magnetization", phis[:, None], echo_ts)]
     blocks = [[g_f, *key, gap] for g_f, gaps in zip(q["g_f"], results)
               for key, gap in zip(keys, gaps)]
-    written = [_write_table(out["out"], "compare",
-                            ["g_f", "quantity", "phi", "t", "difference"],
-                            blocks, out["format"])]
-    _write_manifest(out["out"], "oracle-compare", resolved, written)
+    _write(resolved, "oracle-compare", [_table(
+        "compare", ["g_f", "quantity", "phi", "t", "difference"], blocks)])
     # the first largest difference; NaN rows never count as the worst
     ranked = [np.where(np.isnan(gap), -np.inf, gap) for *_, gap in blocks]
     index = max(range(len(blocks)), key=lambda i: ranked[i].max())
@@ -712,7 +874,7 @@ def cmd_oracle_compare(resolved: dict) -> None:
 
 
 def cmd_pulse_schedule(resolved: dict) -> None:
-    q, s, out = resolved["quench"], resolved["sweep"], resolved["outputs"]
+    q, s = resolved["quench"], resolved["sweep"]
     # every field before any file: a later g_f can refuse the pulse constant
     scheds, deviations = zip(*(_job_pulse(
         quench.QuenchSpec(q["g_i"], g_f, q["n"], q["grid"]), s["pulse_constant"],
@@ -721,14 +883,13 @@ def cmd_pulse_schedule(resolved: dict) -> None:
     blocks = ([g_f, *(sched[key][:, None] for key in keys),
                np.arange(s["n_t"]), sched.durations, sched.idle[:, None]]
               for g_f, sched in zip(q["g_f"], scheds))
-    written = [_write_table(out["out"], "schedule",
-                            ["g_f", *keys, "duration_index", "duration", "idle"],
-                            blocks, out["format"])]
-    written.append(_write_json(out["out"], "replay_check.json", {
-        "per_g_f": [{"g_f": g_f, "max_deviation": deviation}
-                    for g_f, deviation in zip(q["g_f"], deviations)],
-        "max_deviation": max(deviations)}))
-    _write_manifest(out["out"], "pulse-schedule", resolved, written)
+    _write(resolved, "pulse-schedule", [
+        _table("schedule", ["g_f", *keys, "duration_index", "duration", "idle"],
+               blocks),
+        ("replay_check.json", lambda: {
+            "per_g_f": [{"g_f": g_f, "max_deviation": deviation}
+                        for g_f, deviation in zip(q["g_f"], deviations)],
+            "max_deviation": max(deviations)})])
 
 
 # ---------------------------------------------------------------------------

@@ -268,14 +268,17 @@ def _require_dft_budget(n_phi: int, m_max: int, n_t: int,
                         surfaces: int = 0) -> None:
     """Refuse a DFT of n_t columns it cannot resolve, or whose complex kernel,
     its temporary, the scan's complex copy and product, with ``surfaces``
-    (n_phi, n_t) float surfaces held beside them, pass the mode budget."""
+    (n_phi//2 + 1, n_t) float surfaces on their distinct angles held beside
+    them and, when there are any, the one (n_phi, n_t) scan unfolded from
+    one of them, pass the mode budget."""
     require_resolvable(n_phi, m_max)
     orders = 2 * m_max + 1
     what = f"the DFT of {n_phi} angles x {n_t} times to {orders} orders"
     if surfaces:
         what += f" and {surfaces} product surface" + "s" * (surfaces > 1)
     quench._require_budget(16 * (2 * orders * n_phi + (n_phi + orders) * n_t)
-                           + 8 * surfaces * n_phi * n_t
+                           + 8 * (surfaces * (n_phi // 2 + 1)
+                                  + n_phi * bool(surfaces)) * n_t
                            + quench._working_set(0, n_t, 0), what)
 
 

@@ -270,11 +270,17 @@ def _probabilities(spec: QuenchSpec, grid: np.ndarray,
     return probs
 
 
-def _grid_probabilities(spec: QuenchSpec, n_t: int, grid=None):
-    """(times, |G_k|^2 over (distinct modes, n_t)), the matrix, its slabs and
-    a grid copy counted first; times ``grid``, else n_t taus in [0, 2]."""
+def _require_map_budget(spec: QuenchSpec, n_t: int) -> None:
+    """Refuse a (distinct modes, n_t) matrix over the mode budget: the
+    matrix, its slabs and a grid copy."""
     _require_budget(_working_set(spec.n_distinct, n_t, 2, spec.n_modes),
                     f"{spec.n_modes} modes x {n_t} times")
+
+
+def _grid_probabilities(spec: QuenchSpec, n_t: int, grid=None):
+    """(times, |G_k|^2 over (distinct modes, n_t)), its count checked first;
+    times ``grid``, else n_t taus in [0, 2]."""
+    _require_map_budget(spec, n_t)
     if normalized := grid is None:
         grid = np.linspace(0.0, 2.0, n_t)
     return grid, _probabilities(spec, grid, normalized)

@@ -840,7 +840,7 @@ class ForkStarted(Exception):
     """Raised by a stand-in ``_fork_join`` in place of forking any child."""
 
 
-def fork_started(fn, specs, workers):
+def fork_started(fn, specs, workers, *name):
     raise ForkStarted(workers)
 
 
@@ -850,12 +850,18 @@ def usable_cpus(monkeypatch, count: int) -> None:
                         raising=False)
 
 
-def fork_join_ks(monkeypatch) -> list:
-    """The participant count k of every ``_fork_join`` call, each then run
-    as it is: k = 1 runs the fields in this process."""
+def fork_join_ks(monkeypatch, writer: bool = False) -> list:
+    """The participant count k of every ``_fork_join`` call over the final
+    fields, or with ``writer`` over the table writer's shares, each then
+    run as it is: k = 1 runs in this process."""
     ks, fork_join = [], cli._fork_join
-    monkeypatch.setattr(cli, "_fork_join", lambda fn, specs, k: (
-        ks.append(k) or fork_join(fn, specs, k)))
+
+    def recording(fn, specs, k, *name):
+        if isinstance(specs[0], quench.QuenchSpec) != writer:
+            ks.append(k)
+        return fork_join(fn, specs, k, *name)
+
+    monkeypatch.setattr(cli, "_fork_join", recording)
     return ks
 
 
@@ -1109,11 +1115,185 @@ class TestFieldPool:
         assert not out.exists()
 
 
+class TestTableShares:
+    """Every command's tables are texted in ``_fork_join``: k contiguous
+    ranges of blocks of about equal planned values, the first in this
+    process and each other in a forked child, which writes a spool per
+    table that this process appends in order."""
+
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 5]),
+                              st.sampled_from([0, 2, 3]), st.booleans(),
+                              st.sampled_from(["same", "copy", "zero"])),
+                    min_size=1, max_size=5),
+           st.sampled_from([1, 2, 5, 16384]), st.sampled_from(["csv", "json"]),
+           st.data())
+    def test_ranges_join_to_the_one_participant_text(self, shapes, chunk, fmt,
+                                                     data):
+        # each block is a scalar key, an (a, 1) key, a (b,) column, values
+        # on their distinct rows, with a fold or unfolded, and a twin of the
+        # values: that object, a copy, or the scalar 0.0.  a or b may be 0,
+        # and an empty block plans 0 values.  The frame around the texts of
+        # consecutive ranges, split anywhere, is the one-participant text
+        floats = st.sampled_from(COLUMN_POOLS["float64"]) | st.floats()
+        columns = ["g_f", "phi", "t", "v", "w,twin"]
+        blocks, rows = [], []
+        for a, b, folded, twin in shapes:
+            distinct = data.draw(st.integers(1, max(a, 1)))
+            values = np.array(data.draw(st.lists(
+                floats, min_size=distinct * b, max_size=distinct * b)),
+                dtype=float).reshape(distinct, b)
+            fold = np.array(data.draw(st.lists(st.integers(0, distinct - 1),
+                                               min_size=a, max_size=a)),
+                            dtype=np.intp)
+            keys = [data.draw(floats), -np.arange(a)[:, None] / 3.0,
+                    np.arange(b) / 4.0]
+            shown = values if folded else values[fold]
+            block = [*keys, shown, {"same": shown, "copy": shown.copy(),
+                                    "zero": 0.0}[twin]]
+            blocks.append((block, fold) if folded else block)
+            unfolded = [*keys, values[fold], 0.0 if twin == "zero" else values[fold]]
+            rows += zip(*(np.broadcast_to(column, (a, b)).ravel()
+                          for column in unfolded))
+        table = cli._table("t", columns, blocks)
+        assert [plan == 0 for plan in table.plan] == [
+            a * b == 0 for a, b, *_ in shapes]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(blocks)), max_size=3)))
+        head, tail = cli._frame(columns, fmt)
+        with mock.patch.object(cli, "CHUNK_ROWS", chunk):
+            whole = "".join(cli._table_text(table, 0, len(blocks), fmt))
+            ranges = ["".join(cli._table_text(table, lo, hi, fmt))
+                      for lo, hi in zip([0, *cuts], [*cuts, len(blocks)])]
+        assert head + "".join(ranges) + tail == head + whole + tail
+        assert (head + whole + tail).encode() == reference_table(columns, rows, fmt)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    @pytest.mark.parametrize("aggregation", otoc.AGGREGATIONS)
+    def test_each_plan_is_its_blocks_planned_values(self, tmp_path, monkeypatch,
+                                                    command, aggregation):
+        # a table states each block's planned values before the block is
+        # built: they must be what _planned counts of the built block
+        tables, write = [], cli._write
+
+        def recording(resolved, name, artifacts):
+            tables.extend(artifact for artifact in artifacts
+                          if isinstance(artifact, cli._Table))
+            return write(resolved, name, artifacts)
+
+        monkeypatch.setattr(cli, "_write", recording)
+        config = write_config(tmp_path, "[quench]\nt_points = 7\ntau_points = 5\n")
+        argv = [command, "--gf", "0.7,1.3", "--nphi", "9", "--nt", "4",
+                "--aggregation", aggregation, "--config", config]
+        if command != "oracle-compare":     # it refuses quench.n
+            argv += ["--n", "6"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert tables
+        for table in tables:
+            assert table.plan == [cli._planned(table.build(i))
+                                  for i in range(len(table.plan))]
+            assert all(table.plan)
+
+    @FORKS_HERE
+    def test_otoc_defaults_text_in_two_shares(self, tmp_path, monkeypatch):
+        # 3 surface blocks of 33,565 planned values and 6 spectra blocks of
+        # 7,510: this process texts fields 1-2, a child field 3 and the
+        # spectra, and one usable CPU writes the same bytes in process
+        shares, fork_join = [], cli._fork_join
+
+        def recording(fn, specs, k, *name):
+            if not isinstance(specs[0], quench.QuenchSpec):
+                shares.append(specs)
+            return fork_join(fn, specs, k, *name)
+
+        monkeypatch.setattr(cli, "_fork_join", recording)
+        forked = record_forks(monkeypatch)
+        out, pinned = tmp_path / "out", tmp_path / "pinned"
+        usable_cpus(monkeypatch, 2)
+        assert main(["otoc", "--out", str(out)]) == 0
+        shutil.move(out, pinned)
+        usable_cpus(monkeypatch, 1)
+        assert main(["otoc", "--out", str(out)]) == 0
+        assert shares == [[(0, 2), (2, 9)], [(0, 9)]]
+        assert len(forked) == 1
+        assert_reaped(forked)
+        names = sorted(path.name for path in out.iterdir())
+        assert names == sorted(path.name for path in pinned.iterdir()) == [
+            "doublewell.json", "manifest.json", "otoc_surface.csv", "spectra.csv"]
+        for name in names:
+            assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
+
+    @pytest.mark.parametrize("argv, config", [
+        # the benchmark's rate-large-n (4,004 values) and oracle-n12 (1,209)
+        (["rate-function", "--n", "20000", "--gf", "1.7,1.3,0.4,0.6",
+          "--format", "json"], ""),
+        (["oracle-compare"], "[oracle]\nn_oracle = 12\n")],
+        ids=["rate-large-n", "oracle-n12"])
+    def test_small_tables_are_texted_in_process(self, tmp_path, monkeypatch,
+                                                argv, config):
+        usable_cpus(monkeypatch, 64)
+        ks = fork_join_ks(monkeypatch, writer=True)
+        if config:
+            argv = [*argv, "--config", write_config(tmp_path, config)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert ks == [1]
+
+    @FORKS_HERE
+    def test_killed_writer_child_fails_the_command(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # the child texting field 3's surface and the spectra is killed:
+        # exit 3 naming its blocks, no child left, and neither a spool nor a
+        # temp file left behind
+        forked = record_forks(monkeypatch)
+        parent, spectra = os.getpid(), otoc._mean_spectra
+
+        def spectra_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return spectra(*args)
+
+        monkeypatch.setattr(otoc, "_mean_spectra", spectra_or_die)
+        spools = tmp_path / "spools"
+        spools.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spools))
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        with within(10):
+            code = main(["otoc", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: the worker for table blocks 3-9 ended with no result "
+            f"(signal {int(signal.SIGKILL)})\n")
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert list(spools.iterdir()) == [] and list(out.iterdir()) == []
+
+    @FORKS_HERE
+    def test_interrupt_in_the_writer_kills_every_child(self, tmp_path,
+                                                       monkeypatch):
+        # Ctrl-C while this process texts its first block, while the child
+        # would text a minute more: no child and no file is left
+        forked = record_forks(monkeypatch)
+        parent = os.getpid()
+
+        def interrupt_or_stall(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(otoc, "_mean_surface", interrupt_or_stall)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        with within(10), pytest.raises(KeyboardInterrupt):
+            main(["otoc", "--out", str(out)])
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert not out.exists()
+
+
 # spectra of 601 orders on as many angles; under product, whose DFT is
-# counted with the surfaces, of 301 at 400 times, which an 8 MiB budget
-# admits (at 500 times it does not)
+# counted with the surfaces, of 301 at 380 times, which an 8 MiB budget
+# admits (at 400 times it does not)
 M_MAX_300 = "[echo]\nm_max = 300\nn_phi = 601\n"
-M_MAX_150 = "[echo]\nm_max = 150\nn_phi = 301\n[quench]\nt_points = 400\n"
+M_MAX_150 = "[echo]\nm_max = 150\nn_phi = 301\n[quench]\nt_points = 380\n"
 
 # the least valid value of each size the refusal sweep draws
 LEAST = {"quench.n": 2, "quench.t_points": 2, "quench.tau_points": 2,
@@ -1278,12 +1458,22 @@ def cells_of(inputs: list, values) -> int:
     return sum(len(cells) for cells in inputs if cells and set(cells) <= values)
 
 
+def write_table(outdir, stem: str, columns, blocks, fmt: str) -> tuple[str, str]:
+    """Write ``blocks`` as a command's one table, through the commands'
+    writer; the table's name and its sha256 in the manifest."""
+    cli._write({"outputs": {"out": str(outdir), "format": fmt}}, "table",
+               [cli._table(stem, columns, blocks)])
+    checksums = read_json(Path(outdir) / "manifest.json")["checksums"]
+    assert len(checksums) == 1
+    return next(iter(checksums.items()))
+
+
 def written_table(columns, blocks, fmt: str, chunk: int) -> bytes:
-    """The bytes ``_write_table`` writes for ``blocks`` in chunks of
-    ``chunk`` rows."""
+    """The bytes the writer writes for ``blocks`` in chunks of ``chunk``
+    rows."""
     with tempfile.TemporaryDirectory() as outdir, \
             mock.patch.object(cli, "CHUNK_ROWS", chunk):
-        name, _ = cli._write_table(outdir, "t", columns, iter(blocks), fmt)
+        name, _ = write_table(outdir, "t", columns, iter(blocks), fmt)
         with open(os.path.join(outdir, name), "rb") as handle:
             return handle.read()
 
@@ -1311,8 +1501,8 @@ class TestColumnarWriter:
                                             fmt, chunk):
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
         columns, blocks, rows = self.table()
-        name, digest = cli._write_table(str(tmp_path), "table", columns, blocks,
-                                        fmt)
+        name, digest = write_table(str(tmp_path), "table", columns, blocks,
+                                   fmt)
         assert name == f"table.{fmt}"
         written = (tmp_path / name).read_bytes()
         assert written == reference_table(columns, rows, fmt)
@@ -1341,7 +1531,7 @@ class TestColumnarWriter:
         # chunk edges fall inside runs of one value
         monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
         columns, blocks, rows = self.repeated_table()
-        name, _ = cli._write_table(str(tmp_path), "table", columns, blocks, fmt)
+        name, _ = write_table(str(tmp_path), "table", columns, blocks, fmt)
         assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
 
     @given(st.integers(0, 40), st.lists(st.sampled_from(COLUMN_KINDS),
@@ -1558,8 +1748,8 @@ class TestColumnarWriter:
         monkeypatch.setattr(cli, "CHUNK_ROWS", 3)
         monkeypatch.setattr(cli, "_cells", failing)
         with pytest.raises(MemoryError):
-            cli._write_table(str(tmp_path), "t", ["a", "b"],
-                             [[np.arange(10.0), np.arange(10)]], fmt)
+            write_table(str(tmp_path), "t", ["a", "b"],
+                        [[np.arange(10.0), np.arange(10)]], fmt)
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_atomic_write_leaves_no_file(self, tmp_path):
@@ -1601,8 +1791,8 @@ class TestColumnarWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, tmp_path, fmt):
-        name, _ = cli._write_table(str(tmp_path), "empty", ["a", "b"],
-                                   [[np.zeros(0), []]], fmt)
+        name, _ = write_table(str(tmp_path), "empty", ["a", "b"],
+                              [[np.zeros(0), []]], fmt)
         assert (tmp_path / name).read_bytes() == reference_table(["a", "b"], [], fmt)
 
     def test_otoc_csv_equals_json_rows(self, tmp_path):
@@ -1674,13 +1864,15 @@ def drawn_config(data, command: str) -> str:
 
 class TestDrawnConfigs:
     """The real commands on small drawn configurations, in both formats, in
-    one participant and forced to fork."""
+    one participant and forced to fork, both the fields and the tables."""
 
     def run(self, argv, out, forks: bool):
         affinity = set(range(2 if forks else 1))
+        least = 0 if forks else 2 ** 62
         with mock.patch.object(os, "sched_getaffinity", lambda pid: affinity,
                                create=True), \
-                mock.patch.object(cli, "POOL_MIN_CELLS", 0 if forks else 2 ** 62), \
+                mock.patch.object(cli, "POOL_MIN_CELLS", least), \
+                mock.patch.object(cli, "WRITER_MIN_VALUES", least), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*argv, "--out", str(out)])
         return code, err.getvalue()
@@ -1710,10 +1902,15 @@ class TestDrawnConfigs:
                 assert checksums == {path.name: hashlib.sha256(
                     path.read_bytes()).hexdigest() for path in out.iterdir()
                     if path.name != "manifest.json"}
+            assert sorted(path.name for path in Path(forked).iterdir()) \
+                == sorted(path.name for path in Path(serial).iterdir())
             for path in Path(serial).iterdir():
                 assert path.read_bytes() == (Path(forked) / path.name).read_bytes()
                 if path.suffix == ".csv":
                     header, rows = read_csv(path)
+                    # README admits no NaN or infinite cell
+                    assert not {"nan", "inf", "-inf"} & set(
+                        itertools.chain.from_iterable(rows)), path.name
                     payload = read_json(Path(as_json) / f"{path.stem}.json")
                     assert payload["columns"] == header
                     assert rows == [[reference_fmt(cell) for cell in row]
@@ -1941,8 +2138,8 @@ class TestResourceAndRangeGuards:
         # observable's are built at a time, as the writer reaches them
         # (1.31x; both stacked read 2.32x).  product's DFT, counted up
         # front with the surfaces held beside it, holds its kernel and its
-        # product besides: at m_max = 150 on 301 angles x 400 times, which
-        # it admits (7.9 MB counted), 1.35x (json 1.42x)
+        # product besides: at m_max = 150 on 301 angles x 380 times, which
+        # it admits (8.1 MB counted), 1.26x (json 1.31x)
         budget = 8 * 2 ** 20
         if config:
             argv = [*argv, "--config", write_config(tmp_path, config)]
@@ -1962,42 +2159,43 @@ class TestResourceAndRangeGuards:
 
     def test_every_product_surface_is_counted_up_front(self, tmp_path, capsys,
                                                        monkeypatch):
-        # product holds each field's (n_phi, n_t) fidelity surface until it
-        # is written: at 601 angles x 500 times, one field's surface and
-        # spectra's DFT fit an 8 MiB budget (7.6 MB); 20 fields (53 MB)
-        # exit 2 before any field runs
+        # product holds each field's fidelity surface on its n_phi//2 + 1
+        # distinct angles until it is written, and unfolds one for
+        # spectra's DFT: at 501 angles x 500 times, one field's surface, its
+        # unfolded scan and the DFT fit an 8 MiB budget (7.4 MB); 20 fields
+        # (26 MB) exit 2 before any field runs
         monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 8 * 2 ** 20)
         ks = fork_join_ks(monkeypatch)
         resolved = copy.deepcopy(cli.DEFAULTS)
         resolved["quench"]["g_f"] = [1.2]
-        resolved["echo"].update(n_phi=601, aggregation="product")
+        resolved["echo"].update(n_phi=501, aggregation="product")
         cli.validate_config(resolved, "otoc")
         out = tmp_path / "out"
         tracemalloc.start()
         try:
-            code = main(["otoc", "--aggregation", "product", "--nphi", "601",
+            code = main(["otoc", "--aggregation", "product", "--nphi", "501",
                          "--gf", ",".join(["1.2"] * 20), "--out", str(out)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert code == 2 and peak < 2 ** 20
         assert capsys.readouterr().err.startswith(
-            "configuration error: the DFT of 601 angles x 500 times to 7 orders "
-            "and 20 product surfaces need 53,291,264 bytes, over the "
+            "configuration error: the DFT of 501 angles x 500 times to 7 orders "
+            "and 20 product surfaces need 26,472,864 bytes, over the "
             "8,388,608-byte mode budget")
         assert not out.exists() and ks == []
 
     @pytest.mark.parametrize("fields", [1, 6])
     def test_product_surfaces_and_dft_are_counted_together(
             self, tmp_path, capsys, monkeypatch, fields):
-        # every field's surface is held while each spectra's DFT runs: at
-        # m_max = 150 on 301 angles x 500 times, 6 fields' surfaces (7.2 MB)
-        # and the DFT (7.9 MB) each fit an 8 MiB budget, but not together,
-        # nor does one surface with the DFT (9.1 MB): exit 2 before any
-        # field runs, with no directory
+        # every field's surface is held while each spectra's DFT runs on
+        # one unfolded scan: at m_max = 150 on 301 angles x 500 times, the
+        # DFT (7.9 MB) fits an 8 MiB budget, but not with one field's
+        # surface and its unfolded scan (9.7 MB), nor with 6 fields' (12.8
+        # MB): exit 2 before any field runs, with no directory
         monkeypatch.setattr(quench, "MODE_BUDGET_BYTES", 8 * 2 ** 20)
         ks = fork_join_ks(monkeypatch)
-        config = write_config(tmp_path, M_MAX_150.replace("400", "500"))
+        config = write_config(tmp_path, M_MAX_150.replace("380", "500"))
         out = tmp_path / "out"
         tracemalloc.start()
         try:

@@ -14,7 +14,10 @@
 # INI file's [quench] n).  With --corpus, every configuration of
 # tools/drift_corpus.ini (its flags, its INI text and the commands it
 # runs) is checked in turn, and one line per configuration
-# names it and its verdict.  For each artifact that differs,
+# names it and its verdict; a configuration marked one_cpu is also run from
+# the working tree under taskset -c 0, one usable CPU, so that nothing
+# forks, and must write the same bytes as the working tree's run on every
+# CPU.  For each artifact that differs,
 # tools/artifact_diff.py prints the largest absolute difference over its
 # numeric cells, or "layout changed".  A configuration fails when an
 # artifact differs and tfim_dqpt.__version__ (the manifest's
@@ -43,17 +46,18 @@ version() {
 old=$(version "$work/base/src")
 new=$(version "$root/src")
 
-# run SRC_DIR OUT_DIR: every command and format; sums into OUT_DIR.sha256.
-# Each check returns on failure, so a corpus run goes on to the next
-# configuration
+# run SRC_DIR OUT_DIR: every command and format, each under the command
+# prefix `pin` (none by default); sums into OUT_DIR.sha256.  Each check
+# returns on failure, so a corpus run goes on to the next configuration
+pin=()
 run() {
     local src=$1 out=$2 command fmt code
     for command in "${commands[@]}"; do
         for fmt in csv json; do
             code=0
-            PYTHONPATH="$src" python -m tfim_dqpt.cli "$command" --format "$fmt" \
-                --out "$out/$command-$fmt" ${flags[@]+"${flags[@]}"} 2>/dev/null \
-                || code=$?
+            ${pin[@]+"${pin[@]}"} env PYTHONPATH="$src" python -m tfim_dqpt.cli \
+                "$command" --format "$fmt" --out "$out/$command-$fmt" \
+                ${flags[@]+"${flags[@]}"} 2>/dev/null || code=$?
             if [ "$code" -ne 0 ]; then
                 echo "$command --format $fmt exited $code under $src" >&2
                 return 1
@@ -82,10 +86,11 @@ for name, digest in sorted(json.load(open(sys.argv[1]))["checksums"].items()):
     done
 }
 
-# drift NAME: run `commands` with `flags` in both trees into $work/cfg/NAME and
-# print one line, the verdict; return 1 when the configuration fails
+# drift NAME [one_cpu]: run `commands` with `flags` in both trees into
+# $work/cfg/NAME (and with one_cpu, the working tree's again on one CPU)
+# and print one line, the verdict; return 1 when the configuration fails
 drift() {
-    local name=$1 out=$work/cfg/$1 files changed
+    local name=$1 one_cpu=${2-} out=$work/cfg/$1 files changed
     # oracle-compare sizes its chain by oracle.n_oracle and exits 2 on quench.n
     if [[ " ${commands[*]} " == *" oracle-compare "* ]] \
         && PYTHONPATH="$root/src" python - ${flags[@]+"${flags[@]}"} <<'PY'
@@ -109,6 +114,18 @@ PY
     if ! run "$work/base/src" "$out/base" || ! run "$root/src" "$out/head"; then
         echo "$name: FAILED, a command or a manifest check failed"
         return 1
+    fi
+    if [ "$one_cpu" = yes ]; then
+        pin=(taskset -c 0)
+        run "$root/src" "$out/one-cpu" || pin=(failed)
+        if [ "${pin[0]}" = failed ] \
+            || ! diff -u "$out/head.sha256" "$out/one-cpu.sha256" >&2; then
+            pin=()
+            echo "$name: FAILED, on one CPU the working tree writes other bytes"
+            return 1
+        fi
+        pin=()
+        name="$name (and on one CPU)"
     fi
     files=$(wc -l < "$out/head.sha256")
     if diff -u "$out/base.sha256" "$out/head.sha256" >&2; then
@@ -149,7 +166,7 @@ with open(corpus, encoding="utf-8") as handle:
     parser.read_file(handle)
 for name in parser.sections():
     entry = dict(parser.items(name))
-    unknown = set(entry) - {"reason", "flags", "ini", "commands"}
+    unknown = set(entry) - {"reason", "flags", "ini", "commands", "one_cpu"}
     if unknown or not entry.get("reason"):
         sys.exit(f"{corpus} [{name}]: unknown keys {sorted(unknown)} or no reason")
     flags = shlex.split(entry.get("flags", ""))
@@ -161,7 +178,10 @@ for name in parser.sections():
     commands = entry.get("commands", every).split()
     if not set(commands) <= set(every.split()):
         sys.exit(f"{corpus} [{name}]: unknown commands {commands}")
-    print(shlex.join([name, " ".join(commands), *flags]))
+    one_cpu = entry.get("one_cpu", "no")
+    if one_cpu not in ("yes", "no"):
+        sys.exit(f"{corpus} [{name}]: one_cpu must be yes or no")
+    print(shlex.join([name, " ".join(commands), one_cpu, *flags]))
 PY
 )
 status=0
@@ -169,7 +189,7 @@ while IFS= read -r line; do
     [ -n "$line" ] || continue
     eval "entry=($line)"
     read -r -a commands <<< "${entry[1]}"
-    flags=("${entry[@]:2}")
-    drift "${entry[0]}" || status=1
+    flags=("${entry[@]:3}")
+    drift "${entry[0]}" "${entry[2]}" || status=1
 done <<< "$listing"
 exit "$status"
