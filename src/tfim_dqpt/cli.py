@@ -28,10 +28,11 @@ exists; a failed write removes its temp file.
 ``pulse-schedule`` never fork their fields.  The other commands run their
 final fields on one path, ``_fork_join`` with k participants: this process
 runs one strided share of the fields while a forked child runs each other
-share and pipes its pickled results back.  k is one per usable CPU, at
-most one per field, once the planned work (fields x grid size x time
-samples per field) reaches ``POOL_MIN_CELLS`` on Linux; otherwise k = 1,
-and the fields run in this process with nothing forked.
+share and pipes its pickled results back.  On Linux k is the least of the
+usable CPUs, the fields and 2 x the planned work (fields x grid size x time
+samples per field) // ``POOL_MIN_CELLS``, and at least 1, so the shares
+plan at least half of ``POOL_MIN_CELLS`` on average; elsewhere k = 1, and
+the fields run in this process with nothing forked.
 ``oracle-compare``'s grid size is its ring sector's orbit states.  Each
 job's budget check (and ``heatmap``'s map count) runs in
 ``validate_config`` too, so a refused size exits before any fork.  No run
@@ -41,15 +42,15 @@ or changes an artifact.
 Every command then hands its artifacts, in write order, to one writer,
 ``_write``, which texts the tables on the same ``_fork_join``.  Their
 blocks are split into contiguous ranges of about equal planned values
-(``_Table.plan``), one per participant; k is one per usable CPU, at most
-one per block, once the planned values reach ``WRITER_MIN_VALUES`` on
-Linux, else 1.  Each participant builds and texts only its own blocks,
-and holds one block and one chunk's text at a time: a forked child writes
-its range's text into one anonymous temp file (a spool) per table it
-touches and pipes back only its outcome, and this process writes the
-first range straight into its tables' temp files, then appends the spools
-in order.  At the ``otoc`` defaults on 2 CPUs, this process texts the
-surfaces of fields 1-2 and a child field 3's and every spectra block.
+(``_Table.plan``), one per participant; k follows the same rule, with the
+blocks for the fields and ``WRITER_MIN_VALUES`` for ``POOL_MIN_CELLS``.
+Each participant builds and texts only its own blocks, and holds one block
+and one chunk's text at a time: a forked child writes its range's text
+into one anonymous temp file (a spool) per table it touches and pipes back
+only its outcome, and this process writes the first range straight into
+its tables' temp files, then appends the spools in order.  At the ``otoc``
+defaults on 2 CPUs, this process texts the surfaces of fields 1-2 and a
+child field 3's and every spectra block.
 
 The ``otoc`` and ``spectra`` jobs (and ``oracle-compare``'s echo) return
 one mode moment m(t) per field, and under ``product`` its fidelity surface;
@@ -72,7 +73,9 @@ separator.  A value column constant across the rows (the times, the
 orders; spectra's im under ``mean``, the scalar 0.0) is texted once per
 block, and one passed as an earlier column's object (spectra's abs under
 ``mean``, which is re) takes its texts.  CSV and JSON share that one text
-path; CSV fields follow csv's QUOTE_MINIMAL rule.
+path.  Every header is fixed, and every string cell is one of a few fixed
+words (an observable, a compared quantity, or ""), none holding a comma, a
+quote or a line end, so CSV writes them as they are.
 
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 any other simulator error (a safety net).
@@ -268,72 +271,43 @@ def validate_config(resolved: dict, command: str | None) -> None:
 CHUNK_ROWS = 16384
 
 
-def _quote(text: str) -> str:
-    """One CSV field under csv's QUOTE_MINIMAL rule.
-
-    The field is wrapped in quotes, with every quote doubled, when it holds
-    a comma, a quote, a newline or a carriage return.  A bare carriage
-    return would read back as a line end, so it is quoted even where csv
-    with a newline terminator leaves it bare.
-    """
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _cells(column: np.ndarray, fmt: str) -> list[str]:
     """A 1-D array as CSV or JSON cell text.
 
     Each distinct value is turned into text once and the texts are indexed
     back through ``np.unique``.  Floats print in shortest round-trip form
-    with -0.0 made 0.0 (``NaN``/``Infinity`` in JSON, as ``json.dumps``
-    writes them); bools print as 1/0 in CSV; strings are quoted as csv or
-    ``json.dumps`` would quote them.
+    with -0.0 made 0.0; bools print as 1/0 in CSV; strings are quoted as
+    ``json.dumps`` quotes them in JSON and written as they are in CSV.
     """
     as_json, kind = fmt == "json", column.dtype.kind
-    # + 0.0 canonicalizes negative zero; np.unique joins every NaN
+    # + 0.0 canonicalizes negative zero
     levels, codes = np.unique(column + 0.0 if kind == "f" else column,
                               return_inverse=True)
     if kind == "b":
         words = ("false", "true") if as_json else ("0", "1")
         texts = [words[value] for value in levels.tolist()]
     elif kind == "U":
-        texts = list(map(json.dumps if as_json else _quote, levels.tolist()))
+        texts = list(map(json.dumps, levels.tolist())) if as_json else levels.tolist()
     elif kind == "f":
         texts = list(map(repr, levels.tolist()))
-        if as_json and not np.isfinite(levels).all():
-            names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-            texts = [names.get(text, text) for text in texts]
     else:
         texts = list(map(str, levels.tolist()))
     return np.array(texts, dtype=object)[codes].tolist()
 
 
-def _layout(block: list, fold):
-    """A block viewed as (leading rows, last axis): which columns are
-    constant along the last axis, the count of keys (those of them that
-    open it, never every column), the (rows, width) its value columns
-    broadcast to, and its fold (each leading row its own row without one)."""
-    along = [np.shape(column)[-1:] in ((), (1,)) for column in block]
-    lead = min(along.index(False) if False in along else len(block), len(block) - 1)
-    shape = np.broadcast_shapes(*map(np.shape, block if fold is None else block[lead:]))
-    rows, width = (math.prod(shape[:-1]), shape[-1]) if shape else (1, 1)
-    return along, lead, rows, width, np.arange(rows) if fold is None else fold
-
-
 def _planned(block) -> int:
     """The values a block plans to text: the sizes of its columns before
-    broadcasting, or 0 when it has no rows."""
-    block, fold = block if isinstance(block, tuple) else (block, None)
-    *_, rows, width, fold = _layout(block, fold)
-    return sum(map(np.size, block)) if fold.size and rows * width else 0
+    broadcasting."""
+    return sum(map(np.size, block[0] if isinstance(block, tuple) else block))
 
 
 def _block_rows(block: list, fold, row_sep: str, cell_sep: str, fmt: str):
     """The text of one block, as a list of row texts per chunk.
 
-    The block's keys (``_layout``) are texted per leading row as its
-    prefix.  Leading row i takes row ``fold[i]`` of the value columns,
+    The block is viewed as (leading rows, last axis).  Its keys, the
+    columns constant along the last axis that open it (never every column),
+    are texted per leading row as its prefix.  Leading row i takes row
+    ``fold[i]`` of the value columns (its own row without a fold),
     whose cells are texted once and held for this chunk and the next.  A
     value column constant across rows is texted once per block unless its
     rows are split, and one that is an earlier one's object takes its
@@ -341,9 +315,11 @@ def _block_rows(block: list, fold, row_sep: str, cell_sep: str, fmt: str):
     piece of a longer row; each row is one ``str.join`` with the prefix
     inside the separator.
     """
-    along, lead, rows, width, fold = _layout(block, fold)
-    if not (fold.size and rows * width):
-        return
+    along = [np.shape(column)[-1:] in ((), (1,)) for column in block]
+    lead = min(along.index(False) if False in along else len(block), len(block) - 1)
+    shape = np.broadcast_shapes(*map(np.shape, block if fold is None else block[lead:]))
+    rows, width = (math.prod(shape[:-1]), shape[-1]) if shape else (1, 1)
+    fold = np.arange(rows) if fold is None else fold
     keys = [np.broadcast_to(column, (fold.size, 1))[:, 0] for column in block[:lead]]
     values = [np.broadcast_to(column, (rows, width)) for column in block[lead:]]
     along = along[lead:]
@@ -390,7 +366,8 @@ class _Table(typing.NamedTuple):
     """A table artifact, ``stem.csv`` or ``stem.json``, of blocks of
     broadcast columns (``_block_rows``).  Block i is ``build(i)``, built only
     by the participant that texts it, and ``plan[i]`` its ``_planned``
-    count, known before it is built: 0 exactly when it has no rows."""
+    count, known before it is built.  Every table has a block, and every
+    block a row."""
 
     stem: str
     columns: list
@@ -409,7 +386,7 @@ def _frame(columns: list, fmt: str) -> tuple[str, str]:
     ``{"columns": [...], "rows": [[...], ...]}``, as ``json.dumps`` with
     sorted keys would write it."""
     if fmt == "csv":
-        return ",".join(map(_quote, columns)) + "\n", ""
+        return ",".join(columns) + "\n", ""
     return f'{{"columns": {json.dumps(columns)}, "rows": [', "]}\n"
 
 
@@ -422,17 +399,16 @@ def _table_text(table: _Table, lo: int, hi: int, fmt: str):
     child for a later range, into its spool for the table (an anonymous
     ``tempfile.TemporaryFile``).  So the frame around the texts of
     consecutive ranges is the table's text byte for byte: each CSV row ends
-    its own line, and a JSON range opens with ``[`` when no earlier block of
-    the table plans a row, else with ``, [``.  Each block is built only once
-    the one before is dropped; one block, one chunk's text and the cell
-    texts of this chunk's and the previous chunk's value rows are held at a
-    time.  csv would write a row of one empty field as ``""``; every table
-    here has at least two columns, so no row is one field.
+    its own line, and a JSON range opens with ``[`` at the table's first
+    block, else with ``, [``.  Each block is built only once the one before
+    is dropped; one block, one chunk's text and the cell texts of this
+    chunk's and the previous chunk's value rows are held at a time.  Every
+    table here has at least two columns, so no row is an empty line.
     """
     if fmt == "csv":
         head, row_sep, cell_sep, tail = "", "\n", ",", "\n"
     else:
-        head = ", [" if any(table.plan[:lo]) else "["
+        head = ", [" if lo else "["
         row_sep, cell_sep, tail = "], [", ", ", "]"
     for index in range(lo, hi):
         block = table.build(index)
@@ -476,26 +452,17 @@ class _Sink:
             os.remove(f"{self.path}.tmp")
 
 
-def _atomic_write(path: str, pieces) -> tuple[str, str]:
-    """Write an iterable of text pieces to ``path`` through a ``_Sink``
-    opened once the first piece exists, so a refused request makes no
-    directory; return the file's name and sha256."""
-    pieces = iter(pieces)
-    pieces = itertools.chain([next(pieces, "")], pieces)
-    sink = _Sink(path)
+def _write_json(outdir: str, name: str, payload) -> tuple[str, str]:
+    """``payload`` as indented JSON with sorted keys, through a ``_Sink``
+    opened once its text exists; the file's name and sha256."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    sink = _Sink(os.path.join(outdir, name))
     try:
-        for data in map(str.encode, pieces):
-            sink.write(data)
-            del data        # not held while the next piece is built
+        sink.write(data)
         return sink.commit()
     except BaseException:
         sink.discard()
         raise
-
-
-def _write_json(outdir: str, name: str, payload) -> tuple[str, str]:
-    return _atomic_write(os.path.join(outdir, name),
-                         [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_manifest(outdir: str, command: str, resolved: dict,
@@ -530,7 +497,7 @@ def _write(resolved: dict, command: str, artifacts: list) -> None:
     cuts = sorted({0, len(blocks), *(
         int(np.abs(planned - planned[-1] * s / workers).argmin())
         for s in range(1, workers))})
-    shares = list(zip(cuts, cuts[1:])) or [(0, 0)]
+    shares = list(zip(cuts, cuts[1:]))
     sinks, spools = {}, {}
 
     def sink(t: int) -> _Sink:
@@ -598,12 +565,13 @@ WRITER_MIN_VALUES = 2 ** 16
 
 
 def _participants(planned: int, least: int, most: int) -> int:
-    """The k of a fork-join: one per usable CPU (the affinity set, not the
-    CPUs installed), at most ``most`` and at least one, once ``planned``
-    reaches ``least`` on Linux; else 1."""
-    if planned >= least and sys.platform == "linux":
-        return max(1, min(len(os.sched_getaffinity(0)), most))
-    return 1
+    """The k of a fork-join on Linux: the least of the usable CPUs (the
+    affinity set, not the CPUs installed), ``most`` and ``2 * planned //
+    least``, and at least 1, so the shares plan ``least / 2`` or more on
+    average; else 1."""
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), most, 2 * planned // least))
 
 
 def _fan_out(fn, q: dict, n: int, samples: int, grid_size=None) -> list:

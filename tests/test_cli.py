@@ -10,6 +10,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -822,7 +823,7 @@ class TestDeterminism:
         # both runs write to one --out path, so manifest.json must match too
         usable_cpus(monkeypatch, 2)
         ks = fork_join_ks(monkeypatch)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         out, pooled = tmp_path / "run", tmp_path / "pooled"
         assert main([*argv, "--out", str(out)]) == 0
         shutil.move(out, pooled)
@@ -863,6 +864,20 @@ def fork_join_ks(monkeypatch, writer: bool = False) -> list:
 
     monkeypatch.setattr(cli, "_fork_join", recording)
     return ks
+
+
+def writer_shares(monkeypatch) -> list:
+    """The (lo, hi) block ranges of every table writer ``_fork_join`` call,
+    each then run as it is."""
+    shares, fork_join = [], cli._fork_join
+
+    def recording(fn, specs, k, *name):
+        if not isinstance(specs[0], quench.QuenchSpec):
+            shares.append(specs)
+        return fork_join(fn, specs, k, *name)
+
+    monkeypatch.setattr(cli, "_fork_join", recording)
+    return shares
 
 
 def record_forks(monkeypatch) -> list:
@@ -915,12 +930,14 @@ class TestFieldPool:
         (["rate-function", "--n", "10000"], "", 3),
         # 41 fields of the ring N = 16 sector: 41 x 1162 states x 180 samples
         (["oracle-compare", "--gf", ",".join(["1.2"] * 41)],
-         "[oracle]\nn_oracle = 16\n", 41)],
+         "[oracle]\nn_oracle = 16\n", 2)],
         ids=["rate-large-n", "rate-n10000", "oracle-n16-41-fields"])
     @FORKS_HERE
     def test_large_work_is_pooled(self, tmp_path, monkeypatch, argv, config,
                                   fields):
-        # more CPUs than fields: one participant per field
+        # more CPUs than fields: one participant per field, at most 2 x the
+        # planned cells // POOL_MIN_CELLS (41 fields x 1162 states x 180
+        # samples plan 8.6e6 cells, 1.02 x POOL_MIN_CELLS: k = 2)
         usable_cpus(monkeypatch, 64)
         monkeypatch.setattr(cli, "_fork_join", fork_started)
         if config:
@@ -956,7 +973,7 @@ class TestFieldPool:
         # large the planned work; a refused size leaves no directory
         usable_cpus(monkeypatch, 64)
         ks = fork_join_ks(monkeypatch)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         out = tmp_path / "out"
         assert main([command, "--n", str(n), "--out", str(out)]) == code
         assert out.exists() == (code == 0)
@@ -981,12 +998,28 @@ class TestFieldPool:
         assert capsys.readouterr().err == f"configuration error: {refused.value}\n"
         assert not out.exists() and ks == []
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_k_on_one_or_two_cpus_is_the_threshold_rule(self, monkeypatch,
+                                                         cpus):
+        # 2 x planned // least is 2 or more exactly when planned reaches
+        # least, so on 1 or 2 usable CPUs k is the plain threshold's: one
+        # per CPU, at most one per field or block, from least on, else 1
+        usable_cpus(monkeypatch, cpus)
+        for least in (1, 3, 64, cli.WRITER_MIN_VALUES, cli.POOL_MIN_CELLS):
+            edges = {least // 2 - 1, least // 2, least - 1, least, least + 1}
+            sizes = {*range(0, 3 * least, max(1, least // 50)), *edges}
+            for planned in sorted(size for size in sizes if size >= 0):
+                for most in range(5):
+                    old = max(1, min(cpus, most)) if planned >= least else 1
+                    assert cli._participants(planned, least, most) == old, (
+                        planned, least, most)
+
     def test_one_usable_cpu_runs_in_process(self, tmp_path, monkeypatch):
         # the affinity set counts, not the CPUs installed
         usable_cpus(monkeypatch, 1)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         ks = fork_join_ks(monkeypatch)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         assert main(["rate-function", "--n", "12",
                      "--out", str(tmp_path / "out")]) == 0
         assert ks == [1]
@@ -997,7 +1030,7 @@ class TestFieldPool:
         monkeypatch.setattr(sys, "platform", platform)
         usable_cpus(monkeypatch, 64)
         ks = fork_join_ks(monkeypatch)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         assert main(["rate-function", "--n", "12",
                      "--out", str(tmp_path / "out")]) == 0
         assert ks == [1]
@@ -1017,7 +1050,7 @@ class TestFieldPool:
 
         monkeypatch.setattr(quench, "rate_function", rate_or_die)
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         out = tmp_path / "out"
         with within(10):
             code = main(["rate-function", "--n", "12", "--gf", "0.5,0.8,1.2",
@@ -1040,7 +1073,7 @@ class TestFieldPool:
                 "--config", config, "--out", str(out)]
         forked = record_forks(monkeypatch)
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         assert main(argv) == 2
         forked_err = capsys.readouterr().err
         assert len(forked) == 1 and not out.exists()
@@ -1074,7 +1107,7 @@ class TestFieldPool:
         usable_cpus(monkeypatch, 2)
         argv = ["rate-function", "--n", "12", "--gf", fields,
                 "--out", str(tmp_path / "out")]
-        for least in (0, 2 ** 62):      # forked, then in process
+        for least in (1, 2 ** 62):      # forked, then in process
             monkeypatch.setattr(cli, "POOL_MIN_CELLS", least)
             assert main(argv) == 2
             assert capsys.readouterr().err == (
@@ -1097,7 +1130,7 @@ class TestFieldPool:
 
         monkeypatch.setattr(quench, "rate_function", interrupt_or_stall)
         usable_cpus(monkeypatch, 3)
-        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "POOL_MIN_CELLS", 1)
         with within(10), pytest.raises(KeyboardInterrupt):
             main(["rate-function", "--n", "12", "--out", str(tmp_path / "out")])
         assert len(forked) == 2
@@ -1121,8 +1154,8 @@ class TestTableShares:
     process and each other in a forked child, which writes a spool per
     table that this process appends in order."""
 
-    @given(st.lists(st.tuples(st.sampled_from([0, 1, 2, 3, 5]),
-                              st.sampled_from([0, 2, 3]), st.booleans(),
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 5]),
+                              st.sampled_from([2, 3]), st.booleans(),
                               st.sampled_from(["same", "copy", "zero"])),
                     min_size=1, max_size=5),
            st.sampled_from([1, 2, 5, 16384]), st.sampled_from(["csv", "json"]),
@@ -1131,14 +1164,14 @@ class TestTableShares:
                                                      data):
         # each block is a scalar key, an (a, 1) key, a (b,) column, values
         # on their distinct rows, with a fold or unfolded, and a twin of the
-        # values: that object, a copy, or the scalar 0.0.  a or b may be 0,
-        # and an empty block plans 0 values.  The frame around the texts of
-        # consecutive ranges, split anywhere, is the one-participant text
-        floats = st.sampled_from(COLUMN_POOLS["float64"]) | st.floats()
-        columns = ["g_f", "phi", "t", "v", "w,twin"]
+        # values: that object, a copy, or the scalar 0.0.  The frame around
+        # the texts of consecutive ranges, split anywhere, is the
+        # one-participant text
+        floats = st.sampled_from(COLUMN_POOLS["float64"]) | FINITE
+        columns = ["g_f", "phi", "t", "v", "twin"]
         blocks, rows = [], []
         for a, b, folded, twin in shapes:
-            distinct = data.draw(st.integers(1, max(a, 1)))
+            distinct = data.draw(st.integers(1, a))
             values = np.array(data.draw(st.lists(
                 floats, min_size=distinct * b, max_size=distinct * b)),
                 dtype=float).reshape(distinct, b)
@@ -1155,8 +1188,7 @@ class TestTableShares:
             rows += zip(*(np.broadcast_to(column, (a, b)).ravel()
                           for column in unfolded))
         table = cli._table("t", columns, blocks)
-        assert [plan == 0 for plan in table.plan] == [
-            a * b == 0 for a, b, *_ in shapes]
+        assert all(table.plan)
         cuts = sorted(data.draw(st.lists(st.integers(0, len(blocks)), max_size=3)))
         head, tail = cli._frame(columns, fmt)
         with mock.patch.object(cli, "CHUNK_ROWS", chunk):
@@ -1197,14 +1229,7 @@ class TestTableShares:
         # 3 surface blocks of 33,565 planned values and 6 spectra blocks of
         # 7,510: this process texts fields 1-2, a child field 3 and the
         # spectra, and one usable CPU writes the same bytes in process
-        shares, fork_join = [], cli._fork_join
-
-        def recording(fn, specs, k, *name):
-            if not isinstance(specs[0], quench.QuenchSpec):
-                shares.append(specs)
-            return fork_join(fn, specs, k, *name)
-
-        monkeypatch.setattr(cli, "_fork_join", recording)
+        shares = writer_shares(monkeypatch)
         forked = record_forks(monkeypatch)
         out, pinned = tmp_path / "out", tmp_path / "pinned"
         usable_cpus(monkeypatch, 2)
@@ -1220,6 +1245,26 @@ class TestTableShares:
             "doublewell.json", "manifest.json", "otoc_surface.csv", "spectra.csv"]
         for name in names:
             assert (out / name).read_bytes() == (pinned / name).read_bytes(), name
+
+    @FORKS_HERE
+    def test_many_cpus_give_each_share_half_the_threshold(self, tmp_path,
+                                                          monkeypatch):
+        # with 64 usable CPUs the otoc defaults' 145,755 planned values make
+        # k = 2 x 145,755 // WRITER_MIN_VALUES = 4, not one per block: 3
+        # children, and the bytes of one participant
+        shares = writer_shares(monkeypatch)
+        forked = record_forks(monkeypatch)
+        out, pinned = tmp_path / "out", tmp_path / "pinned"
+        usable_cpus(monkeypatch, 64)
+        assert main(["otoc", "--out", str(out)]) == 0
+        shutil.move(out, pinned)
+        usable_cpus(monkeypatch, 1)
+        assert main(["otoc", "--out", str(out)]) == 0
+        assert shares == [[(0, 1), (1, 2), (2, 4), (4, 9)], [(0, 9)]]
+        assert len(forked) == 3
+        assert_reaped(forked)
+        for path in pinned.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     @pytest.mark.parametrize("argv, config", [
         # the benchmark's rate-large-n (4,004 values) and oracle-n12 (1,209)
@@ -1417,13 +1462,15 @@ def reference_table(columns, rows, fmt: str) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
+# the cells a command writes: finite floats, and plain words or ""
 COLUMN_POOLS = {
-    "float64": [-0.0, 0.0, 5e-324, 0.1 + 0.2, -1.0 / 3.0, 1e16, np.inf,
-                -np.inf, np.nan, 2.0],
+    "float64": [-0.0, 0.0, 5e-324, 0.1 + 0.2, -1.0 / 3.0, 1e16,
+                1.7976931348623157e308, -2.2250738585072014e-308, 2.0],
     "int64": [2 ** 53 + 1, -2 ** 62, 0, -7],
     "bool": [True, False],
-    "str": ["", "fidelity", "a,b", 'q"t', '""', "line\nbreak"],
+    "str": ["", "fidelity", "magnetization", "rate_function"],
 }
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # "mixed" is a float column written as the str scalar "" in some blocks, as
 # compare writes its phi column
 COLUMN_KINDS = sorted([*COLUMN_POOLS, "mixed"])
@@ -1481,14 +1528,15 @@ def written_table(columns, blocks, fmt: str, chunk: int) -> bytes:
 class TestColumnarWriter:
     FLOATS = np.array([-0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3,
                        0.1 + 0.2, -1.0 / 3.0, 2.0 ** 60, 1e16, 123456789.12345678,
-                       np.pi, -np.e, 0.5, np.inf, -np.inf, np.nan, 7.0])
+                       np.pi, -np.e, 0.5, 1.7976931348623157e308, -1e308,
+                       -5e-324, 7.0])
 
     def table(self):
         n = self.FLOATS.size
         rng = np.random.default_rng(4)
         ints = rng.integers(-10 ** 12, 10 ** 12, size=n)
         bools = rng.random(n) < 0.5
-        strings = np.array([["", "fidelity", "a,b", 'q"t'][i % 4]
+        strings = np.array([["", "fidelity", "magnetization", "rate_function"][i % 4]
                             for i in range(n)])
         data = [self.FLOATS, ints, bools, strings, self.FLOATS[::-1],
                 -self.FLOATS]
@@ -1512,7 +1560,7 @@ class TestColumnarWriter:
     def repeated_table(self):
         """Long columns of heavily repeated values, as the sweeps write."""
         n = self.FLOATS.size
-        strings = ["", "fidelity", "a,b", 'q"t', '""']
+        strings = ["", "fidelity", "magnetization", "rate_function", "abs"]
         data = [np.repeat(self.FLOATS, 23),
                 np.tile(np.array([2 ** 53 + 1, -2 ** 62, 0, 7, 2 ** 63 - 1]),
                         n * 23 // 5 + 1)[:n * 23],
@@ -1534,7 +1582,7 @@ class TestColumnarWriter:
         name, _ = write_table(str(tmp_path), "table", columns, blocks, fmt)
         assert (tmp_path / name).read_bytes() == reference_table(columns, rows, fmt)
 
-    @given(st.integers(0, 40), st.lists(st.sampled_from(COLUMN_KINDS),
+    @given(st.integers(1, 40), st.lists(st.sampled_from(COLUMN_KINDS),
                                         min_size=2, max_size=5),
            st.sampled_from([1, 2, 5, 16384]), st.sampled_from(["csv", "json"]),
            st.data())
@@ -1545,12 +1593,12 @@ class TestColumnarWriter:
             pool = COLUMN_POOLS["float64" if kind == "mixed" else kind]
             picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
                                        min_size=n_rows, max_size=n_rows))
-            columns.append(f"c{i}" if i % 2 else f"c,{i}")
+            columns.append(f"c{i}")
             table.append(np.array([pool[j] for j in picks],
                                   dtype="float64" if kind == "mixed" else kind))
-        # consecutive blocks of the rows; equal edges make empty blocks
-        edges = [0, *sorted(data.draw(st.lists(st.integers(0, n_rows),
-                                               max_size=4))), n_rows]
+        # consecutive blocks of the rows, none empty
+        edges = sorted({0, n_rows, *data.draw(st.lists(st.integers(1, n_rows),
+                                                       max_size=4))})
         blocks = [[column[start:stop] for column in table]
                   for start, stop in zip(edges, edges[1:])]
         rows = list(zip(*table))
@@ -1560,8 +1608,6 @@ class TestColumnarWriter:
                     block[i] = ""                     # the str scalar ""
                     rows[start:stop] = [(*row[:i], "", *row[i + 1:])
                                         for row in rows[start:stop]]
-        if n_rows == 0 and data.draw(st.booleans()):
-            blocks = []                                # no block at all
         assert written_table(columns, blocks, fmt, chunk) \
             == reference_table(columns, rows, fmt)
 
@@ -1570,8 +1616,8 @@ class TestColumnarWriter:
     def test_values_repeated_across_chunks_equal_per_cell_reference(
             self, chunk, fmt, data):
         # each column draws from a few values, so most values of a chunk
-        # were in the chunk before and some were not; NaN, +-inf and +-0.0
-        # sit on both sides of a chunk edge in each block.  Column
+        # were in the chunk before and some were not; the pool's extremes
+        # and +-0.0 sit on both sides of a chunk edge in each block.  Column
         # "phi" is the str scalar "" in the first block and floats in the
         # second, as compare writes it
         n = data.draw(st.integers(4 * chunk, 8 * chunk))
@@ -1580,14 +1626,14 @@ class TestColumnarWriter:
         for kind in ("float64", "float64", "int64", "bool", "str", "float64"):
             pool = COLUMN_POOLS[kind]
             if kind == "float64":
-                pool = pool + data.draw(st.lists(st.floats(), max_size=3))
+                pool = pool + data.draw(st.lists(FINITE, max_size=3))
             picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
                                        min_size=n, max_size=n))
             table.append(np.array([pool[j] for j in picks], dtype=kind))
         for edge in (chunk, cut + chunk):
-            table[0][edge - 2:edge + 2] = [np.nan, -np.inf, np.nan, -np.inf]
-            table[1][edge - 2:edge + 2] = [0.0, np.inf, -0.0, np.inf]
-            table[5][edge - 2:edge + 2] = [-0.0, np.nan, 0.0, np.nan]
+            table[0][edge - 2:edge + 2] = [5e-324, -1e308, 5e-324, -1e308]
+            table[1][edge - 2:edge + 2] = [0.0, 1e308, -0.0, 1e308]
+            table[5][edge - 2:edge + 2] = [-0.0, 5e-324, 0.0, 5e-324]
         columns = ["x", "y", "n", "flag", "label", "phi"]
         blocks, rows = str_then_floats(table, 5, cut)
         assert written_table(columns, blocks, fmt, chunk) \
@@ -1680,18 +1726,18 @@ class TestColumnarWriter:
 
     @given(st.lists(st.sampled_from(sorted(COLUMN_POOLS)), min_size=2,
                     max_size=5),
-           st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)),
                     min_size=1, max_size=3),
            st.sampled_from([1, 2, 5, 16384]), st.sampled_from(["csv", "json"]),
            st.data())
     def test_broadcast_blocks_equal_materialized_columns(
             self, kinds, sizes, chunk, fmt, data):
         # a block's rows are the C-order cells of its broadcast columns:
-        # 0-d, (a, 1), (1, b) or (a, b), with a or b possibly 0.  Rows j and
-        # a - j of a column may be equal, as on an echo surface, and the last
-        # column may be an earlier one or a copy of it, as spectra's abs is
-        # re.  A block may carry a fold, leading row i taking row fold[i] of
-        # each value column with rows: it writes its unfolded columns
+        # 0-d, (a, 1), (1, b) or (a, b).  Rows j and a - j of a column may
+        # be equal, as on an echo surface, and the last column may be an
+        # earlier one or a copy of it, as spectra's abs is re.  A block may
+        # carry a fold, leading row i taking row fold[i] of each value column
+        # with rows: it writes its unfolded columns
         twin = data.draw(st.sampled_from([None, *range(len(kinds))]))
         columns = [f"c{i}" for i in range(len(kinds) + (twin is not None))]
         blocks, materialized = [], []
@@ -1720,7 +1766,7 @@ class TestColumnarWriter:
                 ranked = [np.ndim(column) == 2 and len(column) == a
                           for column in block[lead:]]
                 fold = np.array(data.draw(st.lists(
-                    st.integers(0, max(a - 1, 0) if any(ranked) else 0),
+                    st.integers(0, a - 1 if any(ranked) else 0),
                     min_size=a, max_size=a)), dtype=np.intp)
                 unfolded = block[:lead] + [column[fold] if rows else column
                                            for column, rows in zip(block[lead:], ranked)]
@@ -1752,20 +1798,26 @@ class TestColumnarWriter:
                         [[np.arange(10.0), np.arange(10)]], fmt)
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_atomic_write_leaves_no_file(self, tmp_path):
-        def pieces():
-            yield "partial"
+    def test_failed_atomic_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # a JSON file whose write fails after its first bytes
+        write = cli._Sink.write
+
+        def partial(sink, data):
+            write(sink, data[:7])
             raise OSError("simulated")
 
+        monkeypatch.setattr(cli._Sink, "write", partial)
         with pytest.raises(OSError):
-            cli._atomic_write(str(tmp_path / "x.json"), pieces())
+            cli._write_json(str(tmp_path), "x.json", {"partial": True})
         assert list(tmp_path.iterdir()) == []
 
     def test_manifest_opens_no_artifact(self, tmp_path):
         # a 17 MiB artifact: its checksum is taken as its bytes are
         # written, so the manifest step reads nothing back
-        piece = "0123456789abcdef" * 2 ** 16                     # 1 MiB
-        written = [cli._atomic_write(str(tmp_path / "big.csv"), [piece] * 17)]
+        sink = cli._Sink(str(tmp_path / "big.csv"))
+        for _ in range(17):
+            sink.write(b"0123456789abcdef" * 2 ** 16)          # 1 MiB
+        written = [sink.commit()]
         assert (tmp_path / "big.csv").stat().st_size >= 16 * 2 ** 20
         opened = []
 
@@ -1788,12 +1840,6 @@ class TestColumnarWriter:
                 digest.update(block)
         assert read_json(tmp_path / "manifest.json")["checksums"] \
             == {"big.csv": digest.hexdigest()}
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_empty_table(self, tmp_path, fmt):
-        name, _ = write_table(str(tmp_path), "empty", ["a", "b"],
-                              [[np.zeros(0), []]], fmt)
-        assert (tmp_path / name).read_bytes() == reference_table(["a", "b"], [], fmt)
 
     def test_otoc_csv_equals_json_rows(self, tmp_path):
         # every subcommand's tables, CSV text against the parsed JSON cells
@@ -1864,18 +1910,28 @@ def drawn_config(data, command: str) -> str:
 
 class TestDrawnConfigs:
     """The real commands on small drawn configurations, in both formats, in
-    one participant and forced to fork, both the fields and the tables."""
+    one participant and forked from one planned value on, both the fields
+    and the tables."""
 
     def run(self, argv, out, forks: bool):
+        """The exit code, stderr and the plan of each table written."""
         affinity = set(range(2 if forks else 1))
-        least = 0 if forks else 2 ** 62
+        least = 1 if forks else 2 ** 62
+        plans, write = [], cli._write
+
+        def recording(resolved, command, artifacts):
+            plans.extend(artifact.plan for artifact in artifacts
+                         if isinstance(artifact, cli._Table))
+            return write(resolved, command, artifacts)
+
         with mock.patch.object(os, "sched_getaffinity", lambda pid: affinity,
                                create=True), \
                 mock.patch.object(cli, "POOL_MIN_CELLS", least), \
                 mock.patch.object(cli, "WRITER_MIN_VALUES", least), \
+                mock.patch.object(cli, "_write", recording), \
                 contextlib.redirect_stderr(io.StringIO()) as err:
             code = main([*argv, "--out", str(out)])
-        return code, err.getvalue()
+        return code, err.getvalue(), plans
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     @settings(max_examples=12)
@@ -1889,14 +1945,17 @@ class TestDrawnConfigs:
                 out = tmp / "out"
                 runs[fmt, forks] = *self.run([*argv, "--format", fmt], out, forks), \
                     out.exists() and shutil.move(out, tmp / f"{fmt}-{forks}")
-            (code, err, serial), (_, _, as_json), (fork_code, fork_err, forked) \
-                = runs.values()
+            (code, err, plans, serial), (_, _, _, as_json), \
+                (fork_code, fork_err, _, forked) = runs.values()
             assert code in (0, 1, 2) and fork_code == code, err
             if code == 2:
                 assert err.startswith("configuration error: ")
                 assert err.count("\n") == 1 and fork_err == err
                 assert not (serial or as_json or forked)
                 return
+            # the writer's preconditions: every table has a block, and
+            # every block plans at least one value
+            assert plans and all(plan and min(plan) >= 1 for plan in plans)
             for out in (Path(serial), Path(as_json)):
                 checksums = read_json(out / "manifest.json")["checksums"]
                 assert checksums == {path.name: hashlib.sha256(
@@ -1911,7 +1970,15 @@ class TestDrawnConfigs:
                     # README admits no NaN or infinite cell
                     assert not {"nan", "inf", "-inf"} & set(
                         itertools.chain.from_iterable(rows)), path.name
+                    assert {len(row) for row in rows} == {len(header)}, path.name
                     payload = read_json(Path(as_json) / f"{path.stem}.json")
+                    cells = list(itertools.chain.from_iterable(payload["rows"]))
+                    assert all(map(math.isfinite, (
+                        cell for cell in cells if isinstance(cell, float))))
+                    # CSV writes its header and string cells unquoted
+                    words = [*payload["columns"],
+                             *(cell for cell in cells if isinstance(cell, str))]
+                    assert not any(set(word) & set(',"\r\n') for word in words), path.name
                     assert payload["columns"] == header
                     assert rows == [[reference_fmt(cell) for cell in row]
                                     for row in payload["rows"]]
